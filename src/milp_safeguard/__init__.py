@@ -8,12 +8,11 @@ state outside box obstacles.
 """
 
 from milp_safeguard.sets import Hypercube, UnsafeRegion
-from milp_safeguard.nn_model import Interval, LayerParams, ReluNetwork
+from milp_safeguard.nn_model import LayerParams, ReluNetwork
 
 __all__ = [
     "Hypercube",
     "UnsafeRegion",
-    "Interval",
     "LayerParams",
     "ReluNetwork",
 ]

@@ -27,11 +27,10 @@ from milp_safeguard.learner import (
 )
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import (
-    box_to_intervals,
     build_identity_sum_network,
     forward,
-    interval_forward,
     load_network,
+    output_bounds,
     save_network,
 )
 from milp_safeguard.oracle import (
@@ -119,8 +118,8 @@ def _train_from_block(doc, X, U, plant):
     return result.net, eps, result.final_mse
 
 
-def load_scenario(path, seed_override=None):
-    """Parse a YAML scenario file into (Scenario, raw document)."""
+def _read_document(path):
+    """The YAML scenario document, with every required section present."""
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
@@ -133,13 +132,27 @@ def load_scenario(path, seed_override=None):
     for section in ("plant", "network", "bounds", "noise", "task"):
         if section not in doc:
             raise ScenarioError(f"missing section '{section}'")
+    return doc
 
+
+def _sets_and_plant(doc):
+    """(X, U, plant) from the bounds and plant sections.
+
+    The train command needs only these, and must not build the network.
+    """
     b = doc["bounds"]
     try:
         X = Hypercube(_vec(b, "x_lo", "bounds"), _vec(b, "x_hi", "bounds"))
         U = Hypercube(_vec(b, "u_lo", "bounds"), _vec(b, "u_hi", "bounds"))
     except ValueError as exc:
         raise ScenarioError(f"bad bounds: {exc}")
+    return X, U, _build_plant(doc["plant"])
+
+
+def load_scenario(path, seed_override=None):
+    """Parse a YAML scenario file into (Scenario, raw document)."""
+    doc = _read_document(path)
+    X, U, plant = _sets_and_plant(doc)
 
     nz = doc["noise"]
     eps_x = _vec(nz, "eps_x", "noise")
@@ -155,7 +168,6 @@ def load_scenario(path, seed_override=None):
             raise ScenarioError(f"bad obstacle {i}: {exc}")
     unsafe = UnsafeRegion(tuple(boxes))
 
-    plant = _build_plant(doc["plant"])
     scenario_dir = os.path.dirname(os.path.abspath(path))
     net = _build_network(doc["network"], X, U, plant, scenario_dir)
 
@@ -167,7 +179,6 @@ def load_scenario(path, seed_override=None):
 
     sv = doc.get("solver") or {}
     solver = SolverConfig(
-        feasibility_tol=float(sv.get("feasibility_tol", 1e-7)),
         integrality_tol=float(sv.get("integrality_tol", 1e-6)),
         relative_gap=float(sv.get("relative_gap", 1e-6)),
         max_nodes=int(sv.get("max_nodes", 10**6)),
@@ -290,18 +301,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    scenario, doc = load_scenario(args.scenario, seed_override=args.seed)
+    doc = _read_document(args.scenario)
     block = doc["network"]
     if block.get("kind") != "train":
         print("scenario's network section does not request training",
               file=sys.stderr)
         return 1
-    try:
-        net, eps, mse = _train_from_block(block, scenario.X, scenario.U,
-                                          scenario.plant)
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
+    net, eps, mse = _train_from_block(block, *_sets_and_plant(doc))
     save_network(net, args.out)
     print(f"saved network: {args.out}")
     print("eps_x:", " ".join(f"{v:.6g}" for v in eps))
@@ -334,21 +340,20 @@ def cmd_verify(args) -> int:
     x_box = measurement_box(p.y_k, p.eps_y, p.X)
     u_box = intersect(Hypercube(decision.u_cmd - p.eps_u,
                                 decision.u_cmd + p.eps_u), p.U)
-    ref = interval_forward(p.net, box_to_intervals(x_box.concat(u_box)))
-    ref_box = ref.output_box()
-    err = max(float(np.max(np.abs(fixed.nn_out_box.lo - ref_box.lo))),
-              float(np.max(np.abs(fixed.nn_out_box.hi - ref_box.hi))))
+    z_box = x_box.concat(u_box)
+    ref_lo, ref_hi = output_bounds(p.net, z_box.lo, z_box.hi)
+    err = max(float(np.max(np.abs(fixed.nn_out_box.lo - ref_lo))),
+              float(np.max(np.abs(fixed.nn_out_box.hi - ref_hi))))
     results.append(("box-equality", err <= 1e-6, f"max dev {err:.2e}"))
 
     # 2. Sampled true network outputs must land inside the output box.
     rng = np.random.default_rng(scenario.seed + 17)
-    z_box = x_box.concat(u_box)
     worst = 0.0
     for z in z_box.sample(rng, args.samples):
         out = forward(p.net, z)
         worst = max(worst,
-                    float(np.max(ref_box.lo - out)),
-                    float(np.max(out - ref_box.hi)))
+                    float(np.max(ref_lo - out)),
+                    float(np.max(out - ref_hi)))
     results.append(("containment", worst <= 1e-9, f"max escape {worst:.2e}"))
 
     # 3. The MILP optimum must match a brute-force control grid.
@@ -440,6 +445,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

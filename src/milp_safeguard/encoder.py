@@ -17,11 +17,7 @@ import numpy as np
 
 from milp_safeguard import milp
 from milp_safeguard.milp import GE, LE, EQ, ModelBuilder, SolverConfig
-from milp_safeguard.nn_model import (
-    LayerBounds,
-    ReluNetwork,
-    preactivation_bounds,
-)
+from milp_safeguard.nn_model import ReluNetwork, preactivation_bounds
 from milp_safeguard.sets import (
     Hypercube,
     UnsafeRegion,
@@ -65,7 +61,7 @@ class TrackingProblem:
     eps_u: np.ndarray
     y_k: np.ndarray
     x_ref: np.ndarray
-    layer_bounds: LayerBounds | None = None
+    layer_bounds: list = field(init=False)
 
     def __post_init__(self):
         n_x, n_u = self.X.dim, self.U.dim
@@ -81,16 +77,15 @@ class TrackingProblem:
             raise ValueError("x_ref outside the state feasible set")
         if self.unsafe.contains_interior(self.x_ref):
             raise ValueError("x_ref inside an obstacle")
-        if self.layer_bounds is None:
-            # Any box containing every feasible state yields valid neuron
-            # bounds; the measurement box is far tighter than X and lets
-            # the encoder pin most activation cases without branching.
-            mbox = measurement_box(self.y_k, self.eps_y, self.X)
-            object.__setattr__(
-                self, "layer_bounds",
-                preactivation_bounds(self.net, mbox if mbox is not None
-                                     else self.X, self.U)
-            )
+        # Any box containing every feasible state yields valid neuron
+        # bounds; the measurement box is far tighter than X and lets the
+        # encoder pin most activation cases without branching.
+        mbox = measurement_box(self.y_k, self.eps_y, self.X)
+        object.__setattr__(
+            self, "layer_bounds",
+            preactivation_bounds(self.net, mbox if mbox is not None
+                                 else self.X, self.U)
+        )
 
     @property
     def n_x(self) -> int:
@@ -174,7 +169,7 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     hidden = {"a": [], "b": [], "ahat": [], "bhat": [],
               "d_mm": [], "d_mp": [], "d_pp": []}
     for i, layer in enumerate(p.net.layers[:-1]):
-        zlo, zhi = lb.preact_arrays(i)
+        zlo, zhi = lb[i]
         n_i = layer.out_dim
         ahat = [b.add_continuous(zlo[j], zhi[j], f"ahat{i}_{j}") for j in range(n_i)]
         bhat = [b.add_continuous(zlo[j], zhi[j], f"bhat{i}_{j}") for j in range(n_i)]
@@ -223,7 +218,7 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
         a_prev, b_prev = a_i, b_i
 
     last = p.net.layers[-1]
-    zlo, zhi = lb.preact_arrays(len(p.net.layers) - 1)
+    zlo, zhi = lb[-1]
     a_next = [b.add_continuous(zlo[j], zhi[j], f"a_next{j}")
               for j in range(last.out_dim)]
     b_next = [b.add_continuous(zlo[j], zhi[j], f"b_next{j}")

@@ -35,16 +35,13 @@ class UnboundedModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    feasibility_tol: float = 1e-7
     integrality_tol: float = 1e-6
     relative_gap: float = 1e-6
     max_nodes: int = 10**6
     max_simplex_iters: int = 10**5
-    deterministic: bool = True
-    seed: int = 0
 
     def __post_init__(self):
-        if min(self.feasibility_tol, self.integrality_tol, self.relative_gap) <= 0:
+        if min(self.integrality_tol, self.relative_gap) <= 0:
             raise ValueError("tolerances must be positive")
 
 

@@ -1,10 +1,13 @@
 """Fully connected ReLU networks: evaluation, serialization, interval bounds.
 
 A network is a chain of affine layers; every hidden layer is followed by a
-ReLU, the final layer is affine.  Interval propagation pushes a box through
-the same chain with sign-dependent bound switching in the affine layers and
-max(0, .) on both endpoints at the ReLUs, yielding a sound over-approximation
-of the image of the box.
+ReLU, the final layer is affine.  interval_bounds is the one interval
+propagator: it pushes a box, as (lo, hi) arrays, through the same chain with
+sign-dependent bound switching in the affine layers and max(0, .) on both
+endpoints at the ReLUs, yielding a sound over-approximation of the image of
+the box at every layer.  output_bounds (the output box, for the planner and
+the oracles) and preactivation_bounds (every layer over X x U, for the MILP
+encoder) read it.
 """
 
 from __future__ import annotations
@@ -15,24 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from milp_safeguard.sets import Hypercube
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Scalar interval [lo, hi], lo <= hi, finite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"non-finite interval [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -97,28 +82,6 @@ class ReluNetwork:
         return len(self.layers) - 1
 
 
-@dataclass(frozen=True)
-class LayerBounds:
-    """Per-layer interval bounds from a propagated input box.
-
-    preact[i] bounds the affine output of layer i (i = 0 .. L-1, in network
-    order); postact[i] bounds the ReLU image for hidden layers only.  The
-    last preact entry bounds the network output.
-    """
-
-    preact: tuple
-    postact: tuple
-
-    def preact_arrays(self, i: int):
-        lo = np.array([iv.lo for iv in self.preact[i]])
-        hi = np.array([iv.hi for iv in self.preact[i]])
-        return lo, hi
-
-    def output_box(self) -> Hypercube:
-        lo, hi = self.preact_arrays(len(self.preact) - 1)
-        return Hypercube(lo, hi)
-
-
 def forward(net: ReluNetwork, z0) -> np.ndarray:
     """Evaluate the network at z0."""
     z = np.asarray(z0, dtype=float)
@@ -141,11 +104,6 @@ def forward_batch(net: ReluNetwork, Z) -> np.ndarray:
     return H @ last.weights.T + last.bias
 
 
-def relu_interval(x: Interval) -> Interval:
-    """[max(0, lo), max(0, hi)] — exact image of ReLU on an interval."""
-    return Interval(max(0.0, x.lo), max(0.0, x.hi))
-
-
 def linear_bounds(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Array form of the sign-switch bounds for an affine map.
 
@@ -159,75 +117,44 @@ def linear_bounds(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return out_lo, out_hi
 
 
-def _to_intervals(lo: np.ndarray, hi: np.ndarray):
-    return tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi))
+def interval_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Bounds of every layer's affine output over the input box [lo, hi].
 
-
-def linear_interval(layer: LayerParams, box) -> tuple:
-    """Propagate a vector of Intervals through one affine layer."""
-    box = tuple(box)
-    if len(box) != layer.in_dim:
-        raise ValueError(f"box length {len(box)} != layer input dim {layer.in_dim}")
-    lo = np.array([iv.lo for iv in box])
-    hi = np.array([iv.hi for iv in box])
-    out_lo, out_hi = linear_bounds(layer.weights, layer.bias, lo, hi)
-    return _to_intervals(out_lo, out_hi)
-
-
-def interval_forward(net: ReluNetwork, input_box) -> LayerBounds:
-    """Propagate an input box through the whole network.
-
-    Returns sound bounds: forward(net, z) lies in the final preact box for
-    every z in the input box.
+    Returns one (lo, hi) pair of arrays per layer, in network order: the
+    pre-activation bounds of the hidden layers, then the output box.  They
+    are sound: every input in the box maps inside every pair.  Raises
+    ValueError on a non-finite bound (a net whose values overflow), which
+    the MILP encoder could not take as a coefficient.
     """
-    box = tuple(input_box)
-    if len(box) != net.input_dim:
-        raise ValueError(f"box length {len(box)} != input dim {net.input_dim}")
-    lo = np.array([iv.lo for iv in box])
-    hi = np.array([iv.hi for iv in box])
-    preact = []
-    postact = []
-    for layer in net.layers[:-1]:
+    bounds = []
+    for layer in net.layers:
+        if bounds:  # the ReLU after the previous, hidden, layer
+            lo = np.maximum(0.0, lo)
+            hi = np.maximum(0.0, hi)
         lo, hi = linear_bounds(layer.weights, layer.bias, lo, hi)
-        preact.append(_to_intervals(lo, hi))
-        lo = np.maximum(0.0, lo)
-        hi = np.maximum(0.0, hi)
-        postact.append(_to_intervals(lo, hi))
-    last = net.layers[-1]
-    lo, hi = linear_bounds(last.weights, last.bias, lo, hi)
-    preact.append(_to_intervals(lo, hi))
-    return LayerBounds(preact=tuple(preact), postact=tuple(postact))
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"non-finite interval bounds in layer {len(bounds)}")
+        bounds.append((lo, hi))
+    return bounds
 
 
 def output_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray):
-    """Output box of the network over an input box, arrays in and out.
-
-    Same interval semantics as interval_forward, without materializing the
-    per-layer Interval tuples; use when only the final box is needed.
-    """
-    for layer in net.layers[:-1]:
-        lo, hi = linear_bounds(layer.weights, layer.bias, lo, hi)
-        lo = np.maximum(0.0, lo)
-        hi = np.maximum(0.0, hi)
-    last = net.layers[-1]
-    return linear_bounds(last.weights, last.bias, lo, hi)
+    """Output box of the network over an input box, arrays in and out."""
+    return interval_bounds(net, lo, hi)[-1]
 
 
-def box_to_intervals(h: Hypercube) -> tuple:
-    return _to_intervals(h.lo, h.hi)
-
-
-def preactivation_bounds(net: ReluNetwork, X: Hypercube, U: Hypercube) -> LayerBounds:
+def preactivation_bounds(net: ReluNetwork, X: Hypercube, U: Hypercube) -> list:
     """Global neuron bounds over the full X x U input domain.
 
     These are the constant tightening data the MILP encoder bakes into its
-    constraints.
+    constraints, as interval_bounds returns them.
     """
     if X.dim + U.dim != net.input_dim:
         raise ValueError(
             f"X dim {X.dim} + U dim {U.dim} != network input dim {net.input_dim}"
         )
-    return interval_forward(net, box_to_intervals(X.concat(U)))
+    box = X.concat(U)
+    return interval_bounds(net, box.lo, box.hi)
 
 
 def save_network(net: ReluNetwork, path=None) -> bytes:

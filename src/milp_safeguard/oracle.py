@@ -2,7 +2,8 @@
 
 Everything here re-derives results by sampling, gridding, or exhaustive
 enumeration; nothing is shared with the encoder's constraint-generation
-path beyond the interval propagator it is checking against.
+path beyond nn_model.output_bounds, the interval propagator the MILP's
+network boxes are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from milp_safeguard.milp import EQ, GE, LE, MilpModel
-from milp_safeguard.nn_model import box_to_intervals, forward, interval_forward
+from milp_safeguard.nn_model import forward, output_bounds
 from milp_safeguard.sets import (
     Hypercube,
     disjoint_from_region,
@@ -89,8 +90,9 @@ def grid_control_search(p, grid: GridSpec) -> dict:
         u_box = intersect(Hypercube(u - p.eps_u, u + p.eps_u), p.U)
         if u_box is None:
             continue
-        bounds = interval_forward(p.net, box_to_intervals(x_box.concat(u_box)))
-        safe = inflate(bounds.output_box(), p.eps_x)
+        z_box = x_box.concat(u_box)
+        safe = inflate(Hypercube(*output_bounds(p.net, z_box.lo, z_box.hi)),
+                       p.eps_x)
         if not p.X.contains_box(safe, tol=1e-9):
             continue
         if not disjoint_from_region(safe, p.unsafe, tol=1e-9):

@@ -14,22 +14,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class NoiseChannels:
-    """Half-widths of the three uncertainty channels."""
-
-    eps_x: np.ndarray
-    eps_y: np.ndarray
-    eps_u: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eps_x", "eps_y", "eps_u"):
-            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if np.any(v < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class RobotPlant:
     """Omnidirectional point mass: next = x + u (+ disturbance)."""
 

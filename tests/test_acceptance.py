@@ -36,9 +36,8 @@ from milp_safeguard.milp import (
     solve_lp,
 )
 from milp_safeguard.nn_model import (
-    box_to_intervals,
     build_identity_sum_network,
-    interval_forward,
+    output_bounds,
     save_network,
 )
 from milp_safeguard.oracle import (
@@ -137,8 +136,8 @@ def test_criterion_2_box_equality_oracle(capsys):
                           np.minimum(X.hi, y + eps))
         u_box = Hypercube(np.maximum(U.lo, u_fix - eps),
                           np.minimum(U.hi, u_fix + eps))
-        ref = interval_forward(net, box_to_intervals(x_box.concat(u_box)))
-        out = ref.output_box()
+        z_box = x_box.concat(u_box)
+        out = Hypercube(*output_bounds(net, z_box.lo, z_box.hi))
         worst = max(worst,
                     float(np.max(np.abs(d.nn_out_box.lo - out.lo))),
                     float(np.max(np.abs(d.nn_out_box.hi - out.hi))))

@@ -166,6 +166,15 @@ def test_train_round_trip(tmp_path, capsys):
     assert np.allclose(quantify_error(net, data), printed, atol=1e-6)
 
 
+def test_train_divergence_is_reported(tmp_path, capsys):
+    path = write(tmp_path, TRAIN.replace("learning_rate: 0.005",
+                                         "learning_rate: 1.0e+6"))
+    rc = main(["train", path, "--out", str(tmp_path / "net.json")])
+    assert rc == 1
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "net.json").exists()
+
+
 def test_train_rejects_non_training_scenario(tmp_path, capsys):
     path = write(tmp_path, SMALL)
     rc = main(["train", path, "--out", str(tmp_path / "net.json")])

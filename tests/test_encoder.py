@@ -11,10 +11,9 @@ from milp_safeguard.encoder import (
 )
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import (
-    box_to_intervals,
     build_identity_sum_network,
     forward,
-    interval_forward,
+    output_bounds,
 )
 from milp_safeguard.sets import Hypercube, UnsafeRegion, intersect, \
     measurement_box
@@ -48,11 +47,9 @@ def test_reference_validation():
 
 
 def test_inconsistent_measurement_raises():
-    p = problem([5, 5], [5, 5])
     bad = TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion(()),
                           eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                          y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]),
-                          layer_bounds=p.layer_bounds)
+                          y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]))
     with pytest.raises(InfeasibleMeasurement):
         solve_tracking(bad)
 
@@ -82,14 +79,14 @@ def test_box_geometry_identity_net():
     assert np.allclose(d.safe_box.hi, d.nn_out_box.hi + p.eps_x, atol=1e-6)
 
 
-def test_fixed_control_box_matches_interval_forward():
+def test_fixed_control_box_matches_output_bounds():
     p = problem([3.0, 7.0], [3.1, 7.1])
     u_fix = np.array([0.1, -0.05])
     d = solve_tracking(p, fix_u=u_fix)
     x_box = measurement_box(p.y_k, p.eps_y, p.X)
     u_box = intersect(Hypercube(u_fix - p.eps_u, u_fix + p.eps_u), p.U)
-    ref = interval_forward(p.net, box_to_intervals(x_box.concat(u_box)))
-    out = ref.output_box()
+    z_box = x_box.concat(u_box)
+    out = Hypercube(*output_bounds(p.net, z_box.lo, z_box.hi))
     assert np.allclose(d.nn_out_box.lo, out.lo, atol=1e-6)
     assert np.allclose(d.nn_out_box.hi, out.hi, atol=1e-6)
 

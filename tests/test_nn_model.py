@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milp_safeguard.nn_model import (
-    Interval,
     LayerParams,
     ReluNetwork,
-    box_to_intervals,
     build_identity_sum_network,
     forward,
-    interval_forward,
     linear_bounds,
     load_network,
+    output_bounds,
     preactivation_bounds,
-    relu_interval,
     save_network,
 )
 from milp_safeguard.sets import Hypercube
@@ -28,10 +25,15 @@ def small_net():
 
 
 def test_interval_validation():
+    # Finite weights whose products overflow: the bounds would reach the
+    # MILP as infinite coefficients.
+    net = ReluNetwork((
+        LayerParams(np.array([[1e300, 1e300]]), np.array([0.0])),
+        LayerParams(np.array([[1.0]]), np.array([0.0])),
+    ))
+    box = Hypercube(np.array([1e10]), np.array([2e10]))
     with pytest.raises(ValueError):
-        Interval(1.0, 0.0)
-    with pytest.raises(ValueError):
-        Interval(0.0, np.inf)
+        preactivation_bounds(net, box, box)
 
 
 def test_layer_validation():
@@ -55,10 +57,16 @@ def test_forward_matches_manual():
     assert np.allclose(forward(net, z), expected)
 
 
-def test_relu_interval_cases():
-    assert relu_interval(Interval(-2.0, -1.0)) == Interval(0.0, 0.0)
-    assert relu_interval(Interval(-1.0, 2.0)) == Interval(0.0, 2.0)
-    assert relu_interval(Interval(1.0, 2.0)) == Interval(1.0, 2.0)
+def test_relu_bounds_cases():
+    # One hidden neuron with identity weights in and out: the output box is
+    # the exact ReLU image of the input interval.
+    net = ReluNetwork((LayerParams(np.eye(1), np.zeros(1)),
+                       LayerParams(np.eye(1), np.zeros(1))))
+    for (lo, hi), image in [((-2.0, -1.0), (0.0, 0.0)),
+                            ((-1.0, 2.0), (0.0, 2.0)),
+                            ((1.0, 2.0), (1.0, 2.0))]:
+        out = output_bounds(net, np.array([lo]), np.array([hi]))
+        assert (out[0][0], out[1][0]) == image
 
 
 def test_linear_bounds_sign_switch():
@@ -72,7 +80,7 @@ def test_linear_bounds_sign_switch():
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_interval_forward_is_sound(seed):
+def test_output_bounds_is_sound(seed):
     rng = np.random.default_rng(seed)
     sizes = [3, rng.integers(1, 6), rng.integers(1, 6), 2]
     layers = tuple(
@@ -82,8 +90,7 @@ def test_interval_forward_is_sound(seed):
     net = ReluNetwork(layers)
     lo = rng.uniform(-2, 0, 3)
     hi = lo + rng.uniform(0, 2, 3)
-    bounds = interval_forward(net, box_to_intervals(Hypercube(lo, hi)))
-    out_box = bounds.output_box()
+    out_box = Hypercube(*output_bounds(net, lo, hi))
     for z in Hypercube(lo, hi).sample(rng, 50):
         assert out_box.contains(forward(net, z), tol=1e-9)
 
@@ -101,7 +108,7 @@ def test_preactivation_bounds_cover_samples():
         h = z
         for i, layer in enumerate(net.layers[:-1]):
             pre = layer.weights @ h + layer.bias
-            plo, phi = lb.preact_arrays(i)
+            plo, phi = lb[i]
             assert np.all(pre >= plo - 1e-9) and np.all(pre <= phi + 1e-9)
             h = np.maximum(0.0, pre)
 
@@ -120,7 +127,7 @@ def test_identity_sum_hidden_units_stay_active():
     U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
     net = build_identity_sum_network(X, U)
     lb = preactivation_bounds(net, X, U)
-    plo, _ = lb.preact_arrays(0)
+    plo, _ = lb[0]
     assert np.all(plo > 0)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from milp_safeguard.plants import (
-    NoiseChannels,
     RobotPlant,
     VehiclePlant,
     measure,
@@ -64,11 +63,6 @@ def test_vehicle_plant_validation():
         VehiclePlant(wheelbase=0.0)
     with pytest.raises(ValueError):
         VehiclePlant(dt=-0.1)
-
-
-def test_noise_channels_validation():
-    with pytest.raises(ValueError):
-        NoiseChannels(eps_x=[-0.1], eps_y=[0.0], eps_u=[0.0])
 
 
 @given(arrays(float, 3, elements=st.floats(0, 2)), st.integers(0, 2**32 - 1))
