@@ -3,7 +3,8 @@
 Scenario files are YAML with sections plant, network, bounds, noise,
 obstacles, task, solver, run, planner.  Lengths are meters, angles
 radians.  Exit codes: 0 success/GoalReached, 1 usage or config error,
-2 infeasible episode or failed verification, 3 step limit.
+2 infeasible or inadmissible episode, failed seed sweep or failed
+verification, 3 step limit.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
 
-from milp_safeguard.encoder import TrackingProblem, solve_tracking
+from milp_safeguard.encoder import solve_tracking
 from milp_safeguard.learner import (
     TrainConfig,
     TrainingDiverged,
@@ -38,7 +40,7 @@ from milp_safeguard.oracle import (
     NoFeasibleGridPoint,
     grid_control_search,
 )
-from milp_safeguard.plants import RobotPlant, VehiclePlant
+from milp_safeguard.plants import RobotPlant, VehiclePlant, measure
 from milp_safeguard.runtime import (
     GOAL_REACHED,
     STEP_LIMIT,
@@ -67,12 +69,15 @@ def _vec(doc, key, section):
 
 
 def _build_plant(doc):
-    kind = doc.get("kind")
+    """The plant section's plant; the robot's disturbance bound is the
+    noise section's eps_x."""
+    pl = doc["plant"]
+    kind = pl.get("kind")
     if kind == "robot":
-        return RobotPlant()
+        return RobotPlant(eps_x=_vec(doc["noise"], "eps_x", "noise"))
     if kind == "vehicle":
-        return VehiclePlant(wheelbase=float(doc.get("l", 5.0)),
-                            dt=float(doc.get("dt", 0.1)))
+        return VehiclePlant(wheelbase=float(pl.get("l", 5.0)),
+                            dt=float(pl.get("dt", 0.1)))
     raise ScenarioError(f"unknown plant kind: {kind!r}")
 
 
@@ -146,7 +151,7 @@ def _sets_and_plant(doc):
         U = Hypercube(_vec(b, "u_lo", "bounds"), _vec(b, "u_hi", "bounds"))
     except ValueError as exc:
         raise ScenarioError(f"bad bounds: {exc}")
-    return X, U, _build_plant(doc["plant"])
+    return X, U, _build_plant(doc)
 
 
 def load_scenario(path, seed_override=None):
@@ -278,18 +283,27 @@ def write_plan_csv(path, waypoints):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _solve_ms(logbook) -> list:
+    return [s.solve_ms for s in logbook.steps if s.status == "Optimal"]
+
+
 def cmd_simulate(args) -> int:
+    if args.seeds is not None and args.seeds <= 0:
+        print("--seeds must be positive", file=sys.stderr)
+        return 1
     scenario, _ = load_scenario(args.scenario, seed_override=args.seed)
     os.makedirs(args.out, exist_ok=True)
     waypoints = plan_waypoints(scenario)
     log.info("plan has %d waypoints", len(waypoints))
-    logbook = run_episode(scenario, waypoints=list(waypoints))
     write_plan_csv(os.path.join(args.out, "plan.csv"), waypoints)
+    if args.seeds is not None:
+        return _simulate_seeds(scenario, waypoints, args.seeds, args.out)
+    logbook = run_episode(scenario, waypoints=list(waypoints))
     logbook.to_csv(os.path.join(args.out, "trajectory.csv"))
     write_plot_svg(os.path.join(args.out, "plot.svg"), scenario,
                    waypoints, logbook)
     violations = logbook.safety_violations(scenario.unsafe)
-    ms = [s.solve_ms for s in logbook.steps if s.status == "Optimal"]
+    ms = _solve_ms(logbook)
     print(f"status: {logbook.status}")
     print(f"steps: {len(logbook.steps)}")
     print(f"safety violations: {len(violations)}")
@@ -298,6 +312,25 @@ def cmd_simulate(args) -> int:
     if logbook.status == GOAL_REACHED:
         return 0
     return 3 if logbook.status == STEP_LIMIT else 2
+
+
+def _simulate_seeds(scenario, waypoints, n, out) -> int:
+    """Replay one plan under the run seeds s .. s+n-1, s the plan's seed.
+
+    Exit code 0 iff every episode reaches the goal with zero violations.
+    """
+    all_ok = True
+    for seed in range(scenario.seed, scenario.seed + n):
+        s = replace(scenario, seed=seed)
+        logbook = run_episode(s, waypoints=list(waypoints))
+        logbook.to_csv(os.path.join(out, f"trajectory_seed{seed}.csv"))
+        violations = len(logbook.safety_violations(s.unsafe))
+        ms = _solve_ms(logbook)
+        med = float(np.median(ms)) if ms else float("nan")
+        print(f"seed {seed}: {logbook.status} steps={len(logbook.steps)} "
+              f"violations={violations} median_solve={med:.1f} ms")
+        all_ok &= logbook.status == GOAL_REACHED and not violations
+    return 0 if all_ok else 2
 
 
 def cmd_train(args) -> int:
@@ -315,22 +348,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _first_step_problem(scenario):
-    rng = np.random.default_rng(scenario.seed)
-    y = scenario.x0 + rng.uniform(-scenario.eps_y, scenario.eps_y)
-    waypoints = plan_waypoints(scenario)
-    return TrackingProblem(
-        net=scenario.net, X=scenario.X, U=scenario.U, unsafe=scenario.unsafe,
-        eps_x=scenario.eps_x, eps_y=scenario.eps_y, eps_u=scenario.eps_u,
-        y_k=y, x_ref=waypoints[0])
-
-
 def cmd_verify(args) -> int:
     if args.samples <= 0:
         print("--samples must be positive", file=sys.stderr)
         return 1
     scenario, _ = load_scenario(args.scenario, seed_override=args.seed)
-    p = _first_step_problem(scenario)
+    # The first step of an episode: the first measurement and waypoint.
+    y = measure(scenario.x0, scenario.eps_y,
+                np.random.default_rng(scenario.seed))
+    p = scenario.tracking_problem(y, plan_waypoints(scenario)[0])
     decision = solve_tracking(p, scenario.solver)
     results = []
 
@@ -384,11 +410,7 @@ def cmd_solve_once(args) -> int:
         x_ref = scenario.x_ref
     else:
         x_ref = scenario.xg
-    p = TrackingProblem(
-        net=scenario.net, X=scenario.X, U=scenario.U, unsafe=scenario.unsafe,
-        eps_x=scenario.eps_x, eps_y=scenario.eps_y, eps_u=scenario.eps_u,
-        y_k=y, x_ref=x_ref)
-    d = solve_tracking(p, scenario.solver)
+    d = solve_tracking(scenario.tracking_problem(y, x_ref), scenario.solver)
     print("u:", " ".join(f"{v:.9g}" for v in d.u_cmd))
     print("input box:", d.input_box.lo, d.input_box.hi)
     print("nn output box:", d.nn_out_box.lo, d.nn_out_box.hi)
@@ -418,12 +440,14 @@ def main(argv=None) -> int:
     p_sim.add_argument("scenario")
     p_sim.add_argument("--out", default="out")
     p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seeds", type=int, default=None,
+                       help="plan once, then replay N episodes under the "
+                            "run seeds s .. s+N-1")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tr = sub.add_parser("train", help="train the scenario's network")
     p_tr.add_argument("scenario")
     p_tr.add_argument("--out", default="network.json")
-    p_tr.add_argument("--seed", type=int, default=None)
     p_tr.set_defaults(func=cmd_train)
 
     p_ver = sub.add_parser("verify", help="oracle checks on the first step")

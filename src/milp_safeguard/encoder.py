@@ -10,7 +10,6 @@ objective via slack variables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +102,6 @@ class ControlDecision:
     nn_out_box: Hypercube
     safe_box: Hypercube
     cost: float
-    solver_stats: dict = field(default_factory=dict)
 
 
 def control_big_m(p: TrackingProblem) -> np.ndarray:
@@ -307,7 +305,6 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
                    fix_u=None) -> ControlDecision:
     """Solve the robust tracking MILP and extract the control decision."""
     cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
     model, h = build_tracking_model(p, fix_u=fix_u)
     sol = milp.solve(model, cfg)
     if sol.status == milp.INFEASIBLE:
@@ -319,16 +316,12 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     input_box = _extract_box(v, h["a0"], h["b0"])
     nn_out_box = _extract_box(v, h["a_next"], h["b_next"])
     safe_box = _extract_box(v, h["x_lo"], h["x_hi"])
-    stats = dict(sol.stats)
-    stats["wall_time"] = time.perf_counter() - t0
-    stats["num_vars"] = model.num_vars
     decision = ControlDecision(
         u_cmd=u_cmd,
         input_box=input_box,
         nn_out_box=nn_out_box,
         safe_box=safe_box,
         cost=float(sol.objective_value),
-        solver_stats=stats,
     )
     _check_decision(p, decision)
     return decision

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from milp_safeguard.nn_model import LayerParams, ReluNetwork
+from milp_safeguard.nn_model import LayerParams, ReluNetwork, forward_batch
 from milp_safeguard.sets import Hypercube
 
 
@@ -212,7 +212,5 @@ def quantify_error(net: ReluNetwork, data: Dataset) -> np.ndarray:
     """Componentwise maximum absolute residual over the dataset."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    Ws = [l.weights for l in net.layers]
-    bs = [l.bias for l in net.layers]
-    pred, _ = _forward_batch(Ws, bs, data.inputs)
+    pred = forward_batch(net, data.inputs)
     return np.max(np.abs(data.x_next - pred), axis=0)

@@ -77,10 +77,6 @@ class ReluNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    @property
-    def n_hidden_layers(self) -> int:
-        return len(self.layers) - 1
-
 
 def forward(net: ReluNetwork, z0) -> np.ndarray:
     """Evaluate the network at z0."""

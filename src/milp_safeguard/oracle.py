@@ -1,6 +1,6 @@
 """Independent brute-force validators used by tests.
 
-Everything here re-derives results by sampling, gridding, or exhaustive
+Everything here re-derives results by gridding or exhaustive
 enumeration; nothing is shared with the encoder's constraint-generation
 path beyond nn_model.output_bounds, the interval propagator the MILP's
 network boxes are checked against.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from milp_safeguard.milp import EQ, GE, LE, MilpModel
-from milp_safeguard.nn_model import forward, output_bounds
+from milp_safeguard.nn_model import output_bounds
 from milp_safeguard.sets import (
     Hypercube,
     disjoint_from_region,
@@ -54,16 +54,6 @@ class GridSpec:
                 pts = np.append(pts, box.hi[j])
             axes.append(pts)
         return axes
-
-
-def sample_reachable(net, x_box: Hypercube, u_box: Hypercube, n: int,
-                     seed: int = 0) -> np.ndarray:
-    """Forward-evaluations at n seeded uniform samples of x_box x u_box."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    z = x_box.concat(u_box).sample(rng, n)
-    return np.array([forward(net, zi) for zi in z])
 
 
 def box_tracking_cost(lo: np.ndarray, hi: np.ndarray, x_ref: np.ndarray) -> float:

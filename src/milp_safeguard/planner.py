@@ -35,7 +35,6 @@ class PlanTree:
     edges: list = field(default_factory=list)   # (i, j, u_witness)
     goal: np.ndarray | None = None
     goal_parent: int = -1                        # node from which goal is reachable
-    goal_control: np.ndarray | None = None
 
     def add_node(self, x) -> int:
         self.nodes.append(np.asarray(x, dtype=float))
@@ -151,8 +150,7 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
         if not inflate(reachable_box(net, x, U), goal_tol).contains(xg,
                                                                     tol=1e-9):
             return False
-        u, _ = _witness_search(net, x, xg, U)
-        tree.goal, tree.goal_parent, tree.goal_control = xg, idx, u
+        tree.goal, tree.goal_parent = xg, idx
         return True
 
     # Check the trivial plan first: goal directly reachable from the start.
@@ -199,7 +197,7 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     raise PlanFailure(f"no goal connection after {max_iters} iterations")
 
 
-def shortest_path(tree: PlanTree, x0=None, xg=None) -> list:
+def shortest_path(tree: PlanTree) -> list:
     """Dijkstra over tree edges (l1 weights) from the root to the goal.
 
     Returns the waypoint list root -> ... -> goal-connecting node, with
@@ -237,15 +235,3 @@ def shortest_path(tree: PlanTree, x0=None, xg=None) -> list:
     order.reverse()
     return [tree.nodes[i] for i in order] + [tree.goal]
 
-
-def export_tree_csv(tree: PlanTree, nodes_path, edges_path):
-    """Plain CSV node and edge lists for plotting."""
-    with open(nodes_path, "w") as f:
-        dim = tree.nodes[0].shape[0] if tree.nodes else 0
-        f.write("node," + ",".join(f"x{j}" for j in range(dim)) + "\n")
-        for i, x in enumerate(tree.nodes):
-            f.write(f"{i}," + ",".join(f"{v:.17g}" for v in x) + "\n")
-    with open(edges_path, "w") as f:
-        f.write("from,to\n")
-        for i, j, _ in tree.edges:
-            f.write(f"{i},{j}\n")

@@ -4,26 +4,50 @@ The plants are the "actual" systems the controller never sees directly:
 the omnidirectional point-mass robot and the kinematic bicycle vehicle.
 All noise channels are componentwise uniform on [-eps, eps]; the bounds,
 not the distribution, carry the guarantees.
+
+Every plant has the same two calls: step(x, u, rng=None) is the
+noise-free map when rng is None and the true next state, with the plant's
+own disturbance drawn from rng, otherwise; admissible(x) tells whether a
+state lies in the domain the plant's model covers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# The learned vehicle model uses raw theta, so the heading must stay this
+# far off the +/-pi wrap-around seam.
+_THETA_MARGIN = 0.1
+
 
 @dataclass(frozen=True)
 class RobotPlant:
-    """Omnidirectional point mass: next = x + u (+ disturbance)."""
+    """Omnidirectional point mass: next = x + u + w, |w| <= eps_x."""
 
-    def step(self, x, u, w=None) -> np.ndarray:
-        return robot_step(x, u, w)
+    eps_x: np.ndarray
+
+    def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.shape != (2,) or u.shape != (2,):
+            raise ValueError("robot state and control are 2-D")
+        if rng is None:
+            return x + u
+        return x + u + sample_noise(self.eps_x, rng)
+
+    def admissible(self, x) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class VehiclePlant:
-    """Kinematic bicycle; state [p_x, p_y, theta], control [speed, steer]."""
+    """Kinematic bicycle; state [p_x, p_y, theta], control [speed, steer].
+
+    Undisturbed: step draws nothing from rng.  theta is not wrapped.
+    """
 
     wheelbase: float = 5.0
     dt: float = 0.1
@@ -32,34 +56,22 @@ class VehiclePlant:
         if self.wheelbase <= 0 or self.dt <= 0:
             raise ValueError("wheelbase and dt must be positive")
 
-    def step(self, x, u) -> np.ndarray:
-        return vehicle_step(x, u, self)
+    def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.shape != (3,) or u.shape != (2,):
+            raise ValueError("vehicle state is 3-D, control 2-D")
+        px, py, theta = x
+        v, steer = u
+        ds = v * self.dt
+        return np.array([
+            px + ds * np.cos(theta) * np.cos(steer),
+            py + ds * np.sin(theta) * np.cos(steer),
+            theta + ds / self.wheelbase * np.sin(steer),
+        ])
 
-
-def robot_step(x, u, w=None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (2,) or u.shape != (2,):
-        raise ValueError("robot state and control are 2-D")
-    if w is None:
-        return x + u
-    return x + u + np.asarray(w, dtype=float)
-
-
-def vehicle_step(x, u, plant: VehiclePlant) -> np.ndarray:
-    """One bicycle-kinematics step; theta is not wrapped afterwards."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (3,) or u.shape != (2,):
-        raise ValueError("vehicle state is 3-D, control 2-D")
-    px, py, theta = x
-    v, steer = u
-    ds = v * plant.dt
-    return np.array([
-        px + ds * np.cos(theta) * np.cos(steer),
-        py + ds * np.sin(theta) * np.cos(steer),
-        theta + ds / plant.wheelbase * np.sin(steer),
-    ])
+    def admissible(self, x) -> bool:
+        return bool(-math.pi + _THETA_MARGIN <= x[2] <= math.pi - _THETA_MARGIN)
 
 
 def sample_noise(eps, rng: np.random.Generator) -> np.ndarray:

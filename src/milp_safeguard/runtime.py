@@ -4,12 +4,12 @@ Per step: measure, pick the first remaining waypoint as reference, solve
 the robust tracking MILP, actuate with disturbance, advance the plant,
 log.  Waypoints are dropped once the predicted safe box contains them;
 the episode ends when the box contains the goal, on infeasibility (halt,
-no fallback), or at the step limit.
+no fallback), when the state leaves the plant's admissible domain, or at
+the step limit.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,16 +25,15 @@ from milp_safeguard.encoder import (
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import ReluNetwork
 from milp_safeguard.planner import rrt_build, shortest_path
-from milp_safeguard.plants import RobotPlant, VehiclePlant, measure, \
-    robot_step, sample_noise, vehicle_step
+from milp_safeguard.plants import measure, sample_noise
 from milp_safeguard.sets import Hypercube, UnsafeRegion, disjoint_from_region
 
 GOAL_REACHED = "GoalReached"
 INFEASIBLE = "Infeasible"
+INADMISSIBLE = "InadmissibleState"
 STEP_LIMIT = "StepLimit"
 
 _MEMBER_TOL = 1e-9
-_THETA_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class PlannerParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    plant: object                       # RobotPlant or VehiclePlant
+    plant: object                       # a plants.py plant
     net: ReluNetwork
     X: Hypercube
     U: Hypercube
@@ -83,6 +82,15 @@ class Scenario:
         for name in ("eps_x", "eps_y", "eps_u"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be nonnegative")
+        if not self.plant.admissible(self.x0):
+            raise ValueError("x0 outside the plant's admissible domain")
+
+    def tracking_problem(self, y, x_ref) -> TrackingProblem:
+        """The tracking MILP for measurement y and reference x_ref."""
+        return TrackingProblem(
+            net=self.net, X=self.X, U=self.U, unsafe=self.unsafe,
+            eps_x=self.eps_x, eps_y=self.eps_y, eps_u=self.eps_u,
+            y_k=y, x_ref=x_ref)
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,8 @@ def plan_waypoints(s: Scenario) -> list:
 
 
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
-    """Run one closed-loop episode; infeasibility halts and is logged."""
+    """Run one closed-loop episode; infeasibility and an inadmissible state
+    halt it, and the halt is logged."""
     if waypoints is None:
         waypoints = plan_waypoints(s)
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
@@ -198,13 +207,11 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     rng = np.random.default_rng(s.seed)
     log = TrajectoryLog(waypoints=list(waypoints))
     x = np.asarray(s.x0, dtype=float)
-    is_vehicle = isinstance(s.plant, VehiclePlant)
 
     for k in range(s.max_steps):
-        if is_vehicle:
-            # The learned model's domain uses raw theta; stay off the seam.
-            if not (-math.pi + _THETA_MARGIN <= x[2] <= math.pi - _THETA_MARGIN):
-                raise RuntimeError(f"heading {x[2]:.3f} too close to +/-pi seam")
+        if not s.plant.admissible(x):
+            log.status = INADMISSIBLE
+            return log
         y = measure(x, s.eps_y, rng)
         # Advance past waypoints the plant has effectively overtaken: once
         # the successor is at least as close to the measurement, tracking
@@ -217,12 +224,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         x_ref = waypoints[0]
         t0 = time.perf_counter()
         try:
-            problem = TrackingProblem(
-                net=s.net, X=s.X, U=s.U, unsafe=s.unsafe,
-                eps_x=s.eps_x, eps_y=s.eps_y, eps_u=s.eps_u,
-                y_k=y, x_ref=x_ref,
-            )
-            decision = solve_tracking(problem, s.solver)
+            decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver)
         except (InfeasibleMeasurement, SolverInfeasible,
                 SolveIterationLimit) as exc:
             log.steps.append(StepRecord(
@@ -236,11 +238,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
 
         w_u = sample_noise(s.eps_u, rng)
         u_act = np.clip(decision.u_cmd + w_u, s.U.lo, s.U.hi)
-        if is_vehicle:
-            x_next = vehicle_step(x, u_act, s.plant)
-        else:
-            w_x = sample_noise(s.eps_x, rng)
-            x_next = robot_step(x, u_act, w_x)
+        x_next = s.plant.step(x, u_act, rng)
 
         log.steps.append(StepRecord(
             k=k, x=x, y=y, x_ref=x_ref, u_cmd=decision.u_cmd, u_act=u_act,

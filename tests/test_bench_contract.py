@@ -1,14 +1,19 @@
-"""The benchmark's tracer must find every function it wraps.
+"""The package API that the benchmark reads must stay as it is.
 
 bench/workload.py wraps the package functions listed in its TRACED table
-by name; a renamed or deleted one would crash only the traced benchmark run.
+by name, and reads step records, scenarios, solver statistics and model
+handles; a renamed or deleted one would crash only the benchmark run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import os
 
-BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+import numpy as np
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH = os.path.join(ROOT, "bench")
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -22,3 +27,52 @@ def test_every_traced_function_resolves(monkeypatch):
     for module, func, _span, _note in workload.TRACED:
         mod = importlib.import_module("milp_safeguard." + module)
         assert callable(getattr(mod, func, None)), f"{module}.{func}"
+
+
+# The rest of the runtime API that bench/workload.py reads.
+
+def test_step_record_fields():
+    from milp_safeguard.runtime import StepRecord
+    names = {f.name for f in dataclasses.fields(StepRecord)}
+    assert {"x", "y", "u_cmd", "u_act", "x_next", "box_lo", "box_hi",
+            "status", "solve_ms"} <= names
+
+
+def test_load_scenario_returns_scenario_and_document():
+    from milp_safeguard.cli import load_scenario
+    from milp_safeguard.runtime import Scenario
+    result = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    assert isinstance(result, tuple) and len(result) == 2
+    scenario, doc = result
+    assert isinstance(scenario, Scenario) and isinstance(doc, dict)
+
+
+def test_milp_solve_stats_keys():
+    from milp_safeguard.milp import LE, ModelBuilder, solve
+    b = ModelBuilder()
+    x = b.add_binary("x")
+    b.add_constraint({x: 1.0}, LE, 1.0)
+    b.set_objective({x: -1.0})
+    stats = solve(b.build()).stats
+    assert {"nodes", "simplex_iters"} <= set(stats)
+
+
+def test_tracking_model_reports_undetermined_neurons():
+    from milp_safeguard.encoder import build_tracking_model
+    from milp_safeguard.nn_model import build_identity_sum_network
+    from milp_safeguard.runtime import Scenario
+    from milp_safeguard.plants import RobotPlant
+    from milp_safeguard.sets import Hypercube, UnsafeRegion
+    X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
+    U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+    eps = np.array([0.05, 0.05])
+    s = Scenario(plant=RobotPlant(eps_x=eps),
+                 net=build_identity_sum_network(X, U), X=X, U=U,
+                 unsafe=UnsafeRegion(()), eps_x=eps, eps_y=eps, eps_u=eps,
+                 x0=np.zeros(2), x_ref=np.ones(2))
+    model, h = build_tracking_model(s.tracking_problem(np.zeros(2), np.ones(2)))
+    # One list of undetermined-neuron binaries per hidden layer; the
+    # identity-sum net's neurons are all provably active.
+    assert [list(d) for d in h["d_mm"]] == [[]] * (len(s.net.layers) - 1)
+    assert all(c.rel in ("<=", ">=", "=") for c in model.constraints)
+    assert int(model.is_binary.sum()) > 0

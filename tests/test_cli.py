@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from milp_safeguard.cli import ScenarioError, load_scenario, main
 from milp_safeguard.learner import quantify_error, sample_dataset
 from milp_safeguard.nn_model import forward, load_network
 from milp_safeguard.plants import RobotPlant, VehiclePlant
+from milp_safeguard.runtime import plan_waypoints, run_episode
 
 SMALL = """\
 plant: {kind: robot}
@@ -149,6 +151,38 @@ def test_simulate_seed_override_changes_noise(tmp_path, capsys):
     assert rows("a") == rows("b")
     assert rows("a") != rows("c")
     capsys.readouterr()
+
+
+def test_simulate_seeds_replays_one_plan(tmp_path, capsys):
+    path = write(tmp_path, SMALL)
+    out = tmp_path / "out"
+    rc = main(["simulate", path, "--out", str(out), "--seeds", "3",
+               "--seed", "4"])
+    assert rc == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in stdout] == ["seed 4", "seed 5",
+                                                   "seed 6"]
+    assert all("GoalReached" in ln and "violations=0" in ln for ln in stdout)
+    assert sorted(p.name for p in out.glob("trajectory*.csv")) == [
+        "trajectory_seed4.csv", "trajectory_seed5.csv", "trajectory_seed6.csv"]
+
+    def rows(p):
+        # Strip the wall-time column; everything else must be bit-identical.
+        return [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
+
+    s, _ = load_scenario(path, seed_override=4)
+    plan = plan_waypoints(s)
+    for k in (4, 5, 6):
+        ref = tmp_path / f"ref{k}.csv"
+        run_episode(replace(s, seed=k), waypoints=plan).to_csv(ref)
+        assert rows(out / f"trajectory_seed{k}.csv") == rows(ref)
+
+
+def test_simulate_seeds_rejects_nonpositive(tmp_path, capsys):
+    rc = main(["simulate", write(tmp_path, SMALL), "--seeds", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_train_round_trip(tmp_path, capsys):

@@ -15,11 +15,12 @@ from milp_safeguard.learner import (
     train,
 )
 from milp_safeguard.nn_model import forward
-from milp_safeguard.plants import robot_step
+from milp_safeguard.plants import RobotPlant
 from milp_safeguard.sets import Hypercube
 
 X2 = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 U2 = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+ROBOT = RobotPlant(eps_x=np.zeros(2))
 
 
 def test_dataset_rejects_ragged():
@@ -29,7 +30,7 @@ def test_dataset_rejects_ragged():
 
 
 def test_sample_dataset_supervision_is_exact():
-    data = sample_dataset(lambda x, u: robot_step(x, u), X2, U2, 50, seed=3)
+    data = sample_dataset(ROBOT.step, X2, U2, 50, seed=3)
     assert len(data) == 50
     assert np.allclose(data.x_next, data.x + data.u)
     assert data.inputs.shape == (50, 4)
@@ -78,7 +79,7 @@ def test_gradients_match_central_differences():
 
 
 def test_train_reduces_loss_and_is_deterministic():
-    data = sample_dataset(lambda x, u: robot_step(x, u), X2, U2, 500, seed=0)
+    data = sample_dataset(ROBOT.step, X2, U2, 500, seed=0)
     cfg = TrainConfig(epochs=30, learning_rate=5e-3, batch_size=32, seed=0,
                       hidden_sizes=(8, 4))
     r1 = train(cfg, data)
@@ -90,7 +91,7 @@ def test_train_reduces_loss_and_is_deterministic():
 
 
 def test_train_divergence_raises():
-    data = sample_dataset(lambda x, u: robot_step(x, u), X2, U2, 200, seed=0)
+    data = sample_dataset(ROBOT.step, X2, U2, 200, seed=0)
     cfg = TrainConfig(epochs=50, learning_rate=50.0, batch_size=16, seed=0,
                       hidden_sizes=(8, 4))
     with pytest.raises(TrainingDiverged):
@@ -106,7 +107,7 @@ def test_params_round_trip():
 
 
 def test_quantify_error_is_max_abs_residual():
-    data = sample_dataset(lambda x, u: robot_step(x, u), X2, U2, 100, seed=1)
+    data = sample_dataset(ROBOT.step, X2, U2, 100, seed=1)
     Ws, bs = init_params(4, (8,), 2, seed=0)
     net = net_from_params(Ws, bs)
     eps = quantify_error(net, data)
@@ -133,7 +134,7 @@ def test_identity_warm_start_width_check():
 
 def test_learned_robot_dynamics_are_accurate():
     """The representable point-mass map trains to sub-1e-3 max error."""
-    data = sample_dataset(lambda x, u: robot_step(x, u), X2, U2, 8000, seed=0)
+    data = sample_dataset(ROBOT.step, X2, U2, 8000, seed=0)
     cfg = TrainConfig(epochs=1500, learning_rate=1e-2, batch_size=128, seed=0,
                       hidden_sizes=(8, 4), lr_decay=0.6, decay_every=100)
     init = identity_warm_start(X2, U2, (8, 4), seed=1, scale=0.02)

@@ -10,7 +10,6 @@ from milp_safeguard.oracle import (
     box_tracking_cost,
     enumerate_binary_feasibility,
     grid_control_search,
-    sample_reachable,
 )
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
@@ -38,15 +37,6 @@ def test_grid_points_include_endpoints():
                                                      np.array([0.25])))
     assert pts[0][0] == 0.0
     assert pts[0][-1] == 0.25
-
-
-def test_sample_reachable_identity_net():
-    x_box = Hypercube.point(np.array([2.0, 3.0]))
-    out = sample_reachable(NET, x_box, U, 20, seed=4)
-    assert out.shape == (20, 2)
-    assert np.all(out >= np.array([2.0, 3.0]) + U.lo - 1e-12)
-    assert np.all(out <= np.array([2.0, 3.0]) + U.hi + 1e-12)
-    assert np.array_equal(out, sample_reachable(NET, x_box, U, 20, seed=4))
 
 
 def test_box_tracking_cost():

@@ -7,7 +7,6 @@ from milp_safeguard.planner import (
     PlanFailure,
     PlanTree,
     edge_feasible,
-    export_tree_csv,
     reachable_box,
     rrt_build,
     shortest_path,
@@ -124,7 +123,6 @@ def _chain_tree(points, goal):
         tree.add_edge(i, i + 1, np.zeros(2))
     tree.goal = np.asarray(goal, dtype=float)
     tree.goal_parent = len(points) - 1
-    tree.goal_control = np.zeros(2)
     return tree
 
 
@@ -149,7 +147,6 @@ def test_shortest_path_prefers_cheaper_branch():
     tree.add_edge(2, 3, np.zeros(2))
     tree.goal = np.array([0.3, 0.0])
     tree.goal_parent = 3
-    tree.goal_control = np.zeros(2)
     path = shortest_path(tree)
     assert np.allclose(np.array(path),
                        [[0, 0], [0.1, 0], [0.2, 0], [0.3, 0]])
@@ -191,19 +188,8 @@ def test_shortest_path_matches_enumeration_on_random_dags():
         target = n - 1
         tree.goal = pts[target] + 0.01
         tree.goal_parent = target
-        tree.goal_control = np.zeros(2)
         path = shortest_path(tree)
         got = sum(float(np.sum(np.abs(a - b)))
                   for a, b in zip(path[:-2], path[1:-1]))
         assert abs(got - _dfs_shortest(adj, n, target)) < 1e-12
 
-
-def test_export_tree_csv(tmp_path):
-    tree = _chain_tree([[0.0, 0.0], [0.2, 0.1]], [0.4, 0.1])
-    nodes = tmp_path / "nodes.csv"
-    edges = tmp_path / "edges.csv"
-    export_tree_csv(tree, nodes, edges)
-    lines = nodes.read_text().strip().split("\n")
-    assert lines[0] == "node,x0,x1"
-    assert len(lines) == 3
-    assert edges.read_text().strip().split("\n") == ["from,to", "0,1"]

@@ -8,35 +8,38 @@ from milp_safeguard.plants import (
     RobotPlant,
     VehiclePlant,
     measure,
-    robot_step,
     sample_noise,
-    vehicle_step,
 )
 
 finite = st.floats(-10, 10, allow_nan=False)
 
 
+class _UpperRng:
+    """Draws the upper end of every uniform range."""
+
+    def uniform(self, lo, hi):
+        return hi
+
+
 def test_robot_step():
+    plant = RobotPlant(eps_x=np.array([0.05, 0.05]))
     x = np.array([1.0, 2.0])
     u = np.array([0.1, -0.2])
-    assert np.allclose(robot_step(x, u), [1.1, 1.8])
-    assert np.allclose(robot_step(x, u, np.array([0.05, 0.05])), [1.15, 1.85])
-
-
-def test_robot_plant_wraps_step():
-    assert np.allclose(RobotPlant().step(np.zeros(2), np.ones(2)), [1, 1])
+    assert np.allclose(plant.step(x, u), [1.1, 1.8])
+    # With an rng, the plant adds its own disturbance w, |w| <= eps_x.
+    assert np.allclose(plant.step(x, u, _UpperRng()), [1.15, 1.85])
 
 
 def test_robot_step_shape_check():
     with pytest.raises(ValueError):
-        robot_step(np.zeros(3), np.zeros(2))
+        RobotPlant(eps_x=np.zeros(2)).step(np.zeros(3), np.zeros(2))
 
 
 def test_vehicle_step_straight_line():
     plant = VehiclePlant(wheelbase=5.0, dt=0.1)
     x = np.array([0.0, 0.0, 0.0])
     u = np.array([3.0, 0.0])
-    nxt = vehicle_step(x, u, plant)
+    nxt = plant.step(x, u)
     assert np.allclose(nxt, [0.3, 0.0, 0.0])
 
 
@@ -44,18 +47,31 @@ def test_vehicle_step_turning():
     plant = VehiclePlant(wheelbase=5.0, dt=0.1)
     x = np.array([1.0, -0.5, 0.2])
     v, steer = 2.5, 0.3
-    nxt = vehicle_step(x, np.array([v, steer]), plant)
+    nxt = plant.step(x, np.array([v, steer]))
     ds = v * plant.dt
     assert np.isclose(nxt[0], 1.0 + ds * np.cos(0.2) * np.cos(0.3))
     assert np.isclose(nxt[1], -0.5 + ds * np.sin(0.2) * np.cos(0.3))
     assert np.isclose(nxt[2], 0.2 + ds / 5.0 * np.sin(0.3))
+    # The vehicle is undisturbed: with an rng it draws nothing from it.
+    rng = np.random.default_rng(5)
+    assert np.array_equal(plant.step(x, np.array([v, steer]), rng), nxt)
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_vehicle_theta_not_wrapped():
     plant = VehiclePlant(wheelbase=1.0, dt=1.0)
     x = np.array([0.0, 0.0, 3.0])
-    nxt = vehicle_step(x, np.array([5.0, 1.0]), plant)
+    nxt = plant.step(x, np.array([5.0, 1.0]))
     assert nxt[2] > 3.0  # keeps accumulating, no modular reduction
+
+
+def test_admissible_state_guards():
+    assert RobotPlant(eps_x=np.zeros(2)).admissible(np.array([1e6, -1e6]))
+    plant = VehiclePlant()
+    assert plant.admissible(np.array([0.0, 0.0, np.pi - 0.1]))
+    assert plant.admissible(np.array([0.0, 0.0, -np.pi + 0.1]))
+    assert not plant.admissible(np.array([0.0, 0.0, np.pi - 0.09]))
+    assert not plant.admissible(np.array([0.0, 0.0, -np.pi + 0.09]))
 
 
 def test_vehicle_plant_validation():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from milp_safeguard.learner import identity_warm_start
 from milp_safeguard.nn_model import build_identity_sum_network
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.runtime import (
     GOAL_REACHED,
+    INADMISSIBLE,
     INFEASIBLE,
     STEP_LIMIT,
     PlannerParams,
@@ -23,7 +27,7 @@ NET = build_identity_sum_network(X, U)
 
 
 def scenario(**kw):
-    base = dict(plant=RobotPlant(), net=NET, X=X, U=U,
+    base = dict(plant=RobotPlant(eps_x=EPS), net=NET, X=X, U=U,
                 unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS, eps_u=EPS,
                 x0=np.array([0.0, 0.0]), xg=np.array([1.5, 1.5]), seed=0)
     base.update(kw)
@@ -125,13 +129,29 @@ def test_waypoints_are_consumed_in_order():
 
 
 def test_vehicle_heading_seam_guard():
-    s = Scenario(plant=VehiclePlant(), net=NET, X=X, U=U,
-                 unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                 x0=np.array([0.0, 0.0]), xg=None, x_ref=np.array([1.0, 1.0]))
-    # Robot-shaped sets but a vehicle plant: the 3-state seam check trips
-    # before any solve, because x has no third component.
-    with pytest.raises(IndexError):
-        run_episode(s, waypoints=[np.array([1.0, 1.0])])
+    """A heading that turns onto the +/-pi seam ends the episode, logged."""
+    X3 = Hypercube(np.array([-5.0, -5.0, -3.5]), np.array([5.0, 5.0, 3.5]))
+    # Speed and steer both positive: the heading grows every step.
+    U3 = Hypercube(np.array([1.0, 0.5]), np.array([2.0, 1.0]))
+    plant = VehiclePlant(wheelbase=1.0, dt=0.1)
+    s = Scenario(plant=plant,
+                 net=identity_warm_start(X3, U3, (3,), scale=0.0),
+                 X=X3, U=U3, unsafe=UnsafeRegion(()),
+                 eps_x=np.array([0.25, 0.25, 0.2]),
+                 eps_y=np.full(3, 0.01), eps_u=np.full(2, 0.01),
+                 x0=np.array([0.0, 0.0, 2.9]), xg=None,
+                 x_ref=np.array([4.0, 4.0, 0.0]), max_steps=20)
+    log = run_episode(s)
+    assert log.status == INADMISSIBLE
+    assert 1 <= len(log.steps) < s.max_steps
+    assert all(rec.status == "Optimal" for rec in log.steps)
+    for a, b in zip(log.steps, log.steps[1:]):
+        assert np.array_equal(a.x_next, b.x)
+    assert all(plant.admissible(rec.x) for rec in log.steps)
+    assert log.steps[-1].x_next[2] > np.pi - 0.1
+    # An episode cannot start on the seam.
+    with pytest.raises(ValueError):
+        replace(s, x0=np.array([0.0, 0.0, 3.1]))
 
 
 def test_safety_violation_audit_flags_bad_record():
