@@ -40,6 +40,11 @@ class SolveIterationLimit(RuntimeError):
     """The MILP solver hit its node or iteration budget."""
 
 
+class SolverNumericalFailure(RuntimeError):
+    """A simplex basis could not be inverted, even after a cold re-solve;
+    says nothing about whether a safe control exists."""
+
+
 def _vec(v, n, name):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (n,):
@@ -309,6 +314,8 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     sol = milp.solve(model, cfg)
     if sol.status == milp.INFEASIBLE:
         raise SolverInfeasible("no robustly safe control exists for this step")
+    if sol.status == milp.NUMERICAL_FAILURE:
+        raise SolverNumericalFailure("singular simplex basis in the tracking MILP")
     if sol.status != milp.OPTIMAL:
         raise SolveIterationLimit(f"solver stopped with status {sol.status}")
     v = sol.values

@@ -1,9 +1,14 @@
 """Self-contained mixed-integer linear programming layer.
 
-Model building, LP relaxation via a bounded-variable primal simplex, and
-best-first branch-and-bound over binary variables.  Designed for
-auditability and determinism rather than speed: dense linear algebra, no
-cutting planes, no presolve beyond dropping empty constraints.
+Model building, and best-first branch-and-bound over binary variables on
+a bounded-variable simplex.  The root LP is solved cold by a two-phase
+primal simplex; every child, which differs from its parent only by one
+fixed binary, is re-solved warm from the parent's optimal basis by a
+bounded dual simplex, usually in a few pivots.  A basis that fails to
+invert is reported as NumericalFailure, never as infeasibility; a child
+that hits one is re-solved cold once.  Deterministic throughout: dense
+linear algebra, lowest-index tie-breaks, no cutting planes, no presolve
+beyond dropping empty constraints.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +29,7 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
+NUMERICAL_FAILURE = "NumericalFailure"
 
 
 class ModelError(ValueError):
@@ -176,7 +183,7 @@ class MilpModel:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str                       # Optimal | Infeasible | Unbounded | IterationLimit
+    status: str                       # Optimal | Infeasible | Unbounded | IterationLimit | NumericalFailure
     x: np.ndarray | None
     objective_value: float
     iterations: int
@@ -184,7 +191,7 @@ class LpResult:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    status: str                       # Optimal | Infeasible | IterationLimit
+    status: str                       # Optimal | Infeasible | IterationLimit | NumericalFailure
     values: np.ndarray | None
     objective_value: float
     stats: dict = field(default_factory=dict)
@@ -245,68 +252,131 @@ class _Standardized:
         self.c = c_full
 
 
-def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
-             slack_of_row=None):
-    """Two-phase bounded-variable primal simplex with a crash basis.
+class _Basis(NamedTuple):
+    """An LP's final state, from which a child LP starts warm.
 
-    Rows whose slack can absorb the start residual enter the basis on the
-    slack; only the remaining rows get artificials, and phase 1 is skipped
-    entirely when none are needed.  Returns (status, x, objective,
-    iterations).  Entering rule: most violated reduced cost with
-    lowest-index tie-break, switching to Bland's rule after a stall to
-    guarantee termination.
+    A_full is the constraint matrix with the artificial columns of the
+    cold solve it descends from; x holds every variable's value, and only
+    the nonbasic ones are read back (the basic ones are recomputed).
+    """
+    A_full: np.ndarray
+    basis: np.ndarray
+    x: np.ndarray
+
+
+def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
+             slack_of_row=None, warm=None):
+    """Bounded-variable simplex: cold two-phase primal, or warm dual.
+
+    Cold (warm=None): rows whose slack can absorb the start residual enter
+    the basis on the slack; only the remaining rows get artificials, and
+    phase 1 is skipped entirely when none are needed.  Entering rule: most
+    violated reduced cost with lowest-index tie-break, switching to
+    Bland's rule after a stall to guarantee termination.
+
+    Warm (warm=a parent's _Basis): the parent's basis is inverted afresh
+    and, being dual feasible for any change of bounds, re-optimized by a
+    bounded dual simplex.  Leaving row: largest bound violation; entering
+    column: dual ratio test over movable nonbasic columns (a free one
+    counts as ratio 0), ties to the largest pivot and then the lowest
+    index; lowest-index rules after a stall.  Artificials stay at [0, 0].
+
+    Returns (status, x, objective, iterations, basis); basis is the final
+    _Basis when Optimal, else None.  A basis that fails to invert gives
+    NumericalFailure.
     """
     m, n = A.shape
     if np.any(lb > ub):
-        return INFEASIBLE, None, INF, 0
+        return INFEASIBLE, None, INF, 0, None
     if m == 0:
         # Bound-only problem: each variable sits at its cheaper bound.
         x = np.where(c > 0, lb, np.where(c < 0, ub, 0.0))
         x = np.where(np.isfinite(x), x, np.where(np.isfinite(lb), lb,
                      np.where(np.isfinite(ub), ub, 0.0)))
         if np.any((c > 0) & ~np.isfinite(lb)) or np.any((c < 0) & ~np.isfinite(ub)):
-            return UNBOUNDED, None, -INF, 0
-        return OPTIMAL, x, float(c @ x), 0
-
-    # Nonbasic start values: finite lower bound, else upper, free vars at 0.
-    x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-    resid = rhs - A @ x
-
-    # Crash: a row whose slack bounds admit the start residual is based on
-    # the slack; every other row gets a signed artificial.
-    crash = np.full(m, -1, dtype=int)
-    if slack_of_row is not None:
-        for r in range(m):
-            s = slack_of_row[r]
-            if s >= 0 and lb[s] - tol <= resid[r] <= ub[s] + tol:
-                crash[r] = s
+            return UNBOUNDED, None, -INF, 0, None
+        return OPTIMAL, x, float(c @ x), 0, None
 
     n_tot = n + m
-    art_sign = np.where(resid >= 0, 1.0, -1.0)
-    A_full = np.hstack([A, np.zeros((m, m))])
-    A_full[np.arange(m), n + np.arange(m)] = art_sign
-    lb_full = np.concatenate([lb, np.zeros(m)])
-    ub_full = np.concatenate([ub, np.where(crash >= 0, 0.0, INF)])
-    x_full = np.concatenate([x, np.where(crash >= 0, 0.0, np.abs(resid))])
-    c_phase1 = np.concatenate([np.zeros(n), np.where(crash >= 0, 0.0, 1.0)])
     c_phase2 = np.concatenate([c, np.zeros(m)])
+    lb_full = np.concatenate([lb, np.zeros(m)])
+    if warm is None:
+        # Nonbasic start values: finite lower bound, else upper, free vars at 0.
+        x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        resid = rhs - A @ x
 
-    basis = np.where(crash >= 0, crash, n + np.arange(m))
-    x_full[basis[crash >= 0]] = np.clip(resid[crash >= 0],
-                                        lb_full[basis[crash >= 0]],
-                                        ub_full[basis[crash >= 0]])
+        # Crash: a row whose slack bounds admit the start residual is based
+        # on the slack; every other row gets a signed artificial.
+        crash = np.full(m, -1, dtype=int)
+        if slack_of_row is not None:
+            for r in range(m):
+                s = slack_of_row[r]
+                if s >= 0 and lb[s] - tol <= resid[r] <= ub[s] + tol:
+                    crash[r] = s
+
+        art_sign = np.where(resid >= 0, 1.0, -1.0)
+        A_full = np.hstack([A, np.zeros((m, m))])
+        A_full[np.arange(m), n + np.arange(m)] = art_sign
+        ub_full = np.concatenate([ub, np.where(crash >= 0, 0.0, INF)])
+        x_full = np.concatenate([x, np.where(crash >= 0, 0.0, np.abs(resid))])
+        c_phase1 = np.concatenate([np.zeros(n), np.where(crash >= 0, 0.0, 1.0)])
+
+        basis = np.where(crash >= 0, crash, n + np.arange(m))
+        x_full[basis[crash >= 0]] = np.clip(resid[crash >= 0],
+                                            lb_full[basis[crash >= 0]],
+                                            ub_full[basis[crash >= 0]])
+        # Both slack and artificial columns are unit vectors in their own
+        # row, so the crash basis inverse stays diagonal.
+        Binv = np.diag(np.where(crash >= 0, 1.0, art_sign))
+    else:
+        A_full = warm.A_full
+        ub_full = np.concatenate([ub, np.zeros(m)])
+        basis = warm.basis.copy()
+        x_full = np.clip(warm.x, lb_full, ub_full)
+        Binv = None
     in_basis = np.zeros(n_tot, dtype=bool)
     in_basis[basis] = True
-    # Both slack and artificial columns are unit vectors in their own row,
-    # so the crash basis inverse stays diagonal.
-    Binv = np.diag(np.where(crash >= 0, 1.0, art_sign))
 
     total_iters = 0
 
+    def invert():
+        nonlocal Binv
+        try:
+            Binv = np.linalg.inv(A_full[:, basis])
+        except np.linalg.LinAlgError:
+            return False  # numerically singular basis
+        return True
+
+    def basic_values():
+        nb = ~in_basis
+        x_full[basis] = Binv @ (rhs - A_full[:, nb] @ x_full[nb])
+
+    def refactor():
+        """Invert the basis afresh and recompute the basic values."""
+        if not invert():
+            return False
+        basic_values()
+        return True
+
+    def pivot(leave_pos, enter, w):
+        """Basis change: column `enter` replaces row leave_pos's variable."""
+        out = basis[leave_pos]
+        basis[leave_pos] = enter
+        in_basis[out] = False
+        in_basis[enter] = True
+        piv_row = Binv[leave_pos] / w[leave_pos]
+        Binv[...] -= w[:, None] * piv_row[None, :]
+        Binv[leave_pos] = piv_row
+
+    def nonbasic_position():
+        at_lb = np.isfinite(lb_full) & (x_full <= lb_full + 1e-9)
+        at_ub = np.isfinite(ub_full) & (x_full >= ub_full - 1e-9)
+        return at_lb, at_ub, ~at_lb & ~at_ub
+
     def run_phase(cost, iter_budget, n_price):
-        """n_price: only columns < n_price may enter (excludes artificials
-        in phase 2)."""
-        nonlocal total_iters, Binv
+        """Primal simplex.  n_price: only columns < n_price may enter
+        (excludes artificials in phase 2)."""
+        nonlocal total_iters
         stall = 0
         iters_here = 0
         while True:
@@ -314,20 +384,13 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
                 return ITERATION_LIMIT
             iters_here += 1
             total_iters += 1
-            if total_iters % refactor_every == 0:
-                try:
-                    Binv = np.linalg.inv(A_full[:, basis])
-                except np.linalg.LinAlgError:
-                    return INFEASIBLE  # numerically singular basis
-                nb = ~in_basis
-                x_full[basis] = Binv @ (rhs - A_full[:, nb] @ x_full[nb])
+            if total_iters % refactor_every == 0 and not refactor():
+                return NUMERICAL_FAILURE
 
             y = cost[basis] @ Binv
             d = cost - y @ A_full  # reduced costs (basic entries ~ 0)
 
-            at_lb = np.isfinite(lb_full) & (x_full <= lb_full + 1e-9)
-            at_ub = np.isfinite(ub_full) & (x_full >= ub_full - 1e-9)
-            free = ~at_lb & ~at_ub
+            at_lb, at_ub, free = nonbasic_position()
             eligible = ~in_basis
             eligible[n_price:] = False
             eligible &= (ub_full - lb_full) > 1e-12  # fixed vars cannot move
@@ -363,7 +426,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
             flip = (ub_full[enter] - lb_full[enter]
                     if np.isfinite(ub_full[enter]) and np.isfinite(lb_full[enter])
                     else INF)
-            t_min = min(float(np.min(ratio)) if m else INF, flip)
+            t_min = min(float(np.min(ratio)), flip)
             if not np.isfinite(t_min):
                 return UNBOUNDED
 
@@ -378,43 +441,106 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
             x_full[enter] += direction * t_min
             x_full[basis] -= t_min * delta
             if leave_pos >= 0:
-                out = basis[leave_pos]
-                x_full[out] = bound_hit[leave_pos]  # snap to kill roundoff
-                basis[leave_pos] = enter
-                in_basis[out] = False
-                in_basis[enter] = True
-                piv_row = Binv[leave_pos] / w[leave_pos]
-                Binv -= w[:, None] * piv_row[None, :]
-                Binv[leave_pos] = piv_row
+                x_full[basis[leave_pos]] = bound_hit[leave_pos]  # snap roundoff
+                pivot(leave_pos, enter, w)
             # else: bound flip, basis unchanged
 
             stall = 0 if improved else stall + 1
 
-    if np.any(crash < 0):
-        status = run_phase(c_phase1, max_iters, n_tot)
-        if status == ITERATION_LIMIT:
-            return ITERATION_LIMIT, None, INF, total_iters
-        if status in (INFEASIBLE, UNBOUNDED):
-            return INFEASIBLE, None, INF, total_iters
-        phase1_obj = float(c_phase1 @ x_full)
-        if phase1_obj > 1e-7:
-            return INFEASIBLE, None, INF, total_iters
+    def run_dual(iter_budget):
+        """Bounded dual simplex from a dual-feasible basis; phase-2 costs,
+        artificials never enter."""
+        nonlocal total_iters
+        stall = 0
+        iters_here = 0
+        movable = (ub_full[:n] - lb_full[:n]) > 1e-12
+        while True:
+            if iters_here >= iter_budget:
+                return ITERATION_LIMIT
+            iters_here += 1
+            total_iters += 1
+            if total_iters % refactor_every == 0 and not refactor():
+                return NUMERICAL_FAILURE
 
-    # Pin artificials to zero for phase 2 (they may linger in the basis
-    # at value 0; the bounds keep them there).
-    ub_full[n:] = 0.0
-    x_full[n:] = np.minimum(x_full[n:], 0.0)
-    x_full[n:] = np.maximum(x_full[n:], 0.0)
+            xB = x_full[basis]
+            below = lb_full[basis] - xB
+            viol = np.maximum(below, xB - ub_full[basis])
+            bland = stall > 2 * m + 20
+            if bland:
+                rows = np.flatnonzero(viol > tol)
+                if rows.size == 0:
+                    return OPTIMAL
+                r = int(rows[np.argmin(basis[rows])])
+            else:
+                r = int(np.argmax(viol))
+                if viol[r] <= tol:
+                    return OPTIMAL
+            up = below[r] > 0   # the leaving variable rises to its lb
+            target = lb_full[basis[r]] if up else ub_full[basis[r]]
 
-    status = run_phase(c_phase2, max_iters - total_iters, n)
-    if status == ITERATION_LIMIT:
-        return ITERATION_LIMIT, None, INF, total_iters
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, -INF, total_iters
-    if status == INFEASIBLE:
-        return INFEASIBLE, None, INF, total_iters
+            y = c_phase2[basis] @ Binv
+            d = c - y @ A
+            alpha = Binv[r] @ A
+            # g_j > 0: raising x_j moves the leaving variable toward target.
+            g = alpha if not up else -alpha
+            at_lb, at_ub, free = nonbasic_position()
+            eligible = movable & ~in_basis[:n]
+            can_inc = eligible & (g > tol) & (at_lb[:n] | free[:n])
+            can_dec = eligible & (g < -tol) & (at_ub[:n] | free[:n])
+            cand = can_inc | can_dec
+            if not cand.any():
+                return INFEASIBLE  # the row proves the bounds inconsistent
+            # Dual room: how far each reduced cost may move before it
+            # changes sign; a free column has none.
+            room = np.maximum(np.where(can_inc, d, -d), 0.0)
+            room[free[:n]] = 0.0
+            ratio = np.full(n, INF)
+            ratio[cand] = room[cand] / np.abs(g[cand])
+            r_min = float(np.min(ratio))
+            ties = np.flatnonzero(ratio <= r_min + 1e-12)
+            enter = int(ties[0] if bland else ties[np.argmax(np.abs(g[ties]))])
+
+            w = Binv @ A_full[:, enter]
+            step = (xB[r] - target) / w[r]
+            improved = r_min * viol[r] > tol
+            x_full[enter] += step
+            x_full[basis] -= step * w
+            x_full[basis[r]] = target  # snap roundoff
+            pivot(r, enter, w)
+            stall = 0 if improved else stall + 1
+
+    if warm is None:
+        if np.any(crash < 0):
+            status = run_phase(c_phase1, max_iters, n_tot)
+            if status != OPTIMAL:
+                if status == UNBOUNDED:  # impossible in exact arithmetic
+                    status = NUMERICAL_FAILURE
+                return status, None, INF, total_iters, None
+            phase1_obj = float(c_phase1 @ x_full)
+            if phase1_obj > 1e-7:
+                return INFEASIBLE, None, INF, total_iters, None
+
+        # Pin artificials to zero for phase 2 (they may linger in the basis
+        # at value 0; the bounds keep them there).
+        ub_full[n:] = 0.0
+        x_full[n:] = np.minimum(x_full[n:], 0.0)
+        x_full[n:] = np.maximum(x_full[n:], 0.0)
+        status = run_phase(c_phase2, max_iters - total_iters, n)
+    elif not invert():
+        status = NUMERICAL_FAILURE
+    else:
+        # As in the cold start, a nonbasic variable sits at its lower bound
+        # unless its reduced cost keeps it at the upper one; this also
+        # keeps the basis dual feasible.
+        d = c - (c_phase2[basis] @ Binv) @ A
+        to_lb = ~in_basis[:n] & np.isfinite(lb) & (x_full[:n] > lb) & (d > -tol)
+        x_full[:n][to_lb] = lb[to_lb]
+        basic_values()
+        status = run_dual(max_iters)
+    if status != OPTIMAL:
+        return status, None, -INF if status == UNBOUNDED else INF, total_iters, None
     xs = x_full[:n].copy()
-    return OPTIMAL, xs, float(c @ xs), total_iters
+    return OPTIMAL, xs, float(c @ xs), total_iters, _Basis(A_full, basis, x_full)
 
 
 def solve_lp(model: MilpModel, config: SolverConfig | None = None,
@@ -432,9 +558,9 @@ def solve_lp(model: MilpModel, config: SolverConfig | None = None,
         lb[:n] = lb_override
     if ub_override is not None:
         ub[:n] = ub_override
-    status, x, obj, iters = _simplex(std.A, std.rhs, std.c, lb, ub,
-                                     config.max_simplex_iters,
-                                     slack_of_row=std.slack_of_row)
+    status, x, obj, iters, _ = _simplex(std.A, std.rhs, std.c, lb, ub,
+                                        config.max_simplex_iters,
+                                        slack_of_row=std.slack_of_row)
     if status != OPTIMAL:
         return LpResult(status, None, obj, iters)
     return LpResult(OPTIMAL, x[:n], obj, iters)
@@ -455,8 +581,10 @@ def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> in
 def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
     """Best-first branch-and-bound over the binary variables.
 
-    Branches on the most-fractional binary; prunes nodes whose LP bound
-    cannot improve the incumbent beyond the relative gap.
+    The root LP is solved cold; every child re-solves warm from its
+    parent's optimal basis, and once more cold if that basis fails
+    numerically.  Branches on the most-fractional binary; prunes nodes
+    whose LP bound cannot improve the incumbent beyond the relative gap.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -465,41 +593,51 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
         [model.is_binary, np.zeros(std.A.shape[1] - model.num_vars, dtype=bool)]
     )
     n = model.num_vars
+    stats = {"nodes": 0, "lp_calls": 0, "simplex_iters": 0, "cold_resolves": 0}
 
-    total_simplex_iters = 0
-    nodes_explored = 0
-    incumbent = None
-    incumbent_obj = INF
+    def result(status, values=None, obj=INF):
+        stats["wall_time"] = time.perf_counter() - t0
+        return MilpSolution(status, values, obj, stats)
 
-    def node_lp(lb, ub):
-        nonlocal total_simplex_iters
-        status, x, obj, iters = _simplex(std.A, std.rhs, std.c, lb, ub,
-                                         config.max_simplex_iters,
-                                         slack_of_row=std.slack_of_row)
-        total_simplex_iters += iters
-        return status, x, obj
+    if std.trivially_infeasible:
+        return result(INFEASIBLE)
+
+    def node_lp(lb, ub, warm):
+        # A loop, not a recursive call: a closure that names itself is a
+        # reference cycle, which would keep each solve's arrays alive
+        # until the garbage collector next runs.
+        while True:
+            status, x, obj, iters, basis = _simplex(
+                std.A, std.rhs, std.c, lb, ub, config.max_simplex_iters,
+                slack_of_row=std.slack_of_row, warm=warm)
+            stats["lp_calls"] += 1
+            stats["simplex_iters"] += iters
+            if status != NUMERICAL_FAILURE or warm is None:
+                return status, x, obj, basis
+            stats["cold_resolves"] += 1
+            warm = None
 
     # Heap ordered by LP bound; the counter makes ordering deterministic.
     counter = 0
     heap = []
-    status, x, obj = node_lp(std.lb.copy(), std.ub.copy())
+    status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), None)
     if status == UNBOUNDED:
         raise UnboundedModelError("LP relaxation is unbounded")
-    if status == ITERATION_LIMIT:
-        return MilpSolution(ITERATION_LIMIT, None, INF,
-                            {"nodes": 0, "simplex_iters": total_simplex_iters,
-                             "wall_time": time.perf_counter() - t0})
+    if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
+        return result(status)
     if status == OPTIMAL:
-        heapq.heappush(heap, (obj, counter, std.lb.copy(), std.ub.copy(), x))
+        heapq.heappush(heap, (obj, counter, std.lb.copy(), std.ub.copy(), x, basis))
         counter += 1
 
-    hit_node_limit = False
-    while heap:
-        if nodes_explored >= config.max_nodes:
-            hit_node_limit = True
+    incumbent = None
+    incumbent_obj = INF
+    stop = None   # ITERATION_LIMIT or NUMERICAL_FAILURE ends the search
+    while heap and stop is None:
+        if stats["nodes"] >= config.max_nodes:
+            stop = ITERATION_LIMIT
             break
-        bound, _, lb, ub, x = heapq.heappop(heap)
-        nodes_explored += 1
+        bound, _, lb, ub, x, basis = heapq.heappop(heap)
+        stats["nodes"] += 1
         gap_abs = config.relative_gap * max(1.0, abs(incumbent_obj))
         if incumbent is not None and bound >= incumbent_obj - gap_abs:
             continue
@@ -516,28 +654,18 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
             clb, cub = lb.copy(), ub.copy()
             clb[j] = fixed
             cub[j] = fixed
-            status, cx, cobj = node_lp(clb, cub)
-            if status == ITERATION_LIMIT:
-                hit_node_limit = True
+            status, cx, cobj, cbasis = node_lp(clb, cub, basis)
+            if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
+                stop = status
                 break
             if status != OPTIMAL:
                 continue
             gap_abs = config.relative_gap * max(1.0, abs(incumbent_obj))
             if incumbent is not None and cobj >= incumbent_obj - gap_abs:
                 continue
-            heapq.heappush(heap, (cobj, counter, clb, cub, cx))
+            heapq.heappush(heap, (cobj, counter, clb, cub, cx, cbasis))
             counter += 1
-        if hit_node_limit:
-            break
 
-    stats = {
-        "nodes": nodes_explored,
-        "simplex_iters": total_simplex_iters,
-        "wall_time": time.perf_counter() - t0,
-    }
-    if hit_node_limit:
-        return MilpSolution(ITERATION_LIMIT, incumbent,
-                            incumbent_obj if incumbent is not None else INF, stats)
     if incumbent is None:
-        return MilpSolution(INFEASIBLE, None, INF, stats)
-    return MilpSolution(OPTIMAL, incumbent, incumbent_obj, stats)
+        return result(stop or INFEASIBLE)
+    return result(stop or OPTIMAL, incumbent, incumbent_obj)

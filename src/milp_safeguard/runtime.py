@@ -4,8 +4,9 @@ Per step: measure, pick the first remaining waypoint as reference, solve
 the robust tracking MILP, actuate with disturbance, advance the plant,
 log.  Waypoints are dropped once the predicted safe box contains them;
 the episode ends when the box contains the goal, on infeasibility (halt,
-no fallback), when the state leaves the plant's admissible domain, or at
-the step limit.
+no fallback), on a numerical failure of the solver (halt, logged apart
+from infeasibility), when the state leaves the plant's admissible domain,
+or at the step limit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from milp_safeguard.encoder import (
     InfeasibleMeasurement,
     SolveIterationLimit,
     SolverInfeasible,
+    SolverNumericalFailure,
     TrackingProblem,
     solve_tracking,
 )
@@ -31,6 +33,7 @@ from milp_safeguard.sets import Hypercube, UnsafeRegion, disjoint_from_region
 GOAL_REACHED = "GoalReached"
 INFEASIBLE = "Infeasible"
 INADMISSIBLE = "InadmissibleState"
+NUMERICAL_FAILURE = "NumericalFailure"
 STEP_LIMIT = "StepLimit"
 
 _MEMBER_TOL = 1e-9
@@ -198,8 +201,8 @@ def plan_waypoints(s: Scenario) -> list:
 
 
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
-    """Run one closed-loop episode; infeasibility and an inadmissible state
-    halt it, and the halt is logged."""
+    """Run one closed-loop episode; infeasibility, a numerical failure of
+    the solver and an inadmissible state halt it, and the halt is logged."""
     if waypoints is None:
         waypoints = plan_waypoints(s)
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
@@ -225,14 +228,16 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         t0 = time.perf_counter()
         try:
             decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver)
-        except (InfeasibleMeasurement, SolverInfeasible,
-                SolveIterationLimit) as exc:
+        except (InfeasibleMeasurement, SolverInfeasible, SolveIterationLimit,
+                SolverNumericalFailure) as exc:
             log.steps.append(StepRecord(
                 k=k, x=x, y=y, x_ref=x_ref, u_cmd=None, u_act=None,
                 box_lo=None, box_hi=None, cost=float("inf"),
                 status=type(exc).__name__,
                 solve_ms=1e3 * (time.perf_counter() - t0)))
-            log.status = INFEASIBLE
+            log.status = (NUMERICAL_FAILURE
+                          if isinstance(exc, SolverNumericalFailure)
+                          else INFEASIBLE)
             return log
         solve_ms = 1e3 * (time.perf_counter() - t0)
 

@@ -54,7 +54,30 @@ def test_milp_solve_stats_keys():
     b.add_constraint({x: 1.0}, LE, 1.0)
     b.set_objective({x: -1.0})
     stats = solve(b.build()).stats
-    assert {"nodes", "simplex_iters"} <= set(stats)
+    assert {"nodes", "lp_calls", "simplex_iters", "cold_resolves",
+            "wall_time"} <= set(stats)
+
+
+def test_simplex_calls_are_the_solve_lp_calls(monkeypatch):
+    # workload.py counts milp.lp_calls_per_solve, simplex_iters_per_lp and
+    # us_per_simplex_iter from the traced milp._simplex calls inside
+    # milp.solve and from the 4th element of their results.
+    from milp_safeguard import milp
+    from milp_safeguard.cli import load_scenario
+    from milp_safeguard.encoder import build_tracking_model
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    model, _ = build_tracking_model(
+        s.tracking_problem(np.zeros(2), np.array([1.0, 0.5])))
+    results = []
+    inner = milp._simplex
+
+    def traced(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(milp, "_simplex", traced)
+    sol = milp.solve(model)
+    assert sol.stats["lp_calls"] == len(results) > 1
+    assert sol.stats["simplex_iters"] == sum(r[3] for r in results)
 
 
 def test_tracking_model_reports_undetermined_neurons():

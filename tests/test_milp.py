@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+from milp_safeguard import milp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from milp_safeguard.milp import (
     EQ,
     GE,
+    INF,
     INFEASIBLE,
     ITERATION_LIMIT,
     LE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
     ModelBuilder,
@@ -116,6 +119,14 @@ def test_trivially_infeasible_empty_constraint():
     assert solve_lp(b.build()).status == INFEASIBLE
 
 
+def test_milp_with_violated_empty_constraint_is_infeasible():
+    b = ModelBuilder()
+    d = b.add_binary("d")
+    b.add_constraint({}, GE, 1.0)  # 0 >= 1
+    b.set_objective({d: 1.0})
+    assert solve(b.build()).status == INFEASIBLE
+
+
 def test_dump_lp_mentions_all_parts():
     b = ModelBuilder()
     x = b.add_continuous(0, 1, "x")
@@ -190,3 +201,96 @@ def test_iteration_limit_reported():
     m, _ = _random_model(rng, 5, 3, 6)
     sol = solve(m, SolverConfig(max_simplex_iters=1))
     assert sol.status == ITERATION_LIMIT
+
+
+def test_beale_cycling_lp_terminates():
+    # Beale's LP cycles under the most-negative reduced cost rule; the
+    # primal simplex must leave the stall through its Bland fallback.
+    b = ModelBuilder()
+    x = [b.add_continuous(0.0, INF, f"x{i}") for i in range(4)]
+    b.add_constraint({x[0]: 0.25, x[1]: -8.0, x[2]: -1.0, x[3]: 9.0}, LE, 0.0)
+    b.add_constraint({x[0]: 0.5, x[1]: -12.0, x[2]: -0.5, x[3]: 3.0}, LE, 0.0)
+    b.add_constraint({x[2]: 1.0}, LE, 1.0)
+    b.set_objective({x[0]: -0.75, x[1]: 20.0, x[2]: -0.5, x[3]: 6.0})
+    r = solve_lp(b.build())
+    assert r.status == OPTIMAL
+    assert abs(r.objective_value + 1.25) < 1e-9
+    assert np.allclose(r.x, [1.0, 0.0, 1.0, 0.0])
+    # More degenerate pivots than the stall limit (2 m + 20, m = 3 rows):
+    # the Bland fallback ran.
+    assert r.iterations > 2 * 3 + 20
+
+
+def _odd_cycle_partitioning():
+    """Set partitioning of two 5-cycles by their edges and a few
+    singletons, all at cost 1: the LP relaxation sits at 5 (every edge at
+    one half), the integer optimum is 6, reached by 10 of 22 partitions."""
+    subsets = [{base + i, base + (i + 1) % 5} for base in (0, 5) for i in range(5)]
+    subsets += [{e} for e in (0, 1, 2, 3, 4, 5, 8)]
+    b = ModelBuilder()
+    d = [b.add_binary(f"s{i}") for i in range(len(subsets))]
+    for e in range(10):
+        b.add_constraint({d[i]: 1.0 for i, s in enumerate(subsets) if e in s},
+                         EQ, 1.0)
+    b.set_objective({v: 1.0 for v in d})
+    cover = np.array([[e in s for s in subsets] for e in range(10)], dtype=float)
+    return b.build(), cover
+
+
+def test_degenerate_partitioning_matches_enumeration():
+    m, cover = _odd_cycle_partitioning()
+    k = cover.shape[1]
+    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+    feasible = np.all(bits @ cover.T == 1.0, axis=1)
+    best = bits[feasible].sum(axis=1).min()
+    assert solve_lp(m).objective_value < best - 0.5   # the root must branch
+    a, b = solve(m), solve(m)
+    assert a.status == OPTIMAL
+    assert a.objective_value == best
+    assert np.all(cover @ a.values == 1.0)
+    assert a.stats["nodes"] > 1
+    assert np.array_equal(a.values, b.values)
+    assert a.objective_value == b.objective_value
+    assert {k: v for k, v in a.stats.items() if k != "wall_time"} == \
+        {k: v for k, v in b.stats.items() if k != "wall_time"}
+
+
+def _singular(monkeypatch):
+    def inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(milp.np.linalg, "inv", inv)
+
+
+def test_singular_warm_basis_resolves_cold(monkeypatch):
+    # Every warm start inverts its basis, so each child fails warm and is
+    # solved again cold; these LPs are too short to refactorize.
+    m, _ = _odd_cycle_partitioning()
+    ref = solve(m)
+    _singular(monkeypatch)
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == ref.objective_value
+    # The root is cold; every other LP is a failed warm start plus its
+    # cold re-solve.
+    assert sol.stats["cold_resolves"] > 0
+    assert sol.stats["lp_calls"] == 1 + 2 * sol.stats["cold_resolves"]
+
+
+def test_singular_basis_is_numerical_failure(monkeypatch):
+    # A chain of 80 equality rows needs 80 phase-1 pivots, past the first
+    # refactorization (every 60 iterations), where the inverse fails.
+    b = ModelBuilder()
+    x = [b.add_continuous(-INF, INF, f"x{i}") for i in range(81)]
+    b.add_constraint({x[0]: 1.0}, EQ, 0.0)
+    for i in range(80):
+        b.add_constraint({x[i + 1]: 1.0, x[i]: -1.0}, EQ, 1.0)
+    d = b.add_binary("d")
+    b.add_constraint({x[80]: 1.0, d: 1.0}, GE, 80.5)
+    b.set_objective({x[80]: 1.0, d: 1.0})
+    m = b.build()
+    assert solve(m).status == OPTIMAL
+    _singular(monkeypatch)
+    assert solve_lp(m).status == NUMERICAL_FAILURE
+    sol = solve(m)
+    assert sol.status == NUMERICAL_FAILURE
+    assert sol.values is None

@@ -1,8 +1,11 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from milp_safeguard import milp
+from milp_safeguard.cli import load_scenario
 from milp_safeguard.learner import identity_warm_start
 from milp_safeguard.nn_model import build_identity_sum_network
 from milp_safeguard.plants import RobotPlant, VehiclePlant
@@ -10,6 +13,7 @@ from milp_safeguard.runtime import (
     GOAL_REACHED,
     INADMISSIBLE,
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     STEP_LIMIT,
     PlannerParams,
     Scenario,
@@ -107,6 +111,26 @@ def test_sealed_reference_halts_infeasible():
     rec = log.steps[0]
     assert rec.u_cmd is None and rec.box_lo is None
     assert rec.status != "Optimal"
+
+
+def test_numerical_failure_halts_episode_logged(monkeypatch):
+    """A singular basis is not infeasibility: the step and the episode
+    say so."""
+    s, _ = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "bench", "scenarios",
+                                      "vehicle_corridor.yaml"))
+
+    def inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+    # The corridor's root LP runs past the first refactorization, so its
+    # cold solve fails too.
+    monkeypatch.setattr(milp.np.linalg, "inv", inv)
+    log = run_episode(s, waypoints=[s.xg])
+    assert log.status == NUMERICAL_FAILURE
+    assert len(log.steps) == 1
+    rec = log.steps[0]
+    assert rec.status == "SolverNumericalFailure"
+    assert rec.u_cmd is None and rec.box_lo is None
 
 
 def test_step_limit_status():
