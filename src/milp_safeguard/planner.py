@@ -3,8 +3,12 @@
 Samples are steered by clipping into the parent's one-step reachable box
 (interval propagation of a point state over the whole control set); the
 stored child node is the exact model image of the best control witness,
-so every tree edge is a dynamically exact one-step transition.  Path
-extraction runs Dijkstra over the stored edges with l1 weights.
+so every tree edge is a dynamically exact one-step transition.  The
+witness is found by a coarse grid and a Hooke-Jeeves pattern search whose
+halvings are evaluated speculatively, several step sizes per batched
+forward pass, and replayed in order, so the search returns what the
+one-round-per-pass search would, bit for bit.  Path extraction runs
+Dijkstra over the stored edges with l1 weights.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ import numpy as np
 from milp_safeguard.nn_model import ReluNetwork, forward, forward_batch, \
     output_bounds
 from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
+
+
+# Step sizes (span, span/2, ...) that one forward pass of the witness
+# search evaluates.
+_LEVELS = 8
 
 
 class PlanFailure(RuntimeError):
@@ -57,15 +66,23 @@ def _witness_search(net, x_from, x_to, U: Hypercube, coarse: int = 9,
     """Control minimizing the l1 residual |f(x_from, u) - x_to|.
 
     Coarse grid over U followed by a shrinking pattern search: each round
-    evaluates all single-coordinate steps in one batched forward pass and
-    either moves to the best or halves the step.
+    evaluates all single-coordinate steps and either moves to the best or
+    halves the step, until the step falls below 1e-12 or refine_rounds
+    rounds have run.  One batched forward pass evaluates the steps of the
+    next _LEVELS rounds at once, all from the current point at the step
+    sizes that successive halvings would reach; the first of them that
+    improves is the round's move, the ones before it are its halvings, and
+    the next pass starts at the move's step size.  Halving by 0.5 is exact
+    and each row of a batch is evaluated as it would be alone, so the
+    result equals that of one forward pass per round.
     """
     x_from = np.asarray(x_from, dtype=float)
     x_to = np.asarray(x_to, dtype=float)
 
     def residuals(us):
-        Z = np.concatenate(
-            [np.broadcast_to(x_from, (len(us), x_from.shape[0])), us], axis=1)
+        Z = np.empty((len(us), len(x_from) + U.dim))
+        Z[:, :len(x_from)] = x_from
+        Z[:, len(x_from):] = us
         return np.sum(np.abs(forward_batch(net, Z) - x_to), axis=1)
 
     axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(U.dim)]
@@ -76,17 +93,29 @@ def _witness_search(net, x_from, x_to, U: Hypercube, coarse: int = 9,
     best_u, best_r = candidates[best].copy(), float(rs[best])
     span = (U.hi - U.lo) / (coarse - 1)
     steps = np.concatenate([-np.diag(span), np.diag(span)])
-    for _ in range(refine_rounds):
-        trial = np.clip(best_u + steps, U.lo, U.hi)
-        rs = residuals(trial)
-        best = int(np.argmin(rs))
-        if rs[best] < best_r - 1e-15:
-            best_r, best_u = float(rs[best]), trial[best].copy()
-        else:
-            span *= 0.5
-            steps *= 0.5
-            if np.max(span) < 1e-12:
-                break
+    # Halvings after which the step falls below 1e-12, ending the search.
+    top, stop = float(np.max(span)), 1
+    while top * 0.5 ** stop >= 1e-12:
+        stop += 1
+    level = rounds = 0   # level: halvings so far
+    while rounds < refine_rounds and level < stop:
+        n = min(_LEVELS, refine_rounds - rounds, stop - level)
+        # ldexp scales by exact powers of two, so the level-l steps equal
+        # the ones that l sequential halvings would give.
+        scales = np.ldexp(1.0, -np.arange(level, level + n))
+        trial = np.clip(best_u + (scales[:, None, None] * steps).reshape(
+            -1, U.dim), U.lo, U.hi)
+        rs = residuals(trial).reshape(n, len(steps))
+        better = rs.min(axis=1) < best_r - 1e-15
+        # The rounds before the first level that improves are halvings.
+        k = int(better.argmax()) if better.any() else n
+        level += k
+        rounds += k
+        if k < n:
+            best = int(rs[k].argmin())
+            best_r = float(rs[k, best])
+            best_u = trial[k * len(steps) + best].copy()
+            rounds += 1
     return best_u, best_r
 
 

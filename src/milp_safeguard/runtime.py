@@ -4,9 +4,10 @@ Per step: measure, pick the first remaining waypoint as reference, solve
 the robust tracking MILP, actuate with disturbance, advance the plant,
 log.  Waypoints are dropped once the predicted safe box contains them;
 the episode ends when the box contains the goal, on infeasibility (halt,
-no fallback), on a numerical failure of the solver (halt, logged apart
-from infeasibility), when the state leaves the plant's admissible domain,
-or at the step limit.
+no fallback), on a numerical failure of the solver or a solve that hits
+its node or simplex-iteration budget (halt, each logged apart from
+infeasibility), when the state leaves the plant's admissible domain, or
+at the step limit.
 """
 
 from __future__ import annotations
@@ -34,9 +35,15 @@ GOAL_REACHED = "GoalReached"
 INFEASIBLE = "Infeasible"
 INADMISSIBLE = "InadmissibleState"
 NUMERICAL_FAILURE = "NumericalFailure"
+SOLVER_LIMIT = "SolverLimit"
 STEP_LIMIT = "StepLimit"
 
 _MEMBER_TOL = 1e-9
+
+# Solver failures that say nothing about whether a safe control exists;
+# every other halt of the solve is infeasibility.
+_HALT_STATUS = {SolverNumericalFailure: NUMERICAL_FAILURE,
+                SolveIterationLimit: SOLVER_LIMIT}
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,8 @@ def plan_waypoints(s: Scenario) -> list:
 
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     """Run one closed-loop episode; infeasibility, a numerical failure of
-    the solver and an inadmissible state halt it, and the halt is logged."""
+    the solver, a solver budget hit and an inadmissible state halt it, and
+    the halt is logged."""
     if waypoints is None:
         waypoints = plan_waypoints(s)
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
@@ -235,9 +243,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
                 box_lo=None, box_hi=None, cost=float("inf"),
                 status=type(exc).__name__,
                 solve_ms=1e3 * (time.perf_counter() - t0)))
-            log.status = (NUMERICAL_FAILURE
-                          if isinstance(exc, SolverNumericalFailure)
-                          else INFEASIBLE)
+            log.status = _HALT_STATUS.get(type(exc), INFEASIBLE)
             return log
         solve_ms = 1e3 * (time.perf_counter() - t0)
 

@@ -99,3 +99,30 @@ def test_tracking_model_reports_undetermined_neurons():
     assert [list(d) for d in h["d_mm"]] == [[]] * (len(s.net.layers) - 1)
     assert all(c.rel in ("<=", ">=", "=") for c in model.constraints)
     assert int(model.is_binary.sum()) > 0
+
+
+def test_witness_search_reaches_the_net_only_through_forward_batch(
+        monkeypatch):
+    # workload.py counts planner.forward_batch_per_witness from the traced
+    # forward_batch calls that run inside planner._witness_search, and the
+    # tracer wraps the name that planner binds. Hand the search an opaque
+    # net that only the wrapped planner.forward_batch can evaluate: any
+    # other way to the network would fail.
+    from milp_safeguard import planner
+    from milp_safeguard.nn_model import build_identity_sum_network
+    from milp_safeguard.sets import Hypercube
+    X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
+    U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+    net, opaque = build_identity_sum_network(X, U), object()
+    x_from, x_to = np.array([2.0, 3.0]), np.array([2.13, 2.91])
+    expected = planner._witness_search(net, x_from, x_to, U)
+    inner, calls = planner.forward_batch, []
+
+    def traced(n, Z):
+        assert n is opaque
+        calls.append(len(Z))
+        return inner(net, Z)
+    monkeypatch.setattr(planner, "forward_batch", traced)
+    u, r = planner._witness_search(opaque, x_from, x_to, U)
+    assert np.array_equal(u, expected[0]) and r == expected[1]
+    assert len(calls) > 1

@@ -138,6 +138,16 @@ def test_simulate_small_scenario(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_simulate_solver_budget_exits_2(tmp_path, capsys):
+    path = write(tmp_path, SMALL + "solver: {max_simplex_iters: 5}\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", path, "--out", str(out)])
+    assert rc == 2
+    assert "status: SolverLimit" in capsys.readouterr().out
+    traj = (out / "trajectory.csv").read_text().strip().split("\n")
+    assert len(traj) == 2 and traj[1].split(",")[-2] == "SolveIterationLimit"
+
+
 def test_simulate_seed_override_changes_noise(tmp_path, capsys):
     path = write(tmp_path, SMALL)
     main(["simulate", path, "--out", str(tmp_path / "a"), "--seed", "1"])

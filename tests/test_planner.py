@@ -1,11 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
-from milp_safeguard.nn_model import build_identity_sum_network, forward
+from milp_safeguard import planner
+from milp_safeguard.nn_model import build_identity_sum_network, forward, \
+    load_network
 from milp_safeguard.planner import (
     NoPath,
     PlanFailure,
     PlanTree,
+    _witness_search,
     edge_feasible,
     reachable_box,
     rrt_build,
@@ -18,11 +23,132 @@ U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
 NET = build_identity_sum_network(X, U)
 FREE = UnsafeRegion(())
 
+# The benchmark's bicycle net, with the corridor's state set and its
+# planning control set (the control set shrunk by the planner's u_margin).
+VEHICLE_NET = load_network(os.path.join(
+    os.path.dirname(__file__), os.pardir, "bench", "scenarios",
+    "vehicle_net.json"))
+VEHICLE_X = Hypercube(np.array([0.0, -1.5, -0.35]), np.array([8.0, 1.5, 0.35]))
+VEHICLE_U = Hypercube(np.array([2.4, -0.3]), np.array([3.4, 0.3]))
+
 
 def test_reachable_box_identity_net():
     box = reachable_box(NET, np.array([2.0, 3.0]), U)
     assert np.allclose(box.lo, [1.75, 2.75])
     assert np.allclose(box.hi, [2.25, 3.25])
+
+
+def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
+    """The one-round-per-forward-pass pattern search that _witness_search
+    must reproduce bit for bit: evaluate the 2*dim coordinate steps, move
+    to the best if it improves, else halve the step."""
+    x_from = np.asarray(x_from, dtype=float)
+    x_to = np.asarray(x_to, dtype=float)
+
+    def residuals(us):
+        Z = np.concatenate(
+            [np.broadcast_to(x_from, (len(us), x_from.shape[0])), us], axis=1)
+        return np.sum(np.abs(planner.forward_batch(net, Z) - x_to), axis=1)
+
+    axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(U.dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    candidates = np.stack([g.ravel() for g in grids], axis=1)
+    rs = residuals(candidates)
+    best = int(np.argmin(rs))
+    best_u, best_r = candidates[best].copy(), float(rs[best])
+    span = (U.hi - U.lo) / (coarse - 1)
+    steps = np.concatenate([-np.diag(span), np.diag(span)])
+    for _ in range(refine_rounds):
+        trial = np.clip(best_u + steps, U.lo, U.hi)
+        rs = residuals(trial)
+        best = int(np.argmin(rs))
+        if rs[best] < best_r - 1e-15:
+            best_r, best_u = float(rs[best]), trial[best].copy()
+        else:
+            span *= 0.5
+            steps *= 0.5
+            if np.max(span) < 1e-12:
+                break
+    return best_u, best_r
+
+
+def _search_pairs(net, Xs, Us, n, seed):
+    """Seeded (x_from, x_to) pairs of three kinds: near the image of a
+    random control, drawn from the reachable box (which over-approximates
+    the image), and clipped into that box as the RRT does (on the vehicle
+    net mostly out of the image, where the residual stalls)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(n):
+        x_from = Xs.sample(rng)
+        box = reachable_box(net, x_from, Us)
+        if i % 3 == 0:
+            x_to = forward(net, np.concatenate([x_from, Us.sample(rng)]))
+            x_to = x_to + rng.normal(scale=1e-3, size=x_to.shape)
+        elif i % 3 == 1:
+            x_to = box.sample(rng)
+        else:
+            x_to = np.clip(Xs.sample(rng), box.lo, box.hi)
+        pairs.append((x_from, x_to))
+    return pairs
+
+
+@pytest.mark.parametrize("net,Xs,Us", [(NET, X, U),
+                                       (VEHICLE_NET, VEHICLE_X, VEHICLE_U)],
+                         ids=["robot", "vehicle"])
+def test_witness_search_matches_sequential_search(net, Xs, Us):
+    # Budgets of 7, 8 and 9 rounds end inside, at and just past the first
+    # batch of levels.
+    for x_from, x_to in _search_pairs(net, Xs, Us, 18, seed=3):
+        for rounds in (0, 1, 7, 8, 9, 150):
+            u, r = _witness_search(net, x_from, x_to, Us,
+                                   refine_rounds=rounds)
+            u_ref, r_ref = _sequential_search(net, x_from, x_to, Us,
+                                              refine_rounds=rounds)
+            assert np.array_equal(u, u_ref) and r == r_ref, (x_from, x_to,
+                                                             rounds)
+
+
+def test_witness_search_batches_the_halvings(monkeypatch):
+    # A target on the image of a grid control: the grid point is already
+    # the minimum, so every round after the grid is a halving.
+    x_from = np.array([4.0, 0.2, -0.1])
+    u_grid = np.array([np.linspace(lo, hi, 9)[k] for lo, hi, k in
+                       zip(VEHICLE_U.lo, VEHICLE_U.hi, (3, 6))])
+    x_to = forward(VEHICLE_NET, np.concatenate([x_from, u_grid]))
+    passes = []
+    inner = planner.forward_batch
+
+    def counted(net, Z):
+        passes.append(len(Z))
+        return inner(net, Z)
+    monkeypatch.setattr(planner, "forward_batch", counted)
+    u_ref, r_ref = _sequential_search(VEHICLE_NET, x_from, x_to, VEHICLE_U)
+    n_ref = len(passes)
+    passes.clear()
+    u, r = _witness_search(VEHICLE_NET, x_from, x_to, VEHICLE_U)
+    assert np.array_equal(u, u_grid) and np.array_equal(u, u_ref)
+    assert r == r_ref
+    assert n_ref >= 35
+    assert len(passes) <= 7
+
+
+def test_rrt_build_matches_sequential_search(monkeypatch):
+    wall = UnsafeRegion((Hypercube(np.array([4.0, -1.0]),
+                                   np.array([5.0, 8.0])),))
+
+    def build():
+        return rrt_build(NET, X, U, wall, [1.0, 1.0], [8.0, 1.0], seed=7,
+                         clearance=0.25)
+    tree = build()
+    monkeypatch.setattr(planner, "_witness_search", _sequential_search)
+    ref = build()
+    assert len(tree.nodes) == len(ref.nodes) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(tree.nodes, ref.nodes))
+    assert len(tree.edges) == len(ref.edges)
+    for (i, j, u), (i_ref, j_ref, u_ref) in zip(tree.edges, ref.edges):
+        assert (i, j) == (i_ref, j_ref) and np.array_equal(u, u_ref)
+    assert tree.goal_parent == ref.goal_parent
 
 
 def test_edge_feasible_within_reach():

@@ -14,6 +14,7 @@ from milp_safeguard.runtime import (
     INADMISSIBLE,
     INFEASIBLE,
     NUMERICAL_FAILURE,
+    SOLVER_LIMIT,
     STEP_LIMIT,
     PlannerParams,
     Scenario,
@@ -130,6 +131,18 @@ def test_numerical_failure_halts_episode_logged(monkeypatch):
     assert len(log.steps) == 1
     rec = log.steps[0]
     assert rec.status == "SolverNumericalFailure"
+    assert rec.u_cmd is None and rec.box_lo is None
+
+
+def test_solver_budget_halts_episode_logged():
+    """A solve that runs out of simplex iterations is not infeasibility:
+    the step and the episode say so, and the log keeps the step."""
+    s = scenario(max_steps=60, solver=milp.SolverConfig(max_simplex_iters=5))
+    log = run_episode(s)
+    assert log.status == SOLVER_LIMIT
+    assert len(log.steps) == 1
+    rec = log.steps[0]
+    assert rec.status == "SolveIterationLimit"
     assert rec.u_cmd is None and rec.box_lo is None
 
 
