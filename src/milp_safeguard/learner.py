@@ -28,9 +28,6 @@ class Dataset:
     x: np.ndarray
     u: np.ndarray
     x_next: np.ndarray
-    X: Hypercube
-    U: Hypercube
-    seed: int = 0
 
     def __post_init__(self):
         if not (len(self.x) == len(self.u) == len(self.x_next)):
@@ -80,7 +77,7 @@ def sample_dataset(step, X: Hypercube, U: Hypercube, n: int,
     xs = X.sample(rng, n)
     us = U.sample(rng, n)
     x_next = np.array([step(x, u) for x, u in zip(xs, us)])
-    return Dataset(x=xs, u=us, x_next=x_next, X=X, U=U, seed=seed)
+    return Dataset(x=xs, u=us, x_next=x_next)
 
 
 def init_params(in_dim: int, hidden_sizes, out_dim: int, seed: int):

@@ -1,14 +1,15 @@
 """Self-contained mixed-integer linear programming layer.
 
 Model building, and best-first branch-and-bound over binary variables on
-a bounded-variable simplex.  The root LP is solved cold by a two-phase
-primal simplex; every child, which differs from its parent only by one
-fixed binary, is re-solved warm from the parent's optimal basis by a
-bounded dual simplex, usually in a few pivots.  A basis that fails to
-invert is reported as NumericalFailure, never as infeasibility; a child
-that hits one is re-solved cold once.  Deterministic throughout: dense
-linear algebra, lowest-index tie-breaks, no cutting planes, no presolve
-beyond dropping empty constraints.
+one LP algorithm, a bounded dual simplex.  The root LP starts cold from
+the slack basis, with an auxiliary-problem phase 1 when that basis is not
+dual feasible; every child, which differs from its parent only by one
+fixed binary, starts warm from the parent's optimal basis, usually a few
+pivots from its optimum.  A basis that fails to invert is reported as
+NumericalFailure, never as infeasibility; a child that hits one is
+re-solved cold once.  Deterministic throughout: dense linear algebra,
+lowest-index tie-breaks, no cutting planes, no presolve beyond dropping
+empty constraints.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NUMERICAL_FAILURE = "NumericalFailure"
+
+_TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
+_REFACTOR_EVERY = 60   # simplex iterations between fresh basis inversions
 
 
 class ModelError(ValueError):
@@ -253,33 +257,39 @@ class _Standardized:
 
 
 class _Basis(NamedTuple):
-    """An LP's final state, from which a child LP starts warm.
+    """An LP's final basis, from which another LP on the same rows starts.
 
-    A_full is the constraint matrix with the artificial columns of the
-    cold solve it descends from; x holds every variable's value, and only
-    the nonbasic ones are read back (the basic ones are recomputed).
+    A_full is the constraint matrix with its artificial columns.  No
+    values are kept: every start puts each nonbasic variable at the bound
+    its reduced cost favours and recomputes the basic ones.
     """
     A_full: np.ndarray
     basis: np.ndarray
-    x: np.ndarray
 
 
-def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
-             slack_of_row=None, warm=None):
-    """Bounded-variable simplex: cold two-phase primal, or warm dual.
+def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
+    """Bounded dual simplex, from the slack basis or from a given one.
 
-    Cold (warm=None): rows whose slack can absorb the start residual enter
-    the basis on the slack; only the remaining rows get artificials, and
-    phase 1 is skipped entirely when none are needed.  Entering rule: most
-    violated reduced cost with lowest-index tie-break, switching to
-    Bland's rule after a stall to guarantee termination.
+    Every row has an artificial column, fixed at [0, 0].  Cold
+    (warm=None), each row starts on its slack, or on its artificial when
+    it has none (equality rows, or every row when slack_of_row is None),
+    so the basis matrix is the identity.  Warm (warm=a _Basis), that basis
+    is inverted afresh.  Each nonbasic variable sits at the bound its
+    reduced cost favours.
 
-    Warm (warm=a parent's _Basis): the parent's basis is inverted afresh
-    and, being dual feasible for any change of bounds, re-optimized by a
-    bounded dual simplex.  Leaving row: largest bound violation; entering
-    column: dual ratio test over movable nonbasic columns (a free one
-    counts as ratio 0), ties to the largest pivot and then the lowest
-    index; lowest-index rules after a stall.  Artificials stay at [0, 0].
+    If that leaves a reduced cost of the wrong sign for a variable with no
+    such bound, phase 1 solves the auxiliary problem min c x, A x = 0,
+    with free columns in [-1, 1], lower-bounded ones in [0, 1],
+    upper-bounded ones in [-1, 0] and boxed ones in [0, 0] (Koberstein &
+    Suhl, Comput. Optim. Appl. 37, 2007).  At its optimum, no wrong sign
+    left means a dual-feasible basis for phase 2; otherwise the LP is dual
+    infeasible, and a run at zero cost tells Unbounded (the rows are
+    feasible) from Infeasible.
+
+    Each pivot: leaving row the largest bound violation; entering column
+    by the dual ratio test over movable nonbasic columns (a free one counts
+    as ratio 0), ties to the largest pivot and then the lowest index;
+    lowest-index rules after a stall.  Artificials never enter.
 
     Returns (status, x, objective, iterations, basis); basis is the final
     _Basis when Optimal, else None.  A basis that fails to invert gives
@@ -288,55 +298,23 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
     m, n = A.shape
     if np.any(lb > ub):
         return INFEASIBLE, None, INF, 0, None
-    if m == 0:
-        # Bound-only problem: each variable sits at its cheaper bound.
-        x = np.where(c > 0, lb, np.where(c < 0, ub, 0.0))
-        x = np.where(np.isfinite(x), x, np.where(np.isfinite(lb), lb,
-                     np.where(np.isfinite(ub), ub, 0.0)))
-        if np.any((c > 0) & ~np.isfinite(lb)) or np.any((c < 0) & ~np.isfinite(ub)):
-            return UNBOUNDED, None, -INF, 0, None
-        return OPTIMAL, x, float(c @ x), 0, None
-
-    n_tot = n + m
-    c_phase2 = np.concatenate([c, np.zeros(m)])
-    lb_full = np.concatenate([lb, np.zeros(m)])
+    cost = np.concatenate([c, np.zeros(m)])
+    lo = np.concatenate([lb, np.zeros(m)])
+    hi = np.concatenate([ub, np.zeros(m)])
+    b = rhs
+    x_full = np.zeros(n + m)
     if warm is None:
-        # Nonbasic start values: finite lower bound, else upper, free vars at 0.
-        x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        resid = rhs - A @ x
-
-        # Crash: a row whose slack bounds admit the start residual is based
-        # on the slack; every other row gets a signed artificial.
-        crash = np.full(m, -1, dtype=int)
+        A_full = np.hstack([A, np.eye(m)])
+        basis = n + np.arange(m)
         if slack_of_row is not None:
-            for r in range(m):
-                s = slack_of_row[r]
-                if s >= 0 and lb[s] - tol <= resid[r] <= ub[s] + tol:
-                    crash[r] = s
-
-        art_sign = np.where(resid >= 0, 1.0, -1.0)
-        A_full = np.hstack([A, np.zeros((m, m))])
-        A_full[np.arange(m), n + np.arange(m)] = art_sign
-        ub_full = np.concatenate([ub, np.where(crash >= 0, 0.0, INF)])
-        x_full = np.concatenate([x, np.where(crash >= 0, 0.0, np.abs(resid))])
-        c_phase1 = np.concatenate([np.zeros(n), np.where(crash >= 0, 0.0, 1.0)])
-
-        basis = np.where(crash >= 0, crash, n + np.arange(m))
-        x_full[basis[crash >= 0]] = np.clip(resid[crash >= 0],
-                                            lb_full[basis[crash >= 0]],
-                                            ub_full[basis[crash >= 0]])
-        # Both slack and artificial columns are unit vectors in their own
-        # row, so the crash basis inverse stays diagonal.
-        Binv = np.diag(np.where(crash >= 0, 1.0, art_sign))
+            basis = np.where(slack_of_row >= 0, slack_of_row, basis)
+        Binv = np.eye(m)
     else:
         A_full = warm.A_full
-        ub_full = np.concatenate([ub, np.zeros(m)])
         basis = warm.basis.copy()
-        x_full = np.clip(warm.x, lb_full, ub_full)
         Binv = None
-    in_basis = np.zeros(n_tot, dtype=bool)
+    in_basis = np.zeros(n + m, dtype=bool)
     in_basis[basis] = True
-
     total_iters = 0
 
     def invert():
@@ -349,14 +327,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
 
     def basic_values():
         nb = ~in_basis
-        x_full[basis] = Binv @ (rhs - A_full[:, nb] @ x_full[nb])
-
-    def refactor():
-        """Invert the basis afresh and recompute the basic values."""
-        if not invert():
-            return False
-        basic_values()
-        return True
+        x_full[basis] = Binv @ (b - A_full[:, nb] @ x_full[nb])
 
     def pivot(leave_pos, enter, w):
         """Basis change: column `enter` replaces row leave_pos's variable."""
@@ -368,132 +339,70 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
         Binv[...] -= w[:, None] * piv_row[None, :]
         Binv[leave_pos] = piv_row
 
-    def nonbasic_position():
-        at_lb = np.isfinite(lb_full) & (x_full <= lb_full + 1e-9)
-        at_ub = np.isfinite(ub_full) & (x_full >= ub_full - 1e-9)
-        return at_lb, at_ub, ~at_lb & ~at_ub
+    def reduced_costs(cost):
+        return cost[:n] - (cost[basis] @ Binv) @ A
 
-    def run_phase(cost, iter_budget, n_price):
-        """Primal simplex.  n_price: only columns < n_price may enter
-        (excludes artificials in phase 2)."""
+    def dual_infeasible(d):
+        """Some nonbasic reduced cost asks for a bound the variable lacks."""
+        wrong = (((d < -_TOL) & ~np.isfinite(hi[:n]))
+                 | ((d > _TOL) & ~np.isfinite(lo[:n])))
+        return bool(np.any(wrong & ~in_basis[:n]))
+
+    def start(d):
+        """Nonbasics at the bounds d favours (free ones at 0), then the
+        basic values."""
+        at_lo = np.isfinite(lo[:n]) & ((d >= -_TOL) | ~np.isfinite(hi[:n]))
+        nb = ~in_basis[:n]
+        x_full[:n][nb] = np.where(at_lo, lo[:n],
+                                  np.where(np.isfinite(hi[:n]), hi[:n], 0.0))[nb]
+        basic_values()
+
+    def run_dual(cost, iter_budget):
+        """Dual simplex iterations from a dual-feasible basis."""
         nonlocal total_iters
         stall = 0
         iters_here = 0
+        movable = (hi[:n] - lo[:n]) > 1e-12
         while True:
             if iters_here >= iter_budget:
                 return ITERATION_LIMIT
             iters_here += 1
             total_iters += 1
-            if total_iters % refactor_every == 0 and not refactor():
-                return NUMERICAL_FAILURE
-
-            y = cost[basis] @ Binv
-            d = cost - y @ A_full  # reduced costs (basic entries ~ 0)
-
-            at_lb, at_ub, free = nonbasic_position()
-            eligible = ~in_basis
-            eligible[n_price:] = False
-            eligible &= (ub_full - lb_full) > 1e-12  # fixed vars cannot move
-            can_inc = eligible & (d < -tol) & (at_lb | free)
-            can_dec = eligible & (d > tol) & (at_ub | free)
-            score = np.where(can_inc, -d, np.where(can_dec, d, -INF))
-            if stall > 2 * m + 20:
-                candidates = np.flatnonzero(score > tol)
-                if candidates.size == 0:
-                    return OPTIMAL
-                enter = int(candidates[0])      # Bland's rule
-            else:
-                enter = int(np.argmax(score))   # first max = lowest index
-                if score[enter] <= tol:
-                    return OPTIMAL
-            direction = 1.0 if can_inc[enter] else -1.0
-
-            w = Binv @ A_full[:, enter]
-            # Max step before a basic variable hits a bound, or the
-            # entering variable flips to its opposite bound.
-            delta = direction * w
-            xB = x_full[basis]
-            limit = np.full(m, INF)
-            bound_hit = np.zeros(m)
-            dec = delta > tol   # basic value decreases toward its lb
-            inc = delta < -tol  # basic value increases toward its ub
-            limit[dec] = xB[dec] - lb_full[basis[dec]]
-            bound_hit[dec] = lb_full[basis[dec]]
-            limit[inc] = ub_full[basis[inc]] - xB[inc]
-            bound_hit[inc] = ub_full[basis[inc]]
-            ratio = np.where(np.isfinite(limit),
-                             np.maximum(limit, 0.0) / np.abs(delta), INF)
-            flip = (ub_full[enter] - lb_full[enter]
-                    if np.isfinite(ub_full[enter]) and np.isfinite(lb_full[enter])
-                    else INF)
-            t_min = min(float(np.min(ratio)), flip)
-            if not np.isfinite(t_min):
-                return UNBOUNDED
-
-            leave_pos = -1
-            if t_min < flip - tol or np.any(ratio <= t_min + tol):
-                ties = np.flatnonzero(ratio <= t_min + tol)
-                if ties.size:
-                    leave_pos = int(ties[np.argmin(basis[ties])])
-                    t_min = float(ratio[leave_pos])
-
-            improved = t_min * abs(d[enter]) > tol
-            x_full[enter] += direction * t_min
-            x_full[basis] -= t_min * delta
-            if leave_pos >= 0:
-                x_full[basis[leave_pos]] = bound_hit[leave_pos]  # snap roundoff
-                pivot(leave_pos, enter, w)
-            # else: bound flip, basis unchanged
-
-            stall = 0 if improved else stall + 1
-
-    def run_dual(iter_budget):
-        """Bounded dual simplex from a dual-feasible basis; phase-2 costs,
-        artificials never enter."""
-        nonlocal total_iters
-        stall = 0
-        iters_here = 0
-        movable = (ub_full[:n] - lb_full[:n]) > 1e-12
-        while True:
-            if iters_here >= iter_budget:
-                return ITERATION_LIMIT
-            iters_here += 1
-            total_iters += 1
-            if total_iters % refactor_every == 0 and not refactor():
-                return NUMERICAL_FAILURE
+            if total_iters % _REFACTOR_EVERY == 0:
+                if not invert():
+                    return NUMERICAL_FAILURE
+                basic_values()
 
             xB = x_full[basis]
-            below = lb_full[basis] - xB
-            viol = np.maximum(below, xB - ub_full[basis])
+            below = lo[basis] - xB
+            viol = np.maximum(below, xB - hi[basis])
+            rows = np.flatnonzero(viol > _TOL)
+            if rows.size == 0:
+                return OPTIMAL
             bland = stall > 2 * m + 20
-            if bland:
-                rows = np.flatnonzero(viol > tol)
-                if rows.size == 0:
-                    return OPTIMAL
-                r = int(rows[np.argmin(basis[rows])])
-            else:
-                r = int(np.argmax(viol))
-                if viol[r] <= tol:
-                    return OPTIMAL
+            r = int(rows[np.argmin(basis[rows])] if bland
+                    else rows[np.argmax(viol[rows])])
             up = below[r] > 0   # the leaving variable rises to its lb
-            target = lb_full[basis[r]] if up else ub_full[basis[r]]
+            target = lo[basis[r]] if up else hi[basis[r]]
 
-            y = c_phase2[basis] @ Binv
-            d = c - y @ A
+            d = reduced_costs(cost)
             alpha = Binv[r] @ A
             # g_j > 0: raising x_j moves the leaving variable toward target.
             g = alpha if not up else -alpha
-            at_lb, at_ub, free = nonbasic_position()
+            x = x_full[:n]
+            at_lb = np.isfinite(lo[:n]) & (x <= lo[:n] + 1e-9)
+            at_ub = np.isfinite(hi[:n]) & (x >= hi[:n] - 1e-9)
+            free = ~at_lb & ~at_ub
             eligible = movable & ~in_basis[:n]
-            can_inc = eligible & (g > tol) & (at_lb[:n] | free[:n])
-            can_dec = eligible & (g < -tol) & (at_ub[:n] | free[:n])
+            can_inc = eligible & (g > _TOL) & (at_lb | free)
+            can_dec = eligible & (g < -_TOL) & (at_ub | free)
             cand = can_inc | can_dec
             if not cand.any():
                 return INFEASIBLE  # the row proves the bounds inconsistent
             # Dual room: how far each reduced cost may move before it
             # changes sign; a free column has none.
             room = np.maximum(np.where(can_inc, d, -d), 0.0)
-            room[free[:n]] = 0.0
+            room[free] = 0.0
             ratio = np.full(n, INF)
             ratio[cand] = room[cand] / np.abs(g[cand])
             r_min = float(np.min(ratio))
@@ -502,45 +411,46 @@ def _simplex(A, rhs, c, lb, ub, max_iters, tol=1e-9, refactor_every=60,
 
             w = Binv @ A_full[:, enter]
             step = (xB[r] - target) / w[r]
-            improved = r_min * viol[r] > tol
+            improved = r_min * viol[r] > _TOL
             x_full[enter] += step
             x_full[basis] -= step * w
             x_full[basis[r]] = target  # snap roundoff
             pivot(r, enter, w)
             stall = 0 if improved else stall + 1
 
-    if warm is None:
-        if np.any(crash < 0):
-            status = run_phase(c_phase1, max_iters, n_tot)
-            if status != OPTIMAL:
-                if status == UNBOUNDED:  # impossible in exact arithmetic
-                    status = NUMERICAL_FAILURE
-                return status, None, INF, total_iters, None
-            phase1_obj = float(c_phase1 @ x_full)
-            if phase1_obj > 1e-7:
-                return INFEASIBLE, None, INF, total_iters, None
-
-        # Pin artificials to zero for phase 2 (they may linger in the basis
-        # at value 0; the bounds keep them there).
-        ub_full[n:] = 0.0
-        x_full[n:] = np.minimum(x_full[n:], 0.0)
-        x_full[n:] = np.maximum(x_full[n:], 0.0)
-        status = run_phase(c_phase2, max_iters - total_iters, n)
-    elif not invert():
-        status = NUMERICAL_FAILURE
-    else:
-        # As in the cold start, a nonbasic variable sits at its lower bound
-        # unless its reduced cost keeps it at the upper one; this also
-        # keeps the basis dual feasible.
-        d = c - (c_phase2[basis] @ Binv) @ A
-        to_lb = ~in_basis[:n] & np.isfinite(lb) & (x_full[:n] > lb) & (d > -tol)
-        x_full[:n][to_lb] = lb[to_lb]
-        basic_values()
-        status = run_dual(max_iters)
-    if status != OPTIMAL:
+    def failed(status):
         return status, None, -INF if status == UNBOUNDED else INF, total_iters, None
+
+    if warm is not None and not invert():
+        return failed(NUMERICAL_FAILURE)
+    d = reduced_costs(cost)
+    if dual_infeasible(d):
+        # Phase 1 on the auxiliary problem: every variable boxed, so the
+        # start is dual feasible; its optimum is minus the sum of the dual
+        # infeasibilities left.
+        lo[:n] = np.where(np.isfinite(lb), 0.0, -1.0)
+        hi[:n] = np.where(np.isfinite(ub), 0.0, 1.0)
+        b = np.zeros(m)
+        start(d)
+        status = run_dual(cost, max_iters)
+        lo[:n], hi[:n], b = lb, ub, rhs
+        if status == INFEASIBLE:   # x = 0 is feasible: only roundoff says not
+            status = NUMERICAL_FAILURE
+        if status != OPTIMAL:
+            return failed(status)
+        d = reduced_costs(cost)
+        if dual_infeasible(d):
+            # Some ray lowers the cost without end: the LP is unbounded
+            # if it is feasible at all.
+            start(np.zeros(n))
+            status = run_dual(np.zeros(n + m), max_iters - total_iters)
+            return failed(UNBOUNDED if status == OPTIMAL else status)
+    start(d)
+    status = run_dual(cost, max_iters - total_iters)
+    if status != OPTIMAL:
+        return failed(status)
     xs = x_full[:n].copy()
-    return OPTIMAL, xs, float(c @ xs), total_iters, _Basis(A_full, basis, x_full)
+    return OPTIMAL, xs, float(c @ xs), total_iters, _Basis(A_full, basis)
 
 
 def solve_lp(model: MilpModel, config: SolverConfig | None = None,
@@ -655,6 +565,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
             clb[j] = fixed
             cub[j] = fixed
             status, cx, cobj, cbasis = node_lp(clb, cub, basis)
+            if status == UNBOUNDED:   # below a bounded root: only roundoff
+                status = NUMERICAL_FAILURE
             if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
                 stop = status
                 break

@@ -1,4 +1,4 @@
-"""Reachability-guided RRT plus Dijkstra waypoint extraction.
+"""Reachability-guided RRT plus waypoint extraction along the tree.
 
 Samples are steered by clipping into the parent's one-step reachable box
 (interval propagation of a point state over the whole control set); the
@@ -7,13 +7,13 @@ so every tree edge is a dynamically exact one-step transition.  The
 witness is found by a coarse grid and a Hooke-Jeeves pattern search whose
 halvings are evaluated speculatively, several step sizes per batched
 forward pass, and replayed in order, so the search returns what the
-one-round-per-pass search would, bit for bit.  Path extraction runs
-Dijkstra over the stored edges with l1 weights.
+one-round-per-pass search would, bit for bit.  Every node but the root
+has exactly one parent, so path extraction walks the goal-connecting
+node's parent chain back to the root.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,40 +227,19 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
 
 
 def shortest_path(tree: PlanTree) -> list:
-    """Dijkstra over tree edges (l1 weights) from the root to the goal.
+    """The root -> ... -> goal-connecting node waypoint list, with the goal
+    appended.
 
-    Returns the waypoint list root -> ... -> goal-connecting node, with
-    the goal appended.
+    rrt_build gives every node but the root one incoming edge, so the path
+    is the goal-connecting node's chain of ancestors, the tree's only path
+    to it.
     """
     if tree.goal is None or tree.goal_parent < 0:
         raise NoPath("tree is not goal-connected")
-    n = len(tree.nodes)
-    adj = [[] for _ in range(n)]
-    for i, j, _ in tree.edges:
-        w = float(np.sum(np.abs(tree.nodes[i] - tree.nodes[j])))
-        adj[i].append((j, w))
-    dist = [np.inf] * n
-    prev = [-1] * n
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > dist[i]:
-            continue
-        for j, w in adj[i]:
-            nd = d + w
-            if nd < dist[j]:
-                dist[j] = nd
-                prev[j] = i
-                heapq.heappush(heap, (nd, j))
-    target = tree.goal_parent
-    if not np.isfinite(dist[target]):
+    parent = {j: i for i, j, _ in tree.edges}
+    order = [tree.goal_parent]
+    while order[-1] in parent and len(order) <= len(tree.nodes):
+        order.append(parent[order[-1]])
+    if order[-1] != 0:
         raise NoPath("goal-connecting node unreachable from the root")
-    order = []
-    i = target
-    while i != -1:
-        order.append(i)
-        i = prev[i]
-    order.reverse()
-    return [tree.nodes[i] for i in order] + [tree.goal]
-
+    return [tree.nodes[i] for i in reversed(order)] + [tree.goal]

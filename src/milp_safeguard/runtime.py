@@ -123,7 +123,6 @@ class StepRecord:
 class TrajectoryLog:
     steps: list = field(default_factory=list)
     status: str = STEP_LIMIT
-    waypoints: list = field(default_factory=list)
 
     def safety_violations(self, unsafe: UnsafeRegion,
                           tol: float = _MEMBER_TOL) -> list:
@@ -216,7 +215,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
     goal = waypoints[-1]
     rng = np.random.default_rng(s.seed)
-    log = TrajectoryLog(waypoints=list(waypoints))
+    log = TrajectoryLog()
     x = np.asarray(s.x0, dtype=float)
 
     for k in range(s.max_steps):

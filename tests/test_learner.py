@@ -26,7 +26,7 @@ ROBOT = RobotPlant(eps_x=np.zeros(2))
 def test_dataset_rejects_ragged():
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((3, 2)), u=np.zeros((2, 2)),
-                x_next=np.zeros((3, 2)), X=X2, U=U2)
+                x_next=np.zeros((3, 2)))
 
 
 def test_sample_dataset_supervision_is_exact():

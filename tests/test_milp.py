@@ -204,8 +204,9 @@ def test_iteration_limit_reported():
 
 
 def test_beale_cycling_lp_terminates():
-    # Beale's LP cycles under the most-negative reduced cost rule; the
-    # primal simplex must leave the stall through its Bland fallback.
+    # Beale's LP cycles under the primal most-negative reduced cost rule.
+    # Its slack basis is dual infeasible (x0 and x2 have negative costs and
+    # no upper bound), so the dual simplex reaches it through phase 1.
     b = ModelBuilder()
     x = [b.add_continuous(0.0, INF, f"x{i}") for i in range(4)]
     b.add_constraint({x[0]: 0.25, x[1]: -8.0, x[2]: -1.0, x[3]: 9.0}, LE, 0.0)
@@ -216,9 +217,17 @@ def test_beale_cycling_lp_terminates():
     assert r.status == OPTIMAL
     assert abs(r.objective_value + 1.25) < 1e-9
     assert np.allclose(r.x, [1.0, 0.0, 1.0, 0.0])
-    # More degenerate pivots than the stall limit (2 m + 20, m = 3 rows):
-    # the Bland fallback ran.
-    assert r.iterations > 2 * 3 + 20
+
+
+def test_dual_infeasible_lp_with_infeasible_rows_is_infeasible():
+    # min -x, x >= 0, x <= -1: the cost ray x -> inf makes the slack basis
+    # dual infeasible, but no point satisfies the row, so the LP is
+    # infeasible rather than unbounded.
+    b = ModelBuilder()
+    x = b.add_continuous(0.0, INF, "x")
+    b.add_constraint({x: 1.0}, LE, -1.0)
+    b.set_objective({x: -1.0})
+    assert solve_lp(b.build()).status == INFEASIBLE
 
 
 def _odd_cycle_partitioning():
@@ -277,8 +286,9 @@ def test_singular_warm_basis_resolves_cold(monkeypatch):
 
 
 def test_singular_basis_is_numerical_failure(monkeypatch):
-    # A chain of 80 equality rows needs 80 phase-1 pivots, past the first
-    # refactorization (every 60 iterations), where the inverse fails.
+    # A chain of 80 equality rows starts on 80 artificials, each of which
+    # leaves the basis in its own pivot, past the first refactorization
+    # (every 60 iterations), where the inverse fails.
     b = ModelBuilder()
     x = [b.add_continuous(-INF, INF, f"x{i}") for i in range(81)]
     b.add_constraint({x[0]: 1.0}, EQ, 0.0)
@@ -291,6 +301,22 @@ def test_singular_basis_is_numerical_failure(monkeypatch):
     assert solve(m).status == OPTIMAL
     _singular(monkeypatch)
     assert solve_lp(m).status == NUMERICAL_FAILURE
+    sol = solve(m)
+    assert sol.status == NUMERICAL_FAILURE
+    assert sol.values is None
+
+
+def test_unbounded_child_is_numerical_failure(monkeypatch):
+    # A child's region lies inside its bounded root's, so an unbounded
+    # child can only come from roundoff; it must not be pruned silently.
+    m, _ = _odd_cycle_partitioning()
+    inner = milp._simplex
+
+    def unbounded_children(*args, warm=None, **kwargs):
+        r = inner(*args, warm=warm, **kwargs)
+        return r if warm is None else (UNBOUNDED, None, -INF, r[3], None)
+
+    monkeypatch.setattr(milp, "_simplex", unbounded_children)
     sol = solve(m)
     assert sol.status == NUMERICAL_FAILURE
     assert sol.values is None

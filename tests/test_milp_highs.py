@@ -1,11 +1,14 @@
-"""Differential tests of milp.solve against HiGHS (scipy.optimize.milp).
+"""Differential tests of milp.solve and milp.solve_lp against HiGHS.
 
 scipy is a test-only dependency: the whole module is skipped without it.
-HiGHS runs with a 1e-12 relative gap; statuses must agree and optimal
-objectives match within 1e-6 * max(1, |obj|), the solver's own default
-relative gap.  The instances are random MILPs with 20-30 binaries (more
-than enumeration can check), and tracking MILPs of the robot maze and of
-the vehicle corridor's committed net.
+Statuses must agree and optimal objectives match within
+1e-6 * max(1, |obj|), the solver's own default relative gap.  The MILPs
+(scipy.optimize.milp, 1e-12 relative gap) are random ones with 20-30
+binaries (more than enumeration can check), and tracking MILPs of the
+robot maze and of the vehicle corridor's committed net.  The LPs
+(scipy.optimize.linprog, presolve off) are random ones with boxed,
+lower-bounded, upper-bounded and free columns, so that they reach the
+simplex's phase 1 and its Unbounded status.
 """
 
 import csv
@@ -21,18 +24,21 @@ from milp_safeguard.encoder import InfeasibleMeasurement, build_tracking_model  
 from milp_safeguard.milp import (  # noqa: E402
     EQ,
     GE,
+    INF,
     INFEASIBLE,
     LE,
     OPTIMAL,
+    UNBOUNDED,
     ModelBuilder,
     solve,
+    solve_lp,
 )
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def highs(model):
-    """(status, objective) of the model under HiGHS."""
+def dense_rows(model):
+    """(A, lo, hi): the constraints as lo <= A x <= hi."""
     A = np.zeros((len(model.constraints), model.num_vars))
     lo = np.full(len(model.constraints), -np.inf)
     hi = np.full(len(model.constraints), np.inf)
@@ -42,6 +48,12 @@ def highs(model):
             lo[r] = c.rhs
         if c.rel != GE:
             hi[r] = c.rhs
+    return A, lo, hi
+
+
+def highs(model):
+    """(status, objective) of the model under HiGHS."""
+    A, lo, hi = dense_rows(model)
     res = scipy_optimize.milp(
         model.objective, integrality=model.is_binary.astype(int),
         bounds=scipy_optimize.Bounds(model.lb, model.ub),
@@ -90,6 +102,64 @@ def test_random_milps_match_highs():
     rng = np.random.default_rng(0)
     statuses = [assert_matches_highs(random_milp(rng)).status for _ in range(20)]
     assert OPTIMAL in statuses and INFEASIBLE in statuses
+
+
+def highs_lp(model):
+    """(status, objective) of the model's LP relaxation under HiGHS."""
+    A, lo, hi = dense_rows(model)
+    eq = lo == hi
+    A_ub = np.vstack([A[np.isfinite(hi) & ~eq], -A[np.isfinite(lo) & ~eq]])
+    b_ub = np.concatenate([hi[np.isfinite(hi) & ~eq], -lo[np.isfinite(lo) & ~eq]])
+    res = scipy_optimize.linprog(
+        model.objective, A_ub=A_ub if len(b_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
+        bounds=list(zip(model.lb, model.ub)), method="highs",
+        options={"presolve": False})
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(
+        res.status, f"highs:{res.status}")
+    return status, (res.fun if res.status == 0 else None)
+
+
+def random_lp(rng):
+    """2-8 columns, each boxed, lower-bounded, upper-bounded or free, with
+    costs of both signs.  Rows are satisfied by a random point within the
+    column bounds, with slack, except for one in four whose right-hand side
+    is random."""
+    b = ModelBuilder()
+    cols, point = [], []
+    for _ in range(int(rng.integers(2, 9))):
+        lo, hi = sorted(np.round(rng.uniform(-3.0, 3.0, 2), 1))
+        kind = int(rng.choice(4, p=[0.5, 0.2, 0.2, 0.1]))
+        cols.append(b.add_continuous(lo if kind in (0, 1) else -INF,
+                                     hi if kind in (0, 2) else INF))
+        point.append(rng.uniform(lo, hi))
+    for _ in range(int(rng.integers(1, 7))):
+        coef = {j: float(rng.integers(-3, 4)) for j in cols if rng.random() < 0.6}
+        rel = (LE, GE, EQ)[int(rng.choice(3, p=[0.4, 0.4, 0.2]))]
+        lhs = sum(v * point[j] for j, v in coef.items())
+        sign = 1.0 if rel == LE else -1.0 if rel == GE else 0.0
+        rhs = round(lhs + sign * float(rng.uniform(0.0, 2.0)), 2)
+        if rng.random() < 0.25:
+            rhs = float(rng.integers(-5, 6))
+        b.add_constraint(coef, rel, rhs)
+    b.set_objective({j: float(np.round(rng.uniform(-3.0, 3.0), 1)) for j in cols})
+    return b.build()
+
+
+def test_random_lps_match_highs():
+    rng = np.random.default_rng(0)
+    statuses = []
+    for _ in range(200):
+        model = random_lp(rng)
+        r = solve_lp(model)
+        status, obj = highs_lp(model)
+        assert r.status == status
+        if status == OPTIMAL:
+            assert abs(r.objective_value - obj) <= 1e-6 * max(1.0, abs(obj))
+            assert model.constraint_violation(r.x) <= 1e-6
+        statuses.append(status)
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= set(statuses)
 
 
 def tracking_models(scenario, pairs):

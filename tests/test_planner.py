@@ -260,62 +260,49 @@ def test_shortest_path_follows_chain():
                        [[0, 0], [0.2, 0], [0.4, 0], [0.6, 0]])
 
 
-def test_shortest_path_prefers_cheaper_branch():
-    # Diamond: root -> 1 -> 3 is shorter than root -> 2 -> 3.
+def test_shortest_path_takes_the_goal_branch():
+    # Root -> 1 -> 3 and root -> 2: the goal hangs off node 3, so node 2's
+    # branch, nearer the goal as it is, stays off the path.
     tree = PlanTree()
-    tree.add_node([0.0, 0.0])
-    tree.add_node([0.1, 0.0])
-    tree.add_node([0.0, 0.9])
-    tree.add_node([0.2, 0.0])
+    for p in ([0.0, 0.0], [0.0, 0.9], [0.25, 0.0], [0.2, 0.5]):
+        tree.add_node(p)
     tree.add_edge(0, 1, np.zeros(2))
     tree.add_edge(0, 2, np.zeros(2))
     tree.add_edge(1, 3, np.zeros(2))
-    tree.add_edge(2, 3, np.zeros(2))
     tree.goal = np.array([0.3, 0.0])
     tree.goal_parent = 3
     path = shortest_path(tree)
-    assert np.allclose(np.array(path),
-                       [[0, 0], [0.1, 0], [0.2, 0], [0.3, 0]])
+    assert np.array_equal(np.array(path),
+                          [[0, 0], [0, 0.9], [0.2, 0.5], [0.3, 0]])
 
 
-def _dfs_shortest(adj, n, target):
-    """Brute-force shortest root-to-target distance over all simple paths."""
-    best = [np.inf]
-
-    def go(i, d, seen):
-        if d >= best[0]:
-            return
-        if i == target:
-            best[0] = d
-            return
-        for j, w in adj[i]:
-            if j not in seen:
-                go(j, d + w, seen | {j})
-
-    go(0, 0.0, {0})
-    return best[0]
-
-
-def test_shortest_path_matches_enumeration_on_random_dags():
+def test_shortest_path_is_the_ancestor_chain_on_random_trees():
+    # Random trees grown as rrt_build grows them: each new node hangs off
+    # one earlier node.  The path to any node is its chain of ancestors.
     rng = np.random.default_rng(11)
     for _ in range(20):
-        n = int(rng.integers(4, 12))
+        n = int(rng.integers(2, 30))
         tree = PlanTree()
-        pts = rng.uniform(0, 1, size=(n, 2))
-        for p in pts:
-            tree.add_node(p)
-        adj = [[] for _ in range(n)]
+        tree.add_node(rng.uniform(0, 1, 2))
+        parents = [-1]
         for j in range(1, n):
-            parents = rng.choice(j, size=min(j, 2), replace=False)
-            for i in parents:
-                tree.add_edge(int(i), j, np.zeros(2))
-                w = float(np.sum(np.abs(pts[i] - pts[j])))
-                adj[int(i)].append((j, w))
-        target = n - 1
-        tree.goal = pts[target] + 0.01
+            parents.append(int(rng.integers(0, j)))
+            tree.add_node(rng.uniform(0, 1, 2))
+            tree.add_edge(parents[j], j, np.zeros(2))
+        target = int(rng.integers(0, n))
+        chain = [target]
+        while parents[chain[-1]] >= 0:
+            chain.append(parents[chain[-1]])
+        tree.goal = tree.nodes[target] + 0.01
         tree.goal_parent = target
         path = shortest_path(tree)
-        got = sum(float(np.sum(np.abs(a - b)))
-                  for a, b in zip(path[:-2], path[1:-1]))
-        assert abs(got - _dfs_shortest(adj, n, target)) < 1e-12
+        assert len(path) == len(chain) + 1
+        assert all(a is tree.nodes[i] for a, i in zip(path, chain[::-1]))
+        assert path[-1] is tree.goal
 
+
+def test_shortest_path_requires_a_chain_to_the_root():
+    tree = _chain_tree([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]], [0.6, 0.0])
+    tree.edges.pop(0)   # node 1 loses its parent
+    with pytest.raises(NoPath):
+        shortest_path(tree)
