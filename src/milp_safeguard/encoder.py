@@ -107,6 +107,9 @@ class ControlDecision:
     nn_out_box: Hypercube
     safe_box: Hypercube
     cost: float
+    # The MILP's root basis, for solve_tracking(..., warm=) at the next
+    # control step.
+    root_basis: object = field(default=None, repr=False, compare=False)
 
 
 def control_big_m(p: TrackingProblem) -> np.ndarray:
@@ -307,11 +310,15 @@ def _extract_box(values, lo_vars, hi_vars) -> Hypercube:
 
 
 def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
-                   fix_u=None) -> ControlDecision:
-    """Solve the robust tracking MILP and extract the control decision."""
+                   fix_u=None, warm=None) -> ControlDecision:
+    """Solve the robust tracking MILP and extract the control decision.
+
+    warm is a previous decision's root_basis: the MILP's root LP starts
+    from it when the two models share their constraint matrix.
+    """
     cfg = cfg or SolverConfig()
     model, h = build_tracking_model(p, fix_u=fix_u)
-    sol = milp.solve(model, cfg)
+    sol = milp.solve(model, cfg, warm=warm)
     if sol.status == milp.INFEASIBLE:
         raise SolverInfeasible("no robustly safe control exists for this step")
     if sol.status == milp.NUMERICAL_FAILURE:
@@ -329,6 +336,7 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
         nn_out_box=nn_out_box,
         safe_box=safe_box,
         cost=float(sol.objective_value),
+        root_basis=sol.root_basis,
     )
     _check_decision(p, decision)
     return decision

@@ -1,13 +1,20 @@
 """Self-contained mixed-integer linear programming layer.
 
 Model building, and best-first branch-and-bound over binary variables on
-one LP algorithm, a bounded dual simplex.  The root LP starts cold from
-the slack basis, with an auxiliary-problem phase 1 when that basis is not
-dual feasible; every child, which differs from its parent only by one
-fixed binary, starts warm from the parent's optimal basis, usually a few
-pivots from its optimum.  A basis that fails to invert is reported as
-NumericalFailure, never as infeasibility; a child that hits one is
-re-solved cold once.  Deterministic throughout: dense linear algebra,
+one LP algorithm, a bounded dual simplex.  The root LP starts warm from a
+previous solve's root basis when the caller hands one over and the
+standardized constraint matrix is the same, value for value (a control
+loop's consecutive tracking models differ only in bounds and right-hand
+sides); otherwise it starts cold from the slack basis, with an
+auxiliary-problem phase 1 when that basis is not dual feasible.  Every
+child, which differs from its parent only by one fixed binary, starts
+from a copy of its parent's final basis inverse, usually a few pivots
+from its optimum; the inverse is refreshed after a fixed number of basis
+updates counted down the chain since its last fresh inversion.  Reduced
+costs are formed once per LP and then updated by each pivot row.  A basis
+that fails to invert is reported as NumericalFailure, never as
+infeasibility; a warm LP that hits one is re-solved cold once.
+Deterministic throughout: no state outlives a call, dense linear algebra,
 lowest-index tie-breaks, no cutting planes, no presolve beyond dropping
 empty constraints.
 """
@@ -33,7 +40,7 @@ ITERATION_LIMIT = "IterationLimit"
 NUMERICAL_FAILURE = "NumericalFailure"
 
 _TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
-_REFACTOR_EVERY = 60   # simplex iterations between fresh basis inversions
+_REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
 
 
 class ModelError(ValueError):
@@ -199,6 +206,10 @@ class MilpSolution:
     values: np.ndarray | None
     objective_value: float
     stats: dict = field(default_factory=dict)
+    # The root LP's optimal basis, for the next solve(..., warm=) on a
+    # model with the same constraint matrix; None if the root was not
+    # Optimal.
+    root_basis: "_Basis | None" = field(default=None, repr=False, compare=False)
 
     def value(self, var: int) -> float:
         return float(self.values[var])
@@ -259,23 +270,31 @@ class _Standardized:
 class _Basis(NamedTuple):
     """An LP's final basis, from which another LP on the same rows starts.
 
-    A_full is the constraint matrix with its artificial columns.  No
-    values are kept: every start puts each nonbasic variable at the bound
-    its reduced cost favours and recomputes the basic ones.
+    A_full is the constraint matrix with its artificial columns.  Binv,
+    when kept, is the basis inverse as the LP left it, and `updates` the
+    basis changes applied to it since its last fresh inversion; a start
+    from it works on a copy instead of inverting.  No values are kept:
+    every start puts each nonbasic variable at the bound its reduced cost
+    favours and recomputes the basic ones.
     """
     A_full: np.ndarray
     basis: np.ndarray
+    Binv: np.ndarray | None = None
+    updates: int = 0
 
 
-def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
+def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
+             stats=None):
     """Bounded dual simplex, from the slack basis or from a given one.
 
     Every row has an artificial column, fixed at [0, 0].  Cold
     (warm=None), each row starts on its slack, or on its artificial when
     it has none (equality rows, or every row when slack_of_row is None),
-    so the basis matrix is the identity.  Warm (warm=a _Basis), that basis
-    is inverted afresh.  Each nonbasic variable sits at the bound its
-    reduced cost favours.
+    so the basis matrix is the identity.  Warm (warm=a _Basis), the LP
+    starts from a copy of the basis's inverse if it keeps one (a
+    branch-and-bound child inheriting its parent's), and inverts the basis
+    afresh if not (a root starting from the previous solve's root).  Each
+    nonbasic variable sits at the bound its reduced cost favours.
 
     If that leaves a reduced cost of the wrong sign for a variable with no
     such bound, phase 1 solves the auxiliary problem min c x, A x = 0,
@@ -289,11 +308,18 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
     Each pivot: leaving row the largest bound violation; entering column
     by the dual ratio test over movable nonbasic columns (a free one counts
     as ratio 0), ties to the largest pivot and then the lowest index;
-    lowest-index rules after a stall.  Artificials never enter.
+    lowest-index rules after a stall.  Artificials never enter.  The
+    inverse takes a rank-one update per pivot and is refreshed once
+    _REFACTOR_EVERY updates have accumulated since its last fresh
+    inversion, counting those inherited with a warm basis.  The reduced
+    costs are formed once per run and updated by the pivot row the ratio
+    test already uses (Koberstein, The Dual Simplex Method, 2005), and
+    formed again after each refresh.
 
     Returns (status, x, objective, iterations, basis); basis is the final
-    _Basis when Optimal, else None.  A basis that fails to invert gives
-    NumericalFailure.
+    _Basis, with its inverse, when Optimal, else None.  A basis that fails
+    to invert gives NumericalFailure.  stats, if given, counts the
+    attempted inversions under "inversions".
     """
     m, n = A.shape
     if np.any(lb > ub):
@@ -309,20 +335,25 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
         if slack_of_row is not None:
             basis = np.where(slack_of_row >= 0, slack_of_row, basis)
         Binv = np.eye(m)
+        updates = 0
     else:
         A_full = warm.A_full
         basis = warm.basis.copy()
-        Binv = None
+        Binv = None if warm.Binv is None else warm.Binv.copy()
+        updates = warm.updates
     in_basis = np.zeros(n + m, dtype=bool)
     in_basis[basis] = True
     total_iters = 0
 
     def invert():
-        nonlocal Binv
+        nonlocal Binv, updates
+        if stats is not None:
+            stats["inversions"] += 1
         try:
             Binv = np.linalg.inv(A_full[:, basis])
         except np.linalg.LinAlgError:
             return False  # numerically singular basis
+        updates = 0
         return True
 
     def basic_values():
@@ -331,6 +362,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
 
     def pivot(leave_pos, enter, w):
         """Basis change: column `enter` replaces row leave_pos's variable."""
+        nonlocal updates
         out = basis[leave_pos]
         basis[leave_pos] = enter
         in_basis[out] = False
@@ -338,6 +370,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
         piv_row = Binv[leave_pos] / w[leave_pos]
         Binv[...] -= w[:, None] * piv_row[None, :]
         Binv[leave_pos] = piv_row
+        updates += 1
 
     def reduced_costs(cost):
         return cost[:n] - (cost[basis] @ Binv) @ A
@@ -357,8 +390,9 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
                                   np.where(np.isfinite(hi[:n]), hi[:n], 0.0))[nb]
         basic_values()
 
-    def run_dual(cost, iter_budget):
-        """Dual simplex iterations from a dual-feasible basis."""
+    def run_dual(cost, d, iter_budget):
+        """Dual simplex iterations from a dual-feasible basis whose reduced
+        costs are d (updated in place)."""
         nonlocal total_iters
         stall = 0
         iters_here = 0
@@ -368,10 +402,11 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
                 return ITERATION_LIMIT
             iters_here += 1
             total_iters += 1
-            if total_iters % _REFACTOR_EVERY == 0:
+            if updates >= _REFACTOR_EVERY:
                 if not invert():
                     return NUMERICAL_FAILURE
                 basic_values()
+                d[:] = reduced_costs(cost)
 
             xB = x_full[basis]
             below = lo[basis] - xB
@@ -385,7 +420,6 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
             up = below[r] > 0   # the leaving variable rises to its lb
             target = lo[basis[r]] if up else hi[basis[r]]
 
-            d = reduced_costs(cost)
             alpha = Binv[r] @ A
             # g_j > 0: raising x_j moves the leaving variable toward target.
             g = alpha if not up else -alpha
@@ -415,13 +449,18 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
             x_full[enter] += step
             x_full[basis] -= step * w
             x_full[basis[r]] = target  # snap roundoff
+            # The pivot row zeroes the entering reduced cost and gives the
+            # leaving variable (alpha = 1 on it) minus the dual step; basic
+            # columns are snapped back to zero.
+            d -= (d[enter] / alpha[enter]) * alpha
             pivot(r, enter, w)
+            d[in_basis[:n]] = 0.0
             stall = 0 if improved else stall + 1
 
     def failed(status):
         return status, None, -INF if status == UNBOUNDED else INF, total_iters, None
 
-    if warm is not None and not invert():
+    if Binv is None and not invert():
         return failed(NUMERICAL_FAILURE)
     d = reduced_costs(cost)
     if dual_infeasible(d):
@@ -432,7 +471,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
         hi[:n] = np.where(np.isfinite(ub), 0.0, 1.0)
         b = np.zeros(m)
         start(d)
-        status = run_dual(cost, max_iters)
+        status = run_dual(cost, d, max_iters)
         lo[:n], hi[:n], b = lb, ub, rhs
         if status == INFEASIBLE:   # x = 0 is feasible: only roundoff says not
             status = NUMERICAL_FAILURE
@@ -443,14 +482,16 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None):
             # Some ray lowers the cost without end: the LP is unbounded
             # if it is feasible at all.
             start(np.zeros(n))
-            status = run_dual(np.zeros(n + m), max_iters - total_iters)
+            status = run_dual(np.zeros(n + m), np.zeros(n),
+                              max_iters - total_iters)
             return failed(UNBOUNDED if status == OPTIMAL else status)
     start(d)
-    status = run_dual(cost, max_iters - total_iters)
+    status = run_dual(cost, d, max_iters - total_iters)
     if status != OPTIMAL:
         return failed(status)
     xs = x_full[:n].copy()
-    return OPTIMAL, xs, float(c @ xs), total_iters, _Basis(A_full, basis)
+    return (OPTIMAL, xs, float(c @ xs), total_iters,
+            _Basis(A_full, basis, Binv, updates))
 
 
 def solve_lp(model: MilpModel, config: SolverConfig | None = None,
@@ -488,13 +529,18 @@ def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> in
     return best
 
 
-def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
+def solve(model: MilpModel, config: SolverConfig | None = None,
+          warm: _Basis | None = None) -> MilpSolution:
     """Best-first branch-and-bound over the binary variables.
 
-    The root LP is solved cold; every child re-solves warm from its
-    parent's optimal basis, and once more cold if that basis fails
-    numerically.  Branches on the most-fractional binary; prunes nodes
-    whose LP bound cannot improve the incumbent beyond the relative gap.
+    The root LP starts from `warm`, a previous solution's root_basis, when
+    this model's standardized constraint matrix equals the one that basis
+    came from (same shape, same values), and cold otherwise.  Every child
+    re-solves from a copy of its parent's final basis and inverse.  A warm
+    LP whose basis fails numerically is solved once more cold.  Branches
+    on the most-fractional binary; prunes nodes whose LP bound cannot
+    improve the incumbent beyond the relative gap.  The returned solution
+    carries this root's basis for the next call.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -503,11 +549,13 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
         [model.is_binary, np.zeros(std.A.shape[1] - model.num_vars, dtype=bool)]
     )
     n = model.num_vars
-    stats = {"nodes": 0, "lp_calls": 0, "simplex_iters": 0, "cold_resolves": 0}
+    stats = {"nodes": 0, "lp_calls": 0, "simplex_iters": 0, "cold_resolves": 0,
+             "inversions": 0, "warm_root": False}
+    root_basis = None
 
     def result(status, values=None, obj=INF):
         stats["wall_time"] = time.perf_counter() - t0
-        return MilpSolution(status, values, obj, stats)
+        return MilpSolution(status, values, obj, stats, root_basis)
 
     if std.trivially_infeasible:
         return result(INFEASIBLE)
@@ -519,7 +567,7 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
         while True:
             status, x, obj, iters, basis = _simplex(
                 std.A, std.rhs, std.c, lb, ub, config.max_simplex_iters,
-                slack_of_row=std.slack_of_row, warm=warm)
+                slack_of_row=std.slack_of_row, warm=warm, stats=stats)
             stats["lp_calls"] += 1
             stats["simplex_iters"] += iters
             if status != NUMERICAL_FAILURE or warm is None:
@@ -527,15 +575,25 @@ def solve(model: MilpModel, config: SolverConfig | None = None) -> MilpSolution:
             stats["cold_resolves"] += 1
             warm = None
 
-    # Heap ordered by LP bound; the counter makes ordering deterministic.
-    counter = 0
-    heap = []
-    status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), None)
+    if warm is not None:
+        m_rows, n_cols = std.A.shape
+        same = (warm.A_full.shape == (m_rows, n_cols + m_rows)
+                and np.array_equal(warm.A_full[:, :n_cols], std.A))
+        # The root inverts afresh, so no inverse's roundoff outlives its
+        # solve.
+        warm = _Basis(warm.A_full, warm.basis) if same else None
+    status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), warm)
+    stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
     if status == UNBOUNDED:
         raise UnboundedModelError("LP relaxation is unbounded")
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
         return result(status)
+
+    # Heap ordered by LP bound; the counter makes ordering deterministic.
+    counter = 0
+    heap = []
     if status == OPTIMAL:
+        root_basis = _Basis(basis.A_full, basis.basis)
         heapq.heappush(heap, (obj, counter, std.lb.copy(), std.ub.copy(), x, basis))
         counter += 1
 

@@ -1,13 +1,14 @@
 """Closed-loop episode execution.
 
 Per step: measure, pick the first remaining waypoint as reference, solve
-the robust tracking MILP, actuate with disturbance, advance the plant,
-log.  Waypoints are dropped once the predicted safe box contains them;
-the episode ends when the box contains the goal, on infeasibility (halt,
-no fallback), on a numerical failure of the solver or a solve that hits
-its node or simplex-iteration budget (halt, each logged apart from
-infeasibility), when the state leaves the plant's admissible domain, or
-at the step limit.
+the robust tracking MILP (its root LP starting from the previous step's
+root basis; each episode starts cold), actuate with disturbance, advance
+the plant, log.  Waypoints are dropped once the predicted safe box
+contains them; the episode ends when the box contains the goal, on
+infeasibility (halt, no fallback), on a numerical failure of the solver
+or a solve that hits its node or simplex-iteration budget (halt, each
+logged apart from infeasibility), when the state leaves the plant's
+admissible domain, or at the step limit.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     rng = np.random.default_rng(s.seed)
     log = TrajectoryLog()
     x = np.asarray(s.x0, dtype=float)
+    root = None   # each step's root LP starts from the previous step's
 
     for k in range(s.max_steps):
         if not s.plant.admissible(x):
@@ -234,7 +236,8 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         x_ref = waypoints[0]
         t0 = time.perf_counter()
         try:
-            decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver)
+            decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver,
+                                      warm=root)
         except (InfeasibleMeasurement, SolverInfeasible, SolveIterationLimit,
                 SolverNumericalFailure) as exc:
             log.steps.append(StepRecord(
@@ -245,6 +248,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
             log.status = _HALT_STATUS.get(type(exc), INFEASIBLE)
             return log
         solve_ms = 1e3 * (time.perf_counter() - t0)
+        root = decision.root_basis
 
         w_u = sample_noise(s.eps_u, rng)
         u_act = np.clip(decision.u_cmd + w_u, s.U.lo, s.U.hi)

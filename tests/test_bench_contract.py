@@ -53,9 +53,12 @@ def test_milp_solve_stats_keys():
     x = b.add_binary("x")
     b.add_constraint({x: 1.0}, LE, 1.0)
     b.set_objective({x: -1.0})
-    stats = solve(b.build()).stats
+    sol = solve(b.build())
     assert {"nodes", "lp_calls", "simplex_iters", "cold_resolves",
-            "wall_time"} <= set(stats)
+            "inversions", "warm_root", "wall_time"} <= set(sol.stats)
+    assert sol.stats["warm_root"] is False
+    assert isinstance(sol.stats["inversions"], int)
+    assert solve(b.build(), warm=sol.root_basis).stats["warm_root"] is True
 
 
 def test_simplex_calls_are_the_solve_lp_calls(monkeypatch):

@@ -270,19 +270,114 @@ def _singular(monkeypatch):
     monkeypatch.setattr(milp.np.linalg, "inv", inv)
 
 
-def test_singular_warm_basis_resolves_cold(monkeypatch):
-    # Every warm start inverts its basis, so each child fails warm and is
-    # solved again cold; these LPs are too short to refactorize.
+def _without_wall_time(stats):
+    return {k: v for k, v in stats.items() if k != "wall_time"}
+
+
+def test_children_inherit_their_parents_inverse(monkeypatch):
+    # A cold root starts on the identity and every child starts from a
+    # copy of its parent's inverse; these LPs are too short to
+    # refactorize, so no basis is ever inverted.
     m, _ = _odd_cycle_partitioning()
     ref = solve(m)
+    assert ref.stats["nodes"] > 1 and ref.stats["inversions"] == 0
     _singular(monkeypatch)
     sol = solve(m)
+    assert np.array_equal(sol.values, ref.values)
+    assert _without_wall_time(sol.stats) == _without_wall_time(ref.stats)
+
+
+def test_singular_warm_root_resolves_cold(monkeypatch):
+    # A warm root inverts its basis afresh; when that fails, the root is
+    # solved once more cold and the search goes on as a cold solve.
+    m, _ = _odd_cycle_partitioning()
+    ref = solve(m)
+    assert solve(m, warm=ref.root_basis).stats["warm_root"]
+    _singular(monkeypatch)
+    sol = solve(m, warm=ref.root_basis)
     assert sol.status == OPTIMAL
     assert sol.objective_value == ref.objective_value
-    # The root is cold; every other LP is a failed warm start plus its
-    # cold re-solve.
-    assert sol.stats["cold_resolves"] > 0
-    assert sol.stats["lp_calls"] == 1 + 2 * sol.stats["cold_resolves"]
+    assert np.array_equal(sol.values, ref.values)
+    assert not sol.stats["warm_root"]
+    assert sol.stats["cold_resolves"] == 1
+    assert sol.stats["inversions"] == 1
+    assert sol.stats["lp_calls"] == ref.stats["lp_calls"] + 1
+
+
+def test_refactorization_counts_inherited_updates(monkeypatch):
+    # A start from a basis that keeps its inverse inherits that inverse's
+    # update count: it refactorizes as soon as the count reaches
+    # _REFACTOR_EVERY, however few pivots the LP itself makes.
+    m, _ = _odd_cycle_partitioning()
+    std = milp._Standardized(m)
+    lp = (std.A, std.rhs, std.c, std.lb, std.ub, 1000)
+    status, _, obj, iters, basis = milp._simplex(
+        *lp, slack_of_row=std.slack_of_row)
+    assert status == OPTIMAL and basis.updates == iters - 1 > 0
+    for every, inversions in ((basis.updates, 1), (basis.updates + 1, 0)):
+        monkeypatch.setattr(milp, "_REFACTOR_EVERY", every)
+        stats = {"inversions": 0}
+        again = milp._simplex(*lp, warm=basis, stats=stats)
+        assert again[0] == OPTIMAL and again[2] == obj
+        assert stats["inversions"] == inversions
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_frequent_refactorization_matches_enumeration(monkeypatch, every):
+    # Refactorizing after every one, two or three basis updates, counted
+    # down the branch-and-bound chain, re-forms the inherited inverses and
+    # the pivot-row reduced costs over and over.
+    monkeypatch.setattr(milp, "_REFACTOR_EVERY", every)
+    rng = np.random.default_rng(every)
+    for _ in range(25):
+        m, n_bin = _random_model(rng, int(rng.integers(2, 7)),
+                                 int(rng.integers(0, 4)), int(rng.integers(2, 8)))
+        best = _enumeration_optimum(m, n_bin)
+        cold = solve(m)
+        for sol in (cold, solve(m, warm=cold.root_basis)):
+            if np.isfinite(best):
+                assert sol.status == OPTIMAL
+                assert abs(sol.objective_value - best) < 1e-6
+            else:
+                assert sol.status == INFEASIBLE
+
+
+def test_warm_solve_is_deterministic():
+    rng = np.random.default_rng(7)
+    warm_roots = 0
+    for _ in range(20):
+        m, _ = _random_model(rng, 4, 2, 5)
+        basis = solve(m).root_basis
+        if basis is None:
+            continue
+        a, b = solve(m, warm=basis), solve(m, warm=basis)
+        assert a.status == b.status
+        assert a.objective_value == b.objective_value
+        assert (a.values is None and b.values is None) or \
+            np.array_equal(a.values, b.values)
+        assert _without_wall_time(a.stats) == _without_wall_time(b.stats)
+        warm_roots += a.stats["warm_root"]
+    assert warm_roots > 10
+
+
+def test_basis_of_another_matrix_is_ignored():
+    # Same shape, one coefficient changed: the root starts cold, exactly
+    # as without a basis.
+    m, _ = _odd_cycle_partitioning()
+    b = ModelBuilder()
+    d = [b.add_binary() for _ in range(m.num_vars)]
+    for k, c in enumerate(m.constraints):
+        coef = c.coef * (2.0 if k == 0 else 1.0)
+        b.add_constraint(dict(zip(c.idx.tolist(), coef.tolist())), c.rel, c.rhs)
+    b.set_objective({v: 1.0 for v in d})
+    other = solve(b.build())
+    assert other.root_basis is not None
+    cold, warm = solve(m), solve(m, warm=other.root_basis)
+    assert not warm.stats["warm_root"]
+    assert warm.status == cold.status
+    assert warm.objective_value == cold.objective_value
+    assert np.array_equal(warm.values, cold.values)
+    assert _without_wall_time(warm.stats) == _without_wall_time(cold.stats)
 
 
 def test_singular_basis_is_numerical_failure(monkeypatch):

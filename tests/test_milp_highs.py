@@ -5,7 +5,11 @@ Statuses must agree and optimal objectives match within
 1e-6 * max(1, |obj|), the solver's own default relative gap.  The MILPs
 (scipy.optimize.milp, 1e-12 relative gap) are random ones with 20-30
 binaries (more than enumeration can check), and tracking MILPs of the
-robot maze and of the vehicle corridor's committed net.  The LPs
+robot maze and of the vehicle corridor's committed net.  Two chains of
+tracking MILPs (the first steps of the seed-0 robot episode, and points
+along the committed corridor plan) are solved as the control loop solves
+them, each root warm from the previous model's, and must match within
+1e-7.  The LPs
 (scipy.optimize.linprog, presolve off) are random ones with boxed,
 lower-bounded, upper-bounded and free columns, so that they reach the
 simplex's phase 1 and its Unbounded status.
@@ -13,6 +17,7 @@ simplex's phase 1 and its Unbounded status.
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from milp_safeguard.milp import (  # noqa: E402
     solve,
     solve_lp,
 )
+from milp_safeguard.runtime import run_episode  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -189,18 +195,59 @@ def test_robot_tracking_matches_highs():
     assert len(statuses) >= 20 and OPTIMAL in statuses
 
 
+def committed_plan():
+    with open(os.path.join(ROOT, "bench", "scenarios", "vehicle_plan.csv")) as f:
+        return [np.array([float(v) for v in row[1:]])
+                for row in list(csv.reader(f))[1:]]
+
+
 def test_vehicle_tracking_matches_highs():
     s, _ = load_scenario(os.path.join(ROOT, "bench", "scenarios",
                                       "vehicle_corridor.yaml"))
-    with open(os.path.join(ROOT, "bench", "scenarios", "vehicle_plan.csv")) as f:
-        plan = [np.array([float(v) for v in row[1:]])
-                for row in list(csv.reader(f))[1:]]
+    plan = committed_plan()
     rng = np.random.default_rng(5)
     pairs = [(np.clip(plan[i] + rng.uniform(-s.eps_y, s.eps_y), s.X.lo, s.X.hi),
               plan[min(i + 1, len(plan) - 1)])
              for i in range(0, len(plan), 2)]
     statuses = [assert_matches_highs(m).status for m in tracking_models(s, pairs)]
     assert len(statuses) >= 10 and OPTIMAL in statuses
+
+
+def assert_warm_chain_matches_highs(models):
+    """Solve the models in order, each root warm from the previous one's,
+    and match every objective to HiGHS's within 1e-7."""
+    basis, warm_roots = None, 0
+    for model in models:
+        sol = solve(model, warm=basis)
+        status, obj = highs(model)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert abs(sol.objective_value - obj) <= 1e-7
+            assert model.constraint_violation(sol.values) <= 1e-6
+        warm_roots += sol.stats["warm_root"]
+        basis = sol.root_basis
+    return warm_roots
+
+
+def test_robot_episode_warm_chain_matches_highs():
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    log = run_episode(replace(s, max_steps=20))
+    assert len(log.steps) == 20
+    models = list(tracking_models(s, [(r.y, r.x_ref) for r in log.steps]))
+    assert len(models) == 20
+    assert assert_warm_chain_matches_highs(models) == 19
+
+
+def test_vehicle_plan_warm_chain_matches_highs():
+    s, _ = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                      "vehicle_corridor.yaml"))
+    plan = committed_plan()
+    rng = np.random.default_rng(9)
+    pairs = [(np.clip(plan[i] + rng.uniform(-s.eps_y, s.eps_y), s.X.lo, s.X.hi),
+              plan[i + 1]) for i in range(10)]
+    models = list(tracking_models(s, pairs))
+    assert len(models) == 10
+    assert assert_warm_chain_matches_highs(models) >= 5
 
 
 def test_tracking_solve_repeats_exactly():

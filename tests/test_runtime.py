@@ -1,5 +1,5 @@
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,15 +77,41 @@ def test_free_space_episode_reaches_goal():
 
 
 def test_episode_replay_is_deterministic():
+    # Each step's root LP starts from the previous step's basis; the
+    # episode starts cold, so a replay repeats every record bit for bit
+    # (all but the timing).
     s = scenario(max_steps=60)
     l1 = run_episode(s)
     l2 = run_episode(s)
     assert l1.status == l2.status
-    assert len(l1.steps) == len(l2.steps)
+    assert len(l1.steps) == len(l2.steps) > 1
     for a, b in zip(l1.steps, l2.steps):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.u_cmd, b.u_cmd)
-        assert a.cost == b.cost
+        for f in fields(StepRecord):
+            if f.name == "solve_ms":
+                continue
+            u, v = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(u, np.ndarray):
+                assert u.tobytes() == v.tobytes(), f.name
+            else:
+                assert u == v, f.name
+
+
+def test_episode_hands_each_root_basis_to_the_next_step(monkeypatch):
+    inner, calls = milp.solve, []
+
+    def traced(model, config=None, warm=None):
+        sol = inner(model, config, warm=warm)
+        calls.append((warm, sol))
+        return sol
+    monkeypatch.setattr(milp, "solve", traced)
+    log = run_episode(scenario(max_steps=60))
+    assert log.status == GOAL_REACHED and len(calls) == len(log.steps) > 1
+    assert calls[0][0] is None
+    for (_, prev), (warm, sol) in zip(calls, calls[1:]):
+        assert warm is prev.root_basis
+    # The free-space model's matrix never changes, so every later root
+    # starts warm.
+    assert all(sol.stats["warm_root"] for _, sol in calls[1:])
 
 
 def test_obstacle_episode_stays_clear():
