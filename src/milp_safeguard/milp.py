@@ -5,18 +5,18 @@ one LP algorithm, a bounded dual simplex.  The root LP starts warm from a
 previous solve's root basis when the caller hands one over and the
 standardized constraint matrix is the same, value for value (a control
 loop's consecutive tracking models differ only in bounds and right-hand
-sides); otherwise it starts cold from the slack basis, with an
-auxiliary-problem phase 1 when that basis is not dual feasible.  Every
+sides); otherwise it starts cold from the slack basis, which a model's
+bounded objective makes dual feasible, so no phase 1 is needed.  Every
 child, which differs from its parent only by one fixed binary, starts
 from a copy of its parent's final basis inverse, usually a few pivots
 from its optimum; the inverse is refreshed after a fixed number of basis
 updates counted down the chain since its last fresh inversion.  Reduced
 costs are formed once per LP and then updated by each pivot row.  A basis
-that fails to invert is reported as NumericalFailure, never as
-infeasibility; a warm LP that hits one is re-solved cold once.
+that fails to invert, or a warm basis that is not dual feasible, is
+reported as NumericalFailure, never as infeasibility; a warm LP that hits
+one is re-solved cold once.
 Deterministic throughout: no state outlives a call, dense linear algebra,
-lowest-index tie-breaks, no cutting planes, no presolve beyond dropping
-empty constraints.
+lowest-index tie-breaks, no cutting planes, no presolve.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _RELATIONS = (LE, EQ, GE)
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NUMERICAL_FAILURE = "NumericalFailure"
 
@@ -44,11 +43,8 @@ _REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
 
 
 class ModelError(ValueError):
-    """Invalid model construction (unknown variable, inverted bounds, ...)."""
-
-
-class UnboundedModelError(RuntimeError):
-    """The MILP relaxation is unbounded; no finite optimum exists."""
+    """Invalid model construction (unknown variable, inverted bounds,
+    a cost with no bound in its direction, ...)."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,17 @@ class MilpModel:
     constraints: tuple
     objective: np.ndarray
 
+    def __post_init__(self):
+        # Every cost must point at a finite bound, so the objective is
+        # bounded over the variable box and the slack basis, whose reduced
+        # costs are the costs, is dual feasible.
+        unbounded = (((self.objective > 0) & ~np.isfinite(self.lb))
+                     | ((self.objective < 0) & ~np.isfinite(self.ub)))
+        if unbounded.any():
+            j = int(np.argmax(unbounded))
+            raise ModelError(f"cost {self.objective[j]:g} on {self.names[j]} "
+                             f"has no bound in its direction")
+
     @property
     def num_vars(self) -> int:
         return self.lb.shape[0]
@@ -193,14 +200,6 @@ class MilpModel:
 
 
 @dataclass(frozen=True)
-class LpResult:
-    status: str                       # Optimal | Infeasible | Unbounded | IterationLimit | NumericalFailure
-    x: np.ndarray | None
-    objective_value: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class MilpSolution:
     status: str                       # Optimal | Infeasible | IterationLimit | NumericalFailure
     values: np.ndarray | None
@@ -221,19 +220,7 @@ class MilpSolution:
 
 class _Standardized:
     def __init__(self, model: MilpModel):
-        # Trivially satisfied empty constraints are dropped; a violated
-        # empty constraint makes the whole model infeasible.
-        rows = []
-        self.trivially_infeasible = False
-        for c in model.constraints:
-            if c.idx.size == 0:
-                ok = ((c.rel == LE and 0.0 <= c.rhs + 1e-12)
-                      or (c.rel == GE and 0.0 >= c.rhs - 1e-12)
-                      or (c.rel == EQ and abs(c.rhs) <= 1e-12))
-                if not ok:
-                    self.trivially_infeasible = True
-                continue
-            rows.append(c)
+        rows = model.constraints
         n = model.num_vars
         m = len(rows)
         n_slack = sum(1 for c in rows if c.rel != EQ)
@@ -261,7 +248,6 @@ class _Standardized:
         self.rhs = rhs
         self.lb = lb
         self.ub = ub
-        self.n_structural = n
         c_full = np.zeros(n + n_slack)
         c_full[:n] = model.objective
         self.c = c_full
@@ -296,14 +282,10 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
     afresh if not (a root starting from the previous solve's root).  Each
     nonbasic variable sits at the bound its reduced cost favours.
 
-    If that leaves a reduced cost of the wrong sign for a variable with no
-    such bound, phase 1 solves the auxiliary problem min c x, A x = 0,
-    with free columns in [-1, 1], lower-bounded ones in [0, 1],
-    upper-bounded ones in [-1, 0] and boxed ones in [0, 0] (Koberstein &
-    Suhl, Comput. Optim. Appl. 37, 2007).  At its optimum, no wrong sign
-    left means a dual-feasible basis for phase 2; otherwise the LP is dual
-    infeasible, and a run at zero cost tells Unbounded (the rows are
-    feasible) from Infeasible.
+    The start must be dual feasible: no reduced cost may ask for a bound
+    its variable lacks.  Cold, the reduced costs are the costs, which
+    MilpModel's bounded objective guarantees; a warm basis that breaks
+    the rule gives NumericalFailure, so that the caller re-solves cold.
 
     Each pivot: leaving row the largest bound violation; entering column
     by the dual ratio test over movable nonbasic columns (a free one counts
@@ -327,7 +309,6 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
     cost = np.concatenate([c, np.zeros(m)])
     lo = np.concatenate([lb, np.zeros(m)])
     hi = np.concatenate([ub, np.zeros(m)])
-    b = rhs
     x_full = np.zeros(n + m)
     if warm is None:
         A_full = np.hstack([A, np.eye(m)])
@@ -343,7 +324,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
         updates = warm.updates
     in_basis = np.zeros(n + m, dtype=bool)
     in_basis[basis] = True
-    total_iters = 0
+    iters = 0
 
     def invert():
         nonlocal Binv, updates
@@ -358,7 +339,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
 
     def basic_values():
         nb = ~in_basis
-        x_full[basis] = Binv @ (b - A_full[:, nb] @ x_full[nb])
+        x_full[basis] = Binv @ (rhs - A_full[:, nb] @ x_full[nb])
 
     def pivot(leave_pos, enter, w):
         """Basis change: column `enter` replaces row leave_pos's variable."""
@@ -372,41 +353,24 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
         Binv[leave_pos] = piv_row
         updates += 1
 
-    def reduced_costs(cost):
+    def reduced_costs():
         return cost[:n] - (cost[basis] @ Binv) @ A
 
-    def dual_infeasible(d):
-        """Some nonbasic reduced cost asks for a bound the variable lacks."""
-        wrong = (((d < -_TOL) & ~np.isfinite(hi[:n]))
-                 | ((d > _TOL) & ~np.isfinite(lo[:n])))
-        return bool(np.any(wrong & ~in_basis[:n]))
-
-    def start(d):
-        """Nonbasics at the bounds d favours (free ones at 0), then the
-        basic values."""
-        at_lo = np.isfinite(lo[:n]) & ((d >= -_TOL) | ~np.isfinite(hi[:n]))
-        nb = ~in_basis[:n]
-        x_full[:n][nb] = np.where(at_lo, lo[:n],
-                                  np.where(np.isfinite(hi[:n]), hi[:n], 0.0))[nb]
-        basic_values()
-
-    def run_dual(cost, d, iter_budget):
+    def run_dual(d):
         """Dual simplex iterations from a dual-feasible basis whose reduced
         costs are d (updated in place)."""
-        nonlocal total_iters
+        nonlocal iters
         stall = 0
-        iters_here = 0
         movable = (hi[:n] - lo[:n]) > 1e-12
         while True:
-            if iters_here >= iter_budget:
+            if iters >= max_iters:
                 return ITERATION_LIMIT
-            iters_here += 1
-            total_iters += 1
+            iters += 1
             if updates >= _REFACTOR_EVERY:
                 if not invert():
                     return NUMERICAL_FAILURE
                 basic_values()
-                d[:] = reduced_costs(cost)
+                d[:] = reduced_costs()
 
             xB = x_full[basis]
             below = lo[basis] - xB
@@ -457,64 +421,25 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
             d[in_basis[:n]] = 0.0
             stall = 0 if improved else stall + 1
 
-    def failed(status):
-        return status, None, -INF if status == UNBOUNDED else INF, total_iters, None
-
     if Binv is None and not invert():
-        return failed(NUMERICAL_FAILURE)
-    d = reduced_costs(cost)
-    if dual_infeasible(d):
-        # Phase 1 on the auxiliary problem: every variable boxed, so the
-        # start is dual feasible; its optimum is minus the sum of the dual
-        # infeasibilities left.
-        lo[:n] = np.where(np.isfinite(lb), 0.0, -1.0)
-        hi[:n] = np.where(np.isfinite(ub), 0.0, 1.0)
-        b = np.zeros(m)
-        start(d)
-        status = run_dual(cost, d, max_iters)
-        lo[:n], hi[:n], b = lb, ub, rhs
-        if status == INFEASIBLE:   # x = 0 is feasible: only roundoff says not
-            status = NUMERICAL_FAILURE
-        if status != OPTIMAL:
-            return failed(status)
-        d = reduced_costs(cost)
-        if dual_infeasible(d):
-            # Some ray lowers the cost without end: the LP is unbounded
-            # if it is feasible at all.
-            start(np.zeros(n))
-            status = run_dual(np.zeros(n + m), np.zeros(n),
-                              max_iters - total_iters)
-            return failed(UNBOUNDED if status == OPTIMAL else status)
-    start(d)
-    status = run_dual(cost, d, max_iters - total_iters)
+        return NUMERICAL_FAILURE, None, INF, iters, None
+    d = reduced_costs()
+    # A reduced cost that asks for a bound its nonbasic variable lacks.
+    wrong = (((d < -_TOL) & ~np.isfinite(hi[:n]))
+             | ((d > _TOL) & ~np.isfinite(lo[:n])))
+    nb = ~in_basis[:n]
+    if np.any(wrong & nb):
+        return NUMERICAL_FAILURE, None, INF, iters, None
+    # Nonbasics at the bounds d favours (free ones at 0).
+    at_lo = np.isfinite(lo[:n]) & ((d >= -_TOL) | ~np.isfinite(hi[:n]))
+    x_full[:n][nb] = np.where(at_lo, lo[:n],
+                              np.where(np.isfinite(hi[:n]), hi[:n], 0.0))[nb]
+    basic_values()
+    status = run_dual(d)
     if status != OPTIMAL:
-        return failed(status)
+        return status, None, INF, iters, None
     xs = x_full[:n].copy()
-    return (OPTIMAL, xs, float(c @ xs), total_iters,
-            _Basis(A_full, basis, Binv, updates))
-
-
-def solve_lp(model: MilpModel, config: SolverConfig | None = None,
-             lb_override: np.ndarray | None = None,
-             ub_override: np.ndarray | None = None) -> LpResult:
-    """Solve the LP relaxation (binaries relaxed to [0, 1])."""
-    config = config or SolverConfig()
-    std = _Standardized(model)
-    if std.trivially_infeasible:
-        return LpResult(INFEASIBLE, None, INF, 0)
-    lb = std.lb.copy()
-    ub = std.ub.copy()
-    n = std.n_structural
-    if lb_override is not None:
-        lb[:n] = lb_override
-    if ub_override is not None:
-        ub[:n] = ub_override
-    status, x, obj, iters, _ = _simplex(std.A, std.rhs, std.c, lb, ub,
-                                        config.max_simplex_iters,
-                                        slack_of_row=std.slack_of_row)
-    if status != OPTIMAL:
-        return LpResult(status, None, obj, iters)
-    return LpResult(OPTIMAL, x[:n], obj, iters)
+    return OPTIMAL, xs, float(c @ xs), iters, _Basis(A_full, basis, Binv, updates)
 
 
 def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> int:
@@ -537,10 +462,12 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     this model's standardized constraint matrix equals the one that basis
     came from (same shape, same values), and cold otherwise.  Every child
     re-solves from a copy of its parent's final basis and inverse.  A warm
-    LP whose basis fails numerically is solved once more cold.  Branches
-    on the most-fractional binary; prunes nodes whose LP bound cannot
-    improve the incumbent beyond the relative gap.  The returned solution
-    carries this root's basis for the next call.
+    LP whose basis fails to invert, or is not dual feasible for this model,
+    is solved once more cold.  Branches on the most-fractional binary;
+    prunes nodes whose LP bound cannot improve the incumbent beyond the
+    relative gap.  A model whose binaries are all fixed is an LP, and its
+    root optimum is the answer.  The returned solution carries this root's
+    basis for the next call.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -556,9 +483,6 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     def result(status, values=None, obj=INF):
         stats["wall_time"] = time.perf_counter() - t0
         return MilpSolution(status, values, obj, stats, root_basis)
-
-    if std.trivially_infeasible:
-        return result(INFEASIBLE)
 
     def node_lp(lb, ub, warm):
         # A loop, not a recursive call: a closure that names itself is a
@@ -584,8 +508,6 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
         warm = _Basis(warm.A_full, warm.basis) if same else None
     status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
-    if status == UNBOUNDED:
-        raise UnboundedModelError("LP relaxation is unbounded")
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
         return result(status)
 
@@ -623,8 +545,6 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             clb[j] = fixed
             cub[j] = fixed
             status, cx, cobj, cbasis = node_lp(clb, cub, basis)
-            if status == UNBOUNDED:   # below a bounded root: only roundoff
-                status = NUMERICAL_FAILURE
             if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
                 stop = status
                 break

@@ -119,28 +119,6 @@ def _witness_search(net, x_from, x_to, U: Hypercube, coarse: int = 9,
     return best_u, best_r
 
 
-def edge_feasible(net: ReluNetwork, x_from, x_to, X: Hypercube, U: Hypercube,
-                  unsafe: UnsafeRegion, residual_tol: float = 1e-6):
-    """(feasible, control witness) for a one-step transition.
-
-    x_to must lie inside the reachable box from x_from, inside X and
-    outside every obstacle interior, and some control must reproduce it to
-    within residual_tol (l1).
-    """
-    x_from = np.asarray(x_from, dtype=float)
-    x_to = np.asarray(x_to, dtype=float)
-    if not (X.contains(x_from) and X.contains(x_to)):
-        return False, None
-    if unsafe.contains_interior(x_to):
-        return False, None
-    if not reachable_box(net, x_from, U).contains(x_to, tol=1e-9):
-        return False, None
-    u, r = _witness_search(net, x_from, x_to, U)
-    if r > residual_tol:
-        return False, None
-    return True, u
-
-
 def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
               unsafe: UnsafeRegion, x0, xg, seed: int = 0,
               max_iters: int = 10000, goal_bias: float = 0.1,
@@ -171,7 +149,6 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     rng = np.random.default_rng(seed)
     tree = PlanTree()
     tree.add_node(x0)
-    nodes = [x0]
 
     def goal_connected(idx, x) -> bool:
         # Termination: the goal lies in the node's one-step reachable box
@@ -190,13 +167,12 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     # preallocated array grown geometrically.
     node_arr = np.empty((256, X.dim))
     node_arr[0] = x0
-    n_nodes = 1
 
     for _ in range(max_iters):
         x_rand = xg if rng.random() < goal_bias else X.sample(rng)
-        dists = np.sum(np.abs(node_arr[:n_nodes] - x_rand), axis=1)
+        dists = np.sum(np.abs(node_arr[:len(tree.nodes)] - x_rand), axis=1)
         near_idx = int(np.argmin(dists))
-        near = nodes[near_idx]
+        near = tree.nodes[near_idx]
         rbox = intersect(reachable_box(net, near, U), X)
         if rbox is None:
             continue
@@ -216,11 +192,9 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
             continue
         new_idx = tree.add_node(new)
         tree.add_edge(near_idx, new_idx, u)
-        nodes.append(new)
-        if n_nodes == node_arr.shape[0]:
+        if new_idx == node_arr.shape[0]:
             node_arr = np.vstack([node_arr, np.empty_like(node_arr)])
-        node_arr[n_nodes] = new
-        n_nodes += 1
+        node_arr[new_idx] = new
         if goal_connected(new_idx, new):
             return tree
     raise PlanFailure(f"no goal connection after {max_iters} iterations")

@@ -33,7 +33,6 @@ from milp_safeguard.milp import (
     ModelBuilder,
     SolverConfig,
     solve,
-    solve_lp,
 )
 from milp_safeguard.nn_model import (
     build_identity_sum_network,
@@ -236,7 +235,7 @@ def _enumeration_optimum(model, config):
         ub = model.ub.copy()
         lb[bin_idx] = bits
         ub[bin_idx] = bits
-        r = solve_lp(model, config, lb_override=lb, ub_override=ub)
+        r = solve(replace(model, lb=lb, ub=ub), config)
         if r.status == OPTIMAL:
             best = min(best, r.objective_value)
     return best

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from milp_safeguard import milp
@@ -15,13 +16,10 @@ from milp_safeguard.milp import (
     LE,
     NUMERICAL_FAILURE,
     OPTIMAL,
-    UNBOUNDED,
     ModelBuilder,
     ModelError,
     SolverConfig,
-    UnboundedModelError,
     solve,
-    solve_lp,
 )
 
 
@@ -38,9 +36,9 @@ def test_builder_sums_duplicate_coefficients():
     b.add_constraint([(x, 1.0), (x, 2.0)], LE, 6.0)
     b.set_objective({x: -1.0})
     m = b.build()
-    r = solve_lp(m)
+    r = solve(m)
     assert r.status == OPTIMAL
-    assert abs(r.x[0] - 2.0) < 1e-9
+    assert abs(r.values[0] - 2.0) < 1e-9
 
 
 def test_lp_simple_optimum():
@@ -50,7 +48,7 @@ def test_lp_simple_optimum():
     y = b.add_continuous(0, 1, "y")
     b.add_constraint({x: 1, y: 1}, LE, 1.5)
     b.set_objective({x: -1, y: -1})
-    r = solve_lp(b.build())
+    r = solve(b.build())
     assert r.status == OPTIMAL
     assert abs(r.objective_value - (-1.5)) < 1e-9
 
@@ -60,25 +58,18 @@ def test_lp_infeasible():
     x = b.add_continuous(0, 1, "x")
     b.add_constraint({x: 1}, GE, 2.0)
     b.set_objective({x: 1})
-    assert solve_lp(b.build()).status == INFEASIBLE
-
-
-def test_lp_unbounded():
-    b = ModelBuilder()
-    x = b.add_continuous(0, np.inf, "x")
-    b.add_constraint({x: -1}, LE, 0.0)
-    b.set_objective({x: -1})
-    assert solve_lp(b.build()).status == UNBOUNDED
+    assert solve(b.build()).status == INFEASIBLE
 
 
 def test_lp_free_variable_equality():
+    # The free column enters the equality row's basis at dual ratio 0.
     b = ModelBuilder()
     x = b.add_continuous(-np.inf, np.inf, "x")
     b.add_constraint({x: 3.0}, EQ, 7.5)
-    b.set_objective({x: 1.0})
-    r = solve_lp(b.build())
+    b.set_objective({x: 0.0})
+    r = solve(b.build())
     assert r.status == OPTIMAL
-    assert abs(r.x[0] - 2.5) < 1e-9
+    assert abs(r.values[0] - 2.5) < 1e-9
 
 
 def test_milp_knapsack():
@@ -101,14 +92,76 @@ def test_milp_infeasible():
     assert solve(b.build()).status == INFEASIBLE
 
 
-def test_milp_unbounded_raises():
-    b = ModelBuilder()
+def _positive_cost_without_lb(b):
+    x = b.add_continuous(-INF, 1.0, "x")
+    b.set_objective({x: 1.0})
+
+
+def _negative_cost_without_ub(b):
+    x = b.add_continuous(0.0, INF, "x")
+    b.set_objective({x: -1.0})
+
+
+def _cost_on_free_column(b):
+    x = b.add_continuous(-INF, INF, "x")
+    b.add_constraint({x: 1.0}, LE, 1.0)
+    b.set_objective({x: 0.5})
+
+
+def _unbounded_lp(b):
+    x = b.add_continuous(0, np.inf, "x")
+    b.add_constraint({x: -1}, LE, 0.0)
+    b.set_objective({x: -1})
+
+
+def _unbounded_milp(b):
     x = b.add_continuous(-np.inf, np.inf, "x")
     d = b.add_binary("d")
     b.add_constraint({d: 1.0}, LE, 1.0)
     b.set_objective({x: 1.0})
-    with pytest.raises(UnboundedModelError):
-        solve(b.build())
+
+
+def _dual_infeasible_rows_infeasible(b):
+    # min -x, x >= 0, x <= -1: a cost ray, but no feasible point.
+    x = b.add_continuous(0.0, INF, "x")
+    b.add_constraint({x: 1.0}, LE, -1.0)
+    b.set_objective({x: -1.0})
+
+
+def _beale(b):
+    # Beale's LP, which cycles under the primal most-negative reduced cost
+    # rule: x0 and x2 have negative costs and no upper bound.
+    x = [b.add_continuous(0.0, INF, f"x{i}") for i in range(4)]
+    b.add_constraint({x[0]: 0.25, x[1]: -8.0, x[2]: -1.0, x[3]: 9.0}, LE, 0.0)
+    b.add_constraint({x[0]: 0.5, x[1]: -12.0, x[2]: -0.5, x[3]: 3.0}, LE, 0.0)
+    b.add_constraint({x[2]: 1.0}, LE, 1.0)
+    b.set_objective({x[0]: -0.75, x[1]: 20.0, x[2]: -0.5, x[3]: 6.0})
+
+
+@pytest.mark.parametrize("add", [
+    _positive_cost_without_lb, _negative_cost_without_ub, _cost_on_free_column,
+    _unbounded_lp, _unbounded_milp, _dual_infeasible_rows_infeasible, _beale,
+], ids=["positive_cost_without_lb", "negative_cost_without_ub",
+        "cost_on_free_column", "lp_unbounded", "milp_unbounded",
+        "dual_infeasible_rows", "beale"])
+def test_objective_without_a_bound_is_rejected(add):
+    # A cost must point at a finite bound of its variable, so that the
+    # objective is bounded over the variable box.
+    b = ModelBuilder()
+    add(b)
+    with pytest.raises(ModelError):
+        b.build()
+
+
+def test_replace_checks_the_objective_bound():
+    b = ModelBuilder()
+    x = b.add_continuous(0.0, INF, "x")
+    b.add_constraint({x: 1.0}, GE, 1.0)
+    b.set_objective({x: 1.0})
+    m = b.build()
+    assert solve(replace(m, ub=np.array([2.0]))).objective_value == 1.0
+    with pytest.raises(ModelError):
+        replace(m, lb=np.array([-INF]))
 
 
 def test_trivially_infeasible_empty_constraint():
@@ -116,15 +169,33 @@ def test_trivially_infeasible_empty_constraint():
     x = b.add_continuous(0, 1, "x")
     b.add_constraint({x: 0.0}, GE, 1.0)  # reduces to 0 >= 1
     b.set_objective({x: 1.0})
-    assert solve_lp(b.build()).status == INFEASIBLE
+    assert solve(b.build()).status == INFEASIBLE
 
 
 def test_milp_with_violated_empty_constraint_is_infeasible():
+    # An empty row is an ordinary row: its slack starts basic at the
+    # violated value, and the pivot row has no entering candidate.
     b = ModelBuilder()
     d = b.add_binary("d")
     b.add_constraint({}, GE, 1.0)  # 0 >= 1
     b.set_objective({d: 1.0})
-    assert solve(b.build()).status == INFEASIBLE
+    sol = solve(b.build())
+    assert sol.status == INFEASIBLE
+    assert sol.stats["lp_calls"] == 1
+
+
+@pytest.mark.parametrize("rel,rhs", [(LE, 0.0), (GE, 0.0), (EQ, 0.0),
+                                     (LE, 1.0), (GE, -1.0)])
+def test_satisfied_empty_constraint_is_ignored(rel, rhs):
+    b = ModelBuilder()
+    x = b.add_continuous(0.0, 4.0, "x")
+    d = b.add_binary("d")
+    b.add_constraint({}, rel, rhs)
+    b.add_constraint({x: 1.0, d: 2.0}, GE, 2.5)
+    b.set_objective({x: 1.0, d: 1.0})
+    sol = solve(b.build())
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective_value - 1.5) < 1e-9
 
 
 def test_dump_lp_mentions_all_parts():
@@ -158,7 +229,7 @@ def _enumeration_optimum(m, n_bin):
     for assign in itertools.product((0.0, 1.0), repeat=n_bin):
         lb, ub = m.lb.copy(), m.ub.copy()
         lb[:n_bin] = ub[:n_bin] = assign
-        r = solve_lp(m, lb_override=lb, ub_override=ub)
+        r = solve(replace(m, lb=lb, ub=ub))
         if r.status == OPTIMAL:
             best = min(best, r.objective_value)
     return best
@@ -203,33 +274,6 @@ def test_iteration_limit_reported():
     assert sol.status == ITERATION_LIMIT
 
 
-def test_beale_cycling_lp_terminates():
-    # Beale's LP cycles under the primal most-negative reduced cost rule.
-    # Its slack basis is dual infeasible (x0 and x2 have negative costs and
-    # no upper bound), so the dual simplex reaches it through phase 1.
-    b = ModelBuilder()
-    x = [b.add_continuous(0.0, INF, f"x{i}") for i in range(4)]
-    b.add_constraint({x[0]: 0.25, x[1]: -8.0, x[2]: -1.0, x[3]: 9.0}, LE, 0.0)
-    b.add_constraint({x[0]: 0.5, x[1]: -12.0, x[2]: -0.5, x[3]: 3.0}, LE, 0.0)
-    b.add_constraint({x[2]: 1.0}, LE, 1.0)
-    b.set_objective({x[0]: -0.75, x[1]: 20.0, x[2]: -0.5, x[3]: 6.0})
-    r = solve_lp(b.build())
-    assert r.status == OPTIMAL
-    assert abs(r.objective_value + 1.25) < 1e-9
-    assert np.allclose(r.x, [1.0, 0.0, 1.0, 0.0])
-
-
-def test_dual_infeasible_lp_with_infeasible_rows_is_infeasible():
-    # min -x, x >= 0, x <= -1: the cost ray x -> inf makes the slack basis
-    # dual infeasible, but no point satisfies the row, so the LP is
-    # infeasible rather than unbounded.
-    b = ModelBuilder()
-    x = b.add_continuous(0.0, INF, "x")
-    b.add_constraint({x: 1.0}, LE, -1.0)
-    b.set_objective({x: -1.0})
-    assert solve_lp(b.build()).status == INFEASIBLE
-
-
 def _odd_cycle_partitioning():
     """Set partitioning of two 5-cycles by their edges and a few
     singletons, all at cost 1: the LP relaxation sits at 5 (every edge at
@@ -252,7 +296,8 @@ def test_degenerate_partitioning_matches_enumeration():
     bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
     feasible = np.all(bits @ cover.T == 1.0, axis=1)
     best = bits[feasible].sum(axis=1).min()
-    assert solve_lp(m).objective_value < best - 0.5   # the root must branch
+    relaxed = solve(replace(m, is_binary=np.zeros_like(m.is_binary)))
+    assert relaxed.objective_value < best - 0.5   # the root must branch
     a, b = solve(m), solve(m)
     assert a.status == OPTIMAL
     assert a.objective_value == best
@@ -380,12 +425,45 @@ def test_basis_of_another_matrix_is_ignored():
     assert _without_wall_time(warm.stats) == _without_wall_time(cold.stats)
 
 
+def _two_column_model(x_lb, c_x, c_y):
+    # x + y <= 3 with y in [0, 4]: at the optimum for c_y < 0, y is basic.
+    b = ModelBuilder()
+    x = b.add_continuous(x_lb, 5.0, "x")
+    y = b.add_continuous(0.0, 4.0, "y")
+    b.add_constraint({x: 1.0, y: 1.0}, LE, 3.0)
+    b.set_objective({x: c_x, y: c_y})
+    return b.build()
+
+
+@pytest.mark.parametrize("x_lb,c_x,c_y", [(-INF, 0.0, -1.0), (0.0, 0.0, 1.0)],
+                         ids=["bound_pattern", "costs"])
+def test_dual_infeasible_warm_root_resolves_cold(x_lb, c_x, c_y):
+    # The root basis of another model with the same matrix (y basic, the
+    # reduced costs of x and of the slack 1) is not dual feasible here:
+    # a reduced cost asks x for a lower bound it lacks, or (after the cost
+    # change) the slack for an upper bound.  The root is solved once more
+    # cold, and the result is the cold solve's.
+    basis = solve(_two_column_model(0.0, 0.0, -1.0)).root_basis
+    assert basis is not None
+    m = _two_column_model(x_lb, c_x, c_y)
+    cold, warm = solve(m), solve(m, warm=basis)
+    assert warm.stats["cold_resolves"] == 1 and not warm.stats["warm_root"]
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.objective_value == cold.objective_value
+    assert np.array_equal(warm.values, cold.values)
+    expected = dict(_without_wall_time(cold.stats), cold_resolves=1,
+                    lp_calls=cold.stats["lp_calls"] + 1,
+                    inversions=cold.stats["inversions"] + 1)
+    assert _without_wall_time(warm.stats) == expected
+
+
 def test_singular_basis_is_numerical_failure(monkeypatch):
     # A chain of 80 equality rows starts on 80 artificials, each of which
     # leaves the basis in its own pivot, past the first refactorization
     # (every 60 iterations), where the inverse fails.
     b = ModelBuilder()
-    x = [b.add_continuous(-INF, INF, f"x{i}") for i in range(81)]
+    x = [b.add_continuous(-INF, INF, f"x{i}") for i in range(80)]
+    x.append(b.add_continuous(0.0, INF, "x80"))
     b.add_constraint({x[0]: 1.0}, EQ, 0.0)
     for i in range(80):
         b.add_constraint({x[i + 1]: 1.0, x[i]: -1.0}, EQ, 1.0)
@@ -393,25 +471,10 @@ def test_singular_basis_is_numerical_failure(monkeypatch):
     b.add_constraint({x[80]: 1.0, d: 1.0}, GE, 80.5)
     b.set_objective({x[80]: 1.0, d: 1.0})
     m = b.build()
-    assert solve(m).status == OPTIMAL
+    ref = solve(m)
+    assert ref.status == OPTIMAL
+    assert abs(ref.objective_value - 81.0) < 1e-9
     _singular(monkeypatch)
-    assert solve_lp(m).status == NUMERICAL_FAILURE
-    sol = solve(m)
-    assert sol.status == NUMERICAL_FAILURE
-    assert sol.values is None
-
-
-def test_unbounded_child_is_numerical_failure(monkeypatch):
-    # A child's region lies inside its bounded root's, so an unbounded
-    # child can only come from roundoff; it must not be pruned silently.
-    m, _ = _odd_cycle_partitioning()
-    inner = milp._simplex
-
-    def unbounded_children(*args, warm=None, **kwargs):
-        r = inner(*args, warm=warm, **kwargs)
-        return r if warm is None else (UNBOUNDED, None, -INF, r[3], None)
-
-    monkeypatch.setattr(milp, "_simplex", unbounded_children)
     sol = solve(m)
     assert sol.status == NUMERICAL_FAILURE
     assert sol.values is None

@@ -1,4 +1,4 @@
-"""Differential tests of milp.solve and milp.solve_lp against HiGHS.
+"""Differential tests of milp.solve against HiGHS.
 
 scipy is a test-only dependency: the whole module is skipped without it.
 Statuses must agree and optimal objectives match within
@@ -10,9 +10,10 @@ tracking MILPs (the first steps of the seed-0 robot episode, and points
 along the committed corridor plan) are solved as the control loop solves
 them, each root warm from the previous model's, and must match within
 1e-7.  The LPs
-(scipy.optimize.linprog, presolve off) are random ones with boxed,
-lower-bounded, upper-bounded and free columns, so that they reach the
-simplex's phase 1 and its Unbounded status.
+(scipy.optimize.linprog, presolve off) are random models without binaries,
+with boxed, lower-bounded, upper-bounded and free columns, each cost
+pointing at a finite bound of its column (a free column costs nothing), so
+that they reach the dual simplex's free-column and infeasibility paths.
 """
 
 import csv
@@ -33,10 +34,8 @@ from milp_safeguard.milp import (  # noqa: E402
     INFEASIBLE,
     LE,
     OPTIMAL,
-    UNBOUNDED,
     ModelBuilder,
     solve,
-    solve_lp,
 )
 from milp_safeguard.runtime import run_episode  # noqa: E402
 
@@ -122,24 +121,26 @@ def highs_lp(model):
         A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
         bounds=list(zip(model.lb, model.ub)), method="highs",
         options={"presolve": False})
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-        res.status, f"highs:{res.status}")
+    status = {0: OPTIMAL, 2: INFEASIBLE}.get(res.status, f"highs:{res.status}")
     return status, (res.fun if res.status == 0 else None)
 
 
 def random_lp(rng):
-    """2-8 columns, each boxed, lower-bounded, upper-bounded or free, with
-    costs of both signs.  Rows are satisfied by a random point within the
-    column bounds, with slack, except for one in four whose right-hand side
-    is random."""
+    """2-8 columns, each boxed, lower-bounded, upper-bounded or free.  A
+    boxed column's cost has either sign, a lower-bounded one's is positive,
+    an upper-bounded one's negative and a free one's zero.  Rows are
+    satisfied by a random point within the column bounds, with slack,
+    except for one in four whose right-hand side is random."""
     b = ModelBuilder()
-    cols, point = [], []
+    cols, point, costs = [], [], []
     for _ in range(int(rng.integers(2, 9))):
         lo, hi = sorted(np.round(rng.uniform(-3.0, 3.0, 2), 1))
         kind = int(rng.choice(4, p=[0.5, 0.2, 0.2, 0.1]))
         cols.append(b.add_continuous(lo if kind in (0, 1) else -INF,
                                      hi if kind in (0, 2) else INF))
         point.append(rng.uniform(lo, hi))
+        cost = float(np.round(rng.uniform(-3.0, 3.0), 1))
+        costs.append((cost, abs(cost), -abs(cost), 0.0)[kind])
     for _ in range(int(rng.integers(1, 7))):
         coef = {j: float(rng.integers(-3, 4)) for j in cols if rng.random() < 0.6}
         rel = (LE, GE, EQ)[int(rng.choice(3, p=[0.4, 0.4, 0.2]))]
@@ -149,7 +150,7 @@ def random_lp(rng):
         if rng.random() < 0.25:
             rhs = float(rng.integers(-5, 6))
         b.add_constraint(coef, rel, rhs)
-    b.set_objective({j: float(np.round(rng.uniform(-3.0, 3.0), 1)) for j in cols})
+    b.set_objective(dict(zip(cols, costs)))
     return b.build()
 
 
@@ -158,14 +159,14 @@ def test_random_lps_match_highs():
     statuses = []
     for _ in range(200):
         model = random_lp(rng)
-        r = solve_lp(model)
+        r = solve(model)
         status, obj = highs_lp(model)
         assert r.status == status
         if status == OPTIMAL:
             assert abs(r.objective_value - obj) <= 1e-6 * max(1.0, abs(obj))
-            assert model.constraint_violation(r.x) <= 1e-6
+            assert model.constraint_violation(r.values) <= 1e-6
         statuses.append(status)
-    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= set(statuses)
+    assert {OPTIMAL, INFEASIBLE} <= set(statuses)
 
 
 def tracking_models(scenario, pairs):

@@ -11,7 +11,6 @@ from milp_safeguard.planner import (
     PlanFailure,
     PlanTree,
     _witness_search,
-    edge_feasible,
     reachable_box,
     rrt_build,
     shortest_path,
@@ -151,32 +150,37 @@ def test_rrt_build_matches_sequential_search(monkeypatch):
     assert tree.goal_parent == ref.goal_parent
 
 
-def test_edge_feasible_within_reach():
-    ok, u = edge_feasible(NET, [2.0, 3.0], [2.2, 2.9], X, U, FREE)
-    assert ok
-    assert np.allclose(u, [0.2, -0.1], atol=1e-6)
-    nxt = forward(NET, np.concatenate([np.array([2.0, 3.0]), u]))
-    assert np.sum(np.abs(nxt - [2.2, 2.9])) <= 1e-6
+@pytest.mark.parametrize("block_lo,kept", [(2.25, True), (2.2, False)],
+                         ids=["boundary", "interior"])
+def test_rrt_keeps_a_node_on_an_obstacle_boundary(block_lo, kept):
+    # Goal-biased, the one step from [2, 3] lands on [2.25, 3], from which
+    # the goal is reachable.  A node exactly on the block's face is kept
+    # (obstacles are open); one inside the block is not.
+    block = UnsafeRegion((Hypercube(np.array([block_lo, 2.9]),
+                                    np.array([2.5, 3.5])),))
+
+    def build():
+        return rrt_build(NET, X, U, block, [2.0, 3.0], [2.5, 3.0],
+                         goal_bias=1.0, max_iters=1)
+    if kept:
+        tree = build()
+        assert len(tree.nodes) == 2 and tree.goal_parent == 1
+        assert np.array_equal(tree.nodes[1], [2.25, 3.0])
+    else:
+        with pytest.raises(PlanFailure):
+            build()
 
 
-def test_edge_feasible_rejects_out_of_reach():
-    ok, u = edge_feasible(NET, [2.0, 3.0], [2.5, 3.0], X, U, FREE)
-    assert not ok and u is None
-
-
-def test_edge_feasible_rejects_obstacle_interior():
-    block = UnsafeRegion((Hypercube(np.array([2.1, 2.9]),
-                                    np.array([2.3, 3.1])),))
-    ok, _ = edge_feasible(NET, [2.0, 3.0], [2.2, 3.0], X, U, block)
-    assert not ok
-    # Landing exactly on the boundary is allowed (closed complement).
-    ok, _ = edge_feasible(NET, [2.0, 3.0], [2.1, 3.0], X, U, block)
-    assert ok
-
-
-def test_edge_feasible_rejects_outside_state_set():
-    ok, _ = edge_feasible(NET, [9.9, 9.9], [10.1, 9.9], X, U, FREE)
-    assert not ok
+def test_rrt_drops_a_node_outside_the_state_set(monkeypatch):
+    # A witness whose image leaves X (here one that always pushes
+    # north-east, to [10.15, 5.25]) gives no node, even though the goal is
+    # reachable from that image.
+    def witness(net, x_from, x_to, U):
+        return np.array([0.25, 0.25]), 0.0
+    monkeypatch.setattr(planner, "_witness_search", witness)
+    with pytest.raises(PlanFailure):
+        rrt_build(NET, X, U, FREE, [9.9, 5.0], [10.0, 5.4], goal_bias=1.0,
+                  max_iters=1)
 
 
 def test_rrt_trivial_when_goal_in_first_reach():
@@ -216,10 +220,13 @@ def test_rrt_finds_path_around_wall():
     path = shortest_path(tree)
     assert np.allclose(path[0], [1.0, 1.0])
     assert np.allclose(path[-1], [8.0, 1.0])
-    # Every consecutive pair re-validates as a feasible edge.
-    for a, b in zip(path[:-1], path[1:]):
-        ok, _ = edge_feasible(NET, a, b, X, U, wall)
-        assert ok
+    # Every edge is its stored witness's exact model image, and the goal
+    # lies in the goal parent's reachable box (goal_tol is zero here).
+    for i, j, u in tree.edges:
+        assert np.array_equal(
+            forward(NET, np.concatenate([tree.nodes[i], u])), tree.nodes[j])
+    goal_box = reachable_box(NET, tree.nodes[tree.goal_parent], U)
+    assert goal_box.contains(tree.goal, tol=1e-9)
     for w in path:
         assert X.contains(w)
         assert not wall.contains_interior(w)
