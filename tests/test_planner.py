@@ -37,6 +37,16 @@ def test_reachable_box_identity_net():
     assert np.allclose(box.hi, [2.25, 3.25])
 
 
+def test_edge_feasible_within_reach():
+    """A target inside the one-step reach has a control witness whose model
+    image is the target, the edge rrt_build stores."""
+    u, r = _witness_search(NET, [2.0, 3.0], [2.2, 2.9], U)
+    assert r <= 1e-6
+    assert np.allclose(u, [0.2, -0.1], atol=1e-6)
+    nxt = forward(NET, np.concatenate([np.array([2.0, 3.0]), u]))
+    assert np.sum(np.abs(nxt - [2.2, 2.9])) <= 1e-6
+
+
 def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
     """The one-round-per-forward-pass pattern search that _witness_search
     must reproduce bit for bit: evaluate the 2*dim coordinate steps, move
