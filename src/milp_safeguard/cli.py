@@ -1,10 +1,13 @@
 """Command-line front end: simulate, train, verify, solve-once.
 
 Scenario files are YAML with sections plant, network, bounds, noise,
-obstacles, task, solver, run, planner.  Lengths are meters, angles
-radians.  Exit codes: 0 success/GoalReached, 1 usage or config error,
-2 infeasible or inadmissible episode, failed seed sweep or failed
-verification, 3 step limit.
+obstacles, task, solver, run, planner; lengths in meters, angles in
+radians.  An absent key takes its dataclass default; a key or section
+that is not a setting is an error.  Exit codes: 0 success/GoalReached,
+1 usage, config error or diverged training, 2 an episode halted
+infeasible or inadmissible, a failed seed sweep or verification, a plan
+that misses the goal, or no safe control in solve-once or verify,
+3 step limit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from milp_safeguard.encoder import solve_tracking
+from milp_safeguard.encoder import SolveIterationLimit, SolverInfeasible, \
+    SolverNumericalFailure, solve_tracking
 from milp_safeguard.learner import (
     TrainConfig,
     TrainingDiverged,
@@ -40,6 +44,7 @@ from milp_safeguard.oracle import (
     NoFeasibleGridPoint,
     grid_control_search,
 )
+from milp_safeguard.planner import NoPath, PlanFailure
 from milp_safeguard.plants import RobotPlant, VehiclePlant, measure
 from milp_safeguard.runtime import (
     GOAL_REACHED,
@@ -54,77 +59,75 @@ from milp_safeguard.sets import Hypercube, UnsafeRegion, intersect, \
 
 log = logging.getLogger("milp_safeguard")
 
+# Failures of a run, not of its input: the command exits 2.
+_RUN_FAILURES = (SolverInfeasible, SolveIterationLimit, SolverNumericalFailure,
+                 PlanFailure, NoPath)
+
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or inconsistent."""
 
 
-def _vec(doc, key, section):
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except KeyError:
-        raise ScenarioError(f"missing '{key}' in section '{section}'")
-    except (TypeError, ValueError):
-        raise ScenarioError(f"'{section}.{key}' is not a numeric vector")
+def _floats(v):
+    return np.asarray(v, dtype=float)
 
 
-def _build_plant(doc):
-    """The plant section's plant; the robot's disturbance bound is the
-    noise section's eps_x."""
-    pl = doc["plant"]
-    kind = pl.get("kind")
-    if kind == "robot":
-        return RobotPlant(eps_x=_vec(doc["noise"], "eps_x", "noise"))
-    if kind == "vehicle":
-        return VehiclePlant(wheelbase=float(pl.get("l", 5.0)),
-                            dt=float(pl.get("dt", 0.1)))
-    raise ScenarioError(f"unknown plant kind: {kind!r}")
+# Each section's keys and the cast of their values.  A key names the
+# dataclass field it sets, except the two in _FIELD.
+_SOLVER = {"max_nodes": int, "max_simplex_iters": int}
+_PLANNER = {"max_iters": int, "goal_bias": float, "clearance": float,
+            "u_margin": _floats}
+_RUN = {"seed": int, "max_steps": int}
+_TRAIN = {"hidden": tuple, "epochs": int, "learning_rate": float,
+          "batch_size": int, "seed": int, "lr_decay": float,
+          "decay_every": int, "samples": int, "eval_samples": int,
+          "init": str}
+_PLANTS = {"robot": {}, "vehicle": {"l": float, "dt": float}}
+_NETWORKS = {"identity_sum": {}, "file": {"path": str}, "train": _TRAIN}
+_BOUNDS = dict.fromkeys(("x_lo", "x_hi", "u_lo", "u_hi"), _floats)
+_NOISE = dict.fromkeys(("eps_x", "eps_y", "eps_u"), _floats)
+_TASK = dict.fromkeys(("x0", "xg", "x_ref"), _floats)
+_BOX = dict.fromkeys(("lo", "hi"), _floats)
+_FIELD = {"hidden": "hidden_sizes", "l": "wheelbase"}
+_SECTIONS = ("plant", "network", "bounds", "noise", "obstacles", "task",
+             "solver", "run", "planner")
+_REQUIRED = ("plant", "network", "bounds", "noise", "task")
 
 
-def _build_network(doc, X, U, plant, scenario_dir):
-    kind = doc.get("kind")
-    if kind == "identity_sum":
-        return build_identity_sum_network(X, U)
-    if kind == "file":
-        path = doc.get("path")
-        if not path:
-            raise ScenarioError("network kind 'file' needs a 'path'")
-        if not os.path.isabs(path):
-            path = os.path.join(scenario_dir, path)
-        return load_network(path)
-    if kind == "train":
-        net, _, _ = _train_from_block(doc, X, U, plant)
-        return net
-    raise ScenarioError(f"unknown network kind: {kind!r}")
+def _settings(block, section, keys, required=()):
+    """A YAML section as {field: value}, each present key cast by keys.
+
+    An absent key is left out, so the dataclass built from the result
+    takes its own default.  A key not in keys, a missing required key and
+    a value that does not cast are errors.
+    """
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ScenarioError(f"section '{section}' is not a mapping")
+    out = {}
+    for key, value in block.items():
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{key}' in section '{section}'")
+        try:
+            out[_FIELD.get(key, key)] = keys[key](value)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"'{section}.{key}' is not valid: {value!r}")
+    for key in required:
+        if key not in block:
+            raise ScenarioError(f"missing '{key}' in section '{section}'")
+    return out
 
 
-def _train_from_block(doc, X, U, plant):
-    """Returns (net, eps_x estimate, final mse)."""
-    cfg = TrainConfig(
-        epochs=int(doc.get("epochs", 200)),
-        learning_rate=float(doc.get("learning_rate", 1e-2)),
-        batch_size=int(doc.get("batch_size", 64)),
-        seed=int(doc.get("seed", 0)),
-        hidden_sizes=tuple(doc.get("hidden", [8, 4])),
-        lr_decay=float(doc.get("lr_decay", 0.5)),
-        decay_every=int(doc.get("decay_every", 50)),
-    )
-    n = int(doc.get("samples", 20000))
-    data = sample_dataset(plant.step, X, U, n, seed=cfg.seed)
-    init = None
-    if doc.get("init") == "identity":
-        init = identity_warm_start(X, U, cfg.hidden_sizes, seed=cfg.seed)
-    log.info("training on %d samples, hidden=%s, %d epochs",
-             n, cfg.hidden_sizes, cfg.epochs)
-    result = train(cfg, data, init=init)
-    n_eval = int(doc.get("eval_samples", 4 * n))
-    eval_data = sample_dataset(plant.step, X, U, n_eval, seed=cfg.seed + 1)
-    eps = quantify_error(result.net, eval_data)
-    return result.net, eps, result.final_mse
+def _kind(block, section, kinds):
+    """A section whose keys depend on its 'kind', read by _settings."""
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if kind not in kinds:
+        raise ScenarioError(f"unknown {section} kind: {kind!r}")
+    return _settings(block, section, {"kind": str, **kinds[kind]})
 
 
 def _read_document(path):
-    """The YAML scenario document, with every required section present."""
+    """The YAML scenario document: required sections present, no other."""
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
@@ -134,83 +137,84 @@ def _read_document(path):
         raise ScenarioError(f"scenario is not valid YAML: {exc}")
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a mapping of sections")
-    for section in ("plant", "network", "bounds", "noise", "task"):
+    for section in doc:
+        if section not in _SECTIONS:
+            raise ScenarioError(f"unknown section '{section}'")
+    for section in _REQUIRED:
         if section not in doc:
             raise ScenarioError(f"missing section '{section}'")
     return doc
 
 
-def _sets_and_plant(doc):
-    """(X, U, plant) from the bounds and plant sections.
+def _read_settings(doc):
+    """Scenario keyword arguments for every setting but the network.
 
-    The train command needs only these, and must not build the network.
+    Reads and checks every section, the network's included, and trains
+    nothing.  A box or plant the settings cannot make raises ValueError.
     """
-    b = doc["bounds"]
-    try:
-        X = Hypercube(_vec(b, "x_lo", "bounds"), _vec(b, "x_hi", "bounds"))
-        U = Hypercube(_vec(b, "u_lo", "bounds"), _vec(b, "u_hi", "bounds"))
-    except ValueError as exc:
-        raise ScenarioError(f"bad bounds: {exc}")
-    return X, U, _build_plant(doc)
+    b = _settings(doc["bounds"], "bounds", _BOUNDS, required=_BOUNDS)
+    noise = _settings(doc["noise"], "noise", _NOISE, required=_NOISE)
+    plant = _kind(doc["plant"], "plant", _PLANTS)
+    _kind(doc["network"], "network", _NETWORKS)
+    if plant.pop("kind") == "robot":
+        plant = RobotPlant(eps_x=noise["eps_x"])
+    else:
+        plant = VehiclePlant(**plant)
+    boxes = [Hypercube(**_settings(ob, f"obstacles[{i}]", _BOX, required=_BOX))
+             for i, ob in enumerate(doc.get("obstacles") or [])]
+    return dict(
+        plant=plant, X=Hypercube(b["x_lo"], b["x_hi"]),
+        U=Hypercube(b["u_lo"], b["u_hi"]), unsafe=UnsafeRegion(tuple(boxes)),
+        **noise, **_settings(doc["task"], "task", _TASK, required=("x0",)),
+        solver=SolverConfig(**_settings(doc.get("solver"), "solver", _SOLVER)),
+        planner=PlannerParams(**_settings(doc.get("planner"), "planner",
+                                          _PLANNER)),
+        **_settings(doc.get("run"), "run", _RUN))
+
+
+def _build_network(block, X, U, plant, scenario_dir):
+    if block["kind"] == "identity_sum":
+        return build_identity_sum_network(X, U)
+    if block["kind"] == "file":
+        if not block.get("path"):
+            raise ScenarioError("network kind 'file' needs a 'path'")
+        return load_network(os.path.join(scenario_dir, block["path"]))
+    net, _, _ = _train_from_block(block, X, U, plant)
+    return net
+
+
+def _train_from_block(block, X, U, plant):
+    """Returns (net, eps_x estimate, final mse)."""
+    cfg = _kind(block, "network", {"train": _TRAIN})
+    del cfg["kind"]
+    n = cfg.pop("samples", 20000)
+    n_eval = cfg.pop("eval_samples", 4 * n)
+    identity = cfg.pop("init", None) == "identity"
+    cfg = TrainConfig(**cfg)
+    data = sample_dataset(plant.step, X, U, n, seed=cfg.seed)
+    init = (identity_warm_start(X, U, cfg.hidden_sizes, seed=cfg.seed)
+            if identity else None)
+    log.info("training on %d samples, hidden=%s, %d epochs",
+             n, cfg.hidden_sizes, cfg.epochs)
+    result = train(cfg, data, init=init)
+    eval_data = sample_dataset(plant.step, X, U, n_eval, seed=cfg.seed + 1)
+    eps = quantify_error(result.net, eval_data)
+    return result.net, eps, result.final_mse
 
 
 def load_scenario(path, seed_override=None):
     """Parse a YAML scenario file into (Scenario, raw document)."""
     doc = _read_document(path)
-    X, U, plant = _sets_and_plant(doc)
-
-    nz = doc["noise"]
-    eps_x = _vec(nz, "eps_x", "noise")
-    eps_y = _vec(nz, "eps_y", "noise")
-    eps_u = _vec(nz, "eps_u", "noise")
-
-    boxes = []
-    for i, ob in enumerate(doc.get("obstacles") or []):
-        try:
-            boxes.append(Hypercube(_vec(ob, "lo", f"obstacles[{i}]"),
-                                   _vec(ob, "hi", f"obstacles[{i}]")))
-        except ValueError as exc:
-            raise ScenarioError(f"bad obstacle {i}: {exc}")
-    unsafe = UnsafeRegion(tuple(boxes))
-
-    scenario_dir = os.path.dirname(os.path.abspath(path))
-    net = _build_network(doc["network"], X, U, plant, scenario_dir)
-
-    task = doc["task"]
-    x0 = _vec(task, "x0", "task")
-    xg = (np.asarray(task["xg"], dtype=float) if "xg" in task else None)
-    x_ref = (np.asarray(task["x_ref"], dtype=float)
-             if "x_ref" in task else None)
-
-    sv = doc.get("solver") or {}
-    solver = SolverConfig(
-        integrality_tol=float(sv.get("integrality_tol", 1e-6)),
-        relative_gap=float(sv.get("relative_gap", 1e-6)),
-        max_nodes=int(sv.get("max_nodes", 10**6)),
-        max_simplex_iters=int(sv.get("max_simplex_iters", 10**5)),
-    )
-    run = doc.get("run") or {}
-    seed = int(run.get("seed", 0)) if seed_override is None else seed_override
-    pl = doc.get("planner") or {}
-    planner = PlannerParams(
-        max_iters=int(pl.get("max_iters", 20000)),
-        goal_bias=float(pl.get("goal_bias", 0.1)),
-        clearance=float(pl.get("clearance", 0.0)),
-        goal_tol=(np.asarray(pl["goal_tol"], dtype=float)
-                  if "goal_tol" in pl else None),
-        u_margin=(np.asarray(pl["u_margin"], dtype=float)
-                  if "u_margin" in pl else None),
-    )
     try:
-        scenario = Scenario(
-            plant=plant, net=net, X=X, U=U, unsafe=unsafe,
-            eps_x=eps_x, eps_y=eps_y, eps_u=eps_u,
-            x0=x0, xg=xg, x_ref=x_ref, seed=seed, solver=solver,
-            max_steps=int(run.get("max_steps", 500)), planner=planner,
-        )
-    except ValueError as exc:
+        settings = _read_settings(doc)
+        if seed_override is not None:
+            settings["seed"] = seed_override
+        net = _build_network(doc["network"], settings["X"], settings["U"],
+                             settings["plant"],
+                             os.path.dirname(os.path.abspath(path)))
+        return Scenario(net=net, **settings), doc
+    except ValueError as exc:   # a ScenarioError too, with its message
         raise ScenarioError(str(exc))
-    return scenario, doc
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +339,13 @@ def _simulate_seeds(scenario, waypoints, n, out) -> int:
 
 def cmd_train(args) -> int:
     doc = _read_document(args.scenario)
-    block = doc["network"]
-    if block.get("kind") != "train":
+    s = _read_settings(doc)
+    if doc["network"]["kind"] != "train":
         print("scenario's network section does not request training",
               file=sys.stderr)
         return 1
-    net, eps, mse = _train_from_block(block, *_sets_and_plant(doc))
+    net, eps, mse = _train_from_block(doc["network"], s["X"], s["U"],
+                                      s["plant"])
     save_network(net, args.out)
     print(f"saved network: {args.out}")
     print("eps_x:", " ".join(f"{v:.6g}" for v in eps))
@@ -401,7 +406,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_once(args) -> int:
-    scenario, _ = load_scenario(args.scenario, seed_override=args.seed)
+    scenario, _ = load_scenario(args.scenario)
     y = (np.array([float(v) for v in args.y.split(",")])
          if args.y else scenario.x0)
     if args.x_ref:
@@ -417,16 +422,6 @@ def cmd_solve_once(args) -> int:
     print("safe box:", d.safe_box.lo, d.safe_box.hi)
     print(f"cost: {d.cost:.9g}")
     return 0
-
-
-def _setup_logging(verbose):
-    level_name = os.environ.get("MILP_SAFEGUARD_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(level_name, logging.ERROR)
-    if verbose:
-        level = min(level, logging.INFO)
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None) -> int:
@@ -460,11 +455,11 @@ def main(argv=None) -> int:
     p_so.add_argument("scenario")
     p_so.add_argument("--y", default=None, help="measurement, comma-separated")
     p_so.add_argument("--x-ref", default=None, help="reference, comma-separated")
-    p_so.add_argument("--seed", type=int, default=None)
     p_so.set_defaults(func=cmd_solve_once)
 
     args = parser.parse_args(argv)
-    _setup_logging(args.verbose)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -473,6 +468,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
+    except _RUN_FAILURES as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,6 @@ lowest-index tie-breaks, no cutting planes, no presolve.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,6 +39,8 @@ NUMERICAL_FAILURE = "NumericalFailure"
 
 _TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
 _REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
+_INTEGRALITY_TOL = 1e-6   # a binary this close to 0 or 1 counts as integral
+_RELATIVE_GAP = 1e-6      # share of the incumbent a node must beat to stay open
 
 
 class ModelError(ValueError):
@@ -49,14 +50,8 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    integrality_tol: float = 1e-6
-    relative_gap: float = 1e-6
     max_nodes: int = 10**6
     max_simplex_iters: int = 10**5
-
-    def __post_init__(self):
-        if min(self.integrality_tol, self.relative_gap) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -470,7 +465,6 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     basis for the next call.
     """
     config = config or SolverConfig()
-    t0 = time.perf_counter()
     std = _Standardized(model)
     binaries = np.concatenate(
         [model.is_binary, np.zeros(std.A.shape[1] - model.num_vars, dtype=bool)]
@@ -478,11 +472,6 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     n = model.num_vars
     stats = {"nodes": 0, "lp_calls": 0, "simplex_iters": 0, "cold_resolves": 0,
              "inversions": 0, "warm_root": False}
-    root_basis = None
-
-    def result(status, values=None, obj=INF):
-        stats["wall_time"] = time.perf_counter() - t0
-        return MilpSolution(status, values, obj, stats, root_basis)
 
     def node_lp(lb, ub, warm):
         # A loop, not a recursive call: a closure that names itself is a
@@ -509,11 +498,12 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
-        return result(status)
+        return MilpSolution(status, None, INF, stats)
 
     # Heap ordered by LP bound; the counter makes ordering deterministic.
     counter = 0
     heap = []
+    root_basis = None
     if status == OPTIMAL:
         root_basis = _Basis(basis.A_full, basis.basis)
         heapq.heappush(heap, (obj, counter, std.lb.copy(), std.ub.copy(), x, basis))
@@ -528,10 +518,10 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             break
         bound, _, lb, ub, x, basis = heapq.heappop(heap)
         stats["nodes"] += 1
-        gap_abs = config.relative_gap * max(1.0, abs(incumbent_obj))
+        gap_abs = _RELATIVE_GAP * max(1.0, abs(incumbent_obj))
         if incumbent is not None and bound >= incumbent_obj - gap_abs:
             continue
-        j = _most_fractional(x, binaries, config.integrality_tol)
+        j = _most_fractional(x, binaries, _INTEGRALITY_TOL)
         if j < 0:
             xv = np.clip(np.round(x[binaries]), 0.0, 1.0)
             x = x.copy()
@@ -550,12 +540,13 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
                 break
             if status != OPTIMAL:
                 continue
-            gap_abs = config.relative_gap * max(1.0, abs(incumbent_obj))
+            gap_abs = _RELATIVE_GAP * max(1.0, abs(incumbent_obj))
             if incumbent is not None and cobj >= incumbent_obj - gap_abs:
                 continue
             heapq.heappush(heap, (cobj, counter, clb, cub, cx, cbasis))
             counter += 1
 
     if incumbent is None:
-        return result(stop or INFEASIBLE)
-    return result(stop or OPTIMAL, incumbent, incumbent_obj)
+        return MilpSolution(stop or INFEASIBLE, None, INF, stats, root_basis)
+    return MilpSolution(stop or OPTIMAL, incumbent, incumbent_obj, stats,
+                        root_basis)

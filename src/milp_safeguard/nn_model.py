@@ -6,8 +6,8 @@ propagator: it pushes a box, as (lo, hi) arrays, through the same chain with
 sign-dependent bound switching in the affine layers and max(0, .) on both
 endpoints at the ReLUs, yielding a sound over-approximation of the image of
 the box at every layer.  output_bounds (the output box, for the planner and
-the oracles) and preactivation_bounds (every layer over X x U, for the MILP
-encoder) read it.
+the oracles) and preactivation_bounds (every layer over a state box x U,
+for the MILP encoder, which passes each step's measurement box) read it.
 """
 
 from __future__ import annotations
@@ -140,10 +140,12 @@ def output_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray):
 
 
 def preactivation_bounds(net: ReluNetwork, X: Hypercube, U: Hypercube) -> list:
-    """Global neuron bounds over the full X x U input domain.
+    """Neuron bounds over the input box X x U, as interval_bounds returns
+    them.
 
-    These are the constant tightening data the MILP encoder bakes into its
-    constraints, as interval_bounds returns them.
+    X is any box that contains the state.  The MILP encoder passes the
+    step's measurement box (the state set itself only when the measurement
+    box is empty), so the bounds are recomputed at every control step.
     """
     if X.dim + U.dim != net.input_dim:
         raise ValueError(

@@ -52,7 +52,6 @@ class PlannerParams:
     max_iters: int = 20000
     goal_bias: float = 0.1
     clearance: float = 0.0
-    goal_tol: object = None   # None: use the scenario's eps_x
     u_margin: object = None   # per-dim shrink of U for planning
 
 
@@ -184,8 +183,6 @@ def plan_waypoints(s: Scenario) -> list:
     """Reference path for the scenario: RRT+Dijkstra, or the fixed x_ref."""
     if s.xg is None:
         return [np.asarray(s.x_ref, dtype=float)]
-    goal_tol = (s.eps_x if s.planner.goal_tol is None
-                else s.planner.goal_tol)
     U_plan = s.U
     if s.planner.u_margin is not None:
         # Plan over a shrunken control set so the tracking controller keeps
@@ -197,7 +194,7 @@ def plan_waypoints(s: Scenario) -> list:
                      max_iters=s.planner.max_iters,
                      goal_bias=s.planner.goal_bias,
                      clearance=s.planner.clearance,
-                     goal_tol=goal_tol)
+                     goal_tol=s.eps_x)
     path = shortest_path(tree)
     # The path root duplicates x0.  Tracking the current state is vacuous,
     # and for plants with a minimum speed the root can never re-enter the

@@ -1,14 +1,24 @@
+import glob
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from milp_safeguard.cli import ScenarioError, load_scenario, main
+from milp_safeguard.cli import (
+    ScenarioError,
+    _read_document,
+    _read_settings,
+    load_scenario,
+    main,
+)
 from milp_safeguard.learner import quantify_error, sample_dataset
+from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import forward, load_network
 from milp_safeguard.plants import RobotPlant, VehiclePlant
-from milp_safeguard.runtime import plan_waypoints, run_episode
+from milp_safeguard.runtime import PlannerParams, plan_waypoints, run_episode
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 SMALL = """\
 plant: {kind: robot}
@@ -115,6 +125,51 @@ def test_load_scenario_bad_vector(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(ROOT, "scenarios", "*.yaml"))
+    + glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.yaml"))),
+    ids=lambda p: os.path.relpath(p, ROOT))
+def test_committed_scenarios_pass_the_strict_reader(path):
+    # Reads every section, the training block included, and trains nothing.
+    settings = _read_settings(_read_document(path))
+    assert isinstance(settings["solver"], SolverConfig)
+    assert isinstance(settings["planner"], PlannerParams)
+
+
+def test_misspelled_key_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, SMALL.replace("{max_iters: 5000}",
+                                         "{max_iter: 3}"))
+    with pytest.raises(ScenarioError, match="'max_iter' in section 'planner'"):
+        load_scenario(path)
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 1
+    assert "max_iter" in capsys.readouterr().err
+
+
+def test_removed_solver_key_is_an_error(tmp_path):
+    path = write(tmp_path, SMALL + "solver: {relative_gap: 1.0e-6}\n")
+    with pytest.raises(ScenarioError, match="'relative_gap' in section "
+                                            "'solver'"):
+        load_scenario(path)
+
+
+def test_unknown_section_is_an_error(tmp_path):
+    path = write(tmp_path, SMALL + "solvr: {max_nodes: 10}\n")
+    with pytest.raises(ScenarioError, match="unknown section 'solvr'"):
+        load_scenario(path)
+
+
+def test_empty_sections_take_the_dataclass_defaults(tmp_path):
+    text = SMALL.replace("run: {seed: 0, max_steps: 60}\n", "run: {}\n")
+    path = write(tmp_path, text.replace("{max_iters: 5000}", "{}")
+                 + "solver:\n")
+    s, _ = load_scenario(path)
+    assert s.solver == SolverConfig() and s.planner == PlannerParams()
+    assert (s.seed, s.max_steps) == (0, 500)
+    # Only the budgets are solver settings; the tolerances are fixed.
+    assert [f.name for f in fields(SolverConfig)] == ["max_nodes",
+                                                     "max_simplex_iters"]
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.yaml")])
     assert rc == 1
@@ -146,6 +201,15 @@ def test_simulate_solver_budget_exits_2(tmp_path, capsys):
     assert "status: SolverLimit" in capsys.readouterr().out
     traj = (out / "trajectory.csv").read_text().strip().split("\n")
     assert len(traj) == 2 and traj[1].split(",")[-2] == "SolveIterationLimit"
+
+
+def test_plan_failure_exits_2(tmp_path, capsys):
+    path = write(tmp_path, SMALL.replace("{max_iters: 5000}",
+                                         "{max_iters: 3}"))
+    rc = main(["simulate", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "PlanFailure: no goal connection after 3 iterations"
 
 
 def test_simulate_seed_override_changes_noise(tmp_path, capsys):
@@ -274,3 +338,15 @@ def test_solve_once_prints_solution(tmp_path, capsys):
     u = [float(v) for v in u_line.split()[1:]]
     assert np.allclose(u, [0.1, -0.1], atol=1e-6)
     assert any(ln.startswith("cost:") for ln in stdout.splitlines())
+
+
+def test_infeasible_solve_once_exits_2(capsys):
+    # The measurement lies inside the first wall: no control moves the
+    # whole next-state box out of it.
+    rc = main(["solve-once", os.path.join(ROOT, "scenarios", "robot_maze.yaml"),
+               "--y", "2.5,3.0", "--x-ref", "1.0,1.0"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("SolverInfeasible: ")
+    assert len(out.err.splitlines()) == 1
