@@ -72,6 +72,13 @@ def _floats(v):
     return np.asarray(v, dtype=float)
 
 
+def _identity(v):
+    """network.init's one value: start training from the identity net."""
+    if v != "identity":
+        raise ValueError(v)
+    return v
+
+
 # Each section's keys and the cast of their values.  A key names the
 # dataclass field it sets, except the two in _FIELD.
 _SOLVER = {"max_nodes": int, "max_simplex_iters": int}
@@ -81,7 +88,7 @@ _RUN = {"seed": int, "max_steps": int}
 _TRAIN = {"hidden": tuple, "epochs": int, "learning_rate": float,
           "batch_size": int, "seed": int, "lr_decay": float,
           "decay_every": int, "samples": int, "eval_samples": int,
-          "init": str}
+          "init": _identity}
 _PLANTS = {"robot": {}, "vehicle": {"l": float, "dt": float}}
 _NETWORKS = {"identity_sum": {}, "file": {"path": str}, "train": _TRAIN}
 _BOUNDS = dict.fromkeys(("x_lo", "x_hi", "u_lo", "u_hi"), _floats)
@@ -189,7 +196,7 @@ def _train_from_block(block, X, U, plant):
     del cfg["kind"]
     n = cfg.pop("samples", 20000)
     n_eval = cfg.pop("eval_samples", 4 * n)
-    identity = cfg.pop("init", None) == "identity"
+    identity = cfg.pop("init", None) is not None
     cfg = TrainConfig(**cfg)
     data = sample_dataset(plant.step, X, U, n, seed=cfg.seed)
     init = (identity_warm_start(X, U, cfg.hidden_sizes, seed=cfg.seed)

@@ -152,6 +152,20 @@ def test_removed_solver_key_is_an_error(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("value", ["identiy", "random"])
+def test_unknown_network_init_is_an_error(tmp_path, capsys, value):
+    # identity is the one start that network.init names; absent, training
+    # starts from a random net.  A misspelt value is not taken as absent.
+    path = write(tmp_path, TRAIN.replace("  seed: 0\n",
+                                         f"  seed: 0\n  init: {value}\n"))
+    with pytest.raises(ScenarioError,
+                       match=f"'network.init' is not valid: '{value}'"):
+        _read_settings(_read_document(path))
+    assert main(["train", path, "--out", str(tmp_path / "net.json")]) == 1
+    assert f"network.init' is not valid: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "net.json").exists()
+
+
 def test_unknown_section_is_an_error(tmp_path):
     path = write(tmp_path, SMALL + "solvr: {max_nodes: 10}\n")
     with pytest.raises(ScenarioError, match="unknown section 'solvr'"):

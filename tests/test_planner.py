@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from milp_safeguard.planner import (
     rrt_build,
     shortest_path,
 )
-from milp_safeguard.sets import Hypercube, UnsafeRegion
+from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -40,7 +42,9 @@ def test_reachable_box_identity_net():
 def test_edge_feasible_within_reach():
     """A target inside the one-step reach has a control witness whose model
     image is the target, the edge rrt_build stores."""
-    u, r = _witness_search(NET, [2.0, 3.0], [2.2, 2.9], U)
+    us, rs = _witness_search(NET, [[2.0, 3.0]], [[2.2, 2.9]], U)
+    assert us.shape == (1, 2) and rs.shape == (1,)
+    u, r = us[0], rs[0]
     assert r <= 1e-6
     assert np.allclose(u, [0.2, -0.1], atol=1e-6)
     nxt = forward(NET, np.concatenate([np.array([2.0, 3.0]), u]))
@@ -81,6 +85,75 @@ def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
     return best_u, best_r
 
 
+def _row_by_row_search(net, X_from, X_to, U):
+    """_witness_search's stacked signature over _sequential_search, one row
+    at a time."""
+    results = [_sequential_search(net, x_from, x_to, U)
+               for x_from, x_to in zip(X_from, X_to)]
+    return (np.array([u for u, _ in results]),
+            np.array([r for _, r in results]))
+
+
+def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
+                    goal_bias=0.1, clearance=0.0, goal_tol=None):
+    """The one-iteration-at-a-time RRT that rrt_build must reproduce bit for
+    bit: draw a sample, extend the nearest node (ties to the older) toward
+    its clip into that node's reachable box with a sequential search, and
+    stop once the goal lies in a new node's reachable box inflated by
+    goal_tol."""
+    x0 = np.asarray(x0, dtype=float)
+    xg = np.asarray(xg, dtype=float)
+    inflated = UnsafeRegion(tuple(
+        intersect(inflate(b, np.full(Xs.dim, clearance)), Xs)
+        for b in unsafe))
+    goal_tol = (np.zeros(Xs.dim) if goal_tol is None
+                else np.asarray(goal_tol, dtype=float))
+    rng = np.random.default_rng(seed)
+    tree = PlanTree()
+    tree.add_node(x0)
+
+    def goal_connected(idx, x):
+        if not inflate(reachable_box(net, x, Us), goal_tol).contains(
+                xg, tol=1e-9):
+            return False
+        tree.goal, tree.goal_parent = xg, idx
+        return True
+
+    if goal_connected(0, x0):
+        return tree
+    for _ in range(max_iters):
+        x_rand = xg if rng.random() < goal_bias else Xs.sample(rng)
+        dists = np.sum(np.abs(np.array(tree.nodes) - x_rand), axis=1)
+        near_idx = int(np.argmin(dists))
+        near = tree.nodes[near_idx]
+        rbox = intersect(reachable_box(net, near, Us), Xs)
+        if rbox is None:
+            continue
+        candidate = np.clip(x_rand, rbox.lo, rbox.hi)
+        if clearance > 0 and inflated.contains_interior(candidate):
+            continue
+        u, _ = _sequential_search(net, near, candidate, Us)
+        new = forward(net, np.concatenate([near, u]))
+        if (not Xs.contains(new) or unsafe.contains_interior(new)
+                or clearance > 0 and inflated.contains_interior(new)):
+            continue
+        new_idx = tree.add_node(new)
+        tree.add_edge(near_idx, new_idx, u)
+        if goal_connected(new_idx, new):
+            return tree
+    raise PlanFailure(f"no goal connection after {max_iters} iterations")
+
+
+def _assert_same_tree(tree, ref):
+    assert len(tree.nodes) == len(ref.nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(tree.nodes, ref.nodes))
+    assert len(tree.edges) == len(ref.edges)
+    for (i, j, u), (i_ref, j_ref, u_ref) in zip(tree.edges, ref.edges):
+        assert (i, j) == (i_ref, j_ref) and np.array_equal(u, u_ref)
+    assert tree.goal_parent == ref.goal_parent
+    assert np.array_equal(tree.goal, ref.goal)
+
+
 def _search_pairs(net, Xs, Us, n, seed):
     """Seeded (x_from, x_to) pairs of three kinds: near the image of a
     random control, drawn from the reachable box (which over-approximates
@@ -106,16 +179,24 @@ def _search_pairs(net, Xs, Us, n, seed):
                                        (VEHICLE_NET, VEHICLE_X, VEHICLE_U)],
                          ids=["robot", "vehicle"])
 def test_witness_search_matches_sequential_search(net, Xs, Us):
-    # Budgets of 7, 8 and 9 rounds end inside, at and just past the first
-    # batch of levels.
-    for x_from, x_to in _search_pairs(net, Xs, Us, 18, seed=3):
-        for rounds in (0, 1, 7, 8, 9, 150):
-            u, r = _witness_search(net, x_from, x_to, Us,
-                                   refine_rounds=rounds)
-            u_ref, r_ref = _sequential_search(net, x_from, x_to, Us,
-                                              refine_rounds=rounds)
-            assert np.array_equal(u, u_ref) and r == r_ref, (x_from, x_to,
-                                                             rounds)
+    # Lockstep batches of 1, 3, 8 and 9 searches, each row a search of its
+    # own.  Budgets of 7, 8 and 9 rounds end inside, at and just past the
+    # first batch of levels.
+    pairs = _search_pairs(net, Xs, Us, 21, seed=3)
+    batches = [pairs[:1], pairs[1:4], pairs[4:12], pairs[12:]]
+    for rounds in (0, 1, 7, 8, 9, 150):
+        for batch in batches:
+            X_from = np.array([p[0] for p in batch])
+            X_to = np.array([p[1] for p in batch])
+            us, rs = _witness_search(net, X_from, X_to, Us,
+                                     refine_rounds=rounds)
+            assert us.shape == (len(batch), Us.dim)
+            assert rs.shape == (len(batch),)
+            for (x_from, x_to), u, r in zip(batch, us, rs):
+                u_ref, r_ref = _sequential_search(net, x_from, x_to, Us,
+                                                  refine_rounds=rounds)
+                assert np.array_equal(u, u_ref) and r == r_ref, (
+                    x_from, x_to, rounds, len(batch))
 
 
 def test_witness_search_batches_the_halvings(monkeypatch):
@@ -135,9 +216,10 @@ def test_witness_search_batches_the_halvings(monkeypatch):
     u_ref, r_ref = _sequential_search(VEHICLE_NET, x_from, x_to, VEHICLE_U)
     n_ref = len(passes)
     passes.clear()
-    u, r = _witness_search(VEHICLE_NET, x_from, x_to, VEHICLE_U)
-    assert np.array_equal(u, u_grid) and np.array_equal(u, u_ref)
-    assert r == r_ref
+    us, rs = _witness_search(VEHICLE_NET, x_from[None], x_to[None],
+                             VEHICLE_U)
+    assert np.array_equal(us[0], u_grid) and np.array_equal(us[0], u_ref)
+    assert rs[0] == r_ref
     assert n_ref >= 35
     assert len(passes) <= 7
 
@@ -150,14 +232,75 @@ def test_rrt_build_matches_sequential_search(monkeypatch):
         return rrt_build(NET, X, U, wall, [1.0, 1.0], [8.0, 1.0], seed=7,
                          clearance=0.25)
     tree = build()
-    monkeypatch.setattr(planner, "_witness_search", _sequential_search)
+    monkeypatch.setattr(planner, "_witness_search", _row_by_row_search)
     ref = build()
-    assert len(tree.nodes) == len(ref.nodes) > 1
-    assert all(np.array_equal(a, b) for a, b in zip(tree.nodes, ref.nodes))
-    assert len(tree.edges) == len(ref.edges)
-    for (i, j, u), (i_ref, j_ref, u_ref) in zip(tree.edges, ref.edges):
-        assert (i, j) == (i_ref, j_ref) and np.array_equal(u, u_ref)
-    assert tree.goal_parent == ref.goal_parent
+    assert len(tree.nodes) > 1
+    _assert_same_tree(tree, ref)
+
+
+WALL = UnsafeRegion((Hypercube(np.array([4.0, -1.0]),
+                               np.array([5.0, 8.0])),))
+VEHICLE_WALL = UnsafeRegion((Hypercube(np.array([3.0, -1.5, -0.35]),
+                                       np.array([4.3, -0.05, 0.35])),))
+VEHICLE_TASK = dict(x0=[0.5, -0.3, 0.2], xg=[7.0, 0.45, 0.0],
+                    goal_tol=[0.05, 0.05, 0.03])
+
+
+# The robot cases: a goal bias that draws the goal nine times in ten, so
+# that many guesses of the nearest node go stale, past a wall whose
+# clearance skips most samples; a start whose reach holds the goal; and a
+# budget that runs out.  The vehicle cases plan the benchmark corridor with
+# two of its RRT seeds.
+@pytest.mark.parametrize("net,Xs,Us,unsafe,task", [
+    (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], seed=3,
+                           goal_bias=0.9, clearance=0.25)),
+    (NET, X, U, FREE, dict(x0=[2.0, 2.0], xg=[2.2, 2.1])),
+    (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], max_iters=60,
+                           clearance=0.25)),
+    (VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL,
+     dict(VEHICLE_TASK, seed=14, goal_bias=0.2, clearance=0.1)),
+    (VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL,
+     dict(VEHICLE_TASK, seed=4, goal_bias=0.2, clearance=0.1)),
+], ids=["robot-goal-bias", "robot-trivial", "robot-budget", "vehicle-14",
+        "vehicle-4"])
+def test_rrt_build_matches_sequential_rrt(net, Xs, Us, unsafe, task):
+    def plan(build):
+        try:
+            return build(net, Xs, Us, unsafe, **task)
+        except PlanFailure:
+            return None
+    tree, ref = plan(rrt_build), plan(_sequential_rrt)
+    if ref is None:
+        assert tree is None
+    else:
+        _assert_same_tree(tree, ref)
+
+
+# Prints the bytes of the robot maze's seed-0 plan, in hex.
+_PLAN_BYTES = """
+import sys
+import numpy as np
+from milp_safeguard.cli import load_scenario
+from milp_safeguard.runtime import plan_waypoints
+scenario, _ = load_scenario(sys.argv[1])
+waypoints = plan_waypoints(scenario)
+print(b"".join(np.asarray(w).tobytes() for w in waypoints).hex())
+"""
+
+
+def test_plan_does_not_depend_on_the_blas_thread_count():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    plans = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _PLAN_BYTES,
+             os.path.join(root, "scenarios", "robot_maze.yaml")],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=300)
+        plans.append(done.stdout.strip())
+    assert plans[0] and plans[0] == plans[1]
 
 
 @pytest.mark.parametrize("block_lo,kept", [(2.25, True), (2.2, False)],
@@ -185,8 +328,9 @@ def test_rrt_drops_a_node_outside_the_state_set(monkeypatch):
     # A witness whose image leaves X (here one that always pushes
     # north-east, to [10.15, 5.25]) gives no node, even though the goal is
     # reachable from that image.
-    def witness(net, x_from, x_to, U):
-        return np.array([0.25, 0.25]), 0.0
+    def witness(net, X_from, X_to, U):
+        k = len(X_from)
+        return np.tile([0.25, 0.25], (k, 1)), np.zeros(k)
     monkeypatch.setattr(planner, "_witness_search", witness)
     with pytest.raises(PlanFailure):
         rrt_build(NET, X, U, FREE, [9.9, 5.0], [10.0, 5.4], goal_bias=1.0,
