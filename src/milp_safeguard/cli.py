@@ -34,15 +34,15 @@ from milp_safeguard.learner import (
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import (
     build_identity_sum_network,
-    forward,
+    forward_batch,
     load_network,
     output_bounds,
     save_network,
 )
 from milp_safeguard.oracle import (
-    GridSpec,
     NoFeasibleGridPoint,
     grid_control_search,
+    input_boxes,
 )
 from milp_safeguard.planner import NoPath, PlanFailure
 from milp_safeguard.plants import RobotPlant, VehiclePlant, measure
@@ -54,8 +54,7 @@ from milp_safeguard.runtime import (
     plan_waypoints,
     run_episode,
 )
-from milp_safeguard.sets import Hypercube, UnsafeRegion, intersect, \
-    measurement_box
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 log = logging.getLogger("milp_safeguard")
 
@@ -375,28 +374,22 @@ def cmd_verify(args) -> int:
     # 1. Fixing the commanded control, the MILP's network output box must
     #    coincide with direct interval propagation.
     fixed = solve_tracking(p, scenario.solver, fix_u=decision.u_cmd)
-    x_box = measurement_box(p.y_k, p.eps_y, p.X)
-    u_box = intersect(Hypercube(decision.u_cmd - p.eps_u,
-                                decision.u_cmd + p.eps_u), p.U)
-    z_box = x_box.concat(u_box)
-    ref_lo, ref_hi = output_bounds(p.net, z_box.lo, z_box.hi)
+    z_lo, z_hi = input_boxes(p, decision.u_cmd)
+    ref_lo, ref_hi = output_bounds(p.net, z_lo, z_hi)
     err = max(float(np.max(np.abs(fixed.nn_out_box.lo - ref_lo))),
               float(np.max(np.abs(fixed.nn_out_box.hi - ref_hi))))
     results.append(("box-equality", err <= 1e-6, f"max dev {err:.2e}"))
 
     # 2. Sampled true network outputs must land inside the output box.
     rng = np.random.default_rng(scenario.seed + 17)
-    worst = 0.0
-    for z in z_box.sample(rng, args.samples):
-        out = forward(p.net, z)
-        worst = max(worst,
-                    float(np.max(ref_lo - out)),
-                    float(np.max(out - ref_hi)))
+    out = forward_batch(p.net, rng.uniform(z_lo, z_hi,
+                                           (args.samples, z_lo.size)))
+    worst = max(0.0, float(np.max(ref_lo - out)), float(np.max(out - ref_hi)))
     results.append(("containment", worst <= 1e-9, f"max escape {worst:.2e}"))
 
     # 3. The MILP optimum must match a brute-force control grid.
     try:
-        g = grid_control_search(p, GridSpec(np.array([0.005])))
+        g = grid_control_search(p, 0.005)
         gap = g["best_cost"] - decision.cost
         ok = -1e-6 <= gap <= 0.02
         detail = f"grid-milp gap {gap:.2e}"

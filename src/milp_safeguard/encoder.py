@@ -65,6 +65,8 @@ class TrackingProblem:
     eps_u: np.ndarray
     y_k: np.ndarray
     x_ref: np.ndarray
+    # The states in X consistent with y_k; None when there are none.
+    x_box: Hypercube | None = field(init=False)
     layer_bounds: list = field(init=False)
 
     def __post_init__(self):
@@ -81,13 +83,14 @@ class TrackingProblem:
             raise ValueError("x_ref outside the state feasible set")
         if self.unsafe.contains_interior(self.x_ref):
             raise ValueError("x_ref inside an obstacle")
+        x_box = measurement_box(self.y_k, self.eps_y, self.X)
+        object.__setattr__(self, "x_box", x_box)
         # Any box containing every feasible state yields valid neuron
         # bounds; the measurement box is far tighter than X and lets the
         # encoder pin most activation cases without branching.
-        mbox = measurement_box(self.y_k, self.eps_y, self.X)
         object.__setattr__(
             self, "layer_bounds",
-            preactivation_bounds(self.net, mbox if mbox is not None
+            preactivation_bounds(self.net, x_box if x_box is not None
                                  else self.X, self.U)
         )
 
@@ -120,14 +123,14 @@ def control_big_m(p: TrackingProblem) -> np.ndarray:
 
 def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     """Measurement box fixing plus the eight big-M control inequalities."""
-    mbox = measurement_box(p.y_k, p.eps_y, p.X)
-    if mbox is None:
+    if p.x_box is None:
         raise InfeasibleMeasurement(
             f"measurement {p.y_k} inconsistent with X under eps_y={p.eps_y}"
         )
     n_x, n_u = p.n_x, p.n_u
-    a0_x = [b.add_continuous(mbox.lo[j], mbox.lo[j], f"a0_x{j}") for j in range(n_x)]
-    b0_x = [b.add_continuous(mbox.hi[j], mbox.hi[j], f"b0_x{j}") for j in range(n_x)]
+    lo, hi = p.x_box.lo, p.x_box.hi
+    a0_x = [b.add_continuous(lo[j], lo[j], f"a0_x{j}") for j in range(n_x)]
+    b0_x = [b.add_continuous(hi[j], hi[j], f"b0_x{j}") for j in range(n_x)]
     u_cmd = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"u{j}") for j in range(n_u)]
     a0_u = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"a0_u{j}") for j in range(n_u)]
     b0_u = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"b0_u{j}") for j in range(n_u)]

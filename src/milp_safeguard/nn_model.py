@@ -2,12 +2,13 @@
 
 A network is a chain of affine layers; every hidden layer is followed by a
 ReLU, the final layer is affine.  interval_bounds is the one interval
-propagator: it pushes a box, as (lo, hi) arrays, through the same chain with
-sign-dependent bound switching in the affine layers and max(0, .) on both
-endpoints at the ReLUs, yielding a sound over-approximation of the image of
-the box at every layer.  output_bounds (the output box, for the planner and
-the oracles) and preactivation_bounds (every layer over a state box x U,
-for the MILP encoder, which passes each step's measurement box) read it.
+propagator: it pushes a box, as (lo, hi) arrays, or a stack of boxes, one
+per row, through the same chain with sign-dependent bound switching in the
+affine layers and max(0, .) on both endpoints at the ReLUs, yielding a sound
+over-approximation of the image of each box at every layer.  output_bounds
+(the output box, for the planner and the oracles) and preactivation_bounds
+(every layer over a state box x U, for the MILP encoder, which passes each
+step's measurement box) read it.
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ def linear_bounds(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Array form of the sign-switch bounds for an affine map.
 
     Positive weights take the like endpoint, negative weights the opposite
-    one; exact for boxes.
+    one; exact for boxes.  lo and hi are one box, shape (n,), or a stack
+    of boxes, one per row, shape (k, n).
     """
-    Wp = np.maximum(W, 0.0)
-    Wn = np.minimum(W, 0.0)
-    out_lo = Wp @ lo + Wn @ hi + b
-    out_hi = Wp @ hi + Wn @ lo + b
+    Wp = np.maximum(W, 0.0).T
+    Wn = np.minimum(W, 0.0).T
+    out_lo = lo @ Wp + hi @ Wn + b
+    out_hi = hi @ Wp + lo @ Wn + b
     return out_lo, out_hi
 
 
@@ -118,7 +120,10 @@ def interval_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray) -> list:
 
     Returns one (lo, hi) pair of arrays per layer, in network order: the
     pre-activation bounds of the hidden layers, then the output box.  They
-    are sound: every input in the box maps inside every pair.  Raises
+    are sound: every input in the box maps inside every pair.  lo and hi
+    of shape (k, n) stack k boxes by rows, and each pair is then (k, n_i),
+    row by row; a row may differ from the call on its box alone in the
+    last bits, as the products sum in another order.  Raises
     ValueError on a non-finite bound (a net whose values overflow), which
     the MILP encoder could not take as a coefficient.
     """
@@ -135,7 +140,8 @@ def interval_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray) -> list:
 
 
 def output_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray):
-    """Output box of the network over an input box, arrays in and out."""
+    """Output box of the network over an input box, or over a stack of
+    them, arrays in and out (see interval_bounds)."""
     return interval_bounds(net, lo, hi)[-1]
 
 

@@ -9,19 +9,11 @@ network boxes are checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from milp_safeguard.milp import EQ, GE, LE, MilpModel
+from milp_safeguard.milp import MilpModel
 from milp_safeguard.nn_model import output_bounds
-from milp_safeguard.sets import (
-    Hypercube,
-    disjoint_from_region,
-    inflate,
-    intersect,
-    measurement_box,
-)
 
 _TOL = 1e-6
 
@@ -30,74 +22,63 @@ class NoFeasibleGridPoint(RuntimeError):
     """Every grid control violates the safety or state constraints."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Per-dimension grid resolution; grids include both box endpoints."""
-
-    resolution: np.ndarray
-
-    def __post_init__(self):
-        res = np.atleast_1d(np.asarray(self.resolution, dtype=float))
-        if np.any(res <= 0):
-            raise ValueError("grid resolution must be positive")
-        object.__setattr__(self, "resolution", res)
-
-    def points(self, box: Hypercube) -> list:
-        """Per-dimension grid values over the box."""
-        res = self.resolution
-        if res.shape[0] == 1 and box.dim > 1:
-            res = np.repeat(res, box.dim)
-        axes = []
-        for j in range(box.dim):
-            pts = np.arange(box.lo[j], box.hi[j], res[j])
-            if pts.size == 0 or pts[-1] < box.hi[j] - 1e-12:
-                pts = np.append(pts, box.hi[j])
-            axes.append(pts)
-        return axes
+def box_tracking_cost(lo: np.ndarray, hi: np.ndarray, x_ref: np.ndarray):
+    """Worst-case l1 distance from x_ref to a point of the box; for boxes
+    stacked by rows, one distance per row."""
+    return np.sum(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref)), axis=-1)
 
 
-def box_tracking_cost(lo: np.ndarray, hi: np.ndarray, x_ref: np.ndarray) -> float:
-    """Worst-case l1 distance from x_ref to a point of the box."""
-    return float(np.sum(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref))))
+def input_boxes(p, u):
+    """The network's input boxes for the controls u: the measurement box
+    beside [u - eps_u, u + eps_u] clipped to U.
 
-
-def grid_control_search(p, grid: GridSpec) -> dict:
-    """Minimize the box tracking cost over a finite control grid.
-
-    For each grid control the reachable box is computed by interval
-    propagation over the measurement box and the control uncertainty box,
-    then inflated by the prediction-error bound and checked against the
-    state set and obstacles.  Ties break toward the lexicographically
-    smallest control.
+    u is one control, shape (n_u,), or a stack of them by rows, shape
+    (k, n_u); the (lo, hi) arrays returned have the same leading shape.
     """
-    x_box = measurement_box(p.y_k, p.eps_y, p.X)
-    if x_box is None:
+    u = np.asarray(u, dtype=float)
+    shape = u.shape[:-1] + (p.n_x,)
+    lo = np.concatenate([np.broadcast_to(p.x_box.lo, shape),
+                         np.maximum(u - p.eps_u, p.U.lo)], axis=-1)
+    hi = np.concatenate([np.broadcast_to(p.x_box.hi, shape),
+                         np.minimum(u + p.eps_u, p.U.hi)], axis=-1)
+    return lo, hi
+
+
+def grid_control_search(p, step: float) -> dict:
+    """Minimize the box tracking cost over a grid of controls.
+
+    The grid takes every step along each axis of U from its lower end,
+    plus the upper end.  For each grid control the reachable box is the
+    interval image of its input box, inflated by the prediction-error
+    bound and checked against the state set and obstacles; all controls
+    go through one stacked interval pass.  Ties go to the
+    lexicographically smallest control within 1e-12 of the least cost.
+    """
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    if p.x_box is None:
         raise NoFeasibleGridPoint("measurement box is empty")
-    best_u = None
-    best_cost = np.inf
-    for u in itertools.product(*grid.points(p.U)):
-        u = np.array(u)
-        u_box = intersect(Hypercube(u - p.eps_u, u + p.eps_u), p.U)
-        if u_box is None:
-            continue
-        z_box = x_box.concat(u_box)
-        safe = inflate(Hypercube(*output_bounds(p.net, z_box.lo, z_box.hi)),
-                       p.eps_x)
-        if not p.X.contains_box(safe, tol=1e-9):
-            continue
-        if not disjoint_from_region(safe, p.unsafe, tol=1e-9):
-            continue
-        cost = box_tracking_cost(safe.lo, safe.hi, p.x_ref)
-        if cost < best_cost - 1e-12 or (
-            abs(cost - best_cost) <= 1e-12
-            and best_u is not None
-            and tuple(u) < tuple(best_u)
-        ):
-            best_cost = cost
-            best_u = u
-    if best_u is None:
+    axes = []
+    for lo, hi in zip(p.U.lo, p.U.hi):
+        pts = np.arange(lo, hi, step)
+        if pts.size == 0 or pts[-1] < hi - 1e-12:
+            pts = np.append(pts, hi)
+        axes.append(pts)
+    u = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                 axis=1)
+    lo, hi = output_bounds(p.net, *input_boxes(p, u))
+    lo, hi = lo - p.eps_x, hi + p.eps_x
+    ok = (np.all(lo >= p.X.lo - 1e-9, axis=1)
+          & np.all(hi <= p.X.hi + 1e-9, axis=1))
+    for box in p.unsafe:
+        # Overlap with an open interior is strict in every coordinate.
+        ok &= ~np.all(np.maximum(lo, box.lo) < np.minimum(hi, box.hi) - 1e-9,
+                      axis=1)
+    if not ok.any():
         raise NoFeasibleGridPoint("no grid control satisfies the constraints")
-    return {"best_u": best_u, "best_cost": best_cost}
+    cost = np.where(ok, box_tracking_cost(lo, hi, p.x_ref), np.inf)
+    best = int(np.argmax(cost <= cost.min() + 1e-12))
+    return {"best_u": u[best], "best_cost": float(cost[best])}
 
 
 def enumerate_binary_feasibility(model: MilpModel, fixed: dict,

@@ -212,8 +212,10 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
         if unsafe.contains_interior(x):
             raise ValueError(f"{name} inside an obstacle")
     clear_vec = np.full(X.dim, clearance)
+    # An obstacle whose inflated box misses X guards nothing.
     inflated = UnsafeRegion(tuple(
-        intersect(inflate(b, clear_vec), X) for b in unsafe))
+        box for box in (intersect(inflate(b, clear_vec), X) for b in unsafe)
+        if box is not None))
     goal_tol = (np.zeros(X.dim) if goal_tol is None
                 else np.atleast_1d(np.asarray(goal_tol, dtype=float)))
     if goal_tol.shape != (X.dim,) or not np.all(goal_tol >= 0):

@@ -94,6 +94,14 @@ class Scenario:
                 raise ValueError(f"{name} must be nonnegative")
         if not self.plant.admissible(self.x0):
             raise ValueError("x0 outside the plant's admissible domain")
+        m = self.planner.u_margin
+        if m is not None:
+            m = np.asarray(m, dtype=float)
+            if (m.shape != (self.U.dim,) or not np.all(m >= 0)
+                    or np.any(self.U.lo + m > self.U.hi - m)):
+                raise ValueError(
+                    f"planner.u_margin must be {self.U.dim} non-negative "
+                    f"numbers that leave U non-empty, got {m.tolist()}")
 
     def tracking_problem(self, y, x_ref) -> TrackingProblem:
         """The tracking MILP for measurement y and reference x_ref."""
@@ -188,7 +196,7 @@ def plan_waypoints(s: Scenario) -> list:
         # Plan over a shrunken control set so the tracking controller keeps
         # spare authority to correct model error; a plan that saturates the
         # controls leaves nothing to push back with when the plant lags.
-        m = np.atleast_1d(np.asarray(s.planner.u_margin, dtype=float))
+        m = np.asarray(s.planner.u_margin, dtype=float)
         U_plan = Hypercube(s.U.lo + m, s.U.hi - m)
     tree = rrt_build(s.net, s.X, U_plan, s.unsafe, s.x0, s.xg, seed=s.seed,
                      max_iters=s.planner.max_iters,

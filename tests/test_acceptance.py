@@ -40,7 +40,6 @@ from milp_safeguard.nn_model import (
     save_network,
 )
 from milp_safeguard.oracle import (
-    GridSpec,
     NoFeasibleGridPoint,
     enumerate_binary_feasibility,
     grid_control_search,
@@ -183,7 +182,6 @@ def _random_robot_instance(rng, with_obstacle):
 def test_criterion_3_grid_vs_milp_optimality(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    grid = GridSpec(np.array([0.005]))
     worst_under = -np.inf   # MILP must never beat the grid by > 1e-6
     worst_over = -np.inf    # grid must never beat the MILP by > 0.02
     done = 0
@@ -193,7 +191,7 @@ def test_criterion_3_grid_vs_milp_optimality(capsys):
             p = _random_robot_instance(rng, with_obstacle)
             try:
                 d = solve_tracking(p)
-                g = grid_control_search(p, grid)
+                g = grid_control_search(p, 0.005)
             except (SolverInfeasible, NoFeasibleGridPoint):
                 continue
             worst_under = max(worst_under, d.cost - g["best_cost"])

@@ -172,6 +172,21 @@ def test_unknown_section_is_an_error(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("margin", ["[-0.1, -0.1]", "[0.4]", "[0.3, 0.3]",
+                                    "[0.1, 0.1, 0.1]"],
+                         ids=["negative", "one-entry", "empties-U",
+                              "three-entries"])
+def test_bad_u_margin_is_an_error(tmp_path, capsys, margin):
+    # U is [-0.25, 0.25]^2: a margin needs two entries in [0, 0.25].
+    path = write(tmp_path, SMALL.replace(
+        "{max_iters: 5000}", f"{{max_iters: 5000, u_margin: {margin}}}"))
+    with pytest.raises(ScenarioError, match="u_margin"):
+        load_scenario(path)
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 1
+    assert "u_margin" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_sections_take_the_dataclass_defaults(tmp_path):
     text = SMALL.replace("run: {seed: 0, max_steps: 60}\n", "run: {}\n")
     path = write(tmp_path, text.replace("{max_iters: 5000}", "{}")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from milp_safeguard.nn_model import (
     ReluNetwork,
     build_identity_sum_network,
     forward,
+    forward_batch,
+    interval_bounds,
     linear_bounds,
     load_network,
     output_bounds,
@@ -15,6 +19,11 @@ from milp_safeguard.nn_model import (
     save_network,
 )
 from milp_safeguard.sets import Hypercube
+
+ROBOT_X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
+ROBOT_U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+VEHICLE_NET = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                           "scenarios", "vehicle_net.json")
 
 
 def small_net():
@@ -78,9 +87,10 @@ def test_linear_bounds_sign_switch():
     assert np.allclose(hi, [2 * 1 - 3 * 0 + 1])
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["box", "stack"])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_output_bounds_is_sound(seed):
+def test_output_bounds_is_sound(stacked, seed):
     rng = np.random.default_rng(seed)
     sizes = [3, rng.integers(1, 6), rng.integers(1, 6), 2]
     layers = tuple(
@@ -88,11 +98,46 @@ def test_output_bounds_is_sound(seed):
         for i, o in zip(sizes, sizes[1:])
     )
     net = ReluNetwork(layers)
-    lo = rng.uniform(-2, 0, 3)
-    hi = lo + rng.uniform(0, 2, 3)
-    out_box = Hypercube(*output_bounds(net, lo, hi))
-    for z in Hypercube(lo, hi).sample(rng, 50):
-        assert out_box.contains(forward(net, z), tol=1e-9)
+    if not stacked:
+        lo = rng.uniform(-2, 0, 3)
+        hi = lo + rng.uniform(0, 2, 3)
+        out_box = Hypercube(*output_bounds(net, lo, hi))
+        for z in Hypercube(lo, hi).sample(rng, 50):
+            assert out_box.contains(forward(net, z), tol=1e-9)
+        return
+    # k boxes by rows: every layer's bounds come back as (k, n_i) arrays,
+    # and each row bounds the outputs of its own box.
+    k = int(rng.integers(1, 8))
+    lo = rng.uniform(-2, 0, (k, 3))
+    hi = lo + rng.uniform(0, 2, (k, 3))
+    bounds = interval_bounds(net, lo, hi)
+    assert [(b_lo.shape, b_hi.shape) for b_lo, b_hi in bounds] == [
+        ((k, n), (k, n)) for n in sizes[1:]]
+    out_lo, out_hi = bounds[-1]
+    for i in range(k):
+        out = forward_batch(net, rng.uniform(lo[i], hi[i], (50, 3)))
+        assert np.all(out >= out_lo[i] - 1e-9)
+        assert np.all(out <= out_hi[i] + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["identity_sum", "vehicle"])
+def test_stacked_rows_equal_one_box_calls(name):
+    # Bit for bit on the identity-sum net; on the vehicle net a row may
+    # round differently, within 1e-12 of the layer's largest bound.
+    if name == "identity_sum":
+        net, rtol = build_identity_sum_network(ROBOT_X, ROBOT_U), 0.0
+    else:
+        net, rtol = load_network(VEHICLE_NET), 1e-12
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-5, 5, (200, net.input_dim))
+    hi = lo + rng.uniform(0, 1, lo.shape)
+    stacked = interval_bounds(net, lo, hi)
+    for i in range(len(lo)):
+        for (s_lo, s_hi), (b_lo, b_hi) in zip(
+                stacked, interval_bounds(net, lo[i], hi[i])):
+            scale = max(np.max(np.abs(b_lo)), np.max(np.abs(b_hi)))
+            assert np.all(np.abs(s_lo[i] - b_lo) <= rtol * scale)
+            assert np.all(np.abs(s_hi[i] - b_hi) <= rtol * scale)
 
 
 def test_preactivation_bounds_cover_samples():

@@ -3,9 +3,9 @@ import pytest
 
 from milp_safeguard.encoder import TrackingProblem, solve_tracking
 from milp_safeguard.milp import EQ, GE, LE, ModelBuilder
-from milp_safeguard.nn_model import build_identity_sum_network, forward
+from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
+    build_identity_sum_network
 from milp_safeguard.oracle import (
-    GridSpec,
     NoFeasibleGridPoint,
     box_tracking_cost,
     enumerate_binary_feasibility,
@@ -27,36 +27,62 @@ def problem(y, x_ref, unsafe=()):
                            x_ref=np.asarray(x_ref, dtype=float))
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(np.array([0.0]))
+@pytest.mark.parametrize("step", [0.0, -0.05])
+def test_grid_step_must_be_positive(step):
+    with pytest.raises(ValueError, match="step"):
+        grid_control_search(problem([5, 5], [5.2, 5.2]), step)
 
 
-def test_grid_points_include_endpoints():
-    pts = GridSpec(np.array([0.1])).points(Hypercube(np.array([0.0]),
-                                                     np.array([0.25])))
-    assert pts[0][0] == 0.0
-    assert pts[0][-1] == 0.25
+def test_grid_includes_both_ends_of_U():
+    # A step of 0.1 from -0.25 falls short of 0.25, which the grid adds;
+    # references far off on either side pick the two ends.
+    for x_ref, end in (([9, 9], U.hi), ([1, 1], U.lo)):
+        g = grid_control_search(problem([5, 5], x_ref), 0.1)
+        assert np.array_equal(g["best_u"], end)
+
+
+def test_grid_ties_go_to_the_lexicographically_smallest_control():
+    # The output is x on x >= 0 and ignores u, so every grid control has
+    # the same cost.
+    hidden = LayerParams(np.hstack([np.eye(2), np.zeros((2, 2))]),
+                         np.zeros(2))
+    out = LayerParams(np.eye(2), np.zeros(2))
+    p = TrackingProblem(net=ReluNetwork((hidden, out)), X=X, U=U,
+                        unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
+                        eps_u=EPS, y_k=np.array([5.0, 5.0]),
+                        x_ref=np.array([5.2, 5.2]))
+    g = grid_control_search(p, 0.05)
+    assert np.array_equal(g["best_u"], U.lo)
+    assert g["best_cost"] == box_tracking_cost(p.x_box.lo - EPS,
+                                               p.x_box.hi + EPS, p.x_ref)
 
 
 def test_box_tracking_cost():
     cost = box_tracking_cost(np.array([0.0, 0.0]), np.array([1.0, 2.0]),
                              np.array([0.25, 0.5]))
     assert np.isclose(cost, 0.75 + 1.5)
+    # Boxes stacked by rows: one cost per row, each that of its box.
+    lo = np.array([[0.0, 0.0], [0.5, -1.0], [0.25, 0.5]])
+    hi = np.array([[1.0, 2.0], [0.75, 3.0], [0.25, 0.5]])
+    costs = box_tracking_cost(lo, hi, np.array([0.25, 0.5]))
+    assert costs.shape == (3,)
+    assert np.array_equal(costs, [box_tracking_cost(a, b, [0.25, 0.5])
+                                  for a, b in zip(lo, hi)])
+    assert np.allclose(costs, [2.25, 0.5 + 2.5, 0.0])
 
 
 def test_grid_search_matches_milp_no_obstacles():
     p = problem([5, 5], [5.2, 5.2])
     d = solve_tracking(p)
-    g = grid_control_search(p, GridSpec(np.array([0.005])))
+    g = grid_control_search(p, 0.005)
     assert np.allclose(g["best_u"], d.u_cmd, atol=0.005 + 1e-9)
     assert abs(g["best_cost"] - d.cost) < 1e-4
 
 
 def test_grid_search_refinement_does_not_worsen():
     p = problem([5, 5], [5.17, 4.83])
-    coarse = grid_control_search(p, GridSpec(np.array([0.05])))
-    fine = grid_control_search(p, GridSpec(np.array([0.005])))
+    coarse = grid_control_search(p, 0.05)
+    fine = grid_control_search(p, 0.005)
     assert fine["best_cost"] <= coarse["best_cost"] + 1e-12
 
 
@@ -67,7 +93,7 @@ def test_grid_search_all_blocked():
                         eps_x=EPS, eps_y=EPS, eps_u=EPS,
                         y_k=np.array([5.0, 5.0]), x_ref=np.array([9.0, 9.0]))
     with pytest.raises(NoFeasibleGridPoint):
-        grid_control_search(p, GridSpec(np.array([0.05])))
+        grid_control_search(p, 0.05)
 
 
 def test_enumeration_guards():

@@ -357,6 +357,21 @@ def test_rrt_rejects_goal_in_obstacle():
         rrt_build(NET, X, U, block, [0.0, 0.0], [5.0, 5.0])
 
 
+def test_rrt_ignores_an_obstacle_outside_the_state_set():
+    # The obstacle's clearance-inflated box misses X, so it guards nothing:
+    # the tree is the one planned with no obstacle.
+    far = UnsafeRegion((Hypercube(np.array([20.0, 20.0]),
+                                  np.array([21.0, 21.0])),))
+    trees = [rrt_build(NET, X, U, unsafe, [0.0, 0.0], [3.0, 3.0], seed=0,
+                       clearance=0.25) for unsafe in (far, FREE)]
+    assert trees[0].goal_parent == trees[1].goal_parent >= 0
+    assert len(trees[0].nodes) == len(trees[1].nodes) > 1
+    for a, b in zip(trees[0].nodes, trees[1].nodes):
+        assert np.array_equal(a, b)
+    for (i, j, u), (k, m, w) in zip(trees[0].edges, trees[1].edges):
+        assert (i, j) == (k, m) and np.array_equal(u, w)
+
+
 def test_rrt_goal_tol_inflates_goal_test():
     # Goal 0.05 beyond exact reach: connects only with the tolerance.
     with pytest.raises(PlanFailure):
