@@ -27,6 +27,7 @@ from milp_safeguard.learner import (
     TrainConfig,
     TrainingDiverged,
     identity_warm_start,
+    layer_widths,
     quantify_error,
     sample_dataset,
     train,
@@ -84,7 +85,7 @@ _SOLVER = {"max_nodes": int, "max_simplex_iters": int}
 _PLANNER = {"max_iters": int, "goal_bias": float, "clearance": float,
             "u_margin": _floats}
 _RUN = {"seed": int, "max_steps": int}
-_TRAIN = {"hidden": tuple, "epochs": int, "learning_rate": float,
+_TRAIN = {"hidden": layer_widths, "epochs": int, "learning_rate": float,
           "batch_size": int, "seed": int, "lr_decay": float,
           "decay_every": int, "samples": int, "eval_samples": int,
           "init": _identity}

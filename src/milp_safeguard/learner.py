@@ -41,6 +41,15 @@ class Dataset:
         return np.hstack([self.x, self.u])
 
 
+def layer_widths(sizes) -> tuple:
+    """sizes as a tuple of hidden-layer widths, each a positive int."""
+    sizes = tuple(sizes)
+    if not all(type(k) is int and k > 0 for k in sizes):
+        raise ValueError(f"hidden layer sizes must be positive integers, "
+                         f"got {sizes}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -52,6 +61,7 @@ class TrainConfig:
     decay_every: int = 50
 
     def __post_init__(self):
+        layer_widths(self.hidden_sizes)
         if min(self.epochs, self.batch_size, self.decay_every) <= 0:
             raise ValueError("hyperparameters must be positive")
         if self.learning_rate < 0:

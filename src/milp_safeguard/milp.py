@@ -1,20 +1,22 @@
 """Self-contained mixed-integer linear programming layer.
 
 Model building, and best-first branch-and-bound over binary variables on
-one LP algorithm, a bounded dual simplex.  The root LP starts warm from a
-previous solve's root basis when the caller hands one over and the
-standardized constraint matrix is the same, value for value (a control
-loop's consecutive tracking models differ only in bounds and right-hand
-sides); otherwise it starts cold from the slack basis, which a model's
-bounded objective makes dual feasible, so no phase 1 is needed.  Every
-child, which differs from its parent only by one fixed binary, starts
-from a copy of its parent's final basis inverse, usually a few pivots
-from its optimum; the inverse is refreshed after a fixed number of basis
-updates counted down the chain since its last fresh inversion.  Reduced
-costs are formed once per LP and then updated by each pivot row.  A basis
-that fails to invert, or a warm basis that is not dual feasible, is
-reported as NumericalFailure, never as infeasibility; a warm LP that hits
-one is re-solved cold once.
+one LP algorithm, a bounded dual simplex.  The LP is one matrix: the
+structural columns and one slack per row, bounded by the row's relation
+(an equality row's slack is fixed at 0), so no artificial columns are
+needed.  The root LP starts warm from a previous solve's root basis when
+the caller hands one over and the matrix is the same, value for value (a
+control loop's consecutive tracking models differ only in bounds and
+right-hand sides); otherwise it starts cold from the slack basis, which
+a model's bounded objective makes dual feasible, so no phase 1 is
+needed.  Every child, which differs from its parent only by one fixed
+binary, starts from a copy of its parent's final basis inverse, usually
+a few pivots from its optimum; the inverse is refreshed after a fixed
+number of basis updates counted down the chain since its last fresh
+inversion.  Reduced costs are formed once per LP and then updated by
+each pivot row.  A basis that fails to invert, or a warm basis that is
+not dual feasible, is reported as NumericalFailure, never as
+infeasibility; a warm LP that hits one is re-solved cold once.
 Deterministic throughout: no state outlives a call, dense linear algebra,
 lowest-index tie-breaks, no cutting planes, no presolve.
 """
@@ -60,7 +62,6 @@ class _Constraint:
     coef: np.ndarray
     rel: str
     rhs: float
-    name: str = ""
 
 
 class ModelBuilder:
@@ -106,7 +107,7 @@ class ModelBuilder:
         coef = np.array([acc[i] for i in idx], dtype=float)
         return idx, coef
 
-    def add_constraint(self, coeffs, rel: str, rhs: float, name: str = ""):
+    def add_constraint(self, coeffs, rel: str, rhs: float):
         """coeffs: dict {var: coef} or iterable of (var, coef) pairs.
 
         Duplicate coefficients on the same variable are summed.
@@ -114,7 +115,7 @@ class ModelBuilder:
         if rel not in _RELATIONS:
             raise ModelError(f"unknown relation {rel!r}")
         idx, coef = self._canonical(coeffs)
-        self._constraints.append(_Constraint(idx, coef, rel, float(rhs), name))
+        self._constraints.append(_Constraint(idx, coef, rel, float(rhs)))
 
     def set_objective(self, coeffs):
         idx, coef = self._canonical(coeffs)
@@ -182,7 +183,7 @@ class MilpModel:
         lines.append("Subject To")
         for k, c in enumerate(self.constraints):
             lhs = " ".join(f"{v:+g} {self.names[i]}" for i, v in zip(c.idx, c.coef))
-            lines.append(f"  {c.name or f'c{k}'}: {lhs or '0'} {c.rel} {c.rhs:g}")
+            lines.append(f"  c{k}: {lhs or '0'} {c.rel} {c.rhs:g}")
         lines.append("Bounds")
         for i in range(self.num_vars):
             lines.append(f"  {self.lb[i]:g} <= {self.names[i]} <= {self.ub[i]:g}")
@@ -205,73 +206,56 @@ class MilpSolution:
     # Optimal.
     root_basis: "_Basis | None" = field(default=None, repr=False, compare=False)
 
-    def value(self, var: int) -> float:
-        return float(self.values[var])
-
 
 # ---------------------------------------------------------------------------
-# Standard form: A x = rhs with bounded variables (structurals then slacks).
+# Standard form: A x = rhs over bounded columns, the structurals and then
+# one slack per row.
 # ---------------------------------------------------------------------------
 
-class _Standardized:
-    def __init__(self, model: MilpModel):
-        rows = model.constraints
-        n = model.num_vars
-        m = len(rows)
-        n_slack = sum(1 for c in rows if c.rel != EQ)
-        A = np.zeros((m, n + n_slack))
-        rhs = np.zeros(m)
-        slack_of_row = np.full(m, -1, dtype=int)
-        lb = np.concatenate([model.lb, np.zeros(n_slack)])
-        ub = np.concatenate([model.ub, np.zeros(n_slack)])
-        s = n
-        for r, c in enumerate(rows):
-            A[r, c.idx] = c.coef
-            rhs[r] = c.rhs
-            if c.rel == LE:
-                A[r, s] = 1.0
-                lb[s], ub[s] = 0.0, INF
-                slack_of_row[r] = s
-                s += 1
-            elif c.rel == GE:
-                A[r, s] = 1.0
-                lb[s], ub[s] = -INF, 0.0
-                slack_of_row[r] = s
-                s += 1
-        self.A = A
-        self.slack_of_row = slack_of_row
-        self.rhs = rhs
-        self.lb = lb
-        self.ub = ub
-        c_full = np.zeros(n + n_slack)
-        c_full[:n] = model.objective
-        self.c = c_full
+def _standard_form(model: MilpModel):
+    """(A, rhs, c, lb, ub) with the model's rows as equalities.
+
+    Column n + r is row r's slack: coefficient 1, bounds [0, inf) for <=,
+    (-inf, 0] for >= and [0, 0] for =.  The slacks form an identity
+    block, and an equality row's slack is fixed.
+    """
+    rows = model.constraints
+    n, m = model.num_vars, len(rows)
+    A = np.zeros((m, n + m))
+    A[:, n:] = np.eye(m)
+    if rows:
+        row_of = np.repeat(np.arange(m), [c.idx.size for c in rows])
+        A[row_of, np.concatenate([c.idx for c in rows])] = \
+            np.concatenate([c.coef for c in rows])
+    rel = np.array([c.rel for c in rows], dtype=str)
+    rhs = np.array([c.rhs for c in rows], dtype=float)
+    lb = np.concatenate([model.lb, np.where(rel == GE, -INF, 0.0)])
+    ub = np.concatenate([model.ub, np.where(rel == LE, INF, 0.0)])
+    c = np.concatenate([model.objective, np.zeros(m)])
+    return A, rhs, c, lb, ub
 
 
 class _Basis(NamedTuple):
     """An LP's final basis, from which another LP on the same rows starts.
 
-    A_full is the constraint matrix with its artificial columns.  Binv,
-    when kept, is the basis inverse as the LP left it, and `updates` the
-    basis changes applied to it since its last fresh inversion; a start
-    from it works on a copy instead of inverting.  No values are kept:
-    every start puts each nonbasic variable at the bound its reduced cost
-    favours and recomputes the basic ones.
+    A is the standard-form matrix the basis belongs to.  Binv, when kept,
+    is the basis inverse as the LP left it, and `updates` the basis
+    changes applied to it since its last fresh inversion; a start from it
+    works on a copy instead of inverting.  No values are kept: every start
+    puts each nonbasic variable at the bound its reduced cost favours and
+    recomputes the basic ones.
     """
-    A_full: np.ndarray
+    A: np.ndarray
     basis: np.ndarray
     Binv: np.ndarray | None = None
     updates: int = 0
 
 
-def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
-             stats=None):
-    """Bounded dual simplex, from the slack basis or from a given one.
+def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
+    """Bounded dual simplex on a standard form, cold or from a given basis.
 
-    Every row has an artificial column, fixed at [0, 0].  Cold
-    (warm=None), each row starts on its slack, or on its artificial when
-    it has none (equality rows, or every row when slack_of_row is None),
-    so the basis matrix is the identity.  Warm (warm=a _Basis), the LP
+    Cold (warm=None), the basis is the m slack columns, the last m of A,
+    so its inverse is the identity.  Warm (warm=a _Basis of A), the LP
     starts from a copy of the basis's inverse if it keeps one (a
     branch-and-bound child inheriting its parent's), and inverts the basis
     afresh if not (a root starting from the previous solve's root).  Each
@@ -285,13 +269,13 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
     Each pivot: leaving row the largest bound violation; entering column
     by the dual ratio test over movable nonbasic columns (a free one counts
     as ratio 0), ties to the largest pivot and then the lowest index;
-    lowest-index rules after a stall.  Artificials never enter.  The
-    inverse takes a rank-one update per pivot and is refreshed once
-    _REFACTOR_EVERY updates have accumulated since its last fresh
-    inversion, counting those inherited with a warm basis.  The reduced
-    costs are formed once per run and updated by the pivot row the ratio
-    test already uses (Koberstein, The Dual Simplex Method, 2005), and
-    formed again after each refresh.
+    lowest-index rules after a stall.  A fixed column, such as an
+    equality row's slack, never enters.  The inverse takes a rank-one
+    update per pivot and is refreshed once _REFACTOR_EVERY updates have
+    accumulated since its last fresh inversion, counting those inherited
+    with a warm basis.  The reduced costs are formed once per run and
+    updated by the pivot row the ratio test already uses (Koberstein, The
+    Dual Simplex Method, 2005), and formed again after each refresh.
 
     Returns (status, x, objective, iterations, basis); basis is the final
     _Basis, with its inverse, when Optimal, else None.  A basis that fails
@@ -301,23 +285,16 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
     m, n = A.shape
     if np.any(lb > ub):
         return INFEASIBLE, None, INF, 0, None
-    cost = np.concatenate([c, np.zeros(m)])
-    lo = np.concatenate([lb, np.zeros(m)])
-    hi = np.concatenate([ub, np.zeros(m)])
-    x_full = np.zeros(n + m)
+    x = np.zeros(n)
     if warm is None:
-        A_full = np.hstack([A, np.eye(m)])
-        basis = n + np.arange(m)
-        if slack_of_row is not None:
-            basis = np.where(slack_of_row >= 0, slack_of_row, basis)
+        basis = np.arange(n - m, n)
         Binv = np.eye(m)
         updates = 0
     else:
-        A_full = warm.A_full
         basis = warm.basis.copy()
         Binv = None if warm.Binv is None else warm.Binv.copy()
         updates = warm.updates
-    in_basis = np.zeros(n + m, dtype=bool)
+    in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
     iters = 0
 
@@ -326,7 +303,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
         if stats is not None:
             stats["inversions"] += 1
         try:
-            Binv = np.linalg.inv(A_full[:, basis])
+            Binv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError:
             return False  # numerically singular basis
         updates = 0
@@ -334,7 +311,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
 
     def basic_values():
         nb = ~in_basis
-        x_full[basis] = Binv @ (rhs - A_full[:, nb] @ x_full[nb])
+        x[basis] = Binv @ (rhs - A[:, nb] @ x[nb])
 
     def pivot(leave_pos, enter, w):
         """Basis change: column `enter` replaces row leave_pos's variable."""
@@ -349,14 +326,14 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
         updates += 1
 
     def reduced_costs():
-        return cost[:n] - (cost[basis] @ Binv) @ A
+        return c - (c[basis] @ Binv) @ A
 
     def run_dual(d):
         """Dual simplex iterations from a dual-feasible basis whose reduced
         costs are d (updated in place)."""
         nonlocal iters
         stall = 0
-        movable = (hi[:n] - lo[:n]) > 1e-12
+        movable = (ub - lb) > 1e-12
         while True:
             if iters >= max_iters:
                 return ITERATION_LIMIT
@@ -367,9 +344,9 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
                 basic_values()
                 d[:] = reduced_costs()
 
-            xB = x_full[basis]
-            below = lo[basis] - xB
-            viol = np.maximum(below, xB - hi[basis])
+            xB = x[basis]
+            below = lb[basis] - xB
+            viol = np.maximum(below, xB - ub[basis])
             rows = np.flatnonzero(viol > _TOL)
             if rows.size == 0:
                 return OPTIMAL
@@ -377,16 +354,15 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
             r = int(rows[np.argmin(basis[rows])] if bland
                     else rows[np.argmax(viol[rows])])
             up = below[r] > 0   # the leaving variable rises to its lb
-            target = lo[basis[r]] if up else hi[basis[r]]
+            target = lb[basis[r]] if up else ub[basis[r]]
 
             alpha = Binv[r] @ A
             # g_j > 0: raising x_j moves the leaving variable toward target.
             g = alpha if not up else -alpha
-            x = x_full[:n]
-            at_lb = np.isfinite(lo[:n]) & (x <= lo[:n] + 1e-9)
-            at_ub = np.isfinite(hi[:n]) & (x >= hi[:n] - 1e-9)
+            at_lb = np.isfinite(lb) & (x <= lb + 1e-9)
+            at_ub = np.isfinite(ub) & (x >= ub - 1e-9)
             free = ~at_lb & ~at_ub
-            eligible = movable & ~in_basis[:n]
+            eligible = movable & ~in_basis
             can_inc = eligible & (g > _TOL) & (at_lb | free)
             can_dec = eligible & (g < -_TOL) & (at_ub | free)
             cand = can_inc | can_dec
@@ -402,46 +378,44 @@ def _simplex(A, rhs, c, lb, ub, max_iters, slack_of_row=None, warm=None,
             ties = np.flatnonzero(ratio <= r_min + 1e-12)
             enter = int(ties[0] if bland else ties[np.argmax(np.abs(g[ties]))])
 
-            w = Binv @ A_full[:, enter]
+            w = Binv @ A[:, enter]
             step = (xB[r] - target) / w[r]
             improved = r_min * viol[r] > _TOL
-            x_full[enter] += step
-            x_full[basis] -= step * w
-            x_full[basis[r]] = target  # snap roundoff
+            x[enter] += step
+            x[basis] -= step * w
+            x[basis[r]] = target  # snap roundoff
             # The pivot row zeroes the entering reduced cost and gives the
             # leaving variable (alpha = 1 on it) minus the dual step; basic
             # columns are snapped back to zero.
             d -= (d[enter] / alpha[enter]) * alpha
             pivot(r, enter, w)
-            d[in_basis[:n]] = 0.0
+            d[in_basis] = 0.0
             stall = 0 if improved else stall + 1
 
     if Binv is None and not invert():
         return NUMERICAL_FAILURE, None, INF, iters, None
     d = reduced_costs()
     # A reduced cost that asks for a bound its nonbasic variable lacks.
-    wrong = (((d < -_TOL) & ~np.isfinite(hi[:n]))
-             | ((d > _TOL) & ~np.isfinite(lo[:n])))
-    nb = ~in_basis[:n]
+    wrong = ((d < -_TOL) & ~np.isfinite(ub)) | ((d > _TOL) & ~np.isfinite(lb))
+    nb = ~in_basis
     if np.any(wrong & nb):
         return NUMERICAL_FAILURE, None, INF, iters, None
     # Nonbasics at the bounds d favours (free ones at 0).
-    at_lo = np.isfinite(lo[:n]) & ((d >= -_TOL) | ~np.isfinite(hi[:n]))
-    x_full[:n][nb] = np.where(at_lo, lo[:n],
-                              np.where(np.isfinite(hi[:n]), hi[:n], 0.0))[nb]
+    at_lo = np.isfinite(lb) & ((d >= -_TOL) | ~np.isfinite(ub))
+    x[nb] = np.where(at_lo, lb, np.where(np.isfinite(ub), ub, 0.0))[nb]
     basic_values()
     status = run_dual(d)
     if status != OPTIMAL:
         return status, None, INF, iters, None
-    xs = x_full[:n].copy()
-    return OPTIMAL, xs, float(c @ xs), iters, _Basis(A_full, basis, Binv, updates)
+    return OPTIMAL, x, float(c @ x), iters, _Basis(A, basis, Binv, updates)
 
 
 def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> int:
-    """Index of the most fractional binary (ties: lowest id); -1 if integral."""
+    """The most fractional of the binary ids (ties: lowest id); -1 if all
+    are integral."""
     best = -1
     best_frac = tol
-    for j in np.flatnonzero(binaries):
+    for j in binaries:
         frac = abs(values[j] - round(values[j]))
         if frac > best_frac + 1e-15:
             best_frac = frac
@@ -454,8 +428,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     """Best-first branch-and-bound over the binary variables.
 
     The root LP starts from `warm`, a previous solution's root_basis, when
-    this model's standardized constraint matrix equals the one that basis
-    came from (same shape, same values), and cold otherwise.  Every child
+    this model's standard-form matrix equals the one that basis came from
+    (same shape, same values), and cold otherwise.  Every child
     re-solves from a copy of its parent's final basis and inverse.  A warm
     LP whose basis fails to invert, or is not dual feasible for this model,
     is solved once more cold.  Branches on the most-fractional binary;
@@ -465,10 +439,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     basis for the next call.
     """
     config = config or SolverConfig()
-    std = _Standardized(model)
-    binaries = np.concatenate(
-        [model.is_binary, np.zeros(std.A.shape[1] - model.num_vars, dtype=bool)]
-    )
+    A, rhs, c, lb, ub = _standard_form(model)
+    binaries = np.flatnonzero(model.is_binary)
     n = model.num_vars
     stats = {"nodes": 0, "lp_calls": 0, "simplex_iters": 0, "cold_resolves": 0,
              "inversions": 0, "warm_root": False}
@@ -479,8 +451,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
         # until the garbage collector next runs.
         while True:
             status, x, obj, iters, basis = _simplex(
-                std.A, std.rhs, std.c, lb, ub, config.max_simplex_iters,
-                slack_of_row=std.slack_of_row, warm=warm, stats=stats)
+                A, rhs, c, lb, ub, config.max_simplex_iters, warm=warm,
+                stats=stats)
             stats["lp_calls"] += 1
             stats["simplex_iters"] += iters
             if status != NUMERICAL_FAILURE or warm is None:
@@ -488,14 +460,10 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             stats["cold_resolves"] += 1
             warm = None
 
+    # The root inverts afresh, so no inverse's roundoff outlives its solve.
     if warm is not None:
-        m_rows, n_cols = std.A.shape
-        same = (warm.A_full.shape == (m_rows, n_cols + m_rows)
-                and np.array_equal(warm.A_full[:, :n_cols], std.A))
-        # The root inverts afresh, so no inverse's roundoff outlives its
-        # solve.
-        warm = _Basis(warm.A_full, warm.basis) if same else None
-    status, x, obj, basis = node_lp(std.lb.copy(), std.ub.copy(), warm)
+        warm = _Basis(A, warm.basis) if np.array_equal(warm.A, A) else None
+    status, x, obj, basis = node_lp(lb, ub, warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
         return MilpSolution(status, None, INF, stats)
@@ -505,8 +473,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     heap = []
     root_basis = None
     if status == OPTIMAL:
-        root_basis = _Basis(basis.A_full, basis.basis)
-        heapq.heappush(heap, (obj, counter, std.lb.copy(), std.ub.copy(), x, basis))
+        root_basis = _Basis(A, basis.basis)
+        heapq.heappush(heap, (obj, counter, lb, ub, x, basis))
         counter += 1
 
     incumbent = None
@@ -523,11 +491,9 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             continue
         j = _most_fractional(x, binaries, _INTEGRALITY_TOL)
         if j < 0:
-            xv = np.clip(np.round(x[binaries]), 0.0, 1.0)
-            x = x.copy()
-            x[binaries] = xv
             if bound < incumbent_obj:
                 incumbent = x[:n].copy()
+                incumbent[binaries] = np.clip(np.round(x[binaries]), 0.0, 1.0)
                 incumbent_obj = bound
             continue
         for fixed in (0.0, 1.0):

@@ -5,7 +5,8 @@ the omnidirectional point-mass robot and the kinematic bicycle vehicle.
 All noise channels are componentwise uniform on [-eps, eps]; the bounds,
 not the distribution, carry the guarantees.
 
-Every plant has the same two calls: step(x, u, rng=None) is the
+Every plant has the same sizes and calls: state_dim and control_dim are
+the lengths of its state and control; step(x, u, rng=None) is the
 noise-free map when rng is None and the true next state, with the plant's
 own disturbance drawn from rng, otherwise; admissible(x) tells whether a
 state lies in the domain the plant's model covers.
@@ -28,12 +29,11 @@ class RobotPlant:
     """Omnidirectional point mass: next = x + u + w, |w| <= eps_x."""
 
     eps_x: np.ndarray
+    state_dim = 2
+    control_dim = 2
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.shape != (2,) or u.shape != (2,):
-            raise ValueError("robot state and control are 2-D")
+        x, u = _state_and_control(self, x, u)
         if rng is None:
             return x + u
         return x + u + sample_noise(self.eps_x, rng)
@@ -51,16 +51,15 @@ class VehiclePlant:
 
     wheelbase: float = 5.0
     dt: float = 0.1
+    state_dim = 3
+    control_dim = 2
 
     def __post_init__(self):
         if self.wheelbase <= 0 or self.dt <= 0:
             raise ValueError("wheelbase and dt must be positive")
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.shape != (3,) or u.shape != (2,):
-            raise ValueError("vehicle state is 3-D, control 2-D")
+        x, u = _state_and_control(self, x, u)
         px, py, theta = x
         v, steer = u
         ds = v * self.dt
@@ -72,6 +71,16 @@ class VehiclePlant:
 
     def admissible(self, x) -> bool:
         return bool(-math.pi + _THETA_MARGIN <= x[2] <= math.pi - _THETA_MARGIN)
+
+
+def _state_and_control(plant, x, u):
+    """x and u as float arrays, checked against the plant's sizes."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if x.shape != (plant.state_dim,) or u.shape != (plant.control_dim,):
+        raise ValueError(f"{type(plant).__name__} state is "
+                         f"{plant.state_dim}-D, control {plant.control_dim}-D")
+    return x, u
 
 
 def sample_noise(eps, rng: np.random.Generator) -> np.ndarray:

@@ -74,6 +74,17 @@ class Scenario:
     planner: PlannerParams = field(default_factory=PlannerParams)
 
     def __post_init__(self):
+        nx, nu = self.X.dim, self.U.dim
+        if (self.plant.state_dim, self.plant.control_dim) != (nx, nu):
+            raise ValueError(
+                f"{type(self.plant).__name__} has a {self.plant.state_dim}-D "
+                f"state and a {self.plant.control_dim}-D control, but X is "
+                f"{nx}-D and U {nu}-D")
+        if (self.net.input_dim, self.net.output_dim) != (nx + nu, nx):
+            raise ValueError(
+                f"the network maps {self.net.input_dim} inputs to "
+                f"{self.net.output_dim} outputs, but X and U need "
+                f"{nx + nu} to {nx}")
         for name in ("eps_x", "eps_y", "eps_u", "x0", "xg", "x_ref"):
             v = getattr(self, name)
             if v is not None:

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 
 from milp_safeguard.cli import (
     ScenarioError,
@@ -12,7 +13,7 @@ from milp_safeguard.cli import (
     load_scenario,
     main,
 )
-from milp_safeguard.learner import quantify_error, sample_dataset
+from milp_safeguard.learner import TrainConfig, quantify_error, sample_dataset
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import forward, load_network
 from milp_safeguard.plants import RobotPlant, VehiclePlant
@@ -164,6 +165,43 @@ def test_unknown_network_init_is_an_error(tmp_path, capsys, value):
     assert main(["train", path, "--out", str(tmp_path / "net.json")]) == 1
     assert f"network.init' is not valid: '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "net.json").exists()
+
+
+@pytest.mark.parametrize("value", ["[8.5, 4]", '"84"'],
+                         ids=["float", "string"])
+def test_hidden_sizes_must_be_positive_integers(tmp_path, capsys, value):
+    path = write(tmp_path, TRAIN.replace("hidden: [8, 4]", f"hidden: {value}"))
+    with pytest.raises(ScenarioError, match="'network.hidden' is not valid"):
+        _read_settings(_read_document(path))
+    assert main(["train", path, "--out", str(tmp_path / "net.json")]) == 1
+    assert "'network.hidden' is not valid" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="positive integers"):
+        TrainConfig(hidden_sizes=yaml.safe_load(value))
+
+
+@pytest.mark.parametrize("change", [
+    ("plant:\n  kind: robot", "plant: {kind: vehicle}", "VehiclePlant"),
+    ("network:\n  kind: identity_sum",
+     "network: {kind: file, path: %s}" % os.path.abspath(os.path.join(
+         ROOT, "bench", "scenarios", "vehicle_net.json")),
+     "the network maps 5 inputs to 3 outputs")],
+    ids=["plant", "network"])
+def test_plant_or_network_that_does_not_fit_the_bounds(tmp_path, capsys,
+                                                        change):
+    # A 3-D plant or net in the 2-D maze is one line of scenario error,
+    # before any planning.
+    old, new, message = change
+    with open(os.path.join(ROOT, "scenarios", "robot_maze.yaml")) as f:
+        text = f.read()
+    assert old in text
+    path = write(tmp_path, text.replace(old, new))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_section_is_an_error(tmp_path):

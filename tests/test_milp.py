@@ -349,10 +349,8 @@ def test_refactorization_counts_inherited_updates(monkeypatch):
     # update count: it refactorizes as soon as the count reaches
     # _REFACTOR_EVERY, however few pivots the LP itself makes.
     m, _ = _odd_cycle_partitioning()
-    std = milp._Standardized(m)
-    lp = (std.A, std.rhs, std.c, std.lb, std.ub, 1000)
-    status, _, obj, iters, basis = milp._simplex(
-        *lp, slack_of_row=std.slack_of_row)
+    lp = (*milp._standard_form(m), 1000)
+    status, _, obj, iters, basis = milp._simplex(*lp)
     assert status == OPTIMAL and basis.updates == iters - 1 > 0
     for every, inversions in ((basis.updates, 1), (basis.updates + 1, 0)):
         monkeypatch.setattr(milp, "_REFACTOR_EVERY", every)
@@ -360,6 +358,42 @@ def test_refactorization_counts_inherited_updates(monkeypatch):
         again = milp._simplex(*lp, warm=basis, stats=stats)
         assert again[0] == OPTIMAL and again[2] == obj
         assert stats["inversions"] == inversions
+
+
+def test_standard_form_has_one_slack_per_row():
+    # Row r's slack is column n + r, bounded by the row's relation.  Cold,
+    # the slacks are the basis: an all-equality LP and a >=-only LP both
+    # solve from it, the first by pivoting every fixed slack out.
+    b = ModelBuilder()
+    x = b.add_continuous(-5.0, 5.0, "x")
+    y = b.add_continuous(-5.0, 5.0, "y")
+    b.add_constraint({x: 1.0, y: 2.0}, LE, 4.0)
+    b.add_constraint({x: 1.0}, GE, -1.0)
+    b.add_constraint({x: 1.0, y: -1.0}, EQ, 0.5)
+    b.set_objective({x: 1.0, y: 1.0})
+    A, rhs, c, lb, ub = milp._standard_form(b.build())
+    assert A.shape == (3, 5)
+    assert np.array_equal(A, [[1, 2, 1, 0, 0], [1, 0, 0, 1, 0],
+                              [1, -1, 0, 0, 1]])
+    assert np.array_equal(rhs, [4.0, -1.0, 0.5])
+    assert np.array_equal(c, [1, 1, 0, 0, 0])
+    assert np.array_equal(lb[2:], [0.0, -INF, 0.0])
+    assert np.array_equal(ub[2:], [INF, 0.0, 0.0])
+
+    # x + 2y = 2 and 2x + y = 2 meet at the unique optimum (2/3, 2/3).
+    for rel in (EQ, GE):
+        b = ModelBuilder()
+        x = b.add_continuous(0.0, 5.0, "x")
+        y = b.add_continuous(0.0, 5.0, "y")
+        b.add_constraint({x: 1.0, y: 2.0}, rel, 2.0)
+        b.add_constraint({x: 2.0, y: 1.0}, rel, 2.0)
+        b.set_objective({x: 1.0, y: 1.0})
+        lp = milp._standard_form(b.build())
+        status, xs, obj, iters, basis = milp._simplex(*lp, 100)
+        assert status == OPTIMAL and basis.updates == 2   # a pivot per slack
+        assert np.allclose(xs, [2 / 3, 2 / 3, 0.0, 0.0])
+        assert abs(obj - 4 / 3) < 1e-12
+        assert set(basis.basis.tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("every", [1, 2, 3])
@@ -453,8 +487,8 @@ def test_dual_infeasible_warm_root_resolves_cold(x_lb, c_x, c_y):
 
 
 def test_singular_basis_is_numerical_failure(monkeypatch):
-    # A chain of 80 equality rows starts on 80 artificials, each of which
-    # leaves the basis in its own pivot, past the first refactorization
+    # A chain of 80 equality rows starts on their 80 fixed slacks, each of
+    # which leaves the basis in its own pivot, past the first refactorization
     # (every 60 iterations), where the inverse fails.
     b = ModelBuilder()
     x = [b.add_continuous(-INF, INF, f"x{i}") for i in range(80)]
