@@ -3,11 +3,11 @@
 Scenario files are YAML with sections plant, network, bounds, noise,
 obstacles, task, solver, run, planner; lengths in meters, angles in
 radians.  An absent key takes its dataclass default; a key or section
-that is not a setting is an error.  Exit codes: 0 success/GoalReached,
-1 usage, config error or diverged training, 2 an episode halted
-infeasible or inadmissible, a failed seed sweep or verification, a plan
-that misses the goal, or no safe control in solve-once or verify,
-3 step limit.
+that is not a setting, or a value out of its setting's range, is an
+error.  Exit codes: 0 success/GoalReached, 1 usage, config error or
+diverged training, 2 an episode halted infeasible or inadmissible, a
+failed seed sweep or verification, a plan that misses the goal, or no
+safe control in solve-once or verify, 3 step limit.
 """
 
 from __future__ import annotations
@@ -79,15 +79,36 @@ def _identity(v):
     return v
 
 
+def _integer(least):
+    """The cast of an integer setting >= least; a bool or 2.9 is not one."""
+    def cast(v):
+        if type(v) is not int or v < least:
+            raise ValueError(v)
+        return v
+    return cast
+
+
+def _real(lo, hi=np.inf):
+    """The cast of a number setting in [lo, hi]."""
+    def cast(v):
+        v = float(v)
+        if not lo <= v <= hi:
+            raise ValueError(v)
+        return v
+    return cast
+
+
+_count, _seed = _integer(1), _integer(0)
+
 # Each section's keys and the cast of their values.  A key names the
 # dataclass field it sets, except the two in _FIELD.
-_SOLVER = {"max_nodes": int, "max_simplex_iters": int}
-_PLANNER = {"max_iters": int, "goal_bias": float, "clearance": float,
-            "u_margin": _floats}
-_RUN = {"seed": int, "max_steps": int}
-_TRAIN = {"hidden": layer_widths, "epochs": int, "learning_rate": float,
-          "batch_size": int, "seed": int, "lr_decay": float,
-          "decay_every": int, "samples": int, "eval_samples": int,
+_SOLVER = {"max_nodes": _count, "max_simplex_iters": _count}
+_PLANNER = {"max_iters": _count, "goal_bias": _real(0.0, 1.0),
+            "clearance": _real(0.0), "u_margin": _floats}
+_RUN = {"seed": _seed, "max_steps": _count}
+_TRAIN = {"hidden": layer_widths, "epochs": _count, "learning_rate": float,
+          "batch_size": _count, "seed": _seed, "lr_decay": float,
+          "decay_every": _count, "samples": _count, "eval_samples": _count,
           "init": _identity}
 _PLANTS = {"robot": {}, "vehicle": {"l": float, "dt": float}}
 _NETWORKS = {"identity_sum": {}, "file": {"path": str}, "train": _TRAIN}

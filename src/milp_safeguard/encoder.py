@@ -2,8 +2,9 @@
 
 Four constraint families are emitted: input feasibility (measurement box
 and the big-M min/max linearization of the control uncertainty set), the
-ReLU-network structure (sign-switch affine propagation and per-neuron
-activation-case binaries), safety (prediction-error inflation plus
+ReLU-network structure (sign-switch affine propagation, and three
+activation-case binaries for each neuron whose sign the interval bounds
+leave undetermined), safety (prediction-error inflation plus
 per-obstacle separating-coordinate disjunctions), and the l1 tracking
 objective via slack variables.
 """
@@ -16,7 +17,9 @@ import numpy as np
 
 from milp_safeguard import milp
 from milp_safeguard.milp import GE, LE, EQ, ModelBuilder, SolverConfig
-from milp_safeguard.nn_model import ReluNetwork, preactivation_bounds
+from milp_safeguard.nn_model import ReluNetwork, output_bounds, \
+    preactivation_bounds
+from milp_safeguard.oracle import input_boxes
 from milp_safeguard.sets import (
     Hypercube,
     UnsafeRegion,
@@ -159,49 +162,50 @@ def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     }
 
 
-def _sign_switch_row(b, out_var, w_row, bias, a_prev, b_prev, swap):
-    """out = sum_q (w_q >= 0 ? w_q * lo_q : w_q * hi_q) + bias (swap flips)."""
-    coeffs = {out_var: 1.0}
-    lo_vars, hi_vars = (b_prev, a_prev) if swap else (a_prev, b_prev)
-    for q, w in enumerate(w_row):
-        if w == 0.0:
-            continue
-        src = lo_vars[q] if w >= 0 else hi_vars[q]
-        coeffs[src] = coeffs.get(src, 0.0) - w
-    b.add_constraint(coeffs, EQ, bias)
+def _affine_image(b, layer, zlo, zhi, a_prev, b_prev, name):
+    """The layer's image [lo, hi] of the box [a_prev, b_prev], bounded by
+    [zlo, zhi]: per neuron, lo = W+ a_prev + W- b_prev + bias and hi =
+    W+ b_prev + W- a_prev + bias, W+ and W- holding W's positive and
+    negative weights.  lo <= hi needs no row: hi - lo = |W| (b_prev - a_prev)."""
+    n = layer.out_dim
+    lo = [b.add_continuous(zlo[j], zhi[j], f"a{name}{j}") for j in range(n)]
+    hi = [b.add_continuous(zlo[j], zhi[j], f"b{name}{j}") for j in range(n)]
+    for j, w_row in enumerate(layer.weights):
+        for out, like, unlike in ((lo[j], a_prev, b_prev),
+                                  (hi[j], b_prev, a_prev)):
+            coeffs = {out: 1.0}
+            for q in np.flatnonzero(w_row):
+                src = like[q] if w_row[q] > 0 else unlike[q]
+                coeffs[src] = coeffs.get(src, 0.0) - w_row[q]
+            b.add_constraint(coeffs, EQ, layer.bias[j])
+    return lo, hi
 
 
 def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """Layer-by-layer propagation of [a_0, b_0] through the network."""
+    """Layer-by-layer propagation of [a_0, b_0] through the network.
+
+    A provably active neuron's post-activation ends are its pre-activation
+    variables, and a provably inactive neuron's are pinned at zero; only a
+    neuron of undetermined sign gets case binaries and rows of its own.
+    """
     lb = p.layer_bounds
     a_prev, b_prev = h["a0"], h["b0"]
     hidden = {"a": [], "b": [], "ahat": [], "bhat": [],
               "d_mm": [], "d_mp": [], "d_pp": []}
     for i, layer in enumerate(p.net.layers[:-1]):
         zlo, zhi = lb[i]
-        n_i = layer.out_dim
-        ahat = [b.add_continuous(zlo[j], zhi[j], f"ahat{i}_{j}") for j in range(n_i)]
-        bhat = [b.add_continuous(zlo[j], zhi[j], f"bhat{i}_{j}") for j in range(n_i)]
-        post_hi = np.maximum(0.0, zhi)
-        a_i = [b.add_continuous(0.0, post_hi[j], f"a{i}_{j}") for j in range(n_i)]
-        b_i = [b.add_continuous(0.0, post_hi[j], f"b{i}_{j}") for j in range(n_i)]
+        ahat, bhat = _affine_image(b, layer, zlo, zhi, a_prev, b_prev,
+                                   f"hat{i}_")
+        a_i, b_i = list(ahat), list(bhat)
         dmm, dmp, dpp = [], [], []
-        for j in range(n_i):
-            w_row = layer.weights[j]
-            bias = layer.bias[j]
-            _sign_switch_row(b, ahat[j], w_row, bias, a_prev, b_prev, swap=False)
-            _sign_switch_row(b, bhat[j], w_row, bias, a_prev, b_prev, swap=True)
-            b.add_constraint({ahat[j]: 1.0, bhat[j]: -1.0}, LE, 0.0)
+        for j in range(layer.out_dim):
             if zlo[j] >= 0.0:
-                # Provably active neuron: the ReLU is the identity here,
-                # so no case binaries are needed.
-                b.add_constraint({a_i[j]: 1.0, ahat[j]: -1.0}, EQ, 0.0)
-                b.add_constraint({b_i[j]: 1.0, bhat[j]: -1.0}, EQ, 0.0)
-                continue
+                continue   # provably active: the ReLU is the identity
+            post_hi = max(0.0, zhi[j])
+            a_i[j] = b.add_continuous(0.0, post_hi, f"a{i}_{j}")
+            b_i[j] = b.add_continuous(0.0, post_hi, f"b{i}_{j}")
             if zhi[j] <= 0.0:
-                # Provably inactive: both interval ends are pinned at zero
-                # (their variable bounds are already [0, 0]).
-                continue
+                continue   # provably inactive: both ends are bounded to 0
             # Undetermined sign: the three activation-status binaries.
             dmm.append(b.add_binary(f"dmm{i}_{j}"))
             dmp.append(b.add_binary(f"dmp{i}_{j}"))
@@ -217,31 +221,13 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
                              LE, 0.0)
             b.add_constraint({a_i[j]: 1.0, b_i[j]: -1.0}, LE, 0.0)
             b.add_constraint({dmm[-1]: 1.0, dmp[-1]: 1.0, dpp[-1]: 1.0}, EQ, 1.0)
-        hidden["ahat"].append(ahat)
-        hidden["bhat"].append(bhat)
-        hidden["a"].append(a_i)
-        hidden["b"].append(b_i)
-        hidden["d_mm"].append(dmm)
-        hidden["d_mp"].append(dmp)
-        hidden["d_pp"].append(dpp)
+        for key, val in zip(hidden, (a_i, b_i, ahat, bhat, dmm, dmp, dpp)):
+            hidden[key].append(val)
         a_prev, b_prev = a_i, b_i
 
-    last = p.net.layers[-1]
-    zlo, zhi = lb[-1]
-    a_next = [b.add_continuous(zlo[j], zhi[j], f"a_next{j}")
-              for j in range(last.out_dim)]
-    b_next = [b.add_continuous(zlo[j], zhi[j], f"b_next{j}")
-              for j in range(last.out_dim)]
-    for j in range(last.out_dim):
-        _sign_switch_row(b, a_next[j], last.weights[j], last.bias[j],
-                         a_prev, b_prev, swap=False)
-        _sign_switch_row(b, b_next[j], last.weights[j], last.bias[j],
-                         a_prev, b_prev, swap=True)
-        b.add_constraint({a_next[j]: 1.0, b_next[j]: -1.0}, LE, 0.0)
-    out = dict(hidden)
-    out["a_next"] = a_next
-    out["b_next"] = b_next
-    return out
+    a_next, b_next = _affine_image(b, p.net.layers[-1], *lb[-1],
+                                   a_prev, b_prev, "_next")
+    return {**hidden, "a_next": a_next, "b_next": b_next}
 
 
 def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
@@ -345,17 +331,27 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     return decision
 
 
+def _off(box: Hypercube, lo, hi) -> bool:
+    """Whether an end of box is more than _TOL away from lo or hi."""
+    return max(np.max(np.abs(box.lo - lo)), np.max(np.abs(box.hi - hi))) > _TOL
+
+
 def _check_decision(p: TrackingProblem, d: ControlDecision):
-    """Post-extraction audit of the ControlDecision invariants."""
+    """Post-extraction audit of the ControlDecision invariants.
+
+    The NN box is re-derived by direct interval propagation of the
+    commanded control's input box, apart from the MILP's rows.
+    """
     n_x = p.n_x
+    if _off(d.nn_out_box, *output_bounds(p.net, *input_boxes(p, d.u_cmd))):
+        raise AssertionError("NN box is not the interval image of the input box")
     state_part = Hypercube(d.input_box.lo[:n_x], d.input_box.hi[:n_x])
     if not p.X.contains_box(state_part, tol=_TOL):
         raise AssertionError("input box state part escapes X")
     if not p.U.contains(d.u_cmd, tol=_TOL):
         raise AssertionError("commanded control escapes U")
-    expected_safe = inflate(d.nn_out_box, p.eps_x)
-    if (np.max(np.abs(expected_safe.lo - d.safe_box.lo)) > _TOL
-            or np.max(np.abs(expected_safe.hi - d.safe_box.hi)) > _TOL):
+    inflated = inflate(d.nn_out_box, p.eps_x)
+    if _off(d.safe_box, inflated.lo, inflated.hi):
         raise AssertionError("safe box is not the eps_x inflation of the NN box")
     if not p.X.contains_box(d.safe_box, tol=_TOL):
         raise AssertionError("safe box escapes X")

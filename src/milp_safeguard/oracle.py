@@ -1,9 +1,10 @@
-"""Independent brute-force validators used by tests.
+"""Independent brute-force validators used by tests and `verify`.
 
 Everything here re-derives results by gridding or exhaustive
 enumeration; nothing is shared with the encoder's constraint-generation
 path beyond nn_model.output_bounds, the interval propagator the MILP's
-network boxes are checked against.
+network boxes are checked against.  The encoder's per-step audit checks
+each decision's network box against input_boxes and output_bounds.
 """
 
 from __future__ import annotations

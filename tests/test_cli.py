@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -201,6 +202,29 @@ def test_plant_or_network_that_does_not_fit_the_bounds(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "max_steps", 0), ("run", "max_steps", 2.9), ("run", "seed", -1),
+    ("planner", "goal_bias", 1.5), ("planner", "clearance", -0.1),
+    ("planner", "max_iters", 0), ("solver", "max_nodes", 0),
+    ("solver", "max_simplex_iters", True), ("network", "epochs", 2.5),
+    ("network", "seed", -1)], ids=str)
+def test_bad_count_or_range_is_an_error(tmp_path, capsys, section, key,
+                                        value):
+    # Counts are integers >= 1 and seeds >= 0, neither a bool nor cut
+    # down from a float; goal_bias is in [0, 1] and clearance >= 0.  Each
+    # bad value is one line of scenario error, before any plan or training.
+    doc = yaml.safe_load(TRAIN if section == "network" else SMALL)
+    doc.setdefault(section, {})[key] = value
+    path = write(tmp_path, yaml.safe_dump(doc))
+    message = f"'{section}.{key}' is not valid: {value!r}"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        _read_settings(_read_document(path))
+    command = "train" if section == "network" else "simulate"
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,20 +1,31 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from milp_safeguard import milp
+from milp_safeguard.cli import load_scenario
 from milp_safeguard.encoder import (
     InfeasibleMeasurement,
     SolverInfeasible,
     TrackingProblem,
+    _check_decision,
     build_tracking_model,
     control_big_m,
     solve_tracking,
 )
-from milp_safeguard.milp import SolverConfig
+from milp_safeguard.milp import EQ
 from milp_safeguard.nn_model import (
+    LayerParams,
+    ReluNetwork,
     build_identity_sum_network,
     forward,
     output_bounds,
 )
+from milp_safeguard.oracle import enumerate_binary_feasibility
+from milp_safeguard.plants import measure
+from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion, intersect, \
     measurement_box
 
@@ -22,6 +33,7 @@ X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
 EPS = np.array([0.05, 0.05])
 NET = build_identity_sum_network(X, U)
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def problem(y, x_ref, unsafe=(), eps_x=EPS, eps_y=EPS, eps_u=EPS):
@@ -141,3 +153,79 @@ def test_model_shape_row_and_binary_counts_deterministic():
     assert m1.num_vars == m2.num_vars
     assert len(m1.constraints) == len(m2.constraints)
     assert [v for v in h1["u_cmd"]] == [v for v in h2["u_cmd"]]
+
+
+def test_audit_rederives_the_nn_box():
+    # The NN box and the safe box moved together by 1e-5 agree with each
+    # other, X and the obstacles; only the interval image of the input box
+    # tells them from the MILP's.
+    p = problem([5, 5], [5.2, 4.8])
+    d = solve_tracking(p)
+    _check_decision(p, d)
+
+    def shift(box):
+        return Hypercube(box.lo + 1e-5, box.hi + 1e-5)
+
+    moved = replace(d, nn_out_box=shift(d.nn_out_box),
+                    safe_box=shift(d.safe_box))
+    with pytest.raises(AssertionError, match="interval image"):
+        _check_decision(p, moved)
+
+
+def random_net(rng, widths):
+    layers = [LayerParams(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+              for n_in, n_out in zip(widths, widths[1:])]
+    return ReluNetwork(tuple(layers))
+
+
+def test_encoder_case_rows_admit_only_the_sign_case():
+    """With every continuous variable at the optimum of a fixed control,
+    the rows that encode_nn_structure writes leave one binary assignment:
+    each undetermined neuron takes the case of its (ahat, bhat) signs."""
+    X1 = Hypercube(np.array([-20.0]), np.array([20.0]))
+    U1 = Hypercube(np.array([-1.0]), np.array([1.0]))
+    eps = np.array([0.05])
+    rng = np.random.default_rng(0)
+    seen, nets = set(), 0
+    for widths in [(2, 3, 1), (2, 2, 2, 1), (2, 4, 1)] * 4:
+        net = random_net(rng, widths)
+        y, u = rng.uniform(-1, 1, 1), rng.uniform(-0.9, 0.9, 1)
+        p = TrackingProblem(net=net, X=X1, U=U1, unsafe=UnsafeRegion(()),
+                            eps_x=eps, eps_y=eps, eps_u=eps, y_k=y,
+                            x_ref=np.array([0.0]))
+        model, h = build_tracking_model(p, fix_u=u)
+        if not any(h["d_mm"]):
+            continue
+        nets += 1
+        sol = milp.solve(model)
+        assert sol.status == milp.OPTIMAL
+        fixed = {j: sol.values[j] for j in range(model.num_vars)
+                 if not model.is_binary[j]}
+        (assign,) = enumerate_binary_feasibility(model, fixed)
+        value = dict(zip(np.flatnonzero(model.is_binary).tolist(), assign))
+        for i, (zlo, zhi) in enumerate(p.layer_bounds[:-1]):
+            undetermined = np.flatnonzero((zlo < 0) & (zhi > 0))
+            for k, j in enumerate(undetermined):
+                lo = sol.values[h["ahat"][i][j]]
+                hi = sol.values[h["bhat"][i][j]]
+                case = (0, 0, 1) if lo >= 0 else (1, 0, 0) if hi <= 0 \
+                    else (0, 1, 0)
+                assert tuple(value[h[key][i][k]] for key in
+                             ("d_mm", "d_mp", "d_pp")) == case
+                seen.add(case)
+    assert nets >= 8 and seen == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def test_robot_model_is_compact():
+    # Every hidden neuron of the identity-sum net is active, so its
+    # post-activation ends are its pre-activation variables: no copies, no
+    # a = ahat rows, and no lo <= hi row for any layer image.
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
+    model, h = build_tracking_model(
+        s.tracking_problem(y, plan_waypoints(s)[0]))
+    assert (model.num_vars, len(model.constraints),
+            int(model.is_binary.sum())) == (40, 64, 12)
+    assert h["a"][0] == h["ahat"][0] and h["b"][0] == h["bhat"][0]
+    assert not [c for c in model.constraints if c.rel == EQ and c.rhs == 0.0
+                and sorted(c.coef.tolist()) == [-1.0, 1.0]]
