@@ -236,7 +236,10 @@ def load_scenario(path, seed_override=None):
     try:
         settings = _read_settings(doc)
         if seed_override is not None:
-            settings["seed"] = seed_override
+            try:
+                settings["seed"] = _seed(seed_override)
+            except ValueError:
+                raise ScenarioError(f"--seed is not valid: {seed_override!r}")
         net = _build_network(doc["network"], settings["X"], settings["U"],
                              settings["plant"],
                              os.path.dirname(os.path.abspath(path)))

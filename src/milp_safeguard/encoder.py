@@ -5,8 +5,10 @@ and the big-M min/max linearization of the control uncertainty set), the
 ReLU-network structure (sign-switch affine propagation, and three
 activation-case binaries for each neuron whose sign the interval bounds
 leave undetermined), safety (prediction-error inflation plus
-per-obstacle separating-coordinate disjunctions), and the l1 tracking
-objective via slack variables.
+separating-coordinate disjunctions for each obstacle within the step's
+reach hull), and the l1 tracking objective via slack variables.  The
+post-solve audit checks the safe box against every obstacle, those out of
+reach included.
 """
 
 from __future__ import annotations
@@ -231,7 +233,13 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
 
 
 def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """Prediction-error inflation and per-obstacle disjointness binaries."""
+    """Prediction-error inflation and per-obstacle disjointness binaries.
+
+    Only an obstacle that meets the step's reach hull, the output bounds
+    inflated by eps_x, gets binaries and rows: every feasible safe box lies
+    in that hull, so the others cannot bind.  h["obstacles"] lists the
+    indices of the obstacles kept.
+    """
     n_x = p.n_x
     a_next, b_next = h["a_next"], h["b_next"]
     x_lo = [b.add_continuous(p.X.lo[j], p.X.hi[j], f"xlo{j}") for j in range(n_x)]
@@ -239,8 +247,12 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     for j in range(n_x):
         b.add_constraint({x_lo[j]: 1.0, a_next[j]: -1.0}, EQ, -p.eps_x[j])
         b.add_constraint({x_hi[j]: 1.0, b_next[j]: -1.0}, EQ, p.eps_x[j])
+    hull = inflate(Hypercube(*p.layer_bounds[-1]), p.eps_x)
+    kept = [k for k, obs in enumerate(p.unsafe)
+            if not disjoint_from_region(hull, UnsafeRegion((obs,)))]
     deltas = []
-    for k, obs in enumerate(p.unsafe):
+    for k in kept:
+        obs = p.unsafe.boxes[k]
         d1 = [b.add_binary(f"du1_{k}_{j}") for j in range(n_x)]
         d2 = [b.add_binary(f"du2_{k}_{j}") for j in range(n_x)]
         card = {}
@@ -256,7 +268,7 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
             card[d2[j]] = 1.0
         b.add_constraint(card, GE, 1.0)
         deltas.append((d1, d2))
-    return {"x_lo": x_lo, "x_hi": x_hi, "delta_u": deltas}
+    return {"x_lo": x_lo, "x_hi": x_hi, "delta_u": deltas, "obstacles": kept}
 
 
 def encode_objective(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:

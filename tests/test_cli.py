@@ -318,6 +318,20 @@ def test_simulate_seed_override_changes_noise(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_seed_option_is_an_error(tmp_path, capsys, command):
+    # --seed takes run.seed's place and its check: one line of scenario
+    # error, before any plan or output directory.
+    path = write(tmp_path, SMALL)
+    with pytest.raises(ScenarioError, match="--seed is not valid: -1"):
+        load_scenario(path, seed_override=-1)
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, path, "--seed", "-1", *out]) == 1
+    err = capsys.readouterr().err
+    assert err == "scenario error: --seed is not valid: -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_seeds_replays_one_plan(tmp_path, capsys):
     path = write(tmp_path, SMALL)
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milp_safeguard import milp
+from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.encoder import (
     InfeasibleMeasurement,
@@ -26,8 +26,8 @@ from milp_safeguard.nn_model import (
 from milp_safeguard.oracle import enumerate_binary_feasibility
 from milp_safeguard.plants import measure
 from milp_safeguard.runtime import plan_waypoints
-from milp_safeguard.sets import Hypercube, UnsafeRegion, intersect, \
-    measurement_box
+from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, \
+    intersect, measurement_box
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -219,13 +219,74 @@ def test_encoder_case_rows_admit_only_the_sign_case():
 def test_robot_model_is_compact():
     # Every hidden neuron of the identity-sum net is active, so its
     # post-activation ends are its pre-activation variables: no copies, no
-    # a = ahat rows, and no lo <= hi row for any layer image.
+    # a = ahat rows, and no lo <= hi row for any layer image.  Neither wall
+    # is within the first step's reach, so the only binaries are the four
+    # control clips.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
     model, h = build_tracking_model(
         s.tracking_problem(y, plan_waypoints(s)[0]))
     assert (model.num_vars, len(model.constraints),
-            int(model.is_binary.sum())) == (40, 64, 12)
+            int(model.is_binary.sum())) == (32, 42, 4)
+    assert h["obstacles"] == [] and h["delta_u"] == []
     assert h["a"][0] == h["ahat"][0] and h["b"][0] == h["bhat"][0]
     assert not [c for c in model.constraints if c.rel == EQ and c.rhs == 0.0
                 and sorted(c.coef.tolist()) == [-1.0, 1.0]]
+
+
+def model_size(model):
+    return (model.num_vars, len(model.constraints),
+            int(model.is_binary.sum()))
+
+
+def test_obstacle_out_of_reach_leaves_the_model_as_without_it():
+    # From y = [5, 5] the reach hull is [4.65, 5.35]^2; the block lies past
+    # it.
+    far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
+    bare = problem([5, 5], [5.6, 5.1])
+    walled = problem([5, 5], [5.6, 5.1], unsafe=[far])
+    model, h = build_tracking_model(walled)
+    assert model_size(model) == model_size(build_tracking_model(bare)[0])
+    assert h["obstacles"] == [] and h["delta_u"] == []
+    assert abs(solve_tracking(walled).cost - solve_tracking(bare).cost) <= 1e-9
+
+
+@pytest.mark.parametrize("overlap,kept", [(0.0, False), (1e-6, True)],
+                         ids=["touching", "overlapping"])
+def test_obstacle_kept_only_when_it_overlaps_the_reach_hull(overlap, kept):
+    # The hull is the output bounds [4.7, 5.3]^2 inflated by eps_x; a block
+    # from its upper x face on meets it only at that face.
+    hull = inflate(Hypercube(*problem([5, 5], [5.1, 5.0]).layer_bounds[-1]),
+                   EPS)
+    assert np.allclose(hull.hi, 5.35)
+    block = Hypercube(np.array([hull.hi[0] - overlap, 4.0]),
+                      np.array([6.0, 6.0]))
+    model, h = build_tracking_model(
+        problem([5, 5], [5.1, 5.0], unsafe=[block]))
+    bare, _ = build_tracking_model(problem([5, 5], [5.1, 5.0]))
+    assert h["obstacles"] == ([0] if kept else [])
+    assert model_size(model)[2] - model_size(bare)[2] == (4 if kept else 0)
+
+
+def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch):
+    # The NN box and the safe box shifted together into a block beyond the
+    # reach hull agree with each other and with X.  Were the interval image
+    # fooled into agreeing too, the audit of every obstacle, dropped ones
+    # included, would still reject them.
+    far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
+    p = problem([5, 5], [5.2, 4.8], unsafe=[far])
+    d = solve_tracking(p)
+    assert build_tracking_model(p)[1]["obstacles"] == []
+
+    def shift(box):
+        return Hypercube(box.lo + [1.2, 0.0], box.hi + [1.2, 0.0])
+
+    moved = replace(d, nn_out_box=shift(d.nn_out_box),
+                    safe_box=shift(d.safe_box))
+    with pytest.raises(AssertionError, match="interval image"):
+        _check_decision(p, moved)
+    monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: (
+        moved.nn_out_box.lo, moved.nn_out_box.hi))
+    _check_decision(problem([5, 5], [5.2, 4.8]), moved)
+    with pytest.raises(AssertionError, match="overlaps an obstacle"):
+        _check_decision(p, moved)

@@ -3,9 +3,9 @@
 scipy is a test-only dependency: the whole module is skipped without it.
 Statuses must agree and optimal objectives match within
 1e-6 * max(1, |obj|), the solver's own default relative gap.  The MILPs
-(scipy.optimize.milp, 1e-12 relative gap) are random ones with 20-30
-binaries (more than enumeration can check), and tracking MILPs of the
-robot maze and of the vehicle corridor's committed net.  Two chains of
+(scipy.optimize.milp, 1e-12 relative gap, presolve off) are random
+ones with 20-30 binaries (more than enumeration can check), and tracking
+MILPs of the robot maze and of the vehicle corridor's committed net.  Two chains of
 tracking MILPs (the first steps of the seed-0 robot episode, and points
 along the committed corridor plan) are solved as the control loop solves
 them, each root warm from the previous model's, and must match within
@@ -35,6 +35,7 @@ from milp_safeguard.milp import (  # noqa: E402
     LE,
     OPTIMAL,
     ModelBuilder,
+    _standard_form,
     solve,
 )
 from milp_safeguard.runtime import run_episode  # noqa: E402
@@ -57,14 +58,18 @@ def dense_rows(model):
 
 
 def highs(model):
-    """(status, objective) of the model under HiGHS."""
+    """(status, objective) of the model under HiGHS, presolve off as for
+    the LPs: HiGHS's presolve can return a point that breaks a row by more
+    than the gates allow.  HiGHS's own optimum must satisfy the model."""
     A, lo, hi = dense_rows(model)
     res = scipy_optimize.milp(
         model.objective, integrality=model.is_binary.astype(int),
         bounds=scipy_optimize.Bounds(model.lb, model.ub),
         constraints=scipy_optimize.LinearConstraint(A, lo, hi),
-        options={"mip_rel_gap": 1e-12})
+        options={"mip_rel_gap": 1e-12, "presolve": False})
     status = {0: OPTIMAL, 2: INFEASIBLE}.get(res.status, f"highs:{res.status}")
+    if status == OPTIMAL:
+        assert model.constraint_violation(res.x) <= 1e-6
     return status, (res.fun if res.status == 0 else None)
 
 
@@ -231,12 +236,17 @@ def assert_warm_chain_matches_highs(models):
 
 
 def test_robot_episode_warm_chain_matches_highs():
+    # A root starts warm exactly when its matrix is the previous model's;
+    # it changes with the obstacles within reach.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     log = run_episode(replace(s, max_steps=20))
     assert len(log.steps) == 20
     models = list(tracking_models(s, [(r.y, r.x_ref) for r in log.steps]))
     assert len(models) == 20
-    assert assert_warm_chain_matches_highs(models) == 19
+    matrices = [_standard_form(m)[0] for m in models]
+    same = sum(np.array_equal(a, b) for a, b in zip(matrices, matrices[1:]))
+    assert same >= 15
+    assert assert_warm_chain_matches_highs(models) == same
 
 
 def test_vehicle_plan_warm_chain_matches_highs():

@@ -303,6 +303,40 @@ def test_plan_does_not_depend_on_the_blas_thread_count():
     assert plans[0] and plans[0] == plans[1]
 
 
+# Prints the bytes of every step of the corridor episode that tracks the
+# committed plan, in hex, one step a line.
+_EPISODE_BYTES = """
+import sys
+import numpy as np
+from milp_safeguard.cli import load_scenario
+from milp_safeguard.runtime import run_episode
+scenario, _ = load_scenario(sys.argv[1])
+plan = np.loadtxt(sys.argv[2], delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+log = run_episode(scenario, waypoints=list(plan))
+for s in log.steps:
+    print(b"".join(np.asarray(v).tobytes() for v in
+                   (s.x, s.u_cmd, s.box_lo, s.box_hi) if v is not None).hex())
+print(log.status)
+"""
+
+
+def test_episode_does_not_depend_on_the_blas_thread_count():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    scenarios = os.path.join(root, "bench", "scenarios")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _EPISODE_BYTES,
+             os.path.join(scenarios, "vehicle_corridor.yaml"),
+             os.path.join(scenarios, "vehicle_plan.csv")],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=300)
+        runs.append(done.stdout.split())
+    assert len(runs[0]) > 10 and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("block_lo,kept", [(2.25, True), (2.2, False)],
                          ids=["boundary", "interior"])
 def test_rrt_keeps_a_node_on_an_obstacle_boundary(block_lo, kept):
