@@ -28,6 +28,7 @@ from milp_safeguard.sets import (
     disjoint_from_region,
     inflate,
     measurement_box,
+    separated,
 )
 
 _TOL = 1e-6
@@ -235,9 +236,10 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
 def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     """Prediction-error inflation and per-obstacle disjointness binaries.
 
-    Only an obstacle that meets the step's reach hull, the output bounds
-    inflated by eps_x, gets binaries and rows: every feasible safe box lies
-    in that hull, so the others cannot bind.  h["obstacles"] lists the
+    Only an obstacle that no coordinate separates from the step's reach
+    hull, the output bounds inflated by eps_x, gets binaries and rows: every
+    feasible safe box lies in that hull, so a coordinate that separates the
+    hull separates the box too.  h["obstacles"] lists the
     indices of the obstacles kept.
     """
     n_x = p.n_x
@@ -248,11 +250,11 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
         b.add_constraint({x_lo[j]: 1.0, a_next[j]: -1.0}, EQ, -p.eps_x[j])
         b.add_constraint({x_hi[j]: 1.0, b_next[j]: -1.0}, EQ, p.eps_x[j])
     hull = inflate(Hypercube(*p.layer_bounds[-1]), p.eps_x)
-    kept = [k for k, obs in enumerate(p.unsafe)
-            if not disjoint_from_region(hull, UnsafeRegion((obs,)))]
-    deltas = []
-    for k in kept:
-        obs = p.unsafe.boxes[k]
+    kept, deltas = [], []
+    for k, obs in enumerate(p.unsafe):
+        if separated(hull, obs):
+            continue
+        kept.append(k)
         d1 = [b.add_binary(f"du1_{k}_{j}") for j in range(n_x)]
         d2 = [b.add_binary(f"du2_{k}_{j}") for j in range(n_x)]
         card = {}

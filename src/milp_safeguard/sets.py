@@ -128,19 +128,24 @@ def inflate(h: Hypercube, eps) -> Hypercube:
     return Hypercube(h.lo - eps, h.hi + eps)
 
 
-def disjoint_from_region(h: Hypercube, unsafe: UnsafeRegion, tol: float = 0.0) -> bool:
-    """True iff h overlaps no obstacle's interior.
+def separated(h: Hypercube, box: Hypercube, tol: float = 0.0) -> bool:
+    """True iff some coordinate separates h from box: h.hi <= box.lo or
+    h.lo >= box.hi there, within tol.
 
-    Boundary contact counts as disjoint: the separating inequalities in the
-    MILP are non-strict, so the geometric predicate must agree.
+    These are the MILP's separating rows, which are non-strict, so boundary
+    contact counts as separated.  A box flat in some coordinate is not
+    separated by that coordinate when it crosses the obstacle's open range
+    there.
     """
-    for box in unsafe:
-        if h.dim != box.dim:
-            raise ValueError(f"dimension mismatch: {h.dim} vs {box.dim}")
-        # Open-interior overlap requires strict overlap in every coordinate.
-        if np.all(np.maximum(h.lo, box.lo) < np.minimum(h.hi, box.hi) - tol):
-            return False
-    return True
+    if h.dim != box.dim:
+        raise ValueError(f"dimension mismatch: {h.dim} vs {box.dim}")
+    return bool(np.any(h.hi <= box.lo + tol) or np.any(h.lo >= box.hi - tol))
+
+
+def disjoint_from_region(h: Hypercube, unsafe: UnsafeRegion, tol: float = 0.0) -> bool:
+    """True iff h overlaps no obstacle's interior: some coordinate separates
+    h from each obstacle (see separated)."""
+    return all(separated(h, box, tol) for box in unsafe)
 
 
 def measurement_box(y, eps_y, X: Hypercube) -> Hypercube | None:

@@ -268,13 +268,41 @@ def test_obstacle_kept_only_when_it_overlaps_the_reach_hull(overlap, kept):
     assert model_size(model)[2] - model_size(bare)[2] == (4 if kept else 0)
 
 
-def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch):
+# No noise, no error and no control in the second coordinate: the robot
+# moves along y = const, and every box of a step is flat there.
+U_FLAT = Hypercube(np.array([-0.25, 0.0]), np.array([0.25, 0.0]))
+EPS_FLAT = np.array([0.05, 0.0])
+NET_FLAT = build_identity_sum_network(X, U_FLAT)
+
+
+def flat_problem(y, x_ref, unsafe=()):
+    return TrackingProblem(net=NET_FLAT, X=X, U=U_FLAT,
+                           unsafe=UnsafeRegion(tuple(unsafe)),
+                           eps_x=EPS_FLAT, eps_y=EPS_FLAT, eps_u=EPS_FLAT,
+                           y_k=np.asarray(y, dtype=float),
+                           x_ref=np.asarray(x_ref, dtype=float))
+
+
+def test_flat_hull_keeps_the_obstacle_it_crosses():
+    # The hull [4.65, 5.35] x {5} lies inside the block's open y range, so
+    # only x can separate a box from the block: the block keeps its
+    # binaries, and the box stays left of it instead of crossing it.
+    block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
+    p = flat_problem([5, 5], [5.8, 5.0], unsafe=[block])
+    assert build_tracking_model(p)[1]["obstacles"] == [0]
+    d = solve_tracking(p)
+    assert d.safe_box.lo[1] == d.safe_box.hi[1] == 5.0
+    assert d.safe_box.hi[0] <= 5.1 + 1e-6
+
+
+@pytest.mark.parametrize("make", [problem, flat_problem], ids=["box", "flat"])
+def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
     # The NN box and the safe box shifted together into a block beyond the
     # reach hull agree with each other and with X.  Were the interval image
     # fooled into agreeing too, the audit of every obstacle, dropped ones
-    # included, would still reject them.
+    # included, would still reject them, also a safe box that is flat in y.
     far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
-    p = problem([5, 5], [5.2, 4.8], unsafe=[far])
+    p = make([5, 5], [5.2, 4.8], unsafe=[far])
     d = solve_tracking(p)
     assert build_tracking_model(p)[1]["obstacles"] == []
 
@@ -287,6 +315,6 @@ def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch):
         _check_decision(p, moved)
     monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: (
         moved.nn_out_box.lo, moved.nn_out_box.hi))
-    _check_decision(problem([5, 5], [5.2, 4.8]), moved)
+    _check_decision(make([5, 5], [5.2, 4.8]), moved)
     with pytest.raises(AssertionError, match="overlaps an obstacle"):
         _check_decision(p, moved)

@@ -82,6 +82,16 @@ def test_disjointness_boundary_contact_is_safe():
     assert not disjoint_from_region(box([0.5, 0], [1.5, 1]), region)
 
 
+def test_flat_box_across_an_obstacle_is_not_disjoint():
+    region = UnsafeRegion((box([1, 0], [2, 1]),))
+    # Flat in y inside the open y range: only x could separate it.
+    assert not disjoint_from_region(box([0, 0.5], [3, 0.5]), region)
+    assert not disjoint_from_region(box([1.5, 0.5], [1.5, 0.5]), region)
+    # Flat on the obstacle's face, or beside it.
+    assert disjoint_from_region(box([0, 1], [3, 1]), region)
+    assert disjoint_from_region(box([0.5, 0.5], [1, 0.5]), region)
+
+
 def test_measurement_box_clamps_to_state_set():
     X = box([0, 0], [10, 10])
     mb = measurement_box(np.array([0.02, 5.0]), np.array([0.05, 0.05]), X)
