@@ -5,9 +5,9 @@ obstacles, task, solver, run, planner; lengths in meters, angles in
 radians.  An absent key takes its dataclass default; a key or section
 that is not a setting, or a value out of its setting's range, is an
 error.  Exit codes: 0 success/GoalReached, 1 usage, config error or
-diverged training, 2 an episode halted infeasible or inadmissible, a
-failed seed sweep or verification, a plan that misses the goal, or no
-safe control in solve-once or verify, 3 step limit.
+diverged training, 2 an episode halted short of its goal or step limit,
+a failed seed sweep, verification or audit, a plan that misses the goal,
+or no safe control in solve-once or verify, 3 step limit.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from milp_safeguard.encoder import SolveIterationLimit, SolverInfeasible, \
-    SolverNumericalFailure, solve_tracking
+from milp_safeguard.encoder import AuditFailure, SolveIterationLimit, \
+    SolverInfeasible, SolverNumericalFailure, solve_tracking
 from milp_safeguard.learner import (
     TrainConfig,
     TrainingDiverged,
@@ -61,7 +61,7 @@ log = logging.getLogger("milp_safeguard")
 
 # Failures of a run, not of its input: the command exits 2.
 _RUN_FAILURES = (SolverInfeasible, SolveIterationLimit, SolverNumericalFailure,
-                 PlanFailure, NoPath)
+                 AuditFailure, PlanFailure, NoPath)
 
 
 class ScenarioError(ValueError):

@@ -4,11 +4,11 @@ Four constraint families are emitted: input feasibility (measurement box
 and the big-M min/max linearization of the control uncertainty set), the
 ReLU-network structure (sign-switch affine propagation, and three
 activation-case binaries for each neuron whose sign the interval bounds
-leave undetermined), safety (prediction-error inflation plus
-separating-coordinate disjunctions for each obstacle within the step's
-reach hull), and the l1 tracking objective via slack variables.  The
-post-solve audit checks the safe box against every obstacle, those out of
-reach included.
+leave undetermined), safety (the output layer's image widened by eps_x
+is the safe box, X bounds its variables, and each obstacle within the
+step's reach hull gets separating-coordinate disjunctions), and the l1
+tracking objective via slack variables.  The post-solve audit checks the
+safe box against every obstacle, those out of reach included.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ class SolverNumericalFailure(RuntimeError):
     says nothing about whether a safe control exists."""
 
 
+class AuditFailure(AssertionError):
+    """A solved decision failed its post-solve audit."""
+
+
 def _vec(v, n, name):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (n,):
@@ -71,8 +75,8 @@ class TrackingProblem:
     eps_u: np.ndarray
     y_k: np.ndarray
     x_ref: np.ndarray
-    # The states in X consistent with y_k; None when there are none.
-    x_box: Hypercube | None = field(init=False)
+    # The states in X consistent with y_k.
+    x_box: Hypercube = field(init=False)
     layer_bounds: list = field(init=False)
 
     def __post_init__(self):
@@ -90,15 +94,15 @@ class TrackingProblem:
         if self.unsafe.contains_interior(self.x_ref):
             raise ValueError("x_ref inside an obstacle")
         x_box = measurement_box(self.y_k, self.eps_y, self.X)
+        if x_box is None:
+            raise InfeasibleMeasurement(f"measurement {self.y_k} inconsistent "
+                                        f"with X under eps_y={self.eps_y}")
         object.__setattr__(self, "x_box", x_box)
         # Any box containing every feasible state yields valid neuron
         # bounds; the measurement box is far tighter than X and lets the
         # encoder pin most activation cases without branching.
-        object.__setattr__(
-            self, "layer_bounds",
-            preactivation_bounds(self.net, x_box if x_box is not None
-                                 else self.X, self.U)
-        )
+        object.__setattr__(self, "layer_bounds",
+                           preactivation_bounds(self.net, x_box, self.U))
 
     @property
     def n_x(self) -> int:
@@ -128,11 +132,8 @@ def control_big_m(p: TrackingProblem) -> np.ndarray:
 
 
 def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
-    """Measurement box fixing plus the eight big-M control inequalities."""
-    if p.x_box is None:
-        raise InfeasibleMeasurement(
-            f"measurement {p.y_k} inconsistent with X under eps_y={p.eps_y}"
-        )
+    """Measurement box fixing plus the big-M min/max rows of each
+    control's input interval; U bounds its ends as variable bounds."""
     n_x, n_u = p.n_x, p.n_u
     lo, hi = p.x_box.lo, p.x_box.hi
     a0_x = [b.add_continuous(lo[j], lo[j], f"a0_x{j}") for j in range(n_x)]
@@ -146,12 +147,10 @@ def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     for j in range(n_u):
         ul, uh, e, m = p.U.lo[j], p.U.hi[j], p.eps_u[j], M[j]
         # lower end: a0_u = max(u_lo, u_cmd - eps_u), selected by da
-        b.add_constraint({a0_u[j]: 1.0}, GE, ul)
         b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0}, GE, -e)
         b.add_constraint({a0_u[j]: 1.0, da[j]: m}, LE, ul + m)
         b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0, da[j]: -m}, LE, -e)
         # upper end: b0_u = min(u_hi, u_cmd + eps_u), selected by db
-        b.add_constraint({b0_u[j]: 1.0}, LE, uh)
         b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0}, LE, e)
         b.add_constraint({b0_u[j]: 1.0, db[j]: -m}, GE, uh - m)
         b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0, db[j]: m}, GE, e)
@@ -165,22 +164,24 @@ def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     }
 
 
-def _affine_image(b, layer, zlo, zhi, a_prev, b_prev, name):
-    """The layer's image [lo, hi] of the box [a_prev, b_prev], bounded by
-    [zlo, zhi]: per neuron, lo = W+ a_prev + W- b_prev + bias and hi =
-    W+ b_prev + W- a_prev + bias, W+ and W- holding W's positive and
-    negative weights.  lo <= hi needs no row: hi - lo = |W| (b_prev - a_prev)."""
-    n = layer.out_dim
-    lo = [b.add_continuous(zlo[j], zhi[j], f"a{name}{j}") for j in range(n)]
-    hi = [b.add_continuous(zlo[j], zhi[j], f"b{name}{j}") for j in range(n)]
+def _affine_image(b, layer, bounds, a_prev, b_prev, name, pad=0.0):
+    """The layer's image [lo, hi] of the box [a_prev, b_prev], widened by
+    pad, lo within the (low, high) arrays bounds[0] and hi within bounds[1]:
+    per neuron, lo = W+ a_prev + W- b_prev + bias - pad and hi = W+ b_prev +
+    W- a_prev + bias + pad, W+ and W- holding W's positive and negative
+    weights.  lo <= hi needs no row: hi - lo = |W| (b_prev - a_prev) + 2 pad."""
+    pad = np.broadcast_to(pad, (layer.out_dim,))
+    lo, hi = ([b.add_continuous(low[j], high[j], f"{end}{name}{j}")
+               for j in range(layer.out_dim)]
+              for end, (low, high) in zip("ab", bounds))
     for j, w_row in enumerate(layer.weights):
-        for out, like, unlike in ((lo[j], a_prev, b_prev),
-                                  (hi[j], b_prev, a_prev)):
+        for out, like, unlike, c in ((lo[j], a_prev, b_prev, -pad[j]),
+                                     (hi[j], b_prev, a_prev, pad[j])):
             coeffs = {out: 1.0}
             for q in np.flatnonzero(w_row):
                 src = like[q] if w_row[q] > 0 else unlike[q]
                 coeffs[src] = coeffs.get(src, 0.0) - w_row[q]
-            b.add_constraint(coeffs, EQ, layer.bias[j])
+            b.add_constraint(coeffs, EQ, layer.bias[j] + c)
     return lo, hi
 
 
@@ -190,14 +191,21 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     A provably active neuron's post-activation ends are its pre-activation
     variables, and a provably inactive neuron's are pinned at zero; only a
     neuron of undetermined sign gets case binaries and rows of its own.
+    The output layer's image widened by eps_x is the safe box [x_lo, x_hi],
+    bounded by X too; a step where no such box fits raises SolverInfeasible.
     """
     lb = p.layer_bounds
+    (zlo, zhi), X = lb[-1], p.X
+    ends = [(np.maximum(zlo + e, X.lo), np.minimum(zhi + e, X.hi))
+            for e in (-p.eps_x, p.eps_x)]
+    if any(np.any(low > high) for low, high in ends):
+        raise SolverInfeasible("no safe box of this step fits in X")
     a_prev, b_prev = h["a0"], h["b0"]
     hidden = {"a": [], "b": [], "ahat": [], "bhat": [],
               "d_mm": [], "d_mp": [], "d_pp": []}
     for i, layer in enumerate(p.net.layers[:-1]):
         zlo, zhi = lb[i]
-        ahat, bhat = _affine_image(b, layer, zlo, zhi, a_prev, b_prev,
+        ahat, bhat = _affine_image(b, layer, (lb[i], lb[i]), a_prev, b_prev,
                                    f"hat{i}_")
         a_i, b_i = list(ahat), list(bhat)
         dmm, dmp, dpp = [], [], []
@@ -228,27 +236,21 @@ def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
             hidden[key].append(val)
         a_prev, b_prev = a_i, b_i
 
-    a_next, b_next = _affine_image(b, p.net.layers[-1], *lb[-1],
-                                   a_prev, b_prev, "_next")
-    return {**hidden, "a_next": a_next, "b_next": b_next}
+    x_lo, x_hi = _affine_image(b, p.net.layers[-1], ends, a_prev, b_prev,
+                               "_safe", pad=p.eps_x)
+    return {**hidden, "x_lo": x_lo, "x_hi": x_hi}
 
 
 def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """Prediction-error inflation and per-obstacle disjointness binaries.
+    """Per-obstacle disjointness binaries for the safe box.
 
     Only an obstacle that no coordinate separates from the step's reach
     hull, the output bounds inflated by eps_x, gets binaries and rows: every
     feasible safe box lies in that hull, so a coordinate that separates the
-    hull separates the box too.  h["obstacles"] lists the
-    indices of the obstacles kept.
+    hull separates the box too.  h["obstacles"] lists the obstacles kept.
     """
     n_x = p.n_x
-    a_next, b_next = h["a_next"], h["b_next"]
-    x_lo = [b.add_continuous(p.X.lo[j], p.X.hi[j], f"xlo{j}") for j in range(n_x)]
-    x_hi = [b.add_continuous(p.X.lo[j], p.X.hi[j], f"xhi{j}") for j in range(n_x)]
-    for j in range(n_x):
-        b.add_constraint({x_lo[j]: 1.0, a_next[j]: -1.0}, EQ, -p.eps_x[j])
-        b.add_constraint({x_hi[j]: 1.0, b_next[j]: -1.0}, EQ, p.eps_x[j])
+    x_lo, x_hi = h["x_lo"], h["x_hi"]
     hull = inflate(Hypercube(*p.layer_bounds[-1]), p.eps_x)
     kept, deltas = [], []
     for k, obs in enumerate(p.unsafe):
@@ -270,19 +272,18 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
             card[d2[j]] = 1.0
         b.add_constraint(card, GE, 1.0)
         deltas.append((d1, d2))
-    return {"x_lo": x_lo, "x_hi": x_hi, "delta_u": deltas, "obstacles": kept}
+    return {"delta_u": deltas, "obstacles": kept}
 
 
 def encode_objective(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """l1 worst-case tracking cost via per-dimension slack variables."""
+    """l1 worst-case tracking cost via per-dimension slack variables,
+    lam >= x_hi - r and lam >= r - x_lo (x_lo <= x_hi in every node LP)."""
     n_x = p.n_x
     lam = [b.add_continuous(0.0, milp.INF, f"lam{j}") for j in range(n_x)]
     for j in range(n_x):
         r = p.x_ref[j]
-        b.add_constraint({h["x_lo"][j]: 1.0, lam[j]: -1.0}, LE, r)
-        b.add_constraint({h["x_lo"][j]: 1.0, lam[j]: 1.0}, GE, r)
         b.add_constraint({h["x_hi"][j]: 1.0, lam[j]: -1.0}, LE, r)
-        b.add_constraint({h["x_hi"][j]: 1.0, lam[j]: 1.0}, GE, r)
+        b.add_constraint({h["x_lo"][j]: 1.0, lam[j]: 1.0}, GE, r)
     b.set_objective({v: 1.0 for v in lam})
     return {"lam": lam}
 
@@ -305,9 +306,9 @@ def build_tracking_model(p: TrackingProblem, fix_u=None):
     return b.build(), h
 
 
-def _extract_box(values, lo_vars, hi_vars) -> Hypercube:
-    lo = np.array([values[v] for v in lo_vars])
-    hi = np.array([values[v] for v in hi_vars])
+def _extract_box(values, lo_vars, hi_vars, pad=0.0) -> Hypercube:
+    lo = np.array([values[v] for v in lo_vars]) + pad
+    hi = np.array([values[v] for v in hi_vars]) - pad
     # Solver feasibility tolerance can leave lo marginally above hi.
     return Hypercube(np.minimum(lo, hi), hi)
 
@@ -331,7 +332,7 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     v = sol.values
     u_cmd = np.array([v[j] for j in h["u_cmd"]])
     input_box = _extract_box(v, h["a0"], h["b0"])
-    nn_out_box = _extract_box(v, h["a_next"], h["b_next"])
+    nn_out_box = _extract_box(v, h["x_lo"], h["x_hi"], pad=p.eps_x)
     safe_box = _extract_box(v, h["x_lo"], h["x_hi"])
     decision = ControlDecision(
         u_cmd=u_cmd,
@@ -351,23 +352,23 @@ def _off(box: Hypercube, lo, hi) -> bool:
 
 
 def _check_decision(p: TrackingProblem, d: ControlDecision):
-    """Post-extraction audit of the ControlDecision invariants.
+    """Post-extraction audit of the ControlDecision invariants (AuditFailure).
 
     The NN box is re-derived by direct interval propagation of the
     commanded control's input box, apart from the MILP's rows.
     """
     n_x = p.n_x
     if _off(d.nn_out_box, *output_bounds(p.net, *input_boxes(p, d.u_cmd))):
-        raise AssertionError("NN box is not the interval image of the input box")
+        raise AuditFailure("NN box is not the interval image of the input box")
     state_part = Hypercube(d.input_box.lo[:n_x], d.input_box.hi[:n_x])
     if not p.X.contains_box(state_part, tol=_TOL):
-        raise AssertionError("input box state part escapes X")
+        raise AuditFailure("input box state part escapes X")
     if not p.U.contains(d.u_cmd, tol=_TOL):
-        raise AssertionError("commanded control escapes U")
+        raise AuditFailure("commanded control escapes U")
     inflated = inflate(d.nn_out_box, p.eps_x)
     if _off(d.safe_box, inflated.lo, inflated.hi):
-        raise AssertionError("safe box is not the eps_x inflation of the NN box")
+        raise AuditFailure("safe box is not the eps_x inflation of the NN box")
     if not p.X.contains_box(d.safe_box, tol=_TOL):
-        raise AssertionError("safe box escapes X")
+        raise AuditFailure("safe box escapes X")
     if not disjoint_from_region(d.safe_box, p.unsafe, tol=1e-9):
-        raise AssertionError("safe box overlaps an obstacle")
+        raise AuditFailure("safe box overlaps an obstacle")

@@ -57,8 +57,6 @@ def grid_control_search(p, step: float) -> dict:
     """
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    if p.x_box is None:
-        raise NoFeasibleGridPoint("measurement box is empty")
     axes = []
     for lo, hi in zip(p.U.lo, p.U.hi):
         pts = np.arange(lo, hi, step)

@@ -5,10 +5,10 @@ the robust tracking MILP (its root LP starting from the previous step's
 root basis; each episode starts cold), actuate with disturbance, advance
 the plant, log.  Waypoints are dropped once the predicted safe box
 contains them; the episode ends when the box contains the goal, on
-infeasibility (halt, no fallback), on a numerical failure of the solver
-or a solve that hits its node or simplex-iteration budget (halt, each
-logged apart from infeasibility), when the state leaves the plant's
-admissible domain, or at the step limit.
+infeasibility (halt, no fallback), on a numerical failure of the solver,
+a solve that hits its node or simplex-iteration budget or a decision that
+fails its audit (halt, each logged apart from infeasibility), when the
+state leaves the plant's admissible domain, or at the step limit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from milp_safeguard.encoder import (
+    AuditFailure,
     InfeasibleMeasurement,
     SolveIterationLimit,
     SolverInfeasible,
@@ -32,6 +33,7 @@ from milp_safeguard.planner import rrt_build, shortest_path
 from milp_safeguard.plants import measure, sample_noise
 from milp_safeguard.sets import Hypercube, UnsafeRegion, disjoint_from_region
 
+AUDIT_FAILURE = "AuditFailure"
 GOAL_REACHED = "GoalReached"
 INFEASIBLE = "Infeasible"
 INADMISSIBLE = "InadmissibleState"
@@ -41,10 +43,10 @@ STEP_LIMIT = "StepLimit"
 
 _MEMBER_TOL = 1e-9
 
-# Solver failures that say nothing about whether a safe control exists;
-# every other halt of the solve is infeasibility.
+# Solver failures that say nothing about whether a safe control exists,
+# and failed audits; every other halt of the solve is infeasibility.
 _HALT_STATUS = {SolverNumericalFailure: NUMERICAL_FAILURE,
-                SolveIterationLimit: SOLVER_LIMIT}
+                SolveIterationLimit: SOLVER_LIMIT, AuditFailure: AUDIT_FAILURE}
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,8 @@ def plan_waypoints(s: Scenario) -> list:
 
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     """Run one closed-loop episode; infeasibility, a numerical failure of
-    the solver, a solver budget hit and an inadmissible state halt it, and
-    the halt is logged."""
+    the solver, a solver budget hit, a failed audit and an inadmissible
+    state halt it, and the halt is logged."""
     if waypoints is None:
         waypoints = plan_waypoints(s)
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
@@ -254,8 +256,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         try:
             decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver,
                                       warm=root)
-        except (InfeasibleMeasurement, SolverInfeasible, SolveIterationLimit,
-                SolverNumericalFailure) as exc:
+        except (InfeasibleMeasurement, SolverInfeasible, *_HALT_STATUS) as exc:
             log.steps.append(StepRecord(
                 k=k, x=x, y=y, x_ref=x_ref, u_cmd=None, u_act=None,
                 box_lo=None, box_hi=None, cost=float("inf"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from milp_safeguard import encoder
 from milp_safeguard.cli import (
     ScenarioError,
     _read_document,
@@ -16,7 +17,7 @@ from milp_safeguard.cli import (
 )
 from milp_safeguard.learner import TrainConfig, quantify_error, sample_dataset
 from milp_safeguard.milp import SolverConfig
-from milp_safeguard.nn_model import forward, load_network
+from milp_safeguard.nn_model import forward, load_network, output_bounds
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.runtime import PlannerParams, plan_waypoints, run_episode
 
@@ -292,6 +293,31 @@ def test_simulate_solver_budget_exits_2(tmp_path, capsys):
     assert "status: SolverLimit" in capsys.readouterr().out
     traj = (out / "trajectory.csv").read_text().strip().split("\n")
     assert len(traj) == 2 and traj[1].split(",")[-2] == "SolveIterationLimit"
+
+
+def off_by_1e3(monkeypatch):
+    """Make the audit's interval image disagree with the MILP's by 1e-3."""
+    monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: tuple(
+        v + 1e-3 for v in output_bounds(net, lo, hi)))
+
+
+def test_simulate_audit_failure_exits_2(tmp_path, capsys, monkeypatch):
+    off_by_1e3(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["simulate", os.path.join(ROOT, "scenarios", "robot_maze.yaml"),
+               "--out", str(out)])
+    assert rc == 2
+    assert "status: AuditFailure" in capsys.readouterr().out
+    traj = (out / "trajectory.csv").read_text().strip().split("\n")
+    assert len(traj) == 2 and traj[1].split(",")[-2] == "AuditFailure"
+
+
+def test_verify_audit_failure_exits_2(tmp_path, capsys, monkeypatch):
+    off_by_1e3(monkeypatch)
+    rc = main(["verify", write(tmp_path, SMALL), "--samples", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("AuditFailure: ")
 
 
 def test_plan_failure_exits_2(tmp_path, capsys):

@@ -59,11 +59,10 @@ def test_reference_validation():
 
 
 def test_inconsistent_measurement_raises():
-    bad = TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion(()),
-                          eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                          y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]))
     with pytest.raises(InfeasibleMeasurement):
-        solve_tracking(bad)
+        TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion(()),
+                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
+                        y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]))
 
 
 def test_unconstrained_step_tracks_reference():
@@ -216,22 +215,47 @@ def test_encoder_case_rows_admit_only_the_sign_case():
     assert nets >= 8 and seen == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def assert_states_each_fact_once(model, net, h):
+    # No row restates a variable's bound, and the only equality rows are
+    # each neuron's two image rows and each undetermined neuron's case row:
+    # no row copies one variable into another, as the safe box's copy of
+    # the output box once did.
+    assert all(len(c.idx) > 1 for c in model.constraints)
+    undetermined = sum(len(d) for d in h["d_mm"])
+    assert sum(c.rel == EQ for c in model.constraints) == (
+        2 * sum(layer.out_dim for layer in net.layers) + undetermined)
+
+
 def test_robot_model_is_compact():
     # Every hidden neuron of the identity-sum net is active, so its
     # post-activation ends are its pre-activation variables: no copies, no
-    # a = ahat rows, and no lo <= hi row for any layer image.  Neither wall
-    # is within the first step's reach, so the only binaries are the four
-    # control clips.
+    # a = ahat rows, and no lo <= hi row for any layer image.  The safe box
+    # is the output layer's image widened by eps_x.  Neither wall is within
+    # the first step's reach, so the only binaries are the four control
+    # clips.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
     model, h = build_tracking_model(
         s.tracking_problem(y, plan_waypoints(s)[0]))
-    assert (model.num_vars, len(model.constraints),
-            int(model.is_binary.sum())) == (32, 42, 4)
+    assert model_size(model) == (28, 30, 4)
     assert h["obstacles"] == [] and h["delta_u"] == []
     assert h["a"][0] == h["ahat"][0] and h["b"][0] == h["bhat"][0]
-    assert not [c for c in model.constraints if c.rel == EQ and c.rhs == 0.0
-                and sorted(c.coef.tolist()) == [-1.0, 1.0]]
+    assert_states_each_fact_once(model, s.net, h)
+
+
+def test_corridor_model_is_compact():
+    # The committed corridor net's first step on the committed plan: one
+    # neuron of undetermined sign (three case binaries besides the four
+    # control clips), and the wall is out of reach.
+    s, _ = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                      "vehicle_corridor.yaml"))
+    with open(os.path.join(ROOT, "bench", "scenarios", "vehicle_plan.csv")) as f:
+        first = np.array([float(v) for v in f.readlines()[1].split(",")[1:]])
+    y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
+    model, h = build_tracking_model(s.tracking_problem(y, first))
+    assert model_size(model) == (58, 58, 7)
+    assert h["obstacles"] == [] and sum(len(d) for d in h["d_mm"]) == 1
+    assert_states_each_fact_once(model, s.net, h)
 
 
 def model_size(model):
@@ -318,3 +342,19 @@ def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
     _check_decision(make([5, 5], [5.2, 4.8]), moved)
     with pytest.raises(AssertionError, match="overlaps an obstacle"):
         _check_decision(p, moved)
+
+
+@pytest.mark.parametrize("out", [50.0, 9.99], ids=["beyond-X", "widened-out"])
+def test_reach_hull_outside_X_is_infeasible(out):
+    # The net's output is the constant (out, 5).  At 50 its reach hull lies
+    # beyond X; at 9.99 it lies in X, but widened by eps_x its upper end
+    # passes X.hi = 10.  Either way no safe box fits X: the step is
+    # infeasible, not a malformed model.
+    net = ReluNetwork((LayerParams(np.zeros((2, 4)), np.zeros(2)),
+                       LayerParams(np.zeros((2, 2)), np.array([out, 5.0]))))
+    p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(()),
+                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
+                        y_k=np.array([5.0, 5.0]), x_ref=np.array([5.0, 5.0]))
+    with pytest.raises(SolverInfeasible):
+        solve_tracking(p)
+

@@ -26,7 +26,8 @@ import pytest
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
 from milp_safeguard.cli import load_scenario  # noqa: E402
-from milp_safeguard.encoder import InfeasibleMeasurement, build_tracking_model  # noqa: E402
+from milp_safeguard.encoder import InfeasibleMeasurement, SolverInfeasible, \
+    build_tracking_model  # noqa: E402
 from milp_safeguard.milp import (  # noqa: E402
     EQ,
     GE,
@@ -178,8 +179,9 @@ def tracking_models(scenario, pairs):
     for y, x_ref in pairs:
         try:
             yield build_tracking_model(scenario.tracking_problem(y, x_ref))[0]
-        except (ValueError, InfeasibleMeasurement):
-            continue   # reference in an obstacle or outside X
+        except (ValueError, InfeasibleMeasurement, SolverInfeasible):
+            # a reference in an obstacle or outside X, or no safe box in X
+            continue
 
 
 def robot_pairs(scenario, rng, count):

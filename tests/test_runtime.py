@@ -4,12 +4,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from milp_safeguard import milp
+from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.learner import identity_warm_start
-from milp_safeguard.nn_model import build_identity_sum_network
+from milp_safeguard.nn_model import build_identity_sum_network, output_bounds
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.runtime import (
+    AUDIT_FAILURE,
     GOAL_REACHED,
     INADMISSIBLE,
     INFEASIBLE,
@@ -149,14 +150,28 @@ def test_numerical_failure_halts_episode_logged(monkeypatch):
 
     def inv(a):
         raise np.linalg.LinAlgError("Singular matrix")
-    # The corridor's root LP runs past the first refactorization, so its
-    # cold solve fails too.
+    # A refresh after every basis update makes the corridor's cold root LP
+    # invert after its first pivot, so it fails too.
     monkeypatch.setattr(milp.np.linalg, "inv", inv)
+    monkeypatch.setattr(milp, "_REFACTOR_EVERY", 1)
     log = run_episode(s, waypoints=[s.xg])
     assert log.status == NUMERICAL_FAILURE
     assert len(log.steps) == 1
     rec = log.steps[0]
     assert rec.status == "SolverNumericalFailure"
+    assert rec.u_cmd is None and rec.box_lo is None
+
+
+def test_audit_failure_halts_episode_logged(monkeypatch):
+    """A decision whose NN box is not the interval image of its input box
+    is not certified: the step and the episode say so."""
+    monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: tuple(
+        v + 1e-3 for v in output_bounds(net, lo, hi)))
+    log = run_episode(scenario(max_steps=60))
+    assert log.status == AUDIT_FAILURE
+    assert len(log.steps) == 1
+    rec = log.steps[0]
+    assert rec.status == "AuditFailure"
     assert rec.u_cmd is None and rec.box_lo is None
 
 
