@@ -355,19 +355,22 @@ def _check_decision(p: TrackingProblem, d: ControlDecision):
     """Post-extraction audit of the ControlDecision invariants (AuditFailure).
 
     The NN box is re-derived by direct interval propagation of the
-    commanded control's input box, apart from the MILP's rows.
+    commanded control's input box, apart from the MILP's rows, and the safe
+    box must be that image inflated by eps_x.
     """
     n_x = p.n_x
-    if _off(d.nn_out_box, *output_bounds(p.net, *input_boxes(p, d.u_cmd))):
+    image = Hypercube(*output_bounds(p.net, *input_boxes(p, d.u_cmd)))
+    if _off(d.nn_out_box, image.lo, image.hi):
         raise AuditFailure("NN box is not the interval image of the input box")
     state_part = Hypercube(d.input_box.lo[:n_x], d.input_box.hi[:n_x])
     if not p.X.contains_box(state_part, tol=_TOL):
         raise AuditFailure("input box state part escapes X")
     if not p.U.contains(d.u_cmd, tol=_TOL):
         raise AuditFailure("commanded control escapes U")
-    inflated = inflate(d.nn_out_box, p.eps_x)
+    inflated = inflate(image, p.eps_x)
     if _off(d.safe_box, inflated.lo, inflated.hi):
-        raise AuditFailure("safe box is not the eps_x inflation of the NN box")
+        raise AuditFailure(
+            "safe box is not the eps_x inflation of the interval image")
     if not p.X.contains_box(d.safe_box, tol=_TOL):
         raise AuditFailure("safe box escapes X")
     if not disjoint_from_region(d.safe_box, p.unsafe, tol=1e-9):

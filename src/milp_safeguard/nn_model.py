@@ -101,6 +101,28 @@ def forward_batch(net: ReluNetwork, Z) -> np.ndarray:
     return H @ last.weights.T + last.bias
 
 
+def affine_piece(net: ReluNetwork, Z, cols) -> np.ndarray:
+    """Jacobians of the output with respect to the input columns cols, one
+    per row of Z on that row's activation region: shape
+    (n, output_dim, len(cols)).
+
+    The net is affine on each region of fixed activation pattern, and its
+    Jacobian there is the product of the weights with the rows of the
+    inactive neurons zeroed.  Each row's pattern is read from sums of its
+    own, in an order that does not depend on the other rows of Z.
+    """
+    H = np.asarray(Z, dtype=float)
+    if H.ndim != 2 or H.shape[1] != net.input_dim:
+        raise ValueError(f"batch shape {H.shape} != (n, {net.input_dim})")
+    G = np.eye(net.input_dim)[:, cols]
+    G = np.broadcast_to(G, (len(H),) + G.shape)
+    for layer in net.layers[:-1]:
+        pre = (H[:, None, :] * layer.weights).sum(axis=2) + layer.bias
+        G = (layer.weights @ G) * (pre > 0.0)[:, :, None]
+        H = np.maximum(0.0, pre)
+    return net.layers[-1].weights @ G
+
+
 def linear_bounds(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Array form of the sign-switch bounds for an affine map.
 

@@ -4,33 +4,32 @@ Samples are steered by clipping into the parent's one-step reachable box
 (interval propagation of a point state over the whole control set, computed
 once per node); the stored child node is the exact model image of the best
 control witness, so every tree edge is a dynamically exact one-step
-transition.  The witness is found by a coarse grid and a Hooke-Jeeves
-pattern search.  The RRT draws its samples ahead and guesses each
-iteration's nearest node against the tree as it stands; the searches of
-_WINDOW guessed iterations then run in lockstep, each batched forward pass
-evaluating several halvings of every unfinished search, and the iterations
-commit in order, an iteration whose nearest node has changed since its
-guess being redone.  The rounds of every search are replayed in order, so
-the tree equals that of one iteration and one round per forward pass at a
-time, bit for bit.  Every node but the root has exactly one parent, so path
-extraction walks the goal-connecting node's parent chain back to the root.
+transition.  The witness search starts from a coarse grid and then steers
+exactly on the net's affine pieces: on the piece of its point, the least l1
+residual over the control set lies at a vertex of a few hyperplanes, and
+one batched forward pass evaluates those vertices.  The RRT draws its
+samples ahead and guesses each iteration's nearest node against the tree
+as it stands; the searches of _WINDOW guessed iterations then run in
+lockstep, and the iterations commit in order, an iteration whose nearest
+node has changed since its guess being redone.  No search's result depends
+on the searches beside it, so the tree equals that of one iteration and one
+search at a time, bit for bit.  Every node but the root has exactly one
+parent, so path extraction walks the goal-connecting node's parent chain
+back to the root.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from milp_safeguard.nn_model import ReluNetwork, forward, forward_batch, \
-    output_bounds
+from milp_safeguard.nn_model import ReluNetwork, affine_piece, forward, \
+    forward_batch, output_bounds
 from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
 
-
-# Step sizes (span, span/2, ...) that one forward pass of the witness
-# search evaluates for each of its unfinished searches.
-_LEVELS = 8
 
 # Guessed RRT iterations whose witness searches run in one lockstep search.
 _WINDOW = 8
@@ -69,99 +68,71 @@ def reachable_box(net: ReluNetwork, x, U: Hypercube) -> Hypercube:
     return Hypercube(lo, hi)
 
 
-def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9,
-                    refine_rounds: int = 150):
+def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
     """Controls minimizing the l1 residuals |f(x_from, u) - x_to|, row by row.
 
     X_from and X_to stack k pairs as rows (k x n_x); returns the k controls
-    (k x U.dim) and their k residuals.  Each row's search is a coarse grid
-    over U followed by a shrinking pattern search: each round evaluates all
-    single-coordinate steps and either moves to the best or halves the
-    step, until the step falls below 1e-12 or refine_rounds rounds have run.
-    The k searches run in lockstep.  One batched forward pass evaluates, for
-    every unfinished search, the steps of its next _LEVELS rounds at once,
-    all from its current point at the step sizes that successive halvings
-    would reach; the first of them that improves is the round's move, the
-    ones before it are its halvings, and the search's next pass starts at
-    the move's step size.  A search that has finished drops out of later
-    passes.  Halving by 0.5 is exact and each row of a batch is evaluated
-    as it would be alone, so every row's result equals that of its search
-    run alone with one forward pass per round.
+    (k x U.dim) and their k residuals.  Each row's search starts at the best
+    point of a coarse grid over U.  On the activation region of its point u
+    the net is affine, f = J u + c, and the least of sum |J u + c - x_to|
+    over U lies at a vertex of the arrangement of the n_x hyperplanes
+    J_i u + c_i = x_to_i and the 2 U.dim faces of U, where U.dim of them
+    meet.  A round solves every nonsingular U.dim-subset of them, clips the
+    vertices into U and evaluates them; the search moves to the best if its
+    residual is lower by more than 1e-15, and otherwise ends.  The k
+    searches run in lockstep, one batched forward pass evaluating the
+    vertices of every unfinished search.  c comes from the pass that chose
+    u, so that no point is evaluated alone, where the arithmetic differs in
+    the last bits: no row's result depends on the rows beside it.
     """
     X_from = np.atleast_2d(np.asarray(X_from, dtype=float))
     X_to = np.atleast_2d(np.asarray(X_to, dtype=float))
     k, n_x = X_from.shape
     m = U.dim
 
-    axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(U.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([g.ravel() for g in grids], axis=1)
-    Z = np.empty((k, len(candidates), n_x + m))
-    Z[:, :, :n_x] = X_from[:, None]
-    Z[:, :, n_x:] = candidates
-    out = forward_batch(net, Z.reshape(-1, n_x + m)).reshape(
-        k, len(candidates), n_x)
-    rs = np.sum(np.abs(out - X_to[:, None]), axis=2)
-    best = np.argmin(rs, axis=1)
-    best_u = candidates[best]
-    best_r = rs[np.arange(k), best]
+    def best_of(ids, us):
+        """The input, output and residual of the best control of each search
+        ids, among the rows of us (s x m, or one such per search)."""
+        Z = np.empty((len(ids), us.shape[-2], n_x + m))
+        Z[:, :, :n_x] = X_from[ids, None]
+        Z[:, :, n_x:] = us
+        out = forward_batch(net, Z.reshape(-1, n_x + m)).reshape(
+            len(ids), -1, n_x)
+        rs = np.abs(out - X_to[ids, None]).sum(axis=2)
+        j, rows = rs.argmin(axis=1), np.arange(len(ids))
+        return Z[rows, j], out[rows, j], rs[rows, j]
 
-    span = (U.hi - U.lo) / (coarse - 1)
-    steps = np.concatenate([-np.diag(span), np.diag(span)])
-    # Halvings after which the step falls below 1e-12, ending the search.
-    top, stop = float(np.max(span)), 1
-    while top * 0.5 ** stop >= 1e-12:
-        stop += 1
-    # The steps of every level a pass can reach.  ldexp scales by exact
-    # powers of two, so the level-l steps equal the ones that l sequential
-    # halvings would give.
-    table = np.ldexp(1.0, -np.arange(stop + _LEVELS - 1))[:, None, None] \
-        * steps
-    n_s = len(steps)
-    levels = np.arange(_LEVELS)
-    # The unfinished searches: their rows, point, residual, halvings so far
-    # and rounds, and their forward pass's inputs, search by search.
+    axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(m)]
+    grids = np.meshgrid(*axes, indexing="ij")
     ids = np.arange(k)
-    u, r = best_u.copy(), best_r.copy()
-    level = np.zeros(k, dtype=int)
-    rounds = np.zeros(k, dtype=int)
-    Z = np.empty((k, _LEVELS * n_s, n_x + m))
-    Z[:, :, :n_x] = X_from[:, None]
-    target = X_to[:, None, None]
-    rows = np.arange(k)
-    while True:
-        # The levels within each search's round budget and its stop; a
-        # search with none left has finished.
-        budget = np.minimum(np.minimum(refine_rounds - rounds, stop - level),
-                            _LEVELS)
-        live = budget > 0
-        if not live.all():
-            best_u[ids], best_r[ids] = u, r
-            ids, u, r, level, rounds, budget, Z, target = (
-                v[live] for v in (ids, u, r, level, rounds, budget, Z, target))
-            rows = np.arange(len(ids))
-        if not len(ids):
-            return best_u, best_r
-        trial = u[:, None] + table[level[:, None] + levels].reshape(
-            len(ids), -1, m)
-        np.minimum(np.maximum(trial, U.lo, out=trial), U.hi, out=trial)
-        Z[:, :, n_x:] = trial
-        d = forward_batch(net, Z.reshape(-1, n_x + m)).reshape(
-            len(ids), _LEVELS, n_s, n_x) - target
-        rs = np.abs(d, out=d).sum(axis=3)
-        better = ((rs < (r - 1e-15)[:, None, None]).any(axis=2)
-                  & (levels < budget[:, None]))
-        moved = better.any(axis=1)
-        first = better.argmax(axis=1)
-        # The rounds before the first level that improves are halvings.
-        halvings = np.where(moved, first, budget)
-        level += halvings
-        rounds += halvings + moved
-        if moved.any():
-            at = rs[rows, first]
-            j = at.argmin(axis=1)
-            r = np.where(moved, at[rows, j], r)
-            u = np.where(moved[:, None], trial[rows, first * n_s + j], u)
+    z, y, r = best_of(ids, np.stack([g.ravel() for g in grids], axis=1))
+    best_u, best_r = z[:, n_x:].copy(), r.copy()
+    # The hyperplanes' m-subsets, rows n_x on being U's lower and then upper
+    # faces, less those that hold both faces of an axis.
+    subsets = np.array([s for s in combinations(range(n_x + 2 * m), m)
+                        if len({(i - n_x) % m for i in s if i >= n_x})
+                        == sum(i >= n_x for i in s)])
+    faces = np.vstack([np.eye(m), np.eye(m)])
+    bounds = np.concatenate([U.lo, U.hi])
+    while len(ids):
+        J = affine_piece(net, z, np.arange(n_x, n_x + m))
+        c = y - (J * z[:, None, n_x:]).sum(axis=2)
+        A = np.concatenate([J, np.broadcast_to(faces, (len(ids), 2 * m, m))],
+                           axis=1)[:, subsets]
+        b = np.concatenate([X_to[ids] - c,
+                            np.broadcast_to(bounds, (len(ids), 2 * m))],
+                           axis=1)[:, subsets]
+        # A singular subset gets U.lo, which the lower faces give anyway.
+        singular = (np.abs(np.linalg.det(A))
+                    <= 1e-12 * np.prod(np.linalg.norm(A, axis=3), axis=2))
+        A[singular], b[singular] = np.eye(m), U.lo
+        us = np.linalg.solve(A, b[..., None])[..., 0]
+        np.minimum(np.maximum(us, U.lo, out=us), U.hi, out=us)
+        z, y, r_new = best_of(ids, us)
+        moved = r_new < r - 1e-15
+        ids, z, y, r = ids[moved], z[moved], y[moved], r_new[moved]
+        best_u[ids], best_r[ids] = z[:, n_x:], r
+    return best_u, best_r
 
 
 @dataclass

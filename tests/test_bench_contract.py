@@ -108,9 +108,10 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
         monkeypatch):
     # workload.py counts planner.forward_batch_per_witness from the traced
     # forward_batch calls that run inside planner._witness_search, and the
-    # tracer wraps the name that planner binds. Hand the search an opaque
-    # net that only the wrapped planner.forward_batch can evaluate: any
-    # other way to the network would fail.
+    # tracer wraps the names that planner binds.  Hand the search an opaque
+    # net that only the wrapped planner.forward_batch and
+    # planner.affine_piece can evaluate: any other way to the network would
+    # fail, and only forward_batch calls count as passes.
     from milp_safeguard import planner
     from milp_safeguard.nn_model import build_identity_sum_network
     from milp_safeguard.sets import Hypercube
@@ -119,13 +120,18 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
     net, opaque = build_identity_sum_network(X, U), object()
     x_from, x_to = np.array([2.0, 3.0]), np.array([2.13, 2.91])
     expected = planner._witness_search(net, x_from, x_to, U)
-    inner, calls = planner.forward_batch, []
+    calls = []
 
-    def traced(n, Z):
-        assert n is opaque
-        calls.append(len(Z))
-        return inner(net, Z)
-    monkeypatch.setattr(planner, "forward_batch", traced)
+    def through(name):
+        inner = getattr(planner, name)
+
+        def traced(n, Z, *args):
+            assert n is opaque
+            calls.append(name)
+            return inner(net, Z, *args)
+        monkeypatch.setattr(planner, name, traced)
+    through("forward_batch")
+    through("affine_piece")
     u, r = planner._witness_search(opaque, x_from, x_to, U)
     assert np.array_equal(u, expected[0]) and r == expected[1]
-    assert len(calls) > 1
+    assert calls.count("forward_batch") > 1 and "affine_piece" in calls

@@ -7,6 +7,7 @@ import pytest
 from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.encoder import (
+    AuditFailure,
     InfeasibleMeasurement,
     SolverInfeasible,
     TrackingProblem,
@@ -168,6 +169,28 @@ def test_audit_rederives_the_nn_box():
     moved = replace(d, nn_out_box=shift(d.nn_out_box),
                     safe_box=shift(d.safe_box))
     with pytest.raises(AssertionError, match="interval image"):
+        _check_decision(p, moved)
+
+
+@pytest.mark.parametrize("nn_shift,safe_shift", [(0.0, 1e-5),
+                                                 (9e-7, 1.8e-6)],
+                         ids=["moved", "drifted-within-tolerance"])
+def test_audit_checks_the_safe_box_against_the_interval_image(nn_shift,
+                                                              safe_shift):
+    # A safe box moved by 1e-5 is not the interval image inflated by
+    # eps_x.  Nor is one that drifts 0.9e-6 from an NN box that drifts
+    # 0.9e-6 from the image: each step is within the audit's tolerance,
+    # but the safe box is checked against the image itself.
+    p = problem([5, 5], [5.2, 4.8])
+    d = solve_tracking(p)
+
+    def shift(box, by):
+        return Hypercube(box.lo + by, box.hi + by)
+
+    moved = replace(d, nn_out_box=shift(d.nn_out_box, nn_shift),
+                    safe_box=shift(d.safe_box, safe_shift))
+    with pytest.raises(AuditFailure,
+                       match="eps_x inflation of the interval image"):
         _check_decision(p, moved)
 
 

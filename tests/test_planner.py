@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from milp_safeguard import planner
-from milp_safeguard.nn_model import build_identity_sum_network, forward, \
-    load_network
+from milp_safeguard.cli import load_scenario
+from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
+    build_identity_sum_network, forward, forward_batch, load_network
 from milp_safeguard.planner import (
     NoPath,
     PlanFailure,
@@ -17,6 +19,7 @@ from milp_safeguard.planner import (
     rrt_build,
     shortest_path,
 )
+from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
@@ -51,10 +54,10 @@ def test_edge_feasible_within_reach():
     assert np.sum(np.abs(nxt - [2.2, 2.9])) <= 1e-6
 
 
-def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
-    """The one-round-per-forward-pass pattern search that _witness_search
-    must reproduce bit for bit: evaluate the 2*dim coordinate steps, move
-    to the best if it improves, else halve the step."""
+def _sequential_search(net, x_from, x_to, U):
+    """A reference oracle that shares no code with _witness_search: a coarse
+    grid, then a pattern search that evaluates the 2*dim coordinate steps,
+    moves to the best if it improves, else halves the step."""
     x_from = np.asarray(x_from, dtype=float)
     x_to = np.asarray(x_to, dtype=float)
 
@@ -63,15 +66,15 @@ def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
             [np.broadcast_to(x_from, (len(us), x_from.shape[0])), us], axis=1)
         return np.sum(np.abs(planner.forward_batch(net, Z) - x_to), axis=1)
 
-    axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(U.dim)]
+    axes = [np.linspace(U.lo[j], U.hi[j], 9) for j in range(U.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     candidates = np.stack([g.ravel() for g in grids], axis=1)
     rs = residuals(candidates)
     best = int(np.argmin(rs))
     best_u, best_r = candidates[best].copy(), float(rs[best])
-    span = (U.hi - U.lo) / (coarse - 1)
+    span = (U.hi - U.lo) / 8
     steps = np.concatenate([-np.diag(span), np.diag(span)])
-    for _ in range(refine_rounds):
+    for _ in range(150):
         trial = np.clip(best_u + steps, U.lo, U.hi)
         rs = residuals(trial)
         best = int(np.argmin(rs))
@@ -85,10 +88,17 @@ def _sequential_search(net, x_from, x_to, U, coarse=9, refine_rounds=150):
     return best_u, best_r
 
 
+def _one_search(net, x_from, x_to, U):
+    """_witness_search run on the one pair (x_from, x_to) alone."""
+    us, rs = _witness_search(net, np.asarray(x_from, dtype=float)[None],
+                             np.asarray(x_to, dtype=float)[None], U)
+    return us[0], rs[0]
+
+
 def _row_by_row_search(net, X_from, X_to, U):
-    """_witness_search's stacked signature over _sequential_search, one row
-    at a time."""
-    results = [_sequential_search(net, x_from, x_to, U)
+    """_witness_search's stacked signature over _one_search, one row at a
+    time."""
+    results = [_one_search(net, x_from, x_to, U)
                for x_from, x_to in zip(X_from, X_to)]
     return (np.array([u for u, _ in results]),
             np.array([r for _, r in results]))
@@ -98,7 +108,7 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
                     goal_bias=0.1, clearance=0.0, goal_tol=None):
     """The one-iteration-at-a-time RRT that rrt_build must reproduce bit for
     bit: draw a sample, extend the nearest node (ties to the older) toward
-    its clip into that node's reachable box with a sequential search, and
+    its clip into that node's reachable box with a search of its own, and
     stop once the goal lies in a new node's reachable box inflated by
     goal_tol."""
     x0 = np.asarray(x0, dtype=float)
@@ -132,7 +142,7 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
         candidate = np.clip(x_rand, rbox.lo, rbox.hi)
         if clearance > 0 and inflated.contains_interior(candidate):
             continue
-        u, _ = _sequential_search(net, near, candidate, Us)
+        u, _ = _one_search(net, near, candidate, Us)
         new = forward(net, np.concatenate([near, u]))
         if (not Xs.contains(new) or unsafe.contains_interior(new)
                 or clearance > 0 and inflated.contains_interior(new)):
@@ -175,37 +185,41 @@ def _search_pairs(net, Xs, Us, n, seed):
     return pairs
 
 
-@pytest.mark.parametrize("net,Xs,Us", [(NET, X, U),
-                                       (VEHICLE_NET, VEHICLE_X, VEHICLE_U)],
-                         ids=["robot", "vehicle"])
+BOTH_NETS = pytest.mark.parametrize(
+    "net,Xs,Us", [(NET, X, U), (VEHICLE_NET, VEHICLE_X, VEHICLE_U)],
+    ids=["robot", "vehicle"])
+
+
+@BOTH_NETS
 def test_witness_search_matches_sequential_search(net, Xs, Us):
-    # Lockstep batches of 1, 3, 8 and 9 searches, each row a search of its
-    # own.  Budgets of 7, 8 and 9 rounds end inside, at and just past the
-    # first batch of levels.
+    # Lockstep batches of 1, 3, 8 and 9 searches equal the same searches
+    # run one at a time, bit for bit.
     pairs = _search_pairs(net, Xs, Us, 21, seed=3)
-    batches = [pairs[:1], pairs[1:4], pairs[4:12], pairs[12:]]
-    for rounds in (0, 1, 7, 8, 9, 150):
-        for batch in batches:
-            X_from = np.array([p[0] for p in batch])
-            X_to = np.array([p[1] for p in batch])
-            us, rs = _witness_search(net, X_from, X_to, Us,
-                                     refine_rounds=rounds)
-            assert us.shape == (len(batch), Us.dim)
-            assert rs.shape == (len(batch),)
-            for (x_from, x_to), u, r in zip(batch, us, rs):
-                u_ref, r_ref = _sequential_search(net, x_from, x_to, Us,
-                                                  refine_rounds=rounds)
-                assert np.array_equal(u, u_ref) and r == r_ref, (
-                    x_from, x_to, rounds, len(batch))
+    for batch in (pairs[:1], pairs[1:4], pairs[4:12], pairs[12:]):
+        X_from = np.array([p[0] for p in batch])
+        X_to = np.array([p[1] for p in batch])
+        us, rs = _witness_search(net, X_from, X_to, Us)
+        assert us.shape == (len(batch), Us.dim)
+        assert rs.shape == (len(batch),)
+        for (x_from, x_to), u, r in zip(batch, us, rs):
+            u_ref, r_ref = _one_search(net, x_from, x_to, Us)
+            assert np.array_equal(u, u_ref) and r == r_ref, (
+                x_from, x_to, len(batch))
 
 
-def test_witness_search_batches_the_halvings(monkeypatch):
-    # A target on the image of a grid control: the grid point is already
-    # the minimum, so every round after the grid is a halving.
-    x_from = np.array([4.0, 0.2, -0.1])
-    u_grid = np.array([np.linspace(lo, hi, 9)[k] for lo, hi, k in
-                       zip(VEHICLE_U.lo, VEHICLE_U.hi, (3, 6))])
-    x_to = forward(VEHICLE_NET, np.concatenate([x_from, u_grid]))
+@BOTH_NETS
+def test_witness_search_is_no_worse_than_a_pattern_search(net, Xs, Us):
+    pairs = _search_pairs(net, Xs, Us, 21, seed=3)
+    us, rs = _witness_search(net, np.array([p[0] for p in pairs]),
+                             np.array([p[1] for p in pairs]), Us)
+    for (x_from, x_to), u, r in zip(pairs, us, rs):
+        assert Us.contains(u)
+        image = forward(net, np.concatenate([x_from, u]))
+        assert abs(r - np.sum(np.abs(image - x_to))) <= 1e-12
+        assert r <= _sequential_search(net, x_from, x_to, Us)[1] + 1e-12
+
+
+def _counted_passes(monkeypatch):
     passes = []
     inner = planner.forward_batch
 
@@ -213,15 +227,73 @@ def test_witness_search_batches_the_halvings(monkeypatch):
         passes.append(len(Z))
         return inner(net, Z)
     monkeypatch.setattr(planner, "forward_batch", counted)
-    u_ref, r_ref = _sequential_search(VEHICLE_NET, x_from, x_to, VEHICLE_U)
-    n_ref = len(passes)
-    passes.clear()
+    return passes
+
+
+def test_witness_search_keeps_a_grid_control_on_target(monkeypatch):
+    # A target on the image of a grid control: the grid pass finds it, and
+    # one round of vertices finds nothing better.
+    x_from = np.array([4.0, 0.2, -0.1])
+    u_grid = np.array([np.linspace(lo, hi, 9)[k] for lo, hi, k in
+                       zip(VEHICLE_U.lo, VEHICLE_U.hi, (3, 6))])
+    x_to = forward(VEHICLE_NET, np.concatenate([x_from, u_grid]))
+    passes = _counted_passes(monkeypatch)
     us, rs = _witness_search(VEHICLE_NET, x_from[None], x_to[None],
                              VEHICLE_U)
-    assert np.array_equal(us[0], u_grid) and np.array_equal(us[0], u_ref)
-    assert rs[0] == r_ref
-    assert n_ref >= 35
-    assert len(passes) <= 7
+    assert np.array_equal(us[0], u_grid)
+    assert rs[0] <= 1e-12
+    assert len(passes) <= 3
+
+
+@pytest.mark.parametrize("x_to", [[2.15625, 2.90625], [2.5, 2.96875],
+                                  [1.0, 3.5]],
+                         ids=["in-reach", "one-axis-clipped", "corner"])
+def test_witness_search_steers_the_identity_net_in_one_round(
+        monkeypatch, x_to):
+    # The identity-sum net is one affine piece, x + u: the first round's
+    # best vertex is clip(x_to - x_from, U), and the next finds nothing
+    # better.  The values are dyadic, so the net computes them exactly.
+    x_from, x_to = np.array([2.0, 3.0]), np.array(x_to)
+    passes = _counted_passes(monkeypatch)
+    us, rs = _witness_search(NET, x_from[None], x_to[None], U)
+    u = np.clip(x_to - x_from, U.lo, U.hi)
+    assert np.array_equal(us[0], u)
+    assert rs[0] == np.sum(np.abs(x_from + u - x_to))
+    assert len(passes) <= 3
+
+
+def _affine_net(rng, n_x, m):
+    """A one-hidden-layer net whose hidden neurons are all active on
+    [-1, 1]^(n_x + m), so that it is one affine piece there."""
+    n = n_x + m
+    W1 = rng.normal(size=(6, n))
+    hidden = LayerParams(W1, np.abs(W1).sum(axis=1) + 0.5)
+    return ReluNetwork((hidden, LayerParams(rng.normal(size=(n_x, 6)),
+                                            rng.normal(size=n_x))))
+
+
+@pytest.mark.parametrize("m,points", [(1, 20001), (3, 61)],
+                         ids=["one-control", "three-controls"])
+def test_witness_search_other_control_dimensions(m, points):
+    # The vertices are the m-subsets of the n_x residual hyperplanes and
+    # U's 2m faces.  On a net that is affine over U, their best is the
+    # least residual, no worse than any point of a fine grid over U and
+    # near the best of them.
+    rng = np.random.default_rng(m)
+    n_x = 2 if m == 1 else 4
+    net = _affine_net(rng, n_x, m)
+    Us = Hypercube(-np.ones(m), np.ones(m))
+    axes = np.meshgrid(*[np.linspace(-1.0, 1.0, points)] * m, indexing="ij")
+    grid = np.stack([a.ravel() for a in axes], axis=1)
+    X_from = rng.uniform(-1.0, 1.0, size=(4, n_x))
+    X_to = rng.uniform(-3.0, 3.0, size=(4, n_x))
+    us, rs = _witness_search(net, X_from, X_to, Us)
+    for x_from, x_to, u, r in zip(X_from, X_to, us, rs):
+        Z = np.hstack([np.broadcast_to(x_from, (len(grid), n_x)), grid])
+        on_grid = np.abs(forward_batch(net, Z) - x_to).sum(axis=1)
+        assert Us.contains(u)
+        assert r <= on_grid.min() + 1e-12
+        assert r >= on_grid.min() - 0.05
 
 
 def test_rrt_build_matches_sequential_search(monkeypatch):
@@ -274,6 +346,26 @@ def test_rrt_build_matches_sequential_rrt(net, Xs, Us, unsafe, task):
         assert tree is None
     else:
         _assert_same_tree(tree, ref)
+
+
+@pytest.mark.parametrize("seed", [2, 4, 5, 6, 7, 9, 10, 14])
+def test_bench_corridor_seed_plans_in_the_fast_mode(monkeypatch, seed):
+    # The corridor RRT's cost is bimodal in its seed: the benchmark's seeds
+    # need 86 to 727 witness searches, the slow mode thousands.  A changed
+    # witness must not push one of them into the slow mode; the plan stops
+    # at the first search past the budget.
+    scenario, _ = load_scenario(os.path.join(
+        os.path.dirname(__file__), os.pardir, "bench", "scenarios",
+        "vehicle_corridor.yaml"))
+    inner, rows = planner._witness_search, []
+
+    def counted(net, X_from, X_to, U):
+        rows.append(len(X_from))
+        assert sum(rows) <= 1000, f"seed {seed} past 1,000 witness rows"
+        return inner(net, X_from, X_to, U)
+    monkeypatch.setattr(planner, "_witness_search", counted)
+    plan_waypoints(replace(scenario, seed=seed))
+    assert rows
 
 
 # Prints the bytes of the robot maze's seed-0 plan, in hex.
