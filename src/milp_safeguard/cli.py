@@ -106,10 +106,10 @@ _SOLVER = {"max_nodes": _count, "max_simplex_iters": _count}
 _PLANNER = {"max_iters": _count, "goal_bias": _real(0.0, 1.0),
             "clearance": _real(0.0), "u_margin": _floats}
 _RUN = {"seed": _seed, "max_steps": _count}
-_TRAIN = {"hidden": layer_widths, "epochs": _count, "learning_rate": float,
-          "batch_size": _count, "seed": _seed, "lr_decay": float,
-          "decay_every": _count, "samples": _count, "eval_samples": _count,
-          "init": _identity}
+_TRAIN = {"hidden": layer_widths, "epochs": _count,
+          "learning_rate": _real(0.0), "batch_size": _count, "seed": _seed,
+          "lr_decay": _real(0.0, 1.0), "decay_every": _count,
+          "samples": _count, "eval_samples": _count, "init": _identity}
 _PLANTS = {"robot": {}, "vehicle": {"l": float, "dt": float}}
 _NETWORKS = {"identity_sum": {}, "file": {"path": str}, "train": _TRAIN}
 _BOUNDS = dict.fromkeys(("x_lo", "x_hi", "u_lo", "u_hi"), _floats)

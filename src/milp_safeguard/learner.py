@@ -5,6 +5,15 @@ in numpy; inputs are fed raw (no normalization) so the resulting network
 can be consumed directly by the MILP encoder in state/control coordinates.
 The prediction-error bound is the componentwise maximum absolute residual
 over the dataset.
+
+Layout of the SGD kernel (_Kernel): all parameters sit in one flat vector,
+each layer's block [W | b] a (fan_out, fan_in + 1) view into it, and the
+gradient in one flat buffer of the same layout.  Activations are held
+transposed, as preallocated (width + 1, batch) arrays whose last row is
+ones, so one product gives a layer's pre-activation with its bias and one
+product d @ actsᵀ gives [gW | gb].  The data, one row [z, 1, y] per
+sample, is permuted once per epoch into one array, and each batch is a
+slice of it, read transposed.
 """
 
 from __future__ import annotations
@@ -64,8 +73,11 @@ class TrainConfig:
         layer_widths(self.hidden_sizes)
         if min(self.epochs, self.batch_size, self.decay_every) <= 0:
             raise ValueError("hyperparameters must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning rate must be nonnegative, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +91,14 @@ def sample_dataset(step, X: Hypercube, U: Hypercube, n: int,
                    seed: int = 0) -> Dataset:
     """n uniform samples of X x U with exact plant outputs.
 
-    step: callable (x, u) -> x_next.
+    step: callable (xs, us) -> x_next on (n, ·) stacks, as a plant's step.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     xs = X.sample(rng, n)
     us = U.sample(rng, n)
-    x_next = np.array([step(x, u) for x, u in zip(xs, us)])
-    return Dataset(x=xs, u=us, x_next=x_next)
+    return Dataset(x=xs, u=us, x_next=step(xs, us))
 
 
 def init_params(in_dim: int, hidden_sizes, out_dim: int, seed: int):
@@ -102,33 +113,94 @@ def init_params(in_dim: int, hidden_sizes, out_dim: int, seed: int):
     return Ws, bs
 
 
-def _forward_batch(Ws, bs, Z):
-    """Returns (prediction, per-layer post-activations incl. input)."""
-    acts = [Z]
-    h = Z
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        h = np.maximum(0.0, h @ W.T + b)
-        acts.append(h)
-    return h @ Ws[-1].T + bs[-1], acts
+class _Kernel:
+    """A net's parameters and gradient as flat vectors, and the MSE gradient.
+
+    theta holds every layer's [W | b] block, row-major, one after the
+    other; blocks[l] is layer l's block as a view into theta, and grad and
+    gblocks are the same for the gradient.  The transposed activations of
+    each batch width are allocated on first use and kept.
+    """
+
+    def __init__(self, Ws, bs):
+        shapes = [(len(W), W.shape[1] + 1) for W in Ws]
+        ends = np.cumsum([rows * cols for rows, cols in shapes])
+
+        def views(flat):
+            return [flat[end - rows * cols:end].reshape(rows, cols)
+                    for (rows, cols), end in zip(shapes, ends)]
+        self.theta, self.grad = np.empty(ends[-1]), np.empty(ends[-1])
+        self.blocks, self.gblocks = views(self.theta), views(self.grad)
+        for Wb, W, b in zip(self.blocks, Ws, bs):
+            Wb[:, :-1] = W
+            Wb[:, -1] = b
+        # W_lᵀ of every layer after the first, for the backward products.
+        self._WTs = [Wb[:, :-1].T for Wb in self.blocks[1:]]
+        self._buffers = {}
+
+    def params(self):
+        """Copies of the weight matrices and bias vectors."""
+        return ([Wb[:, :-1].copy() for Wb in self.blocks],
+                [Wb[:, -1].copy() for Wb in self.blocks])
+
+    def _buffers_for(self, m):
+        """(acts, hs, masks, out) for a batch of m columns: acts[l] is the
+        (width + 1, m) input of layer l + 1 with its ones row, hs[l] its
+        first width rows (which gradient overwrites with the layer's
+        delta), masks[l] where hs[l] > 0 and out the output."""
+        if m not in self._buffers:
+            acts = []
+            for Wb in self.blocks[:-1]:
+                a = np.empty((len(Wb) + 1, m))
+                a[-1] = 1.0
+                acts.append(a)
+            hs = [a[:-1] for a in acts]
+            self._buffers[m] = (acts, hs,
+                                [np.empty(h.shape, dtype=bool) for h in hs],
+                                np.empty((len(self.blocks[-1]), m)))
+        return self._buffers[m]
+
+    def forward(self, A):
+        """The net's output on the columns of A = [Zᵀ; 1], transposed."""
+        acts, hs, _, out = self._buffers_for(A.shape[1])
+        for Wb, act, h in zip(self.blocks, acts, hs):
+            np.matmul(Wb, A, out=h)
+            np.maximum(h, 0.0, out=h)
+            A = act
+        np.matmul(self.blocks[-1], A, out=out)
+        return out
+
+    def gradient(self, A, Yt):
+        """MSE gradient on the columns of A = [Zᵀ; 1] and Yt = Yᵀ into grad;
+        the ReLU subgradient at 0 is taken as 0."""
+        m = A.shape[1]
+        acts, hs, masks, d = self._buffers_for(m)
+        self.forward(A)
+        np.subtract(d, Yt, out=d)
+        np.divide(d, m / 2, out=d)      # rounds as 2 (pred - Y) / m does
+        for l in range(len(self.blocks) - 1, 0, -1):
+            np.matmul(d, acts[l - 1].T, out=self.gblocks[l])
+            h, mask = hs[l - 1], masks[l - 1]
+            np.greater(h, 0.0, out=mask)
+            np.matmul(self._WTs[l - 1], d, out=h)
+            np.multiply(h, mask, out=h)
+            d = h
+        np.matmul(d, A.T, out=self.gblocks[0])
 
 
 def _mse(pred, target) -> float:
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+    """Mean over the columns of the squared error summed down each one;
+    overwrites pred with the residual."""
+    np.subtract(pred, target, out=pred)
+    return float(np.vdot(pred, pred)) / pred.shape[1]
 
 
 def gradients(Ws, bs, Z, Y):
-    """Analytic MSE gradients; ReLU subgradient at 0 taken as 0."""
-    pred, acts = _forward_batch(Ws, bs, Z)
-    n = Z.shape[0]
-    delta = 2.0 * (pred - Y) / n
-    gWs = [None] * len(Ws)
-    gbs = [None] * len(bs)
-    for layer in range(len(Ws) - 1, -1, -1):
-        gWs[layer] = delta.T @ acts[layer]
-        gbs[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ Ws[layer]) * (acts[layer] > 0)
-    return gWs, gbs
+    """Analytic MSE gradients (gWs, gbs); ReLU subgradient at 0 taken as 0."""
+    kernel = _Kernel(Ws, bs)
+    kernel.gradient(np.hstack([Z, np.ones((len(Z), 1))]).T, Y.T)
+    return ([g[:, :-1] for g in kernel.gblocks],
+            [g[:, -1] for g in kernel.gblocks])
 
 
 def identity_warm_start(X: Hypercube, U: Hypercube, hidden_sizes,
@@ -186,33 +258,40 @@ def train(cfg: TrainConfig, data: Dataset,
     """Minibatch SGD on MSE; deterministic given the config seed."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    Z = data.inputs
-    Y = data.x_next
+    n, k = len(data), data.inputs.shape[1] + 1
     if init is not None:
         Ws, bs = params_from_net(init)
     else:
-        Ws, bs = init_params(Z.shape[1], cfg.hidden_sizes, Y.shape[1], cfg.seed)
+        Ws, bs = init_params(k - 1, cfg.hidden_sizes, data.x_next.shape[1],
+                             cfg.seed)
+    kernel = _Kernel(Ws, bs)
+    # One row [z, 1, y] per sample.  Each epoch refills the permuted copy
+    # in place, so every batch is a fixed view of it.
+    D = np.hstack([data.inputs, np.ones((n, 1)), data.x_next])
+    shuffled = np.empty_like(D)
+    batches = [(rows[:, :k].T, rows[:, k:].T) for rows in
+               (shuffled[s:s + cfg.batch_size]
+                for s in range(0, n, cfg.batch_size))]
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * cfg.lr_decay ** (epoch // cfg.decay_every)
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            gWs, gbs = gradients(Ws, bs, Z[idx], Y[idx])
-            for W, b, gW, gb in zip(Ws, bs, gWs, gbs):
-                W -= lr * gW
-                b -= lr * gb
-        pred, _ = _forward_batch(Ws, bs, Z)
-        loss = _mse(pred, Y)
+        # A permutation's indices are all in range, so "clip" changes none;
+        # it lets take write into shuffled without a buffer.
+        np.take(D, rng.permutation(n), axis=0, out=shuffled, mode="clip")
+        for A, Yt in batches:
+            kernel.gradient(A, Yt)
+            kernel.grad *= lr
+            kernel.theta -= kernel.grad
+        loss = _mse(kernel.forward(D[:, :k].T), D[:, k:].T)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite MSE at epoch {epoch} (lr={lr:g}); "
                 f"reduce the learning rate"
             )
         losses.append(loss)
-    return TrainResult(net=net_from_params(Ws, bs), final_mse=losses[-1],
-                       epoch_losses=tuple(losses))
+    return TrainResult(net=net_from_params(*kernel.params()),
+                       final_mse=losses[-1], epoch_losses=tuple(losses))
 
 
 def quantify_error(net: ReluNetwork, data: Dataset) -> np.ndarray:

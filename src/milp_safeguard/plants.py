@@ -9,7 +9,9 @@ Every plant has the same sizes and calls: state_dim and control_dim are
 the lengths of its state and control; step(x, u, rng=None) is the
 noise-free map when rng is None and the true next state, with the plant's
 own disturbance drawn from rng, otherwise; admissible(x) tells whether a
-state lies in the domain the plant's model covers.
+state lies in the domain the plant's model covers.  step also takes a
+(k, state_dim) stack of states with a (k, control_dim) stack of controls
+and steps every row at once, noise-free only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class RobotPlant:
     control_dim = 2
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        x, u = _state_and_control(self, x, u)
+        x, u = _state_and_control(self, x, u, rng)
         if rng is None:
             return x + u
         return x + u + sample_noise(self.eps_x, rng)
@@ -59,27 +61,33 @@ class VehiclePlant:
             raise ValueError("wheelbase and dt must be positive")
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        x, u = _state_and_control(self, x, u)
-        px, py, theta = x
-        v, steer = u
+        x, u = _state_and_control(self, x, u, rng)
+        px, py, theta = x[..., 0], x[..., 1], x[..., 2]
+        v, steer = u[..., 0], u[..., 1]
         ds = v * self.dt
-        return np.array([
+        return np.stack([
             px + ds * np.cos(theta) * np.cos(steer),
             py + ds * np.sin(theta) * np.cos(steer),
             theta + ds / self.wheelbase * np.sin(steer),
-        ])
+        ], axis=-1)
 
     def admissible(self, x) -> bool:
         return bool(-math.pi + _THETA_MARGIN <= x[2] <= math.pi - _THETA_MARGIN)
 
 
-def _state_and_control(plant, x, u):
-    """x and u as float arrays, checked against the plant's sizes."""
+def _state_and_control(plant, x, u, rng):
+    """x and u as float arrays, one row each or stacks of as many rows,
+    checked against the plant's sizes; a stack steps without noise."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (plant.state_dim,) or u.shape != (plant.control_dim,):
+    if (x.shape[-1:] != (plant.state_dim,)
+            or u.shape[-1:] != (plant.control_dim,)
+            or x.shape[:-1] != u.shape[:-1]):
         raise ValueError(f"{type(plant).__name__} state is "
-                         f"{plant.state_dim}-D, control {plant.control_dim}-D")
+                         f"{plant.state_dim}-D, control {plant.control_dim}-D, "
+                         f"as many of each; got {x.shape} and {u.shape}")
+    if x.ndim > 1 and rng is not None:
+        raise ValueError("a stack of states steps without noise only")
     return x, u
 
 

@@ -211,12 +211,14 @@ def test_plant_or_network_that_does_not_fit_the_bounds(tmp_path, capsys,
     ("planner", "goal_bias", 1.5), ("planner", "clearance", -0.1),
     ("planner", "max_iters", 0), ("solver", "max_nodes", 0),
     ("solver", "max_simplex_iters", True), ("network", "epochs", 2.5),
-    ("network", "seed", -1)], ids=str)
+    ("network", "seed", -1), ("network", "learning_rate", float("nan")),
+    ("network", "lr_decay", -0.5)], ids=str)
 def test_bad_count_or_range_is_an_error(tmp_path, capsys, section, key,
                                         value):
     # Counts are integers >= 1 and seeds >= 0, neither a bool nor cut
-    # down from a float; goal_bias is in [0, 1] and clearance >= 0.  Each
-    # bad value is one line of scenario error, before any plan or training.
+    # down from a float; goal_bias and lr_decay are in [0, 1], clearance
+    # and learning_rate >= 0 (not nan).  Each bad value is one line of
+    # scenario error, before any plan or training.
     doc = yaml.safe_load(TRAIN if section == "network" else SMALL)
     doc.setdefault(section, {})[key] = value
     path = write(tmp_path, yaml.safe_dump(doc))

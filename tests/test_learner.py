@@ -15,12 +15,15 @@ from milp_safeguard.learner import (
     train,
 )
 from milp_safeguard.nn_model import forward
-from milp_safeguard.plants import RobotPlant
+from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.sets import Hypercube
 
 X2 = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 U2 = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
 ROBOT = RobotPlant(eps_x=np.zeros(2))
+X3 = Hypercube(np.array([0.0, -1.5, -0.35]), np.array([8.0, 1.5, 0.35]))
+U3 = Hypercube(np.array([2.0, -0.45]), np.array([3.8, 0.45]))
+VEHICLE = VehiclePlant()
 
 
 def test_dataset_rejects_ragged():
@@ -90,6 +93,15 @@ def test_train_reduces_loss_and_is_deterministic():
         assert np.array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("lr_decay", -2.0), ("lr_decay", 1.5), ("lr_decay", float("nan"))],
+    ids=str)
+def test_train_config_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", ".")):
+        TrainConfig(**{field: value})
+
+
 def test_train_divergence_raises():
     data = sample_dataset(ROBOT.step, X2, U2, 200, seed=0)
     cfg = TrainConfig(epochs=50, learning_rate=50.0, batch_size=16, seed=0,
@@ -141,3 +153,99 @@ def test_learned_robot_dynamics_are_accurate():
     r = train(cfg, data, init=init)
     eps = quantify_error(r.net, data)
     assert np.all(eps < 1e-3)
+
+
+def _reference_train(cfg, data, init=None):
+    """A reference oracle that shares no code with train's kernel: the
+    per-layer minibatch SGD loop, its batches gathered by index from the
+    same permutations, with row-major activations and a separate bias."""
+    def forward(Ws, bs, Z):
+        acts = [Z]
+        for W, b in zip(Ws[:-1], bs[:-1]):
+            acts.append(np.maximum(0.0, acts[-1] @ W.T + b))
+        return acts[-1] @ Ws[-1].T + bs[-1], acts
+
+    Z, Y = data.inputs, data.x_next
+    if init is not None:
+        Ws, bs = params_from_net(init)
+    else:
+        Ws, bs = init_params(Z.shape[1], cfg.hidden_sizes, Y.shape[1],
+                             cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * cfg.lr_decay ** (epoch // cfg.decay_every)
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            pred, acts = forward(Ws, bs, Z[idx])
+            delta = 2.0 * (pred - Y[idx]) / len(idx)
+            for layer in range(len(Ws) - 1, -1, -1):
+                gW, gb = delta.T @ acts[layer], delta.sum(axis=0)
+                if layer > 0:
+                    delta = (delta @ Ws[layer]) * (acts[layer] > 0)
+                Ws[layer] -= lr * gW
+                bs[layer] -= lr * gb
+        loss = float(np.mean(np.sum((forward(Ws, bs, Z)[0] - Y) ** 2, axis=1)))
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"non-finite MSE at epoch {epoch} (lr={lr:g}); "
+                f"reduce the learning rate"
+            )
+        losses.append(loss)
+    return Ws, bs, losses
+
+
+# (plant, X, U, identity warm start); 1,000 samples are 15 batches of 64
+# and a tail batch of 40.
+TRAIN_CASES = pytest.mark.parametrize("plant, X, U, warm", [
+    (ROBOT, X2, U2, False), (ROBOT, X2, U2, True),
+    (VEHICLE, X3, U3, False), (VEHICLE, X3, U3, True)],
+    ids=["robot", "robot-warm", "vehicle", "vehicle-warm"])
+
+
+@TRAIN_CASES
+def test_train_matches_the_reference_loop(plant, X, U, warm):
+    data = sample_dataset(plant.step, X, U, 1000, seed=4)
+    cfg = TrainConfig(epochs=25, learning_rate=4e-3, batch_size=64, seed=2,
+                      hidden_sizes=(8, 4), lr_decay=0.5, decay_every=10)
+    init = identity_warm_start(X, U, (8, 4), seed=1) if warm else None
+    result = train(cfg, data, init=init)
+    Ws, bs, losses = _reference_train(cfg, data, init=init)
+    for layer, W, b in zip(result.net.layers, Ws, bs):
+        for got, want in ((layer.weights, W), (layer.bias, b)):
+            assert np.allclose(got, want, rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(want)))
+    assert np.allclose(result.epoch_losses, losses, rtol=1e-10, atol=0)
+    assert result.final_mse == result.epoch_losses[-1]
+
+
+@TRAIN_CASES
+def test_train_diverges_at_the_reference_loops_epoch(plant, X, U, warm):
+    data = sample_dataset(plant.step, X, U, 1000, seed=4)
+    cfg = TrainConfig(epochs=50, learning_rate=50.0, batch_size=64, seed=2,
+                      hidden_sizes=(8, 4))
+    init = identity_warm_start(X, U, (8, 4), seed=1) if warm else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as got:
+            train(cfg, data, init=init)
+        with pytest.raises(TrainingDiverged) as want:
+            _reference_train(cfg, data, init=init)
+    assert str(got.value) == str(want.value)
+
+
+def test_one_full_batch_epoch_steps_by_the_checked_gradient():
+    # With one batch per epoch, the step train takes is -lr times the
+    # gradient that gradients() returns (and criterion 7 checks).
+    data = sample_dataset(ROBOT.step, X2, U2, 300, seed=2)
+    cfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=300, seed=3,
+                      hidden_sizes=(5, 4))
+    Ws, bs = init_params(4, (5, 4), 2, seed=3)
+    order = np.random.default_rng(cfg.seed + 1).permutation(len(data))
+    gWs, gbs = gradients(Ws, bs, data.inputs[order], data.x_next[order])
+    result = train(cfg, data)
+    for layer, W, b, gW, gb in zip(result.net.layers, Ws, bs, gWs, gbs):
+        assert np.allclose(layer.weights, W - cfg.learning_rate * gW,
+                           rtol=1e-15, atol=0)
+        assert np.allclose(layer.bias, b - cfg.learning_rate * gb,
+                           rtol=1e-15, atol=0)

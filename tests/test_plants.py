@@ -35,6 +35,32 @@ def test_robot_step_shape_check():
         RobotPlant(eps_x=np.zeros(2)).step(np.zeros(3), np.zeros(2))
 
 
+PLANTS = pytest.mark.parametrize(
+    "plant", [RobotPlant(eps_x=np.array([0.05, 0.05])), VehiclePlant()],
+    ids=["robot", "vehicle"])
+
+
+@PLANTS
+def test_stacked_step_equals_the_rows_stepped_one_at_a_time(plant):
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-3.0, 3.0, size=(2000, plant.state_dim))
+    us = rng.uniform(-4.0, 4.0, size=(2000, plant.control_dim))
+    rows = np.array([plant.step(x, u) for x, u in zip(xs, us)])
+    assert np.array_equal(plant.step(xs, us), rows)
+
+
+@PLANTS
+def test_stacked_step_checks_its_shapes_and_takes_no_noise(plant):
+    xs = np.zeros((4, plant.state_dim))
+    us = np.zeros((4, plant.control_dim))
+    for x, u in ((xs, us[:3]), (xs, us[0]), (xs[0], us),
+                 (xs[None], us)):
+        with pytest.raises(ValueError):
+            plant.step(x, u)
+    with pytest.raises(ValueError, match="without noise"):
+        plant.step(xs, us, np.random.default_rng(0))
+
+
 def test_vehicle_step_straight_line():
     plant = VehiclePlant(wheelbase=5.0, dt=0.1)
     x = np.array([0.0, 0.0, 0.0])
