@@ -22,14 +22,8 @@ from milp_safeguard.milp import GE, LE, EQ, ModelBuilder, SolverConfig
 from milp_safeguard.nn_model import ReluNetwork, output_bounds, \
     preactivation_bounds
 from milp_safeguard.oracle import input_boxes
-from milp_safeguard.sets import (
-    Hypercube,
-    UnsafeRegion,
-    disjoint_from_region,
-    inflate,
-    measurement_box,
-    separated,
-)
+from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, \
+    measurement_box
 
 _TOL = 1e-6
 
@@ -83,6 +77,9 @@ class TrackingProblem:
         n_x, n_u = self.X.dim, self.U.dim
         if self.net.input_dim != n_x + n_u or self.net.output_dim != n_x:
             raise ValueError("network dimensions do not match state/control sets")
+        if len(self.unsafe) and self.unsafe.lo.shape[1] != n_x:
+            raise ValueError(f"the obstacles are {self.unsafe.lo.shape[1]}-D, "
+                             f"but X is {n_x}-D")
         for name in ("eps_x", "eps_y", "eps_u", "y_k", "x_ref"):
             n = n_u if name == "eps_u" else n_x
             object.__setattr__(self, name, _vec(getattr(self, name), n, name))
@@ -247,22 +244,22 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     Only an obstacle that no coordinate separates from the step's reach
     hull, the output bounds inflated by eps_x, gets binaries and rows: every
     feasible safe box lies in that hull, so a coordinate that separates the
-    hull separates the box too.  h["obstacles"] lists the obstacles kept.
+    hull separates the box too.  One separation test picks them from all
+    obstacles.  h["obstacles"] lists the indices of those kept.
     """
     n_x = p.n_x
     x_lo, x_hi = h["x_lo"], h["x_hi"]
-    hull = inflate(Hypercube(*p.layer_bounds[-1]), p.eps_x)
-    kept, deltas = [], []
-    for k, obs in enumerate(p.unsafe):
-        if separated(hull, obs):
-            continue
-        kept.append(k)
+    zlo, zhi = p.layer_bounds[-1]
+    kept = np.flatnonzero(
+        ~p.unsafe.separated(zlo - p.eps_x, zhi + p.eps_x)).tolist()
+    deltas = []
+    for k in kept:
         d1 = [b.add_binary(f"du1_{k}_{j}") for j in range(n_x)]
         d2 = [b.add_binary(f"du2_{k}_{j}") for j in range(n_x)]
         card = {}
         for j in range(n_x):
             Xl, Xh = p.X.lo[j], p.X.hi[j]
-            ol, oh = obs.lo[j], obs.hi[j]
+            ol, oh = p.unsafe.lo[k, j], p.unsafe.hi[k, j]
             b.add_constraint({x_hi[j]: 1.0, d1[j]: -(ol - Xh)}, LE, Xh)
             b.add_constraint({x_hi[j]: 1.0, d1[j]: (ol - Xl)}, GE, ol)
             b.add_constraint({x_lo[j]: 1.0, d2[j]: -(oh - Xl)}, GE, Xl)
@@ -373,5 +370,5 @@ def _check_decision(p: TrackingProblem, d: ControlDecision):
             "safe box is not the eps_x inflation of the interval image")
     if not p.X.contains_box(d.safe_box, tol=_TOL):
         raise AuditFailure("safe box escapes X")
-    if not disjoint_from_region(d.safe_box, p.unsafe, tol=1e-9):
+    if not p.unsafe.separated(d.safe_box.lo, d.safe_box.hi, 1e-9).all():
         raise AuditFailure("safe box overlaps an obstacle")

@@ -3,8 +3,10 @@
 Everything here re-derives results by gridding or exhaustive
 enumeration; nothing is shared with the encoder's constraint-generation
 path beyond nn_model.output_bounds, the interval propagator the MILP's
-network boxes are checked against.  The encoder's per-step audit checks
-each decision's network box against input_boxes and output_bounds.
+network boxes are checked against, and UnsafeRegion.separated, the
+obstacle test that the MILP's separating rows state.  The encoder's
+per-step audit checks each decision's network box against input_boxes
+and output_bounds.
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ def grid_control_search(p, step: float) -> dict:
     The grid takes every step along each axis of U from its lower end,
     plus the upper end.  For each grid control the reachable box is the
     interval image of its input box, inflated by the prediction-error
-    bound and checked against the state set and obstacles; all controls
-    go through one stacked interval pass.  Ties go to the
-    lexicographically smallest control within 1e-12 of the least cost.
+    bound.  It must lie in X and be separated from every obstacle
+    (UnsafeRegion.separated, within 1e-9), so a box flat in some
+    coordinate still meets an obstacle whose open range it crosses there.
+    All controls go through one stacked interval pass and one separation
+    test.  Ties go to the lexicographically smallest control within 1e-12
+    of the least cost.
     """
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
@@ -68,11 +73,8 @@ def grid_control_search(p, step: float) -> dict:
     lo, hi = output_bounds(p.net, *input_boxes(p, u))
     lo, hi = lo - p.eps_x, hi + p.eps_x
     ok = (np.all(lo >= p.X.lo - 1e-9, axis=1)
-          & np.all(hi <= p.X.hi + 1e-9, axis=1))
-    for box in p.unsafe:
-        # Overlap with an open interior is strict in every coordinate.
-        ok &= ~np.all(np.maximum(lo, box.lo) < np.minimum(hi, box.hi) - 1e-9,
-                      axis=1)
+          & np.all(hi <= p.X.hi + 1e-9, axis=1)
+          & np.all(p.unsafe.separated(lo, hi, 1e-9), axis=1))
     if not ok.any():
         raise NoFeasibleGridPoint("no grid control satisfies the constraints")
     cost = np.where(ok, box_tracking_cost(lo, hi, p.x_ref), np.inf)

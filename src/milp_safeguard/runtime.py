@@ -31,7 +31,7 @@ from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import ReluNetwork
 from milp_safeguard.planner import rrt_build, shortest_path
 from milp_safeguard.plants import measure, sample_noise
-from milp_safeguard.sets import Hypercube, UnsafeRegion, disjoint_from_region
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 AUDIT_FAILURE = "AuditFailure"
 GOAL_REACHED = "GoalReached"
@@ -87,6 +87,9 @@ class Scenario:
                 f"the network maps {self.net.input_dim} inputs to "
                 f"{self.net.output_dim} outputs, but X and U need "
                 f"{nx + nu} to {nx}")
+        if len(self.unsafe) and self.unsafe.lo.shape[1] != nx:
+            raise ValueError(f"the obstacles are {self.unsafe.lo.shape[1]}-D, "
+                             f"but X is {nx}-D")
         for name in ("eps_x", "eps_y", "eps_u", "x0", "xg", "x_ref"):
             v = getattr(self, name)
             if v is not None:
@@ -156,7 +159,7 @@ class TrajectoryLog:
             box = Hypercube(np.minimum(s.box_lo, s.box_hi), s.box_hi)
             if not box.contains(s.x_next, tol=tol):
                 bad.append((s.k, "containment"))
-            if not disjoint_from_region(box, unsafe, tol=tol):
+            if not unsafe.separated(box.lo, box.hi, tol).all():
                 bad.append((s.k, "obstacle"))
         return bad
 

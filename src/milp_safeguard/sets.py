@@ -4,12 +4,15 @@ Hypercubes house every set in the toolkit: state/control feasible sets,
 the center-zero uncertainty sets (via their half-width vectors), box
 obstacles, and reachable-set over-approximations.  An empty intersection
 is a first-class value (``None``), not an error: downstream encoders must
-surface it as solver infeasibility.
+surface it as solver infeasibility.  An UnsafeRegion holds its K
+obstacles as (K, n) arrays, and one separation test answers for all of
+them at once: the reach presolve, the audit, the violation check and the
+grid oracle all ask it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -50,10 +53,6 @@ class Hypercube:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def half_width(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
@@ -73,38 +72,53 @@ class Hypercube:
             np.concatenate([self.lo, other.lo]), np.concatenate([self.hi, other.hi])
         )
 
-    @staticmethod
-    def point(x) -> "Hypercube":
-        x = _as_vector(x, "x")
-        return Hypercube(x, x.copy())
-
 
 @dataclass(frozen=True)
 class UnsafeRegion:
-    """Union of box obstacles, all of the same dimension."""
+    """Union of K box obstacles of one dimension n, held as the (K, n)
+    arrays lo and hi; iterating yields each obstacle as a Hypercube."""
 
-    boxes: tuple = field(default_factory=tuple)
+    boxes: InitVar[tuple] = ()
+    lo: np.ndarray = field(init=False)
+    hi: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        boxes = tuple(self.boxes)
+    def __post_init__(self, boxes):
+        boxes = tuple(boxes)
         dims = {b.dim for b in boxes}
         if len(dims) > 1:
             raise ValueError(f"obstacle dimensions differ: {sorted(dims)}")
-        object.__setattr__(self, "boxes", boxes)
+        # With no obstacles, (0, 1) broadcasts against a box of any dimension.
+        shape = (len(boxes), dims.pop() if dims else 1)
+        for end in ("lo", "hi"):
+            arr = np.array([getattr(b, end) for b in boxes]).reshape(shape)
+            arr.setflags(write=False)
+            object.__setattr__(self, end, arr)
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return self.lo.shape[0]
 
     def __iter__(self):
-        return iter(self.boxes)
+        return map(Hypercube, self.lo, self.hi)
+
+    def separated(self, lo, hi, tol: float = 0.0) -> np.ndarray:
+        """Mask of shape (..., K): whether some coordinate separates the box
+        [lo, hi], or each box of an (..., n) stack, from each obstacle,
+        hi <= o.lo or lo >= o.hi there, within tol.
+
+        These are the MILP's separating rows, which are non-strict, so
+        boundary contact counts as separated.  A box flat in some coordinate
+        is not separated by that coordinate when it crosses the obstacle's
+        open range there.  A box meets no obstacle's interior iff its mask
+        is all true.
+        """
+        lo = np.asarray(lo, dtype=float)[..., None, :]
+        hi = np.asarray(hi, dtype=float)[..., None, :]
+        return ((hi <= self.lo + tol) | (lo >= self.hi - tol)).any(axis=-1)
 
     def contains_interior(self, x, tol: float = 0.0) -> bool:
-        """True iff x lies in the open interior of some obstacle."""
-        x = np.asarray(x, dtype=float)
-        for b in self.boxes:
-            if np.all(x > b.lo + tol) and np.all(x < b.hi - tol):
-                return True
-        return False
+        """True iff x lies in the open interior of some obstacle: no
+        coordinate separates the point box [x, x] from it."""
+        return not self.separated(x, x, tol).all()
 
 
 def intersect(a: Hypercube, b: Hypercube) -> Hypercube | None:
@@ -126,26 +140,6 @@ def inflate(h: Hypercube, eps) -> Hypercube:
     if np.any(eps < 0):
         raise ValueError(f"negative inflation: {eps}")
     return Hypercube(h.lo - eps, h.hi + eps)
-
-
-def separated(h: Hypercube, box: Hypercube, tol: float = 0.0) -> bool:
-    """True iff some coordinate separates h from box: h.hi <= box.lo or
-    h.lo >= box.hi there, within tol.
-
-    These are the MILP's separating rows, which are non-strict, so boundary
-    contact counts as separated.  A box flat in some coordinate is not
-    separated by that coordinate when it crosses the obstacle's open range
-    there.
-    """
-    if h.dim != box.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {box.dim}")
-    return bool(np.any(h.hi <= box.lo + tol) or np.any(h.lo >= box.hi - tol))
-
-
-def disjoint_from_region(h: Hypercube, unsafe: UnsafeRegion, tol: float = 0.0) -> bool:
-    """True iff h overlaps no obstacle's interior: some coordinate separates
-    h from each obstacle (see separated)."""
-    return all(separated(h, box, tol) for box in unsafe)
 
 
 def measurement_box(y, eps_y, X: Hypercube) -> Hypercube | None:

@@ -206,6 +206,36 @@ def test_plant_or_network_that_does_not_fit_the_bounds(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, old, new, message", [
+    ("bench/scenarios/vehicle_corridor.yaml",
+     "  - lo: [3.0, -1.5, -0.35]\n    hi: [4.3, -0.05, 0.35]",
+     "  - lo: [3.0, -1.5]\n    hi: [4.3, -0.05]",
+     "the obstacles are 2-D, but X is 3-D"),
+    ("scenarios/robot_maze.yaml",
+     "  - lo: [2.0, -1.0]\n    hi: [3.0, 6.5]\n"
+     "  - lo: [5.5, 2.5]\n    hi: [6.5, 10.0]",
+     "  - lo: [2.0]\n    hi: [3.0]\n  - lo: [5.5]\n    hi: [6.5]",
+     "the obstacles are 1-D, but X is 2-D")],
+    ids=["corridor-2d", "maze-1d"])
+def test_obstacles_that_do_not_fit_the_bounds(tmp_path, capsys, scenario,
+                                              old, new, message):
+    # Obstacles of another dimension than X are one line of scenario
+    # error at load, before any planning.
+    with open(os.path.join(ROOT, scenario)) as f:
+        text = f.read()
+    assert old in text
+    text = text.replace(old, new).replace(
+        "path: vehicle_net.json", "path: " + os.path.abspath(
+            os.path.join(ROOT, "bench", "scenarios", "vehicle_net.json")))
+    path = write(tmp_path, text)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scenario error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("run", "max_steps", 0), ("run", "max_steps", 2.9), ("run", "seed", -1),
     ("planner", "goal_bias", 1.5), ("planner", "clearance", -0.1),

@@ -66,6 +66,15 @@ def test_inconsistent_measurement_raises():
                         y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]))
 
 
+def test_obstacles_of_another_dimension_rejected():
+    # A 1-D obstacle would broadcast silently against the 2-D safe box.
+    line = Hypercube(np.array([4.0]), np.array([6.0]))
+    with pytest.raises(ValueError, match="obstacles are 1-D, but X is 2-D"):
+        problem([1, 1], [1.2, 1.2], unsafe=[line])
+    # No obstacles at all fit any X.
+    assert len(problem([1, 1], [1.2, 1.2], unsafe=[]).unsafe) == 0
+
+
 def test_unconstrained_step_tracks_reference():
     """With x_ref well inside reach, the commanded u is the displacement."""
     d = solve_tracking(problem([5, 5], [5.1, 4.9]))

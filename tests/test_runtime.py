@@ -206,6 +206,34 @@ def test_waypoints_are_consumed_in_order():
     assert idx == sorted(idx)
 
 
+def test_episode_through_a_generated_forest():
+    # 320 unit blocks in rows on both sides of a corridor |y| < 0.35 along
+    # x in [0, 20]; the robot follows fixed waypoints down its middle.  Each
+    # step's reach hull, about 0.7 wide, meets only the blocks beside it,
+    # so each model keeps a few of the 320 and the rest get no binaries.
+    Xf = Hypercube(np.array([-1.0, -10.0]), np.array([21.0, 10.0]))
+    ends = [0.35 + 1.1 * r for r in range(8)]   # lower ends of the rows above
+    blocks = [Hypercube(np.array([i, y]), np.array([i + 0.9, y + 1.0]))
+              for i in range(20) for y in ends + [-1.0 - y for y in ends]]
+    s = Scenario(plant=RobotPlant(eps_x=EPS),
+                 net=build_identity_sum_network(Xf, U), X=Xf, U=U,
+                 unsafe=UnsafeRegion(blocks), eps_x=EPS, eps_y=EPS,
+                 eps_u=EPS, x0=np.array([0.0, 0.0]),
+                 xg=np.array([20.5, 0.0]), max_steps=150)
+    assert len(s.unsafe) == 320
+    waypoints = [np.array([x, 0.0]) for x in (2.0, 6.0, 10.0, 14.0, 18.0,
+                                               20.5)]
+    log = run_episode(s, waypoints=waypoints)
+    assert log.status == GOAL_REACHED
+    assert log.safety_violations(s.unsafe) == []
+    kept = [encoder.build_tracking_model(
+        s.tracking_problem(rec.y, rec.x_ref))[1]["obstacles"]
+        for rec in log.steps]
+    # At most two columns on either side, and some steps keep blocks.
+    assert max(map(len, kept)) <= 4
+    assert sum(map(len, kept)) > 0
+
+
 def test_vehicle_heading_seam_guard():
     """A heading that turns onto the +/-pi seam ends the episode, logged."""
     X3 = Hypercube(np.array([-5.0, -5.0, -3.5]), np.array([5.0, 5.0, 3.5]))
