@@ -5,7 +5,9 @@ ReLU, the final layer is affine.  interval_bounds is the one interval
 propagator: it pushes a box, as (lo, hi) arrays, or a stack of boxes, one
 per row, through the same chain with sign-dependent bound switching in the
 affine layers and max(0, .) on both endpoints at the ReLUs, yielding a sound
-over-approximation of the image of each box at every layer.  output_bounds
+over-approximation of the image of each box at every layer.  A stacked row
+is the same, bit for bit, as the call on its box alone, so a caller may
+gather its boxes into one call without changing a result.  output_bounds
 (the output box, for the planner and the oracles) and preactivation_bounds
 (every layer over a state box x U, for the MILP encoder, which passes each
 step's measurement box) read it.
@@ -14,7 +16,7 @@ step's measurement box) read it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +25,14 @@ from milp_safeguard.sets import Hypercube
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One affine layer: weights (n_out x n_in), bias (n_out)."""
+    """One affine layer: weights (n_out x n_in), bias (n_out), and the
+    transposed positive and negative parts of the weights, which the
+    interval bounds read."""
 
     weights: np.ndarray
     bias: np.ndarray
+    pos_t: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.atleast_2d(np.asarray(self.weights, dtype=float))
@@ -39,10 +45,11 @@ class LayerParams:
             )
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite layer parameters")
-        W.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "bias", b)
+        parts = {"weights": W, "bias": b, "pos_t": np.maximum(W, 0.0).T,
+                 "neg_t": np.minimum(W, 0.0).T}
+        for name, arr in parts.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def in_dim(self) -> int:
@@ -80,14 +87,18 @@ class ReluNetwork:
 
 
 def forward(net: ReluNetwork, z0) -> np.ndarray:
-    """Evaluate the network at z0."""
+    """Evaluate the network at z0, or at each row of a (k, input_dim) stack
+    z0.  Each row is multiplied as a column of its own, so that it rounds
+    as the call on it alone does; forward_batch, one product per layer,
+    may round a row otherwise."""
     z = np.asarray(z0, dtype=float)
-    if z.shape != (net.input_dim,):
-        raise ValueError(f"input shape {z.shape} != ({net.input_dim},)")
+    if z.ndim not in (1, 2) or z.shape[-1] != net.input_dim:
+        raise ValueError(f"input shape {z.shape} != ([k,] {net.input_dim})")
+    z = z[..., None]
     for layer in net.layers[:-1]:
-        z = np.maximum(0.0, layer.weights @ z + layer.bias)
+        z = np.maximum(0.0, layer.weights @ z + layer.bias[:, None])
     last = net.layers[-1]
-    return last.weights @ z + last.bias
+    return (last.weights @ z + last.bias[:, None])[..., 0]
 
 
 def forward_batch(net: ReluNetwork, Z) -> np.ndarray:
@@ -123,18 +134,19 @@ def affine_piece(net: ReluNetwork, Z, cols) -> np.ndarray:
     return net.layers[-1].weights @ G
 
 
-def linear_bounds(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Array form of the sign-switch bounds for an affine map.
+def linear_bounds(layer: LayerParams, ends: np.ndarray) -> np.ndarray:
+    """Array form of the sign-switch bounds for an affine layer.
 
     Positive weights take the like endpoint, negative weights the opposite
-    one; exact for boxes.  lo and hi are one box, shape (n,), or a stack
-    of boxes, one per row, shape (k, n).
+    one; exact for boxes.  ends stacks a box's lower and upper ends, shape
+    (2, n), or those of a stack of boxes, one per row, shape (2, k, n);
+    the layer's ends come back in the same form.  Each row is multiplied
+    as a (1, n) matrix of its own, which rounds as the one-box call does;
+    one (k, n) product may sum in another order.
     """
-    Wp = np.maximum(W, 0.0).T
-    Wn = np.minimum(W, 0.0).T
-    out_lo = lo @ Wp + hi @ Wn + b
-    out_hi = hi @ Wp + lo @ Wn + b
-    return out_lo, out_hi
+    rows = ends[..., None, :]
+    return (rows @ layer.pos_t + rows[::-1] @ layer.neg_t
+            + layer.bias)[..., 0, :]
 
 
 def interval_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray) -> list:
@@ -144,20 +156,19 @@ def interval_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray) -> list:
     pre-activation bounds of the hidden layers, then the output box.  They
     are sound: every input in the box maps inside every pair.  lo and hi
     of shape (k, n) stack k boxes by rows, and each pair is then (k, n_i),
-    row by row; a row may differ from the call on its box alone in the
-    last bits, as the products sum in another order.  Raises
+    row by row, each row equal to the call on its box alone.  Raises
     ValueError on a non-finite bound (a net whose values overflow), which
     the MILP encoder could not take as a coefficient.
     """
+    ends = np.array([lo, hi], dtype=float)
     bounds = []
     for layer in net.layers:
         if bounds:  # the ReLU after the previous, hidden, layer
-            lo = np.maximum(0.0, lo)
-            hi = np.maximum(0.0, hi)
-        lo, hi = linear_bounds(layer.weights, layer.bias, lo, hi)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            ends = np.maximum(0.0, ends)
+        ends = linear_bounds(layer, ends)
+        if not np.isfinite(ends).all():
             raise ValueError(f"non-finite interval bounds in layer {len(bounds)}")
-        bounds.append((lo, hi))
+        bounds.append((ends[0], ends[1]))
     return bounds
 
 

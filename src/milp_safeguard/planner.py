@@ -11,17 +11,20 @@ one batched forward pass evaluates those vertices.  The RRT draws its
 samples ahead and guesses each iteration's nearest node against the tree
 as it stands; the searches of _WINDOW guessed iterations then run in
 lockstep, and the iterations commit in order, an iteration whose nearest
-node has changed since its guess being redone.  No search's result depends
-on the searches beside it, so the tree equals that of one iteration and one
-search at a time, bit for bit.  Every node but the root has exactly one
-parent, so path extraction walks the goal-connecting node's parent chain
-back to the root.
+node has changed since its guess being redone.  The work is done a window
+at a time, in array passes: the draws, the nearest-node guesses, the
+searches, and the new nodes' tests and reachable boxes.  No search, node or
+box depends on the rows beside it, so the tree equals that of one iteration
+and one search at a time, bit for bit.  Every node but the root has exactly
+one parent, so path extraction walks the goal-connecting node's parent
+chain back to the root.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -60,12 +63,43 @@ class PlanTree:
         self.edges.append((i, j, np.asarray(u, dtype=float)))
 
 
-def reachable_box(net: ReluNetwork, x, U: Hypercube) -> Hypercube:
-    """One-step reachable box from the point state x over all of U."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = output_bounds(net, np.concatenate([x, U.lo]),
-                           np.concatenate([x, U.hi]))
-    return Hypercube(lo, hi)
+def reachable_box(net: ReluNetwork, xs, U: Hypercube):
+    """One-step reachable box over all of U from the point state xs, as
+    (lo, hi) arrays, or from each row of a (k, n) stack of states, as
+    (k, n) arrays, each row equal to the call on its state alone."""
+    xs = np.asarray(xs, dtype=float)
+    shape = xs.shape[:-1] + U.lo.shape
+    return output_bounds(
+        net, np.concatenate([xs, np.broadcast_to(U.lo, shape)], axis=-1),
+        np.concatenate([xs, np.broadcast_to(U.hi, shape)], axis=-1))
+
+
+@lru_cache(maxsize=16)
+def _search_tables(lo: bytes, hi: bytes, n_x: int, coarse: int):
+    """What a witness search over U = [lo, hi] shares with every other,
+    built once and read-only: the coarse grid over U; the hyperplanes'
+    m-subsets to solve, rows n_x on being U's lower and then upper faces,
+    less those that hold both faces of an axis; U's faces and their bounds;
+    and the subsets of faces only, U's corners, which need no solve: the
+    mask of the others among all subsets, and the corners themselves."""
+    lo, hi = np.frombuffer(lo), np.frombuffer(hi)
+    m = len(lo)
+    axes = [np.linspace(lo[j], hi[j], coarse) for j in range(m)]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+    subsets = np.array([s for s in combinations(range(n_x + 2 * m), m)
+                        if len({(i - n_x) % m for i in s if i >= n_x})
+                        == sum(i >= n_x for i in s)])
+    faces = np.vstack([np.eye(m), np.eye(m)])
+    bounds = np.concatenate([lo, hi])
+    free = (subsets < n_x).any(axis=1)
+    corners = np.empty((len(subsets) - free.sum(), m))
+    for corner, s in zip(corners, subsets[~free] - n_x):
+        corner[s % m] = bounds[s]
+    tables = (grid, subsets[free], faces, bounds, free, corners)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
@@ -77,18 +111,21 @@ def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
     the net is affine, f = J u + c, and the least of sum |J u + c - x_to|
     over U lies at a vertex of the arrangement of the n_x hyperplanes
     J_i u + c_i = x_to_i and the 2 U.dim faces of U, where U.dim of them
-    meet.  A round solves every nonsingular U.dim-subset of them, clips the
-    vertices into U and evaluates them; the search moves to the best if its
-    residual is lower by more than 1e-15, and otherwise ends.  The k
-    searches run in lockstep, one batched forward pass evaluating the
-    vertices of every unfinished search.  c comes from the pass that chose
-    u, so that no point is evaluated alone, where the arithmetic differs in
-    the last bits: no row's result depends on the rows beside it.
+    meet.  A round solves every nonsingular U.dim-subset of them but U's
+    corners, which are constant, clips the vertices into U and evaluates
+    them; the search moves to the best if its residual is lower by more
+    than 1e-15, and otherwise ends.  The k searches run in lockstep, one
+    batched forward pass evaluating the vertices of every unfinished
+    search.  c comes from the pass that chose u, so that no point is
+    evaluated alone, where the arithmetic differs in the last bits: no
+    row's result depends on the rows beside it.
     """
     X_from = np.atleast_2d(np.asarray(X_from, dtype=float))
     X_to = np.atleast_2d(np.asarray(X_to, dtype=float))
     k, n_x = X_from.shape
     m = U.dim
+    grid, subsets, faces, bounds, free, corners = _search_tables(
+        U.lo.tobytes(), U.hi.tobytes(), n_x, coarse)
 
     def best_of(ids, us):
         """The input, output and residual of the best control of each search
@@ -102,45 +139,73 @@ def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
         j, rows = rs.argmin(axis=1), np.arange(len(ids))
         return Z[rows, j], out[rows, j], rs[rows, j]
 
-    axes = [np.linspace(U.lo[j], U.hi[j], coarse) for j in range(m)]
-    grids = np.meshgrid(*axes, indexing="ij")
     ids = np.arange(k)
-    z, y, r = best_of(ids, np.stack([g.ravel() for g in grids], axis=1))
+    z, y, r = best_of(ids, grid)
     best_u, best_r = z[:, n_x:].copy(), r.copy()
-    # The hyperplanes' m-subsets, rows n_x on being U's lower and then upper
-    # faces, less those that hold both faces of an axis.
-    subsets = np.array([s for s in combinations(range(n_x + 2 * m), m)
-                        if len({(i - n_x) % m for i in s if i >= n_x})
-                        == sum(i >= n_x for i in s)])
-    faces = np.vstack([np.eye(m), np.eye(m)])
-    bounds = np.concatenate([U.lo, U.hi])
+    # Per search: the hyperplanes' rows and right-hand sides, U's faces
+    # after the n_x of the net's piece, and the vertices of a round.
+    planes, rhs = np.empty((k, n_x + 2 * m, m)), np.empty((k, n_x + 2 * m))
+    planes[:, n_x:], rhs[:, n_x:] = faces, bounds
+    us = np.empty((k, len(free), m))
+    us[:, ~free] = corners
     while len(ids):
         J = affine_piece(net, z, np.arange(n_x, n_x + m))
         c = y - (J * z[:, None, n_x:]).sum(axis=2)
-        A = np.concatenate([J, np.broadcast_to(faces, (len(ids), 2 * m, m))],
-                           axis=1)[:, subsets]
-        b = np.concatenate([X_to[ids] - c,
-                            np.broadcast_to(bounds, (len(ids), 2 * m))],
-                           axis=1)[:, subsets]
+        planes[:len(ids), :n_x], rhs[:len(ids), :n_x] = J, X_to[ids] - c
+        A, b = planes[:len(ids), subsets], rhs[:len(ids), subsets]
         # A singular subset gets U.lo, which the lower faces give anyway.
         singular = (np.abs(np.linalg.det(A))
                     <= 1e-12 * np.prod(np.linalg.norm(A, axis=3), axis=2))
         A[singular], b[singular] = np.eye(m), U.lo
-        us = np.linalg.solve(A, b[..., None])[..., 0]
-        np.minimum(np.maximum(us, U.lo, out=us), U.hi, out=us)
-        z, y, r_new = best_of(ids, us)
+        v = np.linalg.solve(A, b[..., None])[..., 0]
+        us[:len(ids), free] = np.minimum(np.maximum(v, U.lo), U.hi)
+        z, y, r_new = best_of(ids, us[:len(ids)])
         moved = r_new < r - 1e-15
         ids, z, y, r = ids[moved], z[moved], y[moved], r_new[moved]
         best_u[ids], best_r[ids] = z[:, n_x:], r
     return best_u, best_r
 
 
+class _Draws:
+    """The RRT's samples, drawn from rng a chunk of iterations at a time.
+
+    An iteration reads one double, which picks the goal xg when below
+    goal_bias, and otherwise X.dim more, scaled into X as Generator.uniform
+    scales them.  So the chunks give the same samples, bit for bit, as one
+    rng.random() and, unless it picks the goal, one X.sample(rng) per
+    iteration.  Doubles read past a chunk wait for the next one.
+    """
+
+    def __init__(self, rng, X: Hypercube, xg, goal_bias: float):
+        self.rng, self.lo, self.span = rng, X.lo, X.hi - X.lo
+        self.xg, self.goal_bias = xg, goal_bias
+        self.buf = np.empty(0)
+
+    def take(self, c: int) -> np.ndarray:
+        """The samples of the next c iterations, as a (c, X.dim) array."""
+        n = len(self.lo)
+        if len(self.buf) < c * (n + 1):
+            self.buf = np.concatenate([self.buf, self.rng.random(c * (n + 1))])
+        buf, xs, at = self.buf, [], 0
+        for _ in range(c):
+            if buf[at] < self.goal_bias:
+                xs.append(self.xg)
+                at += 1
+            else:
+                xs.append(self.lo + self.span * buf[at + 1:at + n + 1])
+                at += n + 1
+        self.buf = buf[at:]
+        return np.array(xs)
+
+
 @dataclass
 class _Guess:
     """One RRT iteration as guessed against the tree of its first `seen`
-    nodes: its sample, the nearest of those nodes and its distance, the
-    candidate to search for (None when the iteration adds nothing) and,
-    once searched, the candidate's witness u."""
+    nodes: its sample, the nearest of those nodes and its distance, and the
+    candidate to search for (None when the iteration adds nothing).  Once
+    searched: the candidate's witness u, and the node it gives with that
+    node's reachable box within X and goal test, or None for a node that
+    leaves X or meets an obstacle."""
 
     x_rand: np.ndarray
     seen: int = 0
@@ -148,6 +213,7 @@ class _Guess:
     dist: float = 0.0
     candidate: np.ndarray | None = None
     u: np.ndarray | None = None
+    node: tuple | None = None
 
 
 def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
@@ -165,15 +231,17 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     land within that bound anyway.
 
     Each iteration draws one number and, unless it picks the goal, one
-    sample, so the samples are drawn ahead of the tree.  Each is guessed
-    against the tree as it stands: its nearest node, the candidate in that
-    node's reachable box and the clearance test.  Once the uncommitted
-    guesses hold _WINDOW searches, those not yet run go to one lockstep
-    search, and the iterations commit in order.  Ties of the nearest-node
-    search go to the older node, so a guess holds unless a node added since
-    is strictly nearer; otherwise it is redone, and a redone search waits
-    for the next lockstep search.  The tree equals that of one iteration at
-    a time.
+    sample, so the samples are drawn ahead of the tree, a chunk at a time.
+    Each chunk is guessed against the tree as it stands, in one array pass:
+    its nearest nodes, the candidates in those nodes' reachable boxes and
+    the clearance test.  Once the uncommitted guesses hold _WINDOW
+    searches, those not yet run go to one lockstep search; their nodes are
+    the model images of the witnesses, tested against X and the obstacles
+    and given their reachable boxes as one stack.  The iterations then
+    commit in order.  Ties of the nearest-node search go to the older node,
+    so a guess holds unless a node added since is strictly nearer;
+    otherwise it is redone, and a redone search waits for the next lockstep
+    search.  The tree equals that of one iteration at a time.
     """
     x0 = np.asarray(x0, dtype=float)
     xg = np.asarray(xg, dtype=float)
@@ -192,96 +260,114 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     if goal_tol.shape != (X.dim,) or not np.all(goal_tol >= 0):
         raise ValueError(f"goal_tol must be {X.dim} non-negative numbers")
 
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed), X, xg, goal_bias)
     tree = PlanTree()
-    # Nearest-node scans dominate at scale; keep the nodes in a
-    # preallocated array grown geometrically.
-    node_arr = np.empty((256, X.dim))
-    reach = []   # per node: its reachable box within X as (lo, hi), or None
+    # Per node, in arrays grown geometrically: its coordinates as columns,
+    # for the nearest-node scans, and its reachable box within X as rows,
+    # with a mask of the boxes that are not empty.
+    cols = np.empty((X.dim, 256))
+    reach_lo, reach_hi = np.empty((256, X.dim)), np.empty((256, X.dim))
+    reach_ok = np.empty(256, dtype=bool)
 
-    def add_node(x, parent=None, u=None) -> bool:
-        """Add a node, its edge and its reachable box; True when the goal
-        lies in that box inflated by goal_tol, which ends the plan."""
-        nonlocal node_arr
+    def distances(xs, start=0):
+        """The l1 distances from each row of xs to each node from start on,
+        the coordinates summed in order, as np.sum sums a row of fewer
+        than 8."""
+        return np.abs(cols[:, start:len(tree.nodes)] - xs[:, :, None]).sum(
+            axis=1)
+
+    def nodes(xs):
+        """The nodes of the stack xs: per row its state, reachable box
+        within X (lo, hi and whether it is not empty) and goal test, the
+        goal lying in the box inflated by goal_tol."""
+        lo, hi = reachable_box(net, xs, U)
+        goal = ((xg >= lo - goal_tol - 1e-9)
+                & (xg <= hi + goal_tol + 1e-9)).all(axis=1)
+        lo, hi = np.maximum(lo, X.lo), np.minimum(hi, X.hi)
+        return zip(xs, lo, hi, (lo <= hi).all(axis=1).tolist(),
+                   goal.tolist())
+
+    def add_node(node, parent=None, u=None) -> bool:
+        """Add a node, its edge and its reachable box; True when it passes
+        the goal test, which ends the plan."""
+        nonlocal cols, reach_lo, reach_hi, reach_ok
+        x, lo, hi, ok, goal = node
         idx = tree.add_node(x)
         if parent is not None:
             tree.add_edge(parent, idx, u)
-        if idx == node_arr.shape[0]:
-            node_arr = np.vstack([node_arr, np.empty_like(node_arr)])
-        node_arr[idx] = x
-        box = reachable_box(net, x, U)
-        lo, hi = np.maximum(box.lo, X.lo), np.minimum(box.hi, X.hi)
-        reach.append(None if np.any(lo > hi) else (lo, hi))
-        if (np.all(xg >= box.lo - goal_tol - 1e-9)
-                and np.all(xg <= box.hi + goal_tol + 1e-9)):
+        if idx == len(reach_ok):
+            cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
+            reach_lo, reach_hi, reach_ok = (
+                np.concatenate([a, np.empty_like(a)])
+                for a in (reach_lo, reach_hi, reach_ok))
+        cols[:, idx], reach_lo[idx], reach_hi[idx], reach_ok[idx] = \
+            x, lo, hi, ok
+        if goal:
             tree.goal, tree.goal_parent = xg, idx
-            return True
-        return False
+        return goal
 
-    def aim(g: _Guess, near: int, dist) -> bool:
-        """Guess g from node near; True when it waits for a witness."""
-        g.seen, g.near, g.dist = len(tree.nodes), near, dist
-        g.candidate = g.u = None
-        box = reach[near]
-        if box is None:
-            return False
-        candidate = np.minimum(np.maximum(g.x_rand, box[0]), box[1])
-        if clearance > 0 and inflated.contains_interior(candidate):
-            return False
-        g.candidate = candidate
-        return True
+    def guess(xs, start=0) -> list:
+        """Guesses for the samples xs against the nodes from start on: each
+        one's nearest node (ties to the older) and its distance, and its
+        candidate, the sample clipped into that node's reachable box, when
+        the box is not empty and the candidate keeps its clearance."""
+        dists = distances(xs, start)
+        near = start + dists.argmin(axis=1)
+        cand = np.minimum(np.maximum(xs, reach_lo[near]), reach_hi[near])
+        ok = reach_ok[near]
+        if clearance > 0:
+            ok &= inflated.separated(cand, cand).all(axis=1)
+        return [_Guess(x, len(tree.nodes), j, d, c if o else None)
+                for x, j, d, c, o in zip(xs, near.tolist(),
+                                         dists.min(axis=1).tolist(), cand,
+                                         ok.tolist())]
 
     # The trivial plan first: the goal directly reachable from the start.
-    if add_node(x0):
+    if add_node(next(nodes(x0[None]))):
         return tree
     # pending: the guessed iterations not yet committed, in order; searches:
     # how many of them have a candidate, searched or not.
     pending, drawn, searches = deque(), 0, 0
     while True:
         while drawn < max_iters and searches < _WINDOW:
-            g = _Guess(xg if rng.random() < goal_bias else X.sample(rng))
-            drawn += 1
-            dists = np.sum(np.abs(node_arr[:len(tree.nodes)] - g.x_rand),
-                           axis=1)
-            near = int(np.argmin(dists))
-            searches += aim(g, near, dists[near])
-            pending.append(g)
+            c = min(_WINDOW - searches, max_iters - drawn)
+            drawn += c
+            for g in guess(draws.take(c)):
+                searches += g.candidate is not None
+                pending.append(g)
         if not pending:
             raise PlanFailure(
                 f"no goal connection after {max_iters} iterations")
         batch = [g for g in pending if g.candidate is not None and g.u is None]
         if batch:
-            us, _ = _witness_search(net, node_arr[[g.near for g in batch]],
-                                    np.array([g.candidate for g in batch]),
-                                    U)
-            for g, u in zip(batch, us):
-                g.u = u
+            X_from = np.array([tree.nodes[g.near] for g in batch])
+            us, _ = _witness_search(net, X_from,
+                                    np.array([g.candidate for g in batch]), U)
+            # Snap each node onto the model image so that every edge is an
+            # exact one-step transition; clipping alone would leave
+            # residual slack that downstream tracking cannot realize.
+            new = forward(net, np.concatenate([X_from, us], axis=1))
+            keep = (((new >= X.lo) & (new <= X.hi)).all(axis=1)
+                    & unsafe.separated(new, new).all(axis=1))
+            if clearance > 0:
+                keep &= inflated.separated(new, new).all(axis=1)
+            kept = nodes(new[keep]) if keep.any() else iter(())
+            for g, u, k in zip(batch, us, keep.tolist()):
+                g.u, g.node = u, (next(kept) if k else None)
         while pending:
             g = pending[0]
-            n = len(tree.nodes)
-            if g.seen < n:
-                dists = np.sum(np.abs(node_arr[g.seen:n] - g.x_rand), axis=1)
-                j = int(np.argmin(dists))
-                if dists[j] < g.dist:
-                    searches -= g.candidate is not None
-                    if aim(g, g.seen + j, dists[j]):
-                        searches += 1
-                        break
+            if (g.seen < len(tree.nodes)
+                    and distances(g.x_rand[None], g.seen).min() < g.dist):
+                searches -= g.candidate is not None
+                g = pending[0] = guess(g.x_rand[None], g.seen)[0]
+                if g.candidate is not None:
+                    searches += 1
+                    break
             pending.popleft()
             if g.candidate is None:
                 continue
             searches -= 1
-            # Snap the node onto the model image so that every edge is an
-            # exact one-step transition; clipping alone would leave
-            # residual slack that downstream tracking cannot realize.
-            new = forward(net, np.concatenate([tree.nodes[g.near], g.u]))
-            if not X.contains(new):
-                continue
-            if unsafe.contains_interior(new):
-                continue
-            if clearance > 0 and inflated.contains_interior(new):
-                continue
-            if add_node(new, g.near, g.u):
+            if g.node is not None and add_node(g.node, g.near, g.u):
                 return tree
 
 

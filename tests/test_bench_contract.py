@@ -135,3 +135,75 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
     u, r = planner._witness_search(opaque, x_from, x_to, U)
     assert np.array_equal(u, expected[0]) and r == expected[1]
     assert calls.count("forward_batch") > 1 and "affine_piece" in calls
+
+
+def test_rrt_build_reaches_interval_bounds_only_through_reachable_box(
+        monkeypatch):
+    # workload.py reads planner.reachable_box_calls and _s from the traced
+    # planner.reachable_box, which rrt_build now calls once per window on a
+    # stack of nodes.  Plan with an opaque net that only the wrapped
+    # planner functions can evaluate: a way to the interval bounds that
+    # bypassed reachable_box would fail, where the metrics would read 0.
+    from milp_safeguard import planner
+    from milp_safeguard.nn_model import build_identity_sum_network
+    from milp_safeguard.sets import Hypercube, UnsafeRegion
+    X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
+    U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+    wall = UnsafeRegion((Hypercube(np.array([4.0, -1.0]),
+                                   np.array([5.0, 8.0])),))
+    net, opaque = build_identity_sum_network(X, U), object()
+
+    def plan(n):
+        return planner.rrt_build(n, X, U, wall, [1.0, 1.0], [8.0, 1.0],
+                                 seed=7, clearance=0.25)
+    expected = plan(net)
+    boxes = []
+
+    def through(name):
+        inner = getattr(planner, name)
+
+        def traced(n, *args):
+            assert n is opaque
+            if name == "reachable_box":
+                boxes.append(len(np.atleast_2d(args[0])))
+            return inner(net, *args)
+        monkeypatch.setattr(planner, name, traced)
+    for name in ("reachable_box", "forward", "forward_batch",
+                 "affine_piece"):
+        through(name)
+    tree = plan(opaque)
+    assert len(tree.nodes) == len(expected.nodes) > 1
+    assert all(np.array_equal(a, b)
+               for a, b in zip(tree.nodes, expected.nodes))
+    # Every node's box: the root's alone, then one stack per window.
+    assert sum(boxes) >= len(tree.nodes) and max(boxes) > 1
+
+
+def test_stacked_reachable_boxes_equal_one_row_calls():
+    # The boxes of a window's nodes come from one stacked call; each row
+    # must be the box its node alone gives, bit for bit, on the
+    # identity-sum net and on the benchmark's vehicle net, or the plans
+    # (and with them every planner metric) would change.
+    from milp_safeguard.nn_model import build_identity_sum_network, \
+        load_network
+    from milp_safeguard.planner import reachable_box
+    from milp_safeguard.sets import Hypercube
+    robot_X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
+    robot_U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
+    vehicle_X = Hypercube(np.array([0.0, -1.5, -0.35]),
+                          np.array([8.0, 1.5, 0.35]))
+    vehicle_U = Hypercube(np.array([2.4, -0.3]), np.array([3.4, 0.3]))
+    rng = np.random.default_rng(5)
+    for net, X, U in (
+            (build_identity_sum_network(robot_X, robot_U), robot_X, robot_U),
+            (load_network(os.path.join(BENCH, "scenarios",
+                                       "vehicle_net.json")),
+             vehicle_X, vehicle_U)):
+        for k in (1, 2, 8, 33):
+            xs = X.sample(rng, k)
+            lo, hi = reachable_box(net, xs, U)
+            assert lo.shape == hi.shape == (k, X.dim)
+            for x, row_lo, row_hi in zip(xs, lo, hi):
+                one_lo, one_hi = reachable_box(net, x, U)
+                assert row_lo.tobytes() == one_lo.tobytes()
+                assert row_hi.tobytes() == one_hi.tobytes()

@@ -107,9 +107,8 @@ def test_affine_piece_of_an_affine_net_is_its_weights():
 
 
 def test_linear_bounds_sign_switch():
-    W = np.array([[2.0, -3.0]])
-    b = np.array([1.0])
-    lo, hi = linear_bounds(W, b, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    layer = LayerParams(np.array([[2.0, -3.0]]), np.array([1.0]))
+    lo, hi = linear_bounds(layer, np.array([[-1.0, 0.0], [1.0, 2.0]]))
     # 2x - 3y + 1 over x in [-1,1], y in [0,2].
     assert np.allclose(lo, [2 * -1 - 3 * 2 + 1])
     assert np.allclose(hi, [2 * 1 - 3 * 0 + 1])
@@ -150,12 +149,10 @@ def test_output_bounds_is_sound(stacked, seed):
 
 @pytest.mark.parametrize("name", ["identity_sum", "vehicle"])
 def test_stacked_rows_equal_one_box_calls(name):
-    # Bit for bit on the identity-sum net; on the vehicle net a row may
-    # round differently, within 1e-12 of the layer's largest bound.
-    if name == "identity_sum":
-        net, rtol = build_identity_sum_network(ROBOT_X, ROBOT_U), 0.0
-    else:
-        net, rtol = load_network(VEHICLE_NET), 1e-12
+    # Bit for bit: a stacked row rounds as the call on its box alone, so a
+    # caller may gather its boxes into one call without changing a result.
+    net = (build_identity_sum_network(ROBOT_X, ROBOT_U)
+           if name == "identity_sum" else load_network(VEHICLE_NET))
     rng = np.random.default_rng(3)
     lo = rng.uniform(-5, 5, (200, net.input_dim))
     hi = lo + rng.uniform(0, 1, lo.shape)
@@ -163,9 +160,25 @@ def test_stacked_rows_equal_one_box_calls(name):
     for i in range(len(lo)):
         for (s_lo, s_hi), (b_lo, b_hi) in zip(
                 stacked, interval_bounds(net, lo[i], hi[i])):
-            scale = max(np.max(np.abs(b_lo)), np.max(np.abs(b_hi)))
-            assert np.all(np.abs(s_lo[i] - b_lo) <= rtol * scale)
-            assert np.all(np.abs(s_hi[i] - b_hi) <= rtol * scale)
+            assert s_lo[i].tobytes() == b_lo.tobytes()
+            assert s_hi[i].tobytes() == b_hi.tobytes()
+
+
+@pytest.mark.parametrize("name", ["identity_sum", "vehicle"])
+def test_forward_stacked_rows_equal_one_row_calls(name):
+    # As for the bounds: the planner snaps a window's nodes in one call, and
+    # each must be the node the one-row call gives, bit for bit.
+    net = (build_identity_sum_network(ROBOT_X, ROBOT_U)
+           if name == "identity_sum" else load_network(VEHICLE_NET))
+    rng = np.random.default_rng(4)
+    Z = rng.uniform(-5, 5, (200, net.input_dim))
+    out = forward(net, Z)
+    assert out.shape == (200, net.output_dim)
+    for z, row in zip(Z, out):
+        assert row.tobytes() == forward(net, z).tobytes()
+    for bad in (Z[:, :-1], Z[None], Z[0, 0]):
+        with pytest.raises(ValueError):
+            forward(net, bad)
 
 
 def test_preactivation_bounds_cover_samples():

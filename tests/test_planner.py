@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milp_safeguard import planner
 from milp_safeguard.cli import load_scenario
@@ -37,9 +39,9 @@ VEHICLE_U = Hypercube(np.array([2.4, -0.3]), np.array([3.4, 0.3]))
 
 
 def test_reachable_box_identity_net():
-    box = reachable_box(NET, np.array([2.0, 3.0]), U)
-    assert np.allclose(box.lo, [1.75, 2.75])
-    assert np.allclose(box.hi, [2.25, 3.25])
+    lo, hi = reachable_box(NET, np.array([2.0, 3.0]), U)
+    assert np.allclose(lo, [1.75, 2.75])
+    assert np.allclose(hi, [2.25, 3.25])
 
 
 def test_edge_feasible_within_reach():
@@ -123,8 +125,8 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
     tree.add_node(x0)
 
     def goal_connected(idx, x):
-        if not inflate(reachable_box(net, x, Us), goal_tol).contains(
-                xg, tol=1e-9):
+        box = inflate(Hypercube(*reachable_box(net, x, Us)), goal_tol)
+        if not box.contains(xg, tol=1e-9):
             return False
         tree.goal, tree.goal_parent = xg, idx
         return True
@@ -136,7 +138,7 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
         dists = np.sum(np.abs(np.array(tree.nodes) - x_rand), axis=1)
         near_idx = int(np.argmin(dists))
         near = tree.nodes[near_idx]
-        rbox = intersect(reachable_box(net, near, Us), Xs)
+        rbox = intersect(Hypercube(*reachable_box(net, near, Us)), Xs)
         if rbox is None:
             continue
         candidate = np.clip(x_rand, rbox.lo, rbox.hi)
@@ -173,7 +175,7 @@ def _search_pairs(net, Xs, Us, n, seed):
     pairs = []
     for i in range(n):
         x_from = Xs.sample(rng)
-        box = reachable_box(net, x_from, Us)
+        box = Hypercube(*reachable_box(net, x_from, Us))
         if i % 3 == 0:
             x_to = forward(net, np.concatenate([x_from, Us.sample(rng)]))
             x_to = x_to + rng.normal(scale=1e-3, size=x_to.shape)
@@ -320,21 +322,32 @@ VEHICLE_TASK = dict(x0=[0.5, -0.3, 0.2], xg=[7.0, 0.45, 0.0],
 
 # The robot cases: a goal bias that draws the goal nine times in ten, so
 # that many guesses of the nearest node go stale, past a wall whose
-# clearance skips most samples; a start whose reach holds the goal; and a
-# budget that runs out.  The vehicle cases plan the benchmark corridor with
-# two of its RRT seeds.
+# clearance skips most samples; a start whose reach holds the goal; budgets
+# that run out, at the end of a chunk of draws and inside one; a tree of
+# 602 nodes, whose arrays grow past 256 and 512 nodes inside a window; and
+# a goal bias of 1, where every guess of a window has the same sample.  The
+# vehicle cases plan the benchmark corridor with two of its RRT seeds, and
+# with no clearance.
 @pytest.mark.parametrize("net,Xs,Us,unsafe,task", [
     (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], seed=3,
                            goal_bias=0.9, clearance=0.25)),
     (NET, X, U, FREE, dict(x0=[2.0, 2.0], xg=[2.2, 2.1])),
     (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], max_iters=60,
                            clearance=0.25)),
+    (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], max_iters=61,
+                           clearance=0.25)),
+    (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[8.0, 1.0], seed=1,
+                           clearance=0.25)),
+    (NET, X, U, WALL, dict(x0=[1.0, 1.0], xg=[3.0, 6.0], goal_bias=1.0)),
     (VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL,
      dict(VEHICLE_TASK, seed=14, goal_bias=0.2, clearance=0.1)),
     (VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL,
      dict(VEHICLE_TASK, seed=4, goal_bias=0.2, clearance=0.1)),
-], ids=["robot-goal-bias", "robot-trivial", "robot-budget", "vehicle-14",
-        "vehicle-4"])
+    (VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL,
+     dict(VEHICLE_TASK, seed=3, goal_bias=0.2, clearance=0.0)),
+], ids=["robot-goal-bias", "robot-trivial", "robot-budget",
+        "robot-budget-mid-chunk", "robot-past-256", "robot-goal-bias-1",
+        "vehicle-14", "vehicle-4", "vehicle-no-clearance"])
 def test_rrt_build_matches_sequential_rrt(net, Xs, Us, unsafe, task):
     def plan(build):
         try:
@@ -346,6 +359,30 @@ def test_rrt_build_matches_sequential_rrt(net, Xs, Us, unsafe, task):
         assert tree is None
     else:
         _assert_same_tree(tree, ref)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       goal_bias=st.sampled_from([0.0, 0.2, 1.0]), dim=st.integers(2, 3),
+       chunks=st.lists(st.integers(1, planner._WINDOW), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_window_draws_are_the_per_iteration_draws(seed, goal_bias, dim,
+                                                  chunks):
+    # rrt_build reads its draws a chunk of iterations at a time and scales
+    # the doubles into X itself.  The samples must be, bit for bit, those of
+    # one rng.random() and, unless it picks the goal, one X.sample(rng) per
+    # iteration, for every chunk size up to the window: otherwise every
+    # plan, the benchmark's seeds among them, would silently change.
+    box = np.random.default_rng([seed, dim])
+    lo = box.uniform(-10.0, 5.0, dim)
+    Xs = Hypercube(lo, lo + box.uniform(0.1, 10.0, dim))
+    xg = Xs.center
+    draws = planner._Draws(np.random.default_rng(seed), Xs, xg, goal_bias)
+    got = np.concatenate([draws.take(c) for c in
+                          list(range(1, planner._WINDOW + 1)) + chunks])
+    rng = np.random.default_rng(seed)
+    ref = np.array([xg if rng.random() < goal_bias else Xs.sample(rng)
+                    for _ in got])
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("seed", [2, 4, 5, 6, 7, 9, 10, 14])
@@ -368,31 +405,37 @@ def test_bench_corridor_seed_plans_in_the_fast_mode(monkeypatch, seed):
     assert rows
 
 
-# Prints the bytes of the robot maze's seed-0 plan, in hex.
+# Prints the bytes of a scenario's plan with the given RRT seed, in hex.
 _PLAN_BYTES = """
 import sys
+from dataclasses import replace
 import numpy as np
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.runtime import plan_waypoints
 scenario, _ = load_scenario(sys.argv[1])
-waypoints = plan_waypoints(scenario)
+waypoints = plan_waypoints(replace(scenario, seed=int(sys.argv[2])))
 print(b"".join(np.asarray(w).tobytes() for w in waypoints).hex())
 """
 
 
 def test_plan_does_not_depend_on_the_blas_thread_count():
+    # The robot maze's seed-0 plan, and the 61-node corridor plan of bench
+    # seed 14, whose reachable boxes come from (k, n) stacks of nodes.
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    plans = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.path.join(root, "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", _PLAN_BYTES,
-             os.path.join(root, "scenarios", "robot_maze.yaml")],
-            env=env, capture_output=True, text=True, check=True,
-            timeout=300)
-        plans.append(done.stdout.strip())
-    assert plans[0] and plans[0] == plans[1]
+    for scenario, seed in ((("scenarios", "robot_maze.yaml"), 0),
+                           (("bench", "scenarios", "vehicle_corridor.yaml"),
+                            14)):
+        plans = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.join(root, "src"))
+            done = subprocess.run(
+                [sys.executable, "-c", _PLAN_BYTES,
+                 os.path.join(root, *scenario), str(seed)],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=300)
+            plans.append(done.stdout.strip())
+        assert plans[0] and plans[0] == plans[1], scenario
 
 
 # Prints the bytes of every step of the corridor episode that tracks the
@@ -520,7 +563,7 @@ def test_rrt_finds_path_around_wall():
     for i, j, u in tree.edges:
         assert np.array_equal(
             forward(NET, np.concatenate([tree.nodes[i], u])), tree.nodes[j])
-    goal_box = reachable_box(NET, tree.nodes[tree.goal_parent], U)
+    goal_box = Hypercube(*reachable_box(NET, tree.nodes[tree.goal_parent], U))
     assert goal_box.contains(tree.goal, tol=1e-9)
     for w in path:
         assert X.contains(w)
