@@ -1,14 +1,14 @@
 """Transcribe one robust tracking step into a MILP and solve it.
 
 Four constraint families are emitted: input feasibility (measurement box
-and the big-M min/max linearization of the control uncertainty set), the
-ReLU-network structure (sign-switch affine propagation, and three
-activation-case binaries for each neuron whose sign the interval bounds
-leave undetermined), safety (the output layer's image widened by eps_x
-is the safe box, X bounds its variables, and each obstacle within the
-step's reach hull gets separating-coordinate disjunctions), and the l1
-tracking objective via slack variables.  The post-solve audit checks the
-safe box against every obstacle, those out of reach included.
+and the control clip's big-M min/max rows, each branch with its tight
+big-M), the ReLU-network structure (sign-switch affine propagation, and
+three activation-case binaries for each neuron whose sign the interval
+bounds leave undetermined), safety (the output layer's image widened by
+eps_x is the safe box, X bounds its variables, and each obstacle within
+the step's reach hull gets separating-coordinate disjunctions, a face out
+of reach fixed), and the l1 tracking objective via slack variables.  The
+post-solve audit checks the safe box against every obstacle, kept or not.
 """
 
 from __future__ import annotations
@@ -122,15 +122,13 @@ class ControlDecision:
     root_basis: object = field(default=None, repr=False, compare=False)
 
 
-def control_big_m(p: TrackingProblem) -> np.ndarray:
-    """Per-dimension big-M for the control min/max linearization."""
-    width = p.U.hi - p.U.lo
-    return np.maximum(p.eps_u, width - p.eps_u)
-
-
 def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     """Measurement box fixing plus the big-M min/max rows of each
-    control's input interval; U bounds its ends as variable bounds."""
+    control's input interval; U bounds its ends as variable bounds.  A row
+    relaxed on the unclipped branch takes M = max(width - eps_u, 0), one
+    relaxed on the clipped branch eps_u: tight on each side, so each end's
+    LP relaxation is its convex hull (Anderson, Huchette, Ma,
+    Tjandraatmadja & Vielma, Math. Programming 2020)."""
     n_x, n_u = p.n_x, p.n_u
     lo, hi = p.x_box.lo, p.x_box.hi
     a0_x = [b.add_continuous(lo[j], lo[j], f"a0_x{j}") for j in range(n_x)]
@@ -140,17 +138,17 @@ def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
     b0_u = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"b0_u{j}") for j in range(n_u)]
     da = [b.add_binary(f"da{j}") for j in range(n_u)]
     db = [b.add_binary(f"db{j}") for j in range(n_u)]
-    M = control_big_m(p)
+    M = np.maximum(p.U.hi - p.U.lo - p.eps_u, 0.0)
     for j in range(n_u):
         ul, uh, e, m = p.U.lo[j], p.U.hi[j], p.eps_u[j], M[j]
         # lower end: a0_u = max(u_lo, u_cmd - eps_u), selected by da
         b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0}, GE, -e)
         b.add_constraint({a0_u[j]: 1.0, da[j]: m}, LE, ul + m)
-        b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0, da[j]: -m}, LE, -e)
+        b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0, da[j]: -e}, LE, -e)
         # upper end: b0_u = min(u_hi, u_cmd + eps_u), selected by db
         b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0}, LE, e)
         b.add_constraint({b0_u[j]: 1.0, db[j]: -m}, GE, uh - m)
-        b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0, db[j]: m}, GE, e)
+        b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0, db[j]: e}, GE, e)
         b.add_constraint({a0_u[j]: 1.0, b0_u[j]: -1.0}, LE, 0.0)
     return {
         "u_cmd": u_cmd,
@@ -245,7 +243,9 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
     hull, the output bounds inflated by eps_x, gets binaries and rows: every
     feasible safe box lies in that hull, so a coordinate that separates the
     hull separates the box too.  One separation test picks them from all
-    obstacles.  h["obstacles"] lists the indices of those kept.
+    obstacles.  h["obstacles"] lists the indices of those kept.  A face out
+    of every safe box's reach has its binary fixed at 0 by bounds, which
+    keep the matrix; a kept obstacle with no face left is SolverInfeasible.
     """
     n_x = p.n_x
     x_lo, x_hi = h["x_lo"], h["x_hi"]
@@ -254,8 +254,12 @@ def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
         ~p.unsafe.separated(zlo - p.eps_x, zhi + p.eps_x)).tolist()
     deltas = []
     for k in kept:
-        d1 = [b.add_binary(f"du1_{k}_{j}") for j in range(n_x)]
-        d2 = [b.add_binary(f"du2_{k}_{j}") for j in range(n_x)]
+        dead1 = np.maximum(zlo + p.eps_x, p.X.lo) > p.unsafe.lo[k]
+        dead2 = np.minimum(zhi - p.eps_x, p.X.hi) < p.unsafe.hi[k]
+        if (dead1 & dead2).all():
+            raise SolverInfeasible("every safe box of this step meets an obstacle")
+        d1, d2 = ([b.add_binary(f"du{s}_{k}_{j}", 0.0 if dead[j] else None)
+                   for j in range(n_x)] for s, dead in ((1, dead1), (2, dead2)))
         card = {}
         for j in range(n_x):
             Xl, Xh = p.X.lo[j], p.X.hi[j]

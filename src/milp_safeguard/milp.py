@@ -1,24 +1,23 @@
 """Self-contained mixed-integer linear programming layer.
 
 Model building, and best-first branch-and-bound over binary variables on
-one LP algorithm, a bounded dual simplex.  The LP is one matrix: the
-structural columns and one slack per row, bounded by the row's relation
-(an equality row's slack is fixed at 0), so no artificial columns are
-needed.  The root LP starts warm from a previous solve's root basis when
-the caller hands one over and the matrix is the same, value for value (a
-control loop's consecutive tracking models differ only in bounds and
-right-hand sides); otherwise it starts cold from the slack basis, which
-a model's bounded objective makes dual feasible, so no phase 1 is
-needed.  Every child, which differs from its parent only by one fixed
-binary, starts from a copy of its parent's final basis inverse, usually
-a few pivots from its optimum; the inverse is refreshed after a fixed
-number of basis updates counted down the chain since its last fresh
-inversion.  Reduced costs are formed once per LP and then updated by
-each pivot row.  A basis that fails to invert, or a warm basis that is
-not dual feasible, is reported as NumericalFailure, never as
-infeasibility; a warm LP that hits one is re-solved cold once.
-Deterministic throughout: no state outlives a call, dense linear algebra,
-lowest-index tie-breaks, no cutting planes, no presolve.
+one LP algorithm, a bounded dual simplex on a dense tableau.  The LP is
+one matrix: the structural columns and one slack per row, bounded by the
+row's relation (an equality row's slack is fixed at 0), so no artificial
+columns are needed.  The root LP starts warm from a previous solve's root
+basis when the caller hands one over and the matrix is the same, value
+for value (a control loop's consecutive tracking models differ only in
+bounds and right-hand sides); otherwise it starts cold from the slack
+basis, which a model's bounded objective makes dual feasible, so no
+phase 1 is needed.  Every child, which differs from its parent only in
+the bound of one basic binary, starts from a copy of its parent's final
+tableau, values and column directions, usually a few pivots from its
+optimum; the tableau is formed afresh after a fixed number of basis
+updates counted down the chain since its last fresh inversion.  A basis
+that fails to invert, or a warm basis that is not dual feasible, is
+reported as NumericalFailure, never as infeasibility; a warm LP that
+hits one is re-solved cold once.  Deterministic throughout: no state
+outlives a call, lowest-index tie-breaks, no cutting planes, no presolve.
 """
 
 from __future__ import annotations
@@ -88,9 +87,10 @@ class ModelBuilder:
         self._names.append(name or f"x{len(self._lb) - 1}")
         return len(self._lb) - 1
 
-    def add_binary(self, name: str = "") -> int:
-        self._lb.append(0.0)
-        self._ub.append(1.0)
+    def add_binary(self, name: str = "", fixed: float | None = None) -> int:
+        """A 0/1 variable, or one fixed at `fixed` (0 or 1) by its bounds."""
+        self._lb.append(0.0 if fixed is None else float(fixed))
+        self._ub.append(1.0 if fixed is None else float(fixed))
         self._binary.append(True)
         self._names.append(name or f"d{len(self._lb) - 1}")
         return len(self._lb) - 1
@@ -238,176 +238,170 @@ def _standard_form(model: MilpModel):
 class _Basis(NamedTuple):
     """An LP's final basis, from which another LP on the same rows starts.
 
-    A is the standard-form matrix the basis belongs to.  Binv, when kept,
-    is the basis inverse as the LP left it, and `updates` the basis
-    changes applied to it since its last fresh inversion; a start from it
-    works on a copy instead of inverting.  No values are kept: every start
-    puts each nonbasic variable at the bound its reduced cost favours and
-    recomputes the basic ones.
+    A is the standard-form matrix the basis belongs to.  T, when kept, is
+    the final tableau, B^-1 A over the reduced costs, with `updates` basis
+    changes since its last fresh inversion.  x, direction (+1 at a lower
+    bound the column may rise from, -1 at an upper bound it may fall from,
+    0 if basic or fixed) and free (the free columns, None if none), when
+    kept, are the final state: a start from it keeps every nonbasic value.
     """
     A: np.ndarray
     basis: np.ndarray
-    Binv: np.ndarray | None = None
+    T: np.ndarray | None = None
     updates: int = 0
+    x: np.ndarray | None = None
+    direction: np.ndarray | None = None
+    free: np.ndarray | None = None
+
+
+def _tableau(A, c, basis, stats):
+    """A basis's tableau from a fresh inversion, its basic columns set to
+    the unit vectors they are; None if the basis is numerically singular."""
+    if stats is not None:
+        stats["inversions"] += 1
+    try:
+        Binv = np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    T = np.empty((basis.size + 1, A.shape[1]))
+    np.matmul(Binv, A, out=T[:-1])
+    T[:-1, basis] = np.eye(basis.size)
+    T[-1] = c - c[basis] @ T[:-1]
+    T[-1, basis] = 0.0
+    return T
 
 
 def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     """Bounded dual simplex on a standard form, cold or from a given basis.
 
     Cold (warm=None), the basis is the m slack columns, the last m of A,
-    so its inverse is the identity.  Warm (warm=a _Basis of A), the LP
-    starts from a copy of the basis's inverse if it keeps one (a
-    branch-and-bound child inheriting its parent's), and inverts the basis
-    afresh if not (a root starting from the previous solve's root).  Each
-    nonbasic variable sits at the bound its reduced cost favours.
-
-    The start must be dual feasible: no reduced cost may ask for a bound
-    its variable lacks.  Cold, the reduced costs are the costs, which
-    MilpModel's bounded objective guarantees; a warm basis that breaks
-    the rule gives NumericalFailure, so that the caller re-solves cold.
+    so the tableau is A over c.  Warm (warm=a _Basis of A), the LP starts
+    from a copy of the basis's tableau and state if it keeps them (a
+    branch-and-bound child, whose only new bound is on a basic binary);
+    otherwise it inverts the basis afresh and puts each nonbasic variable
+    at the bound its reduced cost favours.  That start must be dual
+    feasible, which MilpModel's bounded objective makes a cold start; a
+    warm basis that is not, or that fails to invert, gives
+    NumericalFailure, so that the caller re-solves cold.
 
     Each pivot: leaving row the largest bound violation; entering column
-    by the dual ratio test over movable nonbasic columns (a free one counts
-    as ratio 0), ties to the largest pivot and then the lowest index;
-    lowest-index rules after a stall.  A fixed column, such as an
-    equality row's slack, never enters.  The inverse takes a rank-one
-    update per pivot and is refreshed once _REFACTOR_EVERY updates have
-    accumulated since its last fresh inversion, counting those inherited
-    with a warm basis.  The reduced costs are formed once per run and
-    updated by the pivot row the ratio test already uses (Koberstein, The
-    Dual Simplex Method, 2005), and formed again after each refresh.
+    by the dual ratio test, one masked quotient d / g over the nonbasic
+    columns whose direction moves the leaving variable toward its bound
+    (a free one counts as ratio 0), ties to the largest pivot and then
+    the lowest index; lowest-index rules after a stall.  The tableau,
+    reduced costs included, takes one rank-one update per pivot
+    (Koberstein, The Dual Simplex Method, 2005), and is formed afresh once
+    _REFACTOR_EVERY updates have accumulated since its last fresh
+    inversion, counting those inherited with a warm basis.
 
     Returns (status, x, objective, iterations, basis); basis is the final
-    _Basis, with its inverse, when Optimal, else None.  A basis that fails
-    to invert gives NumericalFailure.  stats, if given, counts the
-    attempted inversions under "inversions".
+    _Basis, with its tableau and state, when Optimal, else None.  stats,
+    if given, counts the attempted inversions under "inversions".
     """
     m, n = A.shape
-    if np.any(lb > ub):
+    if (lb > ub).any():
         return INFEASIBLE, None, INF, 0, None
-    x = np.zeros(n)
     if warm is None:
-        basis = np.arange(n - m, n)
-        Binv = np.eye(m)
-        updates = 0
+        basis, T, updates = np.arange(n - m, n), np.vstack([A, c]), 0
     else:
-        basis = warm.basis.copy()
-        Binv = None if warm.Binv is None else warm.Binv.copy()
-        updates = warm.updates
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
-    iters = 0
+        basis, updates = warm.basis.copy(), warm.updates
+        T = _tableau(A, c, basis, stats) if warm.T is None else warm.T.copy()
+        if T is None:
+            return NUMERICAL_FAILURE, None, INF, 0, None
+        updates = 0 if warm.T is None else updates
+    d = T[m]   # the reduced costs, a view
+    if warm is not None and warm.x is not None:
+        x, direction, free = warm.x.copy(), warm.direction.copy(), warm.free
+    else:
+        nb = np.ones(n, dtype=bool)
+        nb[basis] = False
+        no_lo, no_hi = lb == -INF, ub == INF
+        # A reduced cost that asks for a bound its nonbasic variable lacks.
+        if (nb & (((d < -_TOL) & no_hi) | ((d > _TOL) & no_lo))).any():
+            return NUMERICAL_FAILURE, None, INF, 0, None
+        # Nonbasics at the bounds d favours (free ones at 0).
+        at_lo = ~no_lo & ((d >= -_TOL) | no_hi)
+        x = np.where(at_lo, lb, np.where(no_hi, 0.0, ub))
+        x[basis] = 0.0
+        x[basis] = T[:m, n - m:] @ (rhs - A @ x)
+        free = nb & no_lo & no_hi
+        direction = np.where(at_lo, 1.0, -1.0)
+        direction[free | ~nb | ((ub - lb) <= 1e-12)] = 0.0
+        d[free] = 0.0
+        free = free if free.any() else None
+    xB, lbB, ubB = x[basis], lb[basis], ub[basis]
+    ratio = np.empty(n)
+    iters = stall = 0
+    bland_after = 2 * m + 20 if m else -1   # no rows: nothing to argmax
+    while True:
+        if iters >= max_iters:
+            return ITERATION_LIMIT, None, INF, iters, None
+        iters += 1
+        if updates >= _REFACTOR_EVERY:
+            T = _tableau(A, c, basis, stats)
+            if T is None:
+                return NUMERICAL_FAILURE, None, INF, iters, None
+            updates, d = 0, T[m]
+            x[basis] = 0.0
+            xB = T[:m, n - m:] @ (rhs - A @ x)
 
-    def invert():
-        nonlocal Binv, updates
-        if stats is not None:
-            stats["inversions"] += 1
-        try:
-            Binv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
-            return False  # numerically singular basis
-        updates = 0
-        return True
-
-    def basic_values():
-        nb = ~in_basis
-        x[basis] = Binv @ (rhs - A[:, nb] @ x[nb])
-
-    def pivot(leave_pos, enter, w):
-        """Basis change: column `enter` replaces row leave_pos's variable."""
-        nonlocal updates
-        out = basis[leave_pos]
-        basis[leave_pos] = enter
-        in_basis[out] = False
-        in_basis[enter] = True
-        piv_row = Binv[leave_pos] / w[leave_pos]
-        Binv[...] -= w[:, None] * piv_row[None, :]
-        Binv[leave_pos] = piv_row
-        updates += 1
-
-    def reduced_costs():
-        return c - (c[basis] @ Binv) @ A
-
-    def run_dual(d):
-        """Dual simplex iterations from a dual-feasible basis whose reduced
-        costs are d (updated in place)."""
-        nonlocal iters
-        stall = 0
-        movable = (ub - lb) > 1e-12
-        while True:
-            if iters >= max_iters:
-                return ITERATION_LIMIT
-            iters += 1
-            if updates >= _REFACTOR_EVERY:
-                if not invert():
-                    return NUMERICAL_FAILURE
-                basic_values()
-                d[:] = reduced_costs()
-
-            xB = x[basis]
-            below = lb[basis] - xB
-            viol = np.maximum(below, xB - ub[basis])
-            rows = np.flatnonzero(viol > _TOL)
+        below = lbB - xB
+        viol = np.maximum(below, xB - ubB)
+        bland = stall > bland_after
+        if bland:
+            rows = (viol > _TOL).nonzero()[0]
             if rows.size == 0:
-                return OPTIMAL
-            bland = stall > 2 * m + 20
-            r = int(rows[np.argmin(basis[rows])] if bland
-                    else rows[np.argmax(viol[rows])])
-            up = below[r] > 0   # the leaving variable rises to its lb
-            target = lb[basis[r]] if up else ub[basis[r]]
+                break
+            r = int(rows[np.argmin(basis[rows])])
+        else:
+            r = int(viol.argmax())
+            if not viol[r] > _TOL:
+                break
+        up = below[r] > 0   # the leaving variable rises to its lb
+        target = lbB[r] if up else ubB[r]
 
-            alpha = Binv[r] @ A
-            # g_j > 0: raising x_j moves the leaving variable toward target.
-            g = alpha if not up else -alpha
-            at_lb = np.isfinite(lb) & (x <= lb + 1e-9)
-            at_ub = np.isfinite(ub) & (x >= ub - 1e-9)
-            free = ~at_lb & ~at_ub
-            eligible = movable & ~in_basis
-            can_inc = eligible & (g > _TOL) & (at_lb | free)
-            can_dec = eligible & (g < -_TOL) & (at_ub | free)
-            cand = can_inc | can_dec
-            if not cand.any():
-                return INFEASIBLE  # the row proves the bounds inconsistent
-            # Dual room: how far each reduced cost may move before it
-            # changes sign; a free column has none.
-            room = np.maximum(np.where(can_inc, d, -d), 0.0)
-            room[free] = 0.0
-            ratio = np.full(n, INF)
-            ratio[cand] = room[cand] / np.abs(g[cand])
-            r_min = float(np.min(ratio))
-            ties = np.flatnonzero(ratio <= r_min + 1e-12)
-            enter = int(ties[0] if bland else ties[np.argmax(np.abs(g[ties]))])
+        alpha = T[r]
+        # g_j > 0: raising x_j moves the leaving variable toward target.
+        g = -alpha if up else alpha
+        cand = direction * g > _TOL
+        if free is not None:
+            cand |= free & (np.abs(g) > _TOL)
+        # A candidate's dual room over its pivot element: at a lower bound
+        # d >= 0 and g > 0, at an upper bound both signs flip, and a free
+        # column's d is 0 (a basic one's g is 0).
+        ratio.fill(INF)
+        np.divide(d, g, out=ratio, where=cand)
+        r_min = ratio[ratio.argmin()]
+        if r_min == INF:   # the row proves the bounds inconsistent
+            return INFEASIBLE, None, INF, iters, None
+        r_min = r_min if r_min > 0.0 else 0.0
+        ties = (ratio <= r_min + 1e-12).nonzero()[0]
+        enter = int(ties[0] if bland or ties.size == 1
+                    else ties[np.argmax(np.abs(g[ties]))])
 
-            w = Binv @ A[:, enter]
-            step = (xB[r] - target) / w[r]
-            improved = r_min * viol[r] > _TOL
-            x[enter] += step
-            x[basis] -= step * w
-            x[basis[r]] = target  # snap roundoff
-            # The pivot row zeroes the entering reduced cost and gives the
-            # leaving variable (alpha = 1 on it) minus the dual step; basic
-            # columns are snapped back to zero.
-            d -= (d[enter] / alpha[enter]) * alpha
-            pivot(r, enter, w)
-            d[in_basis] = 0.0
-            stall = 0 if improved else stall + 1
+        w = T[:, enter]
+        step = (xB[r] - target) / w[r]
+        stall = 0 if r_min * viol[r] > _TOL else stall + 1
+        xB -= step * w[:m]
+        xB[r] = x[enter] + step
+        out = basis[r]
+        x[out] = target  # snap roundoff
+        basis[r] = enter
+        # The pivot row over the pivot element is 1 on the entering column
+        # and 0 on the other basic ones, which keep their unit columns and
+        # zero reduced costs.
+        piv_row = alpha / w[r]
+        T -= w[:, None] * piv_row
+        T[r] = piv_row
+        updates += 1
+        lbB[r], ubB[r] = lb[enter], ub[enter]
+        direction[enter] = 0.0
+        if ub[out] - lb[out] > 1e-12:
+            direction[out] = 1.0 if up else -1.0
 
-    if Binv is None and not invert():
-        return NUMERICAL_FAILURE, None, INF, iters, None
-    d = reduced_costs()
-    # A reduced cost that asks for a bound its nonbasic variable lacks.
-    wrong = ((d < -_TOL) & ~np.isfinite(ub)) | ((d > _TOL) & ~np.isfinite(lb))
-    nb = ~in_basis
-    if np.any(wrong & nb):
-        return NUMERICAL_FAILURE, None, INF, iters, None
-    # Nonbasics at the bounds d favours (free ones at 0).
-    at_lo = np.isfinite(lb) & ((d >= -_TOL) | ~np.isfinite(ub))
-    x[nb] = np.where(at_lo, lb, np.where(np.isfinite(ub), ub, 0.0))[nb]
-    basic_values()
-    status = run_dual(d)
-    if status != OPTIMAL:
-        return status, None, INF, iters, None
-    return OPTIMAL, x, float(c @ x), iters, _Basis(A, basis, Binv, updates)
+    x[basis] = xB
+    return OPTIMAL, x, float(c @ x), iters, _Basis(A, basis, T, updates, x,
+                                                   direction, free)
 
 
 def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> int:
@@ -430,7 +424,7 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     The root LP starts from `warm`, a previous solution's root_basis, when
     this model's standard-form matrix equals the one that basis came from
     (same shape, same values), and cold otherwise.  Every child
-    re-solves from a copy of its parent's final basis and inverse.  A warm
+    re-solves from a copy of its parent's final tableau and state.  A warm
     LP whose basis fails to invert, or is not dual feasible for this model,
     is solved once more cold.  Branches on the most-fractional binary;
     prunes nodes whose LP bound cannot improve the incumbent beyond the
@@ -496,11 +490,13 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
                 incumbent[binaries] = np.clip(np.round(x[binaries]), 0.0, 1.0)
                 incumbent_obj = bound
             continue
+        # A fractional binary is basic: only a basic bound moves.
+        start = basis if j in basis.basis else basis._replace(x=None)
         for fixed in (0.0, 1.0):
             clb, cub = lb.copy(), ub.copy()
             clb[j] = fixed
             cub[j] = fixed
-            status, cx, cobj, cbasis = node_lp(clb, cub, basis)
+            status, cx, cobj, cbasis = node_lp(clb, cub, start)
             if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
                 stop = status
                 break

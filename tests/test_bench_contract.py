@@ -68,9 +68,12 @@ def test_simplex_calls_are_the_solve_lp_calls(monkeypatch):
     from milp_safeguard import milp
     from milp_safeguard.cli import load_scenario
     from milp_safeguard.encoder import build_tracking_model
+    # A robot step next to the wall [2, 3] x [-1, 6.5], which the model
+    # keeps: the solve branches.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
-    model, _ = build_tracking_model(
-        s.tracking_problem(np.zeros(2), np.array([1.0, 0.5])))
+    model, h = build_tracking_model(
+        s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5])))
+    assert h["obstacles"] == [0]
     results = []
     inner = milp._simplex
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
@@ -13,7 +15,6 @@ from milp_safeguard.encoder import (
     TrackingProblem,
     _check_decision,
     build_tracking_model,
-    control_big_m,
     solve_tracking,
 )
 from milp_safeguard.milp import EQ
@@ -45,10 +46,45 @@ def problem(y, x_ref, unsafe=(), eps_x=EPS, eps_y=EPS, eps_u=EPS):
                            x_ref=np.asarray(x_ref, dtype=float))
 
 
-def test_control_big_m_formula():
-    p = problem([5, 5], [5, 5])
-    # max(eps_u, width - eps_u) per control dimension.
-    assert np.allclose(control_big_m(p), [0.45, 0.45])
+@pytest.mark.parametrize("eps_u", [0.0, 0.05, 0.25, 0.4, 0.5, 0.7])
+def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
+    # U is 0.5 wide.  Of the two rows a clip binary relaxes, the one
+    # relaxed on the unclipped branch ({end, binary}) takes
+    # max(width - eps_u, 0), the one relaxed on the clipped branch
+    # ({end, u_cmd, binary}) takes eps_u.
+    model, h = build_tracking_model(
+        problem([5, 5], [5, 5], eps_u=np.full(2, eps_u)))
+    for d in h["delta_a"] + h["delta_b"]:
+        rows = [c for c in model.constraints if d in c.idx]
+        big_m = {c.idx.size: abs(float(c.coef[c.idx == d][0])) for c in rows}
+        assert len(rows) == 2
+        assert big_m == {2: max(0.5 - eps_u, 0.0), 3: eps_u}
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
+       share=st.tuples(*[st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0, 1.7])
+                         | st.floats(0.0, 2.0)] * 2),
+       at=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2))
+def test_fixed_control_gets_the_clipped_interval(width, share, at):
+    # eps_u from 0 past width/2 to beyond the width of U: with u_cmd fixed,
+    # the MILP's actuated interval is U's clip of [u - eps_u, u + eps_u].
+    # A clip binary within milp's integrality tolerance of 0 or 1 counts as
+    # integral, and moves an end by at most that tolerance times its big-M.
+    w, eps_u = np.array(width), np.array(share) * np.array(width)
+    Uw = Hypercube(-w / 2, w / 2)
+    u = Uw.lo + np.array(at) * w
+    p = TrackingProblem(net=build_identity_sum_network(X, Uw), X=X, U=Uw,
+                        unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
+                        eps_u=eps_u, y_k=np.array([5.0, 5.0]),
+                        x_ref=np.array([5.2, 4.9]))
+    model, h = build_tracking_model(p, fix_u=u)
+    sol = milp.solve(model)
+    assert sol.status == milp.OPTIMAL
+    tol = milp._INTEGRALITY_TOL * np.maximum(w, eps_u) + 1e-12
+    for ends, clip in ((h["a0"], np.maximum(Uw.lo, u - eps_u)),
+                       (h["b0"], np.minimum(Uw.hi, u + eps_u))):
+        assert np.all(np.abs(sol.values[ends[2:]] - clip) <= tol)
 
 
 def test_reference_validation():
@@ -390,3 +426,44 @@ def test_reach_hull_outside_X_is_infeasible(out):
     with pytest.raises(SolverInfeasible):
         solve_tracking(p)
 
+
+
+def fixed_faces(model):
+    return {model.names[i] for i in np.flatnonzero(
+        model.is_binary & (model.lb == model.ub))}
+
+
+def test_kept_obstacle_without_a_reachable_face_raises_before_the_solve(
+        monkeypatch):
+    # The reach hull [4.7, 5.3]^2 widened by eps_x overlaps the block, and
+    # every safe box covers [4.75, 5.25]^2, which pokes into the block on
+    # every side: no face of the block is left to separate a box from it.
+    block = Hypercube(np.array([4.72, 4.72]), np.array([5.28, 5.28]))
+    p = problem([5, 5], [9, 9], unsafe=[block])
+
+    def solve(*args, **kwargs):
+        raise AssertionError("milp.solve called")
+    monkeypatch.setattr(milp, "solve", solve)
+    with pytest.raises(SolverInfeasible):
+        solve_tracking(p)
+
+
+def test_unreachable_faces_are_fixed_by_bounds_and_keep_the_root_warm():
+    # Robot maze, next to the wall [2, 3] x [-1, 6.5].  At y = (1.7, 1.0)
+    # only its left face (x_hi <= 2) is within reach; near its top end the
+    # top face (x_lo >= 6.5) is too.  The fixes are bounds, so the two
+    # models share their matrix and the second root starts warm.
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    steps = [s.tracking_problem(np.array(y), np.array(r))
+             for y, r in (((1.7, 1.0), (1.9, 1.5)), ((1.8, 6.6), (2.2, 6.8)))]
+    (m1, h1), (m2, h2) = map(build_tracking_model, steps)
+    assert h1["obstacles"] == h2["obstacles"] == [0]
+    assert fixed_faces(m1) == {"du1_0_1", "du2_0_0", "du2_0_1"}
+    assert fixed_faces(m2) == {"du1_0_1", "du2_0_0"}
+    assert np.array_equal(milp._standard_form(m1)[0],
+                          milp._standard_form(m2)[0])
+    first = milp.solve(m1)
+    assert first.status == milp.OPTIMAL and first.stats["lp_calls"] > 1
+    assert first.values[m1.names.index("du1_0_0")] == 1.0
+    second = milp.solve(m2, warm=first.root_basis)
+    assert second.status == milp.OPTIMAL and second.stats["warm_root"]

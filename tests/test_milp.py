@@ -164,6 +164,17 @@ def test_replace_checks_the_objective_bound():
         replace(m, lb=np.array([-INF]))
 
 
+def test_model_without_rows_solves_at_its_bounds():
+    b = ModelBuilder()
+    d = b.add_binary("d")
+    x = b.add_continuous(-1.0, 2.0, "x")
+    b.set_objective({d: -1.0, x: 1.0})
+    sol = solve(b.build())
+    assert sol.status == OPTIMAL and sol.objective_value == -2.0
+    assert np.array_equal(sol.values, [1.0, -1.0])
+    assert sol.stats["lp_calls"] == sol.stats["simplex_iters"] == 1
+
+
 def test_trivially_infeasible_empty_constraint():
     b = ModelBuilder()
     x = b.add_continuous(0, 1, "x")

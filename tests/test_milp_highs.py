@@ -5,7 +5,8 @@ Statuses must agree and optimal objectives match within
 1e-6 * max(1, |obj|), the solver's own default relative gap.  The MILPs
 (scipy.optimize.milp, 1e-12 relative gap, presolve off) are random
 ones with 20-30 binaries (more than enumeration can check), and tracking
-MILPs of the robot maze and of the vehicle corridor's committed net.  Two chains of
+MILPs of the robot maze and of the vehicle corridor's committed net, also
+with random control sets and eps_u from 0 to beyond their width.  Two chains of
 tracking MILPs (the first steps of the seed-0 robot episode, and points
 along the committed corridor plan) are solved as the control loop solves
 them, each root warm from the previous model's, and must match within
@@ -40,6 +41,7 @@ from milp_safeguard.milp import (  # noqa: E402
     solve,
 )
 from milp_safeguard.runtime import run_episode  # noqa: E402
+from milp_safeguard.sets import Hypercube  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -219,6 +221,56 @@ def test_vehicle_tracking_matches_highs():
              for i in range(0, len(plan), 2)]
     statuses = [assert_matches_highs(m).status for m in tracking_models(s, pairs)]
     assert len(statuses) >= 10 and OPTIMAL in statuses
+
+
+def random_control_sets(scenario, rng, count):
+    """Copies of the scenario with a random sub-box of U, 0.5-100% of its
+    width per axis, and eps_u a share of that width: 0, a half, more than a
+    half, all of it or more."""
+    out = []
+    for _ in range(count):
+        width = (scenario.U.hi - scenario.U.lo) * rng.uniform(0.005, 1.0, 2)
+        lo = scenario.U.lo + rng.uniform(0.0, 1.0, 2) * (
+            scenario.U.hi - scenario.U.lo - width)
+        share = rng.choice([0.0, 0.5, 0.8, 1.0, 1.4], 2)
+        out.append(replace(scenario, U=Hypercube(lo, lo + width),
+                           eps_u=share * width,
+                           planner=replace(scenario.planner, u_margin=None)))
+    return out
+
+
+def test_tracking_with_random_control_sets_matches_highs():
+    rng = np.random.default_rng(23)
+    robot, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    vehicle, _ = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                            "vehicle_corridor.yaml"))
+    plan = committed_plan()
+    statuses = []
+    for s in random_control_sets(robot, rng, 12):
+        statuses += [assert_matches_highs(m).status
+                     for m in tracking_models(s, robot_pairs(s, rng, 2))]
+    for s in random_control_sets(vehicle, rng, 12):
+        i = int(rng.integers(0, len(plan) - 1))
+        statuses += [assert_matches_highs(m).status for m in tracking_models(
+            s, [(plan[i], plan[i + 1])])]
+    assert len(statuses) >= 25 and OPTIMAL in statuses
+
+
+def test_step_with_one_reachable_face_matches_highs():
+    # Robot maze, next to the wall [2, 3] x [-1, 6.5]: only its left face
+    # is within reach, so three of the wall's four separation binaries are
+    # fixed at 0.  Released to [0, 1], they leave HiGHS's optimum as it is.
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    model, h = build_tracking_model(
+        s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5])))
+    (d1, d2), = h["delta_u"]
+    free = [v for v in d1 + d2 if model.lb[v] < model.ub[v]]
+    assert free == [d1[0]]
+    sol = assert_matches_highs(model)
+    assert sol.status == OPTIMAL and sol.values[d1[0]] == 1.0
+    released = replace(model, lb=np.where(model.is_binary, 0.0, model.lb),
+                       ub=np.where(model.is_binary, 1.0, model.ub))
+    assert abs(highs(released)[1] - sol.objective_value) <= 1e-9
 
 
 def assert_warm_chain_matches_highs(models):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -293,3 +295,75 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_empty_log_csv_raises(tmp_path):
     with pytest.raises(ValueError):
         TrajectoryLog().to_csv(tmp_path / "empty.csv")
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def test_every_lp_of_an_episode_hands_over_a_consistent_state(monkeypatch):
+    # Each LP of the robot maze's episode and of the corridor episode on the
+    # committed plan keeps its reduced costs and values for its children,
+    # updated pivot by pivot.  After every one, they must equal the ones a
+    # fresh inversion of its final basis gives: c - c_B B^-1 A and
+    # B^-1 (rhs - N x_N).
+    inner, checked = milp._simplex, []
+
+    def check(A, rhs, c, lb, ub, *args, **kwargs):
+        result = inner(A, rhs, c, lb, ub, *args, **kwargs)
+        if result[0] == milp.OPTIMAL:
+            x, basis = result[1], result[4].basis
+            Binv = np.linalg.inv(A[:, basis])
+            nonbasic = np.ones(A.shape[1], dtype=bool)
+            nonbasic[basis] = False
+            d = c - (c[basis] @ Binv) @ A
+            xB = Binv @ (rhs - A[:, nonbasic] @ x[nonbasic])
+            assert np.max(np.abs(result[4].T[-1] - d)) <= 1e-9
+            assert np.max(np.abs(x[basis] - xB)) <= 1e-9
+            checked.append(result[3])
+        return result
+    monkeypatch.setattr(milp, "_simplex", check)
+    robot, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    assert run_episode(robot).status == GOAL_REACHED
+    scenarios = os.path.join(ROOT, "bench", "scenarios")
+    corridor, _ = load_scenario(os.path.join(scenarios, "vehicle_corridor.yaml"))
+    plan = np.loadtxt(os.path.join(scenarios, "vehicle_plan.csv"),
+                      delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+    assert run_episode(corridor, waypoints=list(plan)).status == GOAL_REACHED
+    assert len(checked) > 500 and sum(checked) > 1500
+
+
+# Prints the robot maze episode's LP calls and simplex iterations per
+# tracking solve.
+_SOLVE_COUNTS = """
+import sys
+from milp_safeguard import milp
+from milp_safeguard.cli import load_scenario
+from milp_safeguard.runtime import run_episode
+inner, stats = milp.solve, []
+def counted(*args, **kwargs):
+    sol = inner(*args, **kwargs)
+    stats.append(sol.stats)
+    return sol
+milp.solve = counted
+scenario, _ = load_scenario(sys.argv[1])
+print(run_episode(scenario).status, len(stats),
+      sum(s["lp_calls"] for s in stats) / len(stats),
+      sum(s["simplex_iters"] for s in stats) / len(stats))
+"""
+
+
+def test_robot_episode_stays_within_its_solve_count_budget():
+    # The seed-0 plan's episode solves at about 4.4 LP calls and 13
+    # simplex iterations per step; a looser formulation or a worse pivot
+    # rule shows here first.  The counts depend on the BLAS thread count,
+    # so the episode runs at one thread.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVE_COUNTS,
+         os.path.join(ROOT, "scenarios", "robot_maze.yaml")],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    status, solves, lp_calls, iters = done.stdout.split()
+    assert status == GOAL_REACHED and int(solves) > 100
+    assert float(lp_calls) <= 5.0
+    assert float(iters) <= 16.0
