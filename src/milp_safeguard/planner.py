@@ -4,10 +4,14 @@ Samples are steered by clipping into the parent's one-step reachable box
 (interval propagation of a point state over the whole control set, computed
 once per node); the stored child node is the exact model image of the best
 control witness, so every tree edge is a dynamically exact one-step
-transition.  The witness search starts from a coarse grid and then steers
-exactly on the net's affine pieces: on the piece of its point, the least l1
-residual over the control set lies at a vertex of a few hyperplanes, and
-one batched forward pass evaluates those vertices.  The RRT draws its
+transition.  The witness search steers exactly on the net's affine pieces:
+on the piece of its point, the least l1 residual over the control set lies
+at a vertex of a few hyperplanes, and one batched forward pass evaluates
+those vertices.  A node is stable when the interval pass of its reachable
+box gives every hidden neuron one sign over the control set; the net is then
+one affine piece there, and one round from any point finds the least
+residual.  From any other node the search starts at the best point of a
+coarse grid and runs rounds until one does not move it.  The RRT draws its
 samples ahead and guesses each iteration's nearest node against the tree
 as it stands; the searches of _WINDOW guessed iterations then run in
 lockstep, and the iterations commit in order, an iteration whose nearest
@@ -30,8 +34,8 @@ from itertools import combinations
 import numpy as np
 
 from milp_safeguard.nn_model import ReluNetwork, affine_piece, forward, \
-    forward_batch, output_bounds
-from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
+    forward_batch, interval_bounds
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 
 # Guessed RRT iterations whose witness searches run in one lockstep search.
@@ -65,13 +69,20 @@ class PlanTree:
 
 def reachable_box(net: ReluNetwork, xs, U: Hypercube):
     """One-step reachable box over all of U from the point state xs, as
-    (lo, hi) arrays, or from each row of a (k, n) stack of states, as
-    (k, n) arrays, each row equal to the call on its state alone."""
+    (lo, hi) arrays, and whether the state is stable: every hidden neuron's
+    interval bounds over {xs} x U have one sign, so that the net is one
+    affine map of the control there.  From each row of a (k, n) stack of
+    states: (k, n) arrays and k flags, each row equal to the call on its
+    state alone.  All of it comes from one interval pass."""
     xs = np.asarray(xs, dtype=float)
     shape = xs.shape[:-1] + U.lo.shape
-    return output_bounds(
+    *hidden, (lo, hi) = interval_bounds(
         net, np.concatenate([xs, np.broadcast_to(U.lo, shape)], axis=-1),
         np.concatenate([xs, np.broadcast_to(U.hi, shape)], axis=-1))
+    stable = np.ones(xs.shape[:-1], dtype=bool)
+    for pre_lo, pre_hi in hidden:
+        stable &= ((pre_lo > 0.0) | (pre_hi <= 0.0)).all(axis=-1)
+    return lo, hi, stable
 
 
 @lru_cache(maxsize=16)
@@ -102,19 +113,25 @@ def _search_tables(lo: bytes, hi: bytes, n_x: int, coarse: int):
     return tables
 
 
-def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
+def _witness_search(net, X_from, X_to, U: Hypercube, stable,
+                    coarse: int = 9):
     """Controls minimizing the l1 residuals |f(x_from, u) - x_to|, row by row.
 
-    X_from and X_to stack k pairs as rows (k x n_x); returns the k controls
-    (k x U.dim) and their k residuals.  Each row's search starts at the best
-    point of a coarse grid over U.  On the activation region of its point u
-    the net is affine, f = J u + c, and the least of sum |J u + c - x_to|
+    X_from and X_to stack k pairs as rows (k x n_x), and stable holds the k
+    flags of reachable_box for the rows' x_from; returns the k controls
+    (k x U.dim) and their k residuals.  On the activation region of a point
+    u the net is affine, f = J u + c, and the least of sum |J u + c - x_to|
     over U lies at a vertex of the arrangement of the n_x hyperplanes
     J_i u + c_i = x_to_i and the 2 U.dim faces of U, where U.dim of them
     meet.  A round solves every nonsingular U.dim-subset of them but U's
     corners, which are constant, clips the vertices into U and evaluates
-    them; the search moves to the best if its residual is lower by more
-    than 1e-15, and otherwise ends.  The k searches run in lockstep, one
+    them, and the search moves to the best if its residual is lower by more
+    than 1e-15.  A stable row's region holds all of U, so its first round
+    gives the least residual: it starts at the best of U's corners (any
+    point would do, but more than one keeps its pass from being a one-row
+    product, which may round otherwise) and ends after one round.  Any
+    other row starts at the best point of a coarse grid over U and runs
+    rounds until one does not move it.  The k searches run in lockstep, one
     batched forward pass evaluating the vertices of every unfinished
     search.  c comes from the pass that chose u, so that no point is
     evaluated alone, where the arithmetic differs in the last bits: no
@@ -124,6 +141,7 @@ def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
     X_to = np.atleast_2d(np.asarray(X_to, dtype=float))
     k, n_x = X_from.shape
     m = U.dim
+    stable = np.asarray(stable, dtype=bool)
     grid, subsets, faces, bounds, free, corners = _search_tables(
         U.lo.tobytes(), U.hi.tobytes(), n_x, coarse)
 
@@ -139,9 +157,16 @@ def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
         j, rows = rs.argmin(axis=1), np.arange(len(ids))
         return Z[rows, j], out[rows, j], rs[rows, j]
 
-    ids = np.arange(k)
-    z, y, r = best_of(ids, grid)
-    best_u, best_r = z[:, n_x:].copy(), r.copy()
+    # The stable searches start at the best of U's corners and the others
+    # at the best point of the grid, each group in a pass of its own; ids
+    # lists the searches in that order.
+    starts = [(g,) + best_of(g, start) for g, start in
+              ((np.flatnonzero(stable), corners),
+               (np.flatnonzero(~stable), grid)) if len(g)]
+    ids, z, y, r = (starts[0] if len(starts) == 1
+                    else map(np.concatenate, zip(*starts)))
+    best_u, best_r = np.empty((k, m)), np.empty(k)
+    best_u[ids], best_r[ids] = z[:, n_x:], r
     # Per search: the hyperplanes' rows and right-hand sides, U's faces
     # after the n_x of the net's piece, and the vertices of a round.
     planes, rhs = np.empty((k, n_x + 2 * m, m)), np.empty((k, n_x + 2 * m))
@@ -155,14 +180,15 @@ def _witness_search(net, X_from, X_to, U: Hypercube, coarse: int = 9):
         A, b = planes[:len(ids), subsets], rhs[:len(ids), subsets]
         # A singular subset gets U.lo, which the lower faces give anyway.
         singular = (np.abs(np.linalg.det(A))
-                    <= 1e-12 * np.prod(np.linalg.norm(A, axis=3), axis=2))
+                    <= 1e-12 * np.sqrt((A * A).sum(axis=3)).prod(axis=2))
         A[singular], b[singular] = np.eye(m), U.lo
         v = np.linalg.solve(A, b[..., None])[..., 0]
         us[:len(ids), free] = np.minimum(np.maximum(v, U.lo), U.hi)
         z, y, r_new = best_of(ids, us[:len(ids)])
         moved = r_new < r - 1e-15
-        ids, z, y, r = ids[moved], z[moved], y[moved], r_new[moved]
-        best_u[ids], best_r[ids] = z[:, n_x:], r
+        best_u[ids[moved]], best_r[ids[moved]] = z[moved, n_x:], r_new[moved]
+        go_on = moved & ~stable[ids]
+        ids, z, y, r = ids[go_on], z[go_on], y[go_on], r_new[go_on]
     return best_u, best_r
 
 
@@ -250,11 +276,12 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
             raise ValueError(f"{name} outside the state feasible set")
         if unsafe.contains_interior(x):
             raise ValueError(f"{name} inside an obstacle")
-    clear_vec = np.full(X.dim, clearance)
-    # An obstacle whose inflated box misses X guards nothing.
-    inflated = UnsafeRegion(tuple(
-        box for box in (intersect(inflate(b, clear_vec), X) for b in unsafe)
-        if box is not None))
+    # The obstacles inflated by the clearance, within X; one whose inflated
+    # box misses X guards nothing.
+    lo = np.maximum(unsafe.lo - clearance, X.lo)
+    hi = np.minimum(unsafe.hi + clearance, X.hi)
+    hit = (lo <= hi).all(axis=1)
+    inflated = UnsafeRegion(tuple(map(Hypercube, lo[hit], hi[hit])))
     goal_tol = (np.zeros(X.dim) if goal_tol is None
                 else np.atleast_1d(np.asarray(goal_tol, dtype=float)))
     if goal_tol.shape != (X.dim,) or not np.all(goal_tol >= 0):
@@ -264,10 +291,12 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     tree = PlanTree()
     # Per node, in arrays grown geometrically: its coordinates as columns,
     # for the nearest-node scans, and its reachable box within X as rows,
-    # with a mask of the boxes that are not empty.
+    # with a mask of the boxes that are not empty and one of the stable
+    # nodes, which the witness search steers in one round.
     cols = np.empty((X.dim, 256))
     reach_lo, reach_hi = np.empty((256, X.dim)), np.empty((256, X.dim))
     reach_ok = np.empty(256, dtype=bool)
+    reach_stable = np.empty(256, dtype=bool)
 
     def distances(xs, start=0):
         """The l1 distances from each row of xs to each node from start on,
@@ -278,30 +307,30 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
 
     def nodes(xs):
         """The nodes of the stack xs: per row its state, reachable box
-        within X (lo, hi and whether it is not empty) and goal test, the
-        goal lying in the box inflated by goal_tol."""
-        lo, hi = reachable_box(net, xs, U)
+        within X (lo, hi and whether it is not empty), stability and goal
+        test, the goal lying in the box inflated by goal_tol."""
+        lo, hi, stable = reachable_box(net, xs, U)
         goal = ((xg >= lo - goal_tol - 1e-9)
                 & (xg <= hi + goal_tol + 1e-9)).all(axis=1)
         lo, hi = np.maximum(lo, X.lo), np.minimum(hi, X.hi)
         return zip(xs, lo, hi, (lo <= hi).all(axis=1).tolist(),
-                   goal.tolist())
+                   stable.tolist(), goal.tolist())
 
     def add_node(node, parent=None, u=None) -> bool:
         """Add a node, its edge and its reachable box; True when it passes
         the goal test, which ends the plan."""
-        nonlocal cols, reach_lo, reach_hi, reach_ok
-        x, lo, hi, ok, goal = node
+        nonlocal cols, reach_lo, reach_hi, reach_ok, reach_stable
+        x, lo, hi, ok, stable, goal = node
         idx = tree.add_node(x)
         if parent is not None:
             tree.add_edge(parent, idx, u)
         if idx == len(reach_ok):
             cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
-            reach_lo, reach_hi, reach_ok = (
+            reach_lo, reach_hi, reach_ok, reach_stable = (
                 np.concatenate([a, np.empty_like(a)])
-                for a in (reach_lo, reach_hi, reach_ok))
-        cols[:, idx], reach_lo[idx], reach_hi[idx], reach_ok[idx] = \
-            x, lo, hi, ok
+                for a in (reach_lo, reach_hi, reach_ok, reach_stable))
+        cols[:, idx], reach_lo[idx], reach_hi[idx] = x, lo, hi
+        reach_ok[idx], reach_stable[idx] = ok, stable
         if goal:
             tree.goal, tree.goal_parent = xg, idx
         return goal
@@ -340,9 +369,11 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
                 f"no goal connection after {max_iters} iterations")
         batch = [g for g in pending if g.candidate is not None and g.u is None]
         if batch:
-            X_from = np.array([tree.nodes[g.near] for g in batch])
-            us, _ = _witness_search(net, X_from,
-                                    np.array([g.candidate for g in batch]), U)
+            near = [g.near for g in batch]
+            X_from = np.array([tree.nodes[j] for j in near])
+            us, _ = _witness_search(
+                net, X_from, np.array([g.candidate for g in batch]), U,
+                reach_stable[near])
             # Snap each node onto the model image so that every edge is an
             # exact one-step transition; clipping alone would leave
             # residual slack that downstream tracking cannot realize.

@@ -122,7 +122,7 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
     U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
     net, opaque = build_identity_sum_network(X, U), object()
     x_from, x_to = np.array([2.0, 3.0]), np.array([2.13, 2.91])
-    expected = planner._witness_search(net, x_from, x_to, U)
+    expected = planner._witness_search(net, x_from, x_to, U, [True])
     calls = []
 
     def through(name):
@@ -135,7 +135,7 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
         monkeypatch.setattr(planner, name, traced)
     through("forward_batch")
     through("affine_piece")
-    u, r = planner._witness_search(opaque, x_from, x_to, U)
+    u, r = planner._witness_search(opaque, x_from, x_to, U, [True])
     assert np.array_equal(u, expected[0]) and r == expected[1]
     assert calls.count("forward_batch") > 1 and "affine_piece" in calls
 
@@ -183,10 +183,10 @@ def test_rrt_build_reaches_interval_bounds_only_through_reachable_box(
 
 
 def test_stacked_reachable_boxes_equal_one_row_calls():
-    # The boxes of a window's nodes come from one stacked call; each row
-    # must be the box its node alone gives, bit for bit, on the
-    # identity-sum net and on the benchmark's vehicle net, or the plans
-    # (and with them every planner metric) would change.
+    # The boxes of a window's nodes, and their stability flags, come from
+    # one stacked call; each row must be what its node alone gives, bit for
+    # bit, on the identity-sum net and on the benchmark's vehicle net, or
+    # the plans (and with them every planner metric) would change.
     from milp_safeguard.nn_model import build_identity_sum_network, \
         load_network
     from milp_safeguard.planner import reachable_box
@@ -204,9 +204,11 @@ def test_stacked_reachable_boxes_equal_one_row_calls():
              vehicle_X, vehicle_U)):
         for k in (1, 2, 8, 33):
             xs = X.sample(rng, k)
-            lo, hi = reachable_box(net, xs, U)
+            lo, hi, stable = reachable_box(net, xs, U)
             assert lo.shape == hi.shape == (k, X.dim)
-            for x, row_lo, row_hi in zip(xs, lo, hi):
-                one_lo, one_hi = reachable_box(net, x, U)
+            assert stable.shape == (k,)
+            for x, row_lo, row_hi, row_stable in zip(xs, lo, hi, stable):
+                one_lo, one_hi, one_stable = reachable_box(net, x, U)
                 assert row_lo.tobytes() == one_lo.tobytes()
                 assert row_hi.tobytes() == one_hi.tobytes()
+                assert row_stable == one_stable

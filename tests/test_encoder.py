@@ -69,8 +69,8 @@ def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
 def test_fixed_control_gets_the_clipped_interval(width, share, at):
     # eps_u from 0 past width/2 to beyond the width of U: with u_cmd fixed,
     # the MILP's actuated interval is U's clip of [u - eps_u, u + eps_u].
-    # A clip binary within milp's integrality tolerance of 0 or 1 counts as
-    # integral, and moves an end by at most that tolerance times its big-M.
+    # A clip binary that the LP leaves near 0 or 1 but off it is fixed
+    # there and its node re-solved, so the ends are the clip's.
     w, eps_u = np.array(width), np.array(share) * np.array(width)
     Uw = Hypercube(-w / 2, w / 2)
     u = Uw.lo + np.array(at) * w
@@ -81,10 +81,28 @@ def test_fixed_control_gets_the_clipped_interval(width, share, at):
     model, h = build_tracking_model(p, fix_u=u)
     sol = milp.solve(model)
     assert sol.status == milp.OPTIMAL
-    tol = milp._INTEGRALITY_TOL * np.maximum(w, eps_u) + 1e-12
     for ends, clip in ((h["a0"], np.maximum(Uw.lo, u - eps_u)),
                        (h["b0"], np.minimum(Uw.hi, u + eps_u))):
-        assert np.all(np.abs(sol.values[ends[2:]] - clip) <= tol)
+        assert np.all(np.abs(sol.values[ends[2:]] - clip) <= 1e-9)
+
+
+def test_fixed_control_near_the_lower_end_of_u_passes_the_audit():
+    # 320 probes on the identity-sum robot: U 1.5 to 2 wide, u_cmd fixed
+    # less than 3e-6 times that width above U.lo, and eps_u a random share
+    # of the width.  The LP leaves a clip binary 1e-10 to 1e-6 off 0 or 1
+    # in most of them, which moves the clip ends by up to big-M times
+    # that; unless such a binary is fixed and its node re-solved, 53 of
+    # the probes fail the audit.
+    rng = np.random.default_rng(0)
+    for _ in range(320):
+        w = rng.uniform(1.5, 2.0, 2)
+        Uw = Hypercube(-w / 2, w / 2)
+        p = TrackingProblem(net=build_identity_sum_network(X, Uw), X=X,
+                            U=Uw, unsafe=UnsafeRegion(()), eps_x=EPS,
+                            eps_y=EPS, eps_u=rng.uniform(0.05, 0.95, 2) * w,
+                            y_k=np.array([5.0, 5.0]),
+                            x_ref=np.array([5.2, 4.9]))
+        solve_tracking(p, fix_u=Uw.lo + rng.uniform(0.0, 3e-6, 2) * w)
 
 
 def test_reference_validation():

@@ -84,6 +84,35 @@ def test_milp_knapsack():
     assert np.allclose(sol.values[:3], [1, 0, 1])
 
 
+def test_near_integral_binary_is_fixed_before_its_node_is_accepted():
+    # The LP trades d for x: d = 1 - 1e-7, within the integrality
+    # tolerance of 1, and x = 1e-6, which d = 1 does not allow.  Fixed at 1
+    # and re-solved, x is 0 and no row is violated.
+    b = ModelBuilder()
+    x = b.add_continuous(0.0, 1e-6, "x")
+    d = b.add_binary("d")
+    b.add_constraint({x: 1.0, d: 10.0}, LE, 10.0)
+    b.set_objective({x: -1.0, d: -1.0})
+    model = b.build()
+    sol = solve(model)
+    assert sol.status == OPTIMAL
+    assert sol.values[d] == 1.0 and abs(sol.values[x]) <= 1e-12
+    assert model.constraint_violation(sol.values) <= 1e-12
+    assert sol.objective_value == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_near_integral_binary_that_cannot_be_fixed_is_branched_on():
+    # d <= 1 - 1e-8: the LP's d is within the integrality tolerance of 1,
+    # but d = 1 is infeasible, so the node branches on d.
+    b = ModelBuilder()
+    d = b.add_binary("d")
+    b.add_constraint({d: 1.0}, LE, 1.0 - 1e-8)
+    b.set_objective({d: -1.0})
+    sol = solve(b.build())
+    assert sol.status == OPTIMAL
+    assert sol.values[d] == 0.0 and sol.objective_value == 0.0
+
+
 def test_milp_infeasible():
     b = ModelBuilder()
     d = b.add_binary("d")

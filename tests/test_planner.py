@@ -39,15 +39,17 @@ VEHICLE_U = Hypercube(np.array([2.4, -0.3]), np.array([3.4, 0.3]))
 
 
 def test_reachable_box_identity_net():
-    lo, hi = reachable_box(NET, np.array([2.0, 3.0]), U)
+    lo, hi, stable = reachable_box(NET, np.array([2.0, 3.0]), U)
     assert np.allclose(lo, [1.75, 2.75])
     assert np.allclose(hi, [2.25, 3.25])
+    # Its hidden neurons are all active over X x U.
+    assert stable
 
 
 def test_edge_feasible_within_reach():
     """A target inside the one-step reach has a control witness whose model
     image is the target, the edge rrt_build stores."""
-    us, rs = _witness_search(NET, [[2.0, 3.0]], [[2.2, 2.9]], U)
+    us, rs = _witness_search(NET, [[2.0, 3.0]], [[2.2, 2.9]], U, [True])
     assert us.shape == (1, 2) and rs.shape == (1,)
     u, r = us[0], rs[0]
     assert r <= 1e-6
@@ -90,18 +92,19 @@ def _sequential_search(net, x_from, x_to, U):
     return best_u, best_r
 
 
-def _one_search(net, x_from, x_to, U):
-    """_witness_search run on the one pair (x_from, x_to) alone."""
+def _one_search(net, x_from, x_to, U, stable):
+    """_witness_search run on the one pair (x_from, x_to) alone, with
+    x_from's stability flag."""
     us, rs = _witness_search(net, np.asarray(x_from, dtype=float)[None],
-                             np.asarray(x_to, dtype=float)[None], U)
+                             np.asarray(x_to, dtype=float)[None], U, [stable])
     return us[0], rs[0]
 
 
-def _row_by_row_search(net, X_from, X_to, U):
+def _row_by_row_search(net, X_from, X_to, U, stable):
     """_witness_search's stacked signature over _one_search, one row at a
     time."""
-    results = [_one_search(net, x_from, x_to, U)
-               for x_from, x_to in zip(X_from, X_to)]
+    results = [_one_search(net, x_from, x_to, U, s)
+               for x_from, x_to, s in zip(X_from, X_to, stable)]
     return (np.array([u for u, _ in results]),
             np.array([r for _, r in results]))
 
@@ -125,7 +128,7 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
     tree.add_node(x0)
 
     def goal_connected(idx, x):
-        box = inflate(Hypercube(*reachable_box(net, x, Us)), goal_tol)
+        box = inflate(Hypercube(*reachable_box(net, x, Us)[:2]), goal_tol)
         if not box.contains(xg, tol=1e-9):
             return False
         tree.goal, tree.goal_parent = xg, idx
@@ -138,13 +141,14 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
         dists = np.sum(np.abs(np.array(tree.nodes) - x_rand), axis=1)
         near_idx = int(np.argmin(dists))
         near = tree.nodes[near_idx]
-        rbox = intersect(Hypercube(*reachable_box(net, near, Us)), Xs)
+        lo, hi, stable = reachable_box(net, near, Us)
+        rbox = intersect(Hypercube(lo, hi), Xs)
         if rbox is None:
             continue
         candidate = np.clip(x_rand, rbox.lo, rbox.hi)
         if clearance > 0 and inflated.contains_interior(candidate):
             continue
-        u, _ = _one_search(net, near, candidate, Us)
+        u, _ = _one_search(net, near, candidate, Us, stable)
         new = forward(net, np.concatenate([near, u]))
         if (not Xs.contains(new) or unsafe.contains_interior(new)
                 or clearance > 0 and inflated.contains_interior(new)):
@@ -175,7 +179,7 @@ def _search_pairs(net, Xs, Us, n, seed):
     pairs = []
     for i in range(n):
         x_from = Xs.sample(rng)
-        box = Hypercube(*reachable_box(net, x_from, Us))
+        box = Hypercube(*reachable_box(net, x_from, Us)[:2])
         if i % 3 == 0:
             x_to = forward(net, np.concatenate([x_from, Us.sample(rng)]))
             x_to = x_to + rng.normal(scale=1e-3, size=x_to.shape)
@@ -192,19 +196,30 @@ BOTH_NETS = pytest.mark.parametrize(
     ids=["robot", "vehicle"])
 
 
+def _stability(net, X_from, Us):
+    return reachable_box(net, np.asarray(X_from), Us)[2]
+
+
 @BOTH_NETS
 def test_witness_search_matches_sequential_search(net, Xs, Us):
     # Lockstep batches of 1, 3, 8 and 9 searches equal the same searches
-    # run one at a time, bit for bit.
+    # run one at a time, bit for bit.  The grid-and-rounds path is right
+    # for any node, so every third row takes it even where its node is
+    # stable (on the identity-sum net, every node is): the batches of more
+    # than one row mix both paths.
     pairs = _search_pairs(net, Xs, Us, 21, seed=3)
-    for batch in (pairs[:1], pairs[1:4], pairs[4:12], pairs[12:]):
+    stable = (_stability(net, [p[0] for p in pairs], Us)
+              & (np.arange(len(pairs)) % 3 != 1))
+    for rows in (slice(0, 1), slice(1, 4), slice(4, 12), slice(12, None)):
+        batch, flags = pairs[rows], stable[rows]
+        assert len(batch) == 1 or 0 < flags.sum() < len(batch)
         X_from = np.array([p[0] for p in batch])
         X_to = np.array([p[1] for p in batch])
-        us, rs = _witness_search(net, X_from, X_to, Us)
+        us, rs = _witness_search(net, X_from, X_to, Us, flags)
         assert us.shape == (len(batch), Us.dim)
         assert rs.shape == (len(batch),)
-        for (x_from, x_to), u, r in zip(batch, us, rs):
-            u_ref, r_ref = _one_search(net, x_from, x_to, Us)
+        for (x_from, x_to), flag, u, r in zip(batch, flags, us, rs):
+            u_ref, r_ref = _one_search(net, x_from, x_to, Us, flag)
             assert np.array_equal(u, u_ref) and r == r_ref, (
                 x_from, x_to, len(batch))
 
@@ -212,8 +227,9 @@ def test_witness_search_matches_sequential_search(net, Xs, Us):
 @BOTH_NETS
 def test_witness_search_is_no_worse_than_a_pattern_search(net, Xs, Us):
     pairs = _search_pairs(net, Xs, Us, 21, seed=3)
-    us, rs = _witness_search(net, np.array([p[0] for p in pairs]),
-                             np.array([p[1] for p in pairs]), Us)
+    X_from = np.array([p[0] for p in pairs])
+    us, rs = _witness_search(net, X_from, np.array([p[1] for p in pairs]),
+                             Us, _stability(net, X_from, Us))
     for (x_from, x_to), u, r in zip(pairs, us, rs):
         assert Us.contains(u)
         image = forward(net, np.concatenate([x_from, u]))
@@ -233,18 +249,39 @@ def _counted_passes(monkeypatch):
 
 
 def test_witness_search_keeps_a_grid_control_on_target(monkeypatch):
-    # A target on the image of a grid control: the grid pass finds it, and
-    # one round of vertices finds nothing better.
-    x_from = np.array([4.0, 0.2, -0.1])
+    # From a node with an undetermined neuron, a target on the image of a
+    # grid control: the grid pass finds it, and one round of vertices
+    # finds nothing better.
+    x_from = np.array([4.0, -1.0, 0.1])
+    stable = _stability(VEHICLE_NET, x_from, VEHICLE_U)
+    assert not stable
     u_grid = np.array([np.linspace(lo, hi, 9)[k] for lo, hi, k in
                        zip(VEHICLE_U.lo, VEHICLE_U.hi, (3, 6))])
     x_to = forward(VEHICLE_NET, np.concatenate([x_from, u_grid]))
     passes = _counted_passes(monkeypatch)
     us, rs = _witness_search(VEHICLE_NET, x_from[None], x_to[None],
-                             VEHICLE_U)
+                             VEHICLE_U, [stable])
     assert np.array_equal(us[0], u_grid)
     assert rs[0] <= 1e-12
-    assert len(passes) <= 3
+    assert passes[0] == 81 and len(passes) <= 3
+
+
+def test_witness_search_steers_a_stable_node_in_one_round(monkeypatch):
+    # From a stable node of the learned net, targets on the images of
+    # random controls: the corners and one round of vertices, two passes
+    # in all, find a control that reaches each target.
+    rng = np.random.default_rng(8)
+    X_from = VEHICLE_X.sample(rng, 40)
+    stable = _stability(VEHICLE_NET, X_from, VEHICLE_U)
+    X_from = X_from[stable][:8]
+    assert len(X_from) == 8
+    X_to = forward(VEHICLE_NET, np.hstack([X_from,
+                                           VEHICLE_U.sample(rng, 8)]))
+    passes = _counted_passes(monkeypatch)
+    us, rs = _witness_search(VEHICLE_NET, X_from, X_to, VEHICLE_U,
+                             np.ones(8, dtype=bool))
+    assert len(passes) == 2
+    assert np.all(rs <= 1e-12)
 
 
 @pytest.mark.parametrize("x_to", [[2.15625, 2.90625], [2.5, 2.96875],
@@ -252,16 +289,17 @@ def test_witness_search_keeps_a_grid_control_on_target(monkeypatch):
                          ids=["in-reach", "one-axis-clipped", "corner"])
 def test_witness_search_steers_the_identity_net_in_one_round(
         monkeypatch, x_to):
-    # The identity-sum net is one affine piece, x + u: the first round's
-    # best vertex is clip(x_to - x_from, U), and the next finds nothing
-    # better.  The values are dyadic, so the net computes them exactly.
+    # The identity-sum net is one affine piece, x + u: its nodes are
+    # stable, and the one round's best vertex is clip(x_to - x_from, U).
+    # The values are dyadic, so the net computes them exactly.
     x_from, x_to = np.array([2.0, 3.0]), np.array(x_to)
     passes = _counted_passes(monkeypatch)
-    us, rs = _witness_search(NET, x_from[None], x_to[None], U)
+    us, rs = _witness_search(NET, x_from[None], x_to[None], U,
+                             _stability(NET, x_from[None], U))
     u = np.clip(x_to - x_from, U.lo, U.hi)
     assert np.array_equal(us[0], u)
     assert rs[0] == np.sum(np.abs(x_from + u - x_to))
-    assert len(passes) <= 3
+    assert len(passes) == 2
 
 
 def _affine_net(rng, n_x, m):
@@ -289,13 +327,43 @@ def test_witness_search_other_control_dimensions(m, points):
     grid = np.stack([a.ravel() for a in axes], axis=1)
     X_from = rng.uniform(-1.0, 1.0, size=(4, n_x))
     X_to = rng.uniform(-3.0, 3.0, size=(4, n_x))
-    us, rs = _witness_search(net, X_from, X_to, Us)
+    stable = _stability(net, X_from, Us)
+    assert stable.all()
+    us, rs = _witness_search(net, X_from, X_to, Us, stable)
     for x_from, x_to, u, r in zip(X_from, X_to, us, rs):
         Z = np.hstack([np.broadcast_to(x_from, (len(grid), n_x)), grid])
         on_grid = np.abs(forward_batch(net, Z) - x_to).sum(axis=1)
         assert Us.contains(u)
         assert r <= on_grid.min() + 1e-12
         assert r >= on_grid.min() - 0.05
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["robot", "vehicle", "affine"]))
+@settings(max_examples=30, deadline=None)
+def test_witness_search_is_no_worse_than_the_grid_and_rounds(seed, case):
+    # The grid-and-rounds path, which every row takes when no flag is set,
+    # is right for any node.  A stable row's one round is no worse than it,
+    # and an unstable row's result is its result.  The affine net's X
+    # reaches past the box on which it is one piece, so its nodes are of
+    # both kinds, as are the vehicle net's.
+    rng = np.random.default_rng(seed)
+    if case == "affine":
+        net = _affine_net(rng, 3, 2)
+        Xs, Us = Hypercube(-2 * np.ones(3), 2 * np.ones(3)), \
+            Hypercube(-np.ones(2), np.ones(2))
+    else:
+        net, Xs, Us = {"robot": (NET, X, U),
+                       "vehicle": (VEHICLE_NET, VEHICLE_X, VEHICLE_U)}[case]
+    pairs = _search_pairs(net, Xs, Us, 9, seed)
+    X_from = np.array([p[0] for p in pairs])
+    X_to = np.array([p[1] for p in pairs])
+    stable = _stability(net, X_from, Us)
+    _, rs = _witness_search(net, X_from, X_to, Us, stable)
+    _, rs_grid = _witness_search(net, X_from, X_to, Us,
+                                 np.zeros(len(pairs), dtype=bool))
+    assert np.all(rs <= rs_grid + 1e-12)
+    assert np.array_equal(rs[~stable], rs_grid[~stable])
 
 
 def test_rrt_build_matches_sequential_search(monkeypatch):
@@ -396,10 +464,10 @@ def test_bench_corridor_seed_plans_in_the_fast_mode(monkeypatch, seed):
         "vehicle_corridor.yaml"))
     inner, rows = planner._witness_search, []
 
-    def counted(net, X_from, X_to, U):
+    def counted(net, X_from, X_to, U, stable):
         rows.append(len(X_from))
         assert sum(rows) <= 1000, f"seed {seed} past 1,000 witness rows"
-        return inner(net, X_from, X_to, U)
+        return inner(net, X_from, X_to, U, stable)
     monkeypatch.setattr(planner, "_witness_search", counted)
     plan_waypoints(replace(scenario, seed=seed))
     assert rows
@@ -436,6 +504,56 @@ def test_plan_does_not_depend_on_the_blas_thread_count():
                 timeout=300)
             plans.append(done.stdout.strip())
         assert plans[0] and plans[0] == plans[1], scenario
+
+
+# Prints the robot maze's seed-0 plan: its witness-search windows, the
+# forward passes they make, its node count and the SHA-256 of its edges.
+_PLAN_COUNTS = """
+import hashlib
+import sys
+from milp_safeguard import planner, runtime
+from milp_safeguard.cli import load_scenario
+inner_search, inner_pass, inner_build = (
+    planner._witness_search, planner.forward_batch, runtime.rrt_build)
+windows, passes, trees = [], [], []
+def search(*args):
+    windows.append(1)
+    return inner_search(*args)
+def forward_pass(*args):
+    passes.append(1)
+    return inner_pass(*args)
+def build(*args, **kwargs):
+    trees.append(inner_build(*args, **kwargs))
+    return trees[-1]
+planner._witness_search, planner.forward_batch = search, forward_pass
+runtime.rrt_build = build
+scenario, _ = load_scenario(sys.argv[1])
+runtime.plan_waypoints(scenario)
+edges = repr([(i, j) for i, j, _ in trees[0].edges]).encode()
+print(len(windows), len(passes), len(trees[0].nodes),
+      hashlib.sha256(edges).hexdigest())
+"""
+
+
+def test_robot_plan_stays_within_its_forward_pass_budget():
+    # Every node of the seed-0 plan is stable, so each window of searches
+    # makes two forward passes: the corners and one round of vertices.  The
+    # tree is the one the grid-and-rounds search planned: 193 windows, 790
+    # nodes and the same edges.  A search that runs more rounds, or a
+    # witness that moves an edge, shows here first.  At one BLAS thread, as
+    # the benchmark runs.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PLAN_COUNTS,
+         os.path.join(root, "scenarios", "robot_maze.yaml")],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    windows, passes, nodes, edges = done.stdout.split()
+    assert int(passes) <= 2.0 * int(windows)
+    assert (int(windows), int(nodes)) == (193, 790)
+    assert edges == ("329de9fafa04fdbe64ffc9bd9c3d6004"
+                     "7836485bdec5e401c69af4feb815fc03")
 
 
 # Prints the bytes of every step of the corridor episode that tracks the
@@ -497,7 +615,7 @@ def test_rrt_drops_a_node_outside_the_state_set(monkeypatch):
     # A witness whose image leaves X (here one that always pushes
     # north-east, to [10.15, 5.25]) gives no node, even though the goal is
     # reachable from that image.
-    def witness(net, X_from, X_to, U):
+    def witness(net, X_from, X_to, U, stable):
         k = len(X_from)
         return np.tile([0.25, 0.25], (k, 1)), np.zeros(k)
     monkeypatch.setattr(planner, "_witness_search", witness)
@@ -563,7 +681,8 @@ def test_rrt_finds_path_around_wall():
     for i, j, u in tree.edges:
         assert np.array_equal(
             forward(NET, np.concatenate([tree.nodes[i], u])), tree.nodes[j])
-    goal_box = Hypercube(*reachable_box(NET, tree.nodes[tree.goal_parent], U))
+    goal_box = Hypercube(
+        *reachable_box(NET, tree.nodes[tree.goal_parent], U)[:2])
     assert goal_box.contains(tree.goal, tol=1e-9)
     for w in path:
         assert X.contains(w)
