@@ -40,8 +40,7 @@ NUMERICAL_FAILURE = "NumericalFailure"
 
 _TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
 _REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
-_INTEGRALITY_TOL = 1e-6   # a binary this close to 0 or 1 counts as integral
-_ROUNDING_TOL = 1e-12     # one farther off is fixed there and re-solved
+_INTEGRALITY_TOL = 1e-12  # a binary this close to 0 or 1 counts as integral
 _RELATIVE_GAP = 1e-6      # share of the incumbent a node must beat to stay open
 
 
@@ -429,12 +428,9 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     LP whose basis fails to invert, or is not dual feasible for this model,
     is solved once more cold.  Branches on the most-fractional binary;
     prunes nodes whose LP bound cannot improve the incumbent beyond the
-    relative gap.  A node whose binaries are all integral within
-    _INTEGRALITY_TOL, but some not within _ROUNDING_TOL, becomes the
-    incumbent only after those are fixed and its LP re-solved.  A model
-    whose binaries are all fixed is an LP, and its root optimum is the
-    answer.  The returned solution carries this root's basis for the next
-    call.
+    relative gap.  A model whose binaries are all fixed is an LP, and its
+    root optimum is the answer.  The returned solution carries this root's
+    basis for the next call.
     """
     config = config or SolverConfig()
     A, rhs, c, lb, ub = _standard_form(model)
@@ -487,35 +483,16 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
         gap_abs = _RELATIVE_GAP * max(1.0, abs(incumbent_obj))
         if incumbent is not None and bound >= incumbent_obj - gap_abs:
             continue
-        j = _most_fractional(x, binaries, _INTEGRALITY_TOL)
+        # A fixed binary may sit basic within the primal tolerance of its
+        # value; branching on it again would change nothing, endlessly.
+        j = _most_fractional(x, binaries[lb[binaries] < ub[binaries]],
+                             _INTEGRALITY_TOL)
         if j < 0:
-            off = np.abs(x[binaries] - np.round(x[binaries]))
-            off[lb[binaries] == ub[binaries]] = 0.0
-            near = binaries[off > _ROUNDING_TOL]
-            if near.size == 0:
-                if bound < incumbent_obj:
-                    incumbent = x[:n].copy()
-                    incumbent[binaries] = np.clip(np.round(x[binaries]),
-                                                  0.0, 1.0)
-                    incumbent_obj = bound
-                continue
-            # A binary within the tolerance of 0 or 1 but not on it leaves
-            # the continuous values up to its big-M times that distance
-            # off; rounding noise alone leaves it at most about 1e-13 off.
-            # Such binaries are basic: fix them at their rounded values
-            # and re-solve the node once, back onto the heap; if that LP
-            # is infeasible, branch on the farthest of them.
-            clb, cub = lb.copy(), ub.copy()
-            clb[near] = cub[near] = np.round(x[near])
-            status, cx, cobj, cbasis = node_lp(clb, cub, basis)
-            if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
-                stop = status
-                break
-            if status == OPTIMAL:
-                heapq.heappush(heap, (cobj, counter, clb, cub, cx, cbasis))
-                counter += 1
-                continue
-            j = int(binaries[off.argmax()])
+            if bound < incumbent_obj:
+                incumbent = x[:n].copy()
+                incumbent[binaries] = np.clip(np.round(x[binaries]), 0.0, 1.0)
+                incumbent_obj = bound
+            continue
         # A fractional binary is basic: only a basic bound moves.
         start = basis if j in basis.basis else basis._replace(x=None)
         for fixed in (0.0, 1.0):

@@ -163,8 +163,7 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
     starts = [(g,) + best_of(g, start) for g, start in
               ((np.flatnonzero(stable), corners),
                (np.flatnonzero(~stable), grid)) if len(g)]
-    ids, z, y, r = (starts[0] if len(starts) == 1
-                    else map(np.concatenate, zip(*starts)))
+    ids, z, y, r = map(np.concatenate, zip(*starts))
     best_u, best_r = np.empty((k, m)), np.empty(k)
     best_u[ids], best_r[ids] = z[:, n_x:], r
     # Per search: the hyperplanes' rows and right-hand sides, U's faces
@@ -180,7 +179,7 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
         A, b = planes[:len(ids), subsets], rhs[:len(ids), subsets]
         # A singular subset gets U.lo, which the lower faces give anyway.
         singular = (np.abs(np.linalg.det(A))
-                    <= 1e-12 * np.sqrt((A * A).sum(axis=3)).prod(axis=2))
+                    <= 1e-12 * np.prod(np.linalg.norm(A, axis=3), axis=2))
         A[singular], b[singular] = np.eye(m), U.lo
         v = np.linalg.solve(A, b[..., None])[..., 0]
         us[:len(ids), free] = np.minimum(np.maximum(v, U.lo), U.hi)
@@ -276,6 +275,8 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
             raise ValueError(f"{name} outside the state feasible set")
         if unsafe.contains_interior(x):
             raise ValueError(f"{name} inside an obstacle")
+    if not (np.isfinite(clearance) and clearance >= 0):
+        raise ValueError(f"clearance must be finite and >= 0, got {clearance}")
     # The obstacles inflated by the clearance, within X; one whose inflated
     # box misses X guards nothing.
     lo = np.maximum(unsafe.lo - clearance, X.lo)

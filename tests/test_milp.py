@@ -84,10 +84,10 @@ def test_milp_knapsack():
     assert np.allclose(sol.values[:3], [1, 0, 1])
 
 
-def test_near_integral_binary_is_fixed_before_its_node_is_accepted():
-    # The LP trades d for x: d = 1 - 1e-7, within the integrality
-    # tolerance of 1, and x = 1e-6, which d = 1 does not allow.  Fixed at 1
-    # and re-solved, x is 0 and no row is violated.
+def test_near_integral_binary_is_branched_on_before_its_node_is_accepted():
+    # The LP trades d for x: d = 1 - 1e-7 and x = 1e-6, which d = 1 does not
+    # allow.  Rounding d alone would keep that x; branched on, d = 1 gives
+    # x = 0, no row violated, and prunes d = 0.
     b = ModelBuilder()
     x = b.add_continuous(0.0, 1e-6, "x")
     d = b.add_binary("d")
@@ -101,9 +101,9 @@ def test_near_integral_binary_is_fixed_before_its_node_is_accepted():
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_near_integral_binary_that_cannot_be_fixed_is_branched_on():
-    # d <= 1 - 1e-8: the LP's d is within the integrality tolerance of 1,
-    # but d = 1 is infeasible, so the node branches on d.
+def test_near_integral_binary_that_cannot_be_rounded_is_branched_on():
+    # d <= 1 - 1e-8: the LP's d is 1e-8 off 1, but d = 1 is infeasible, so
+    # the node branches on d and keeps d = 0.
     b = ModelBuilder()
     d = b.add_binary("d")
     b.add_constraint({d: 1.0}, LE, 1.0 - 1e-8)

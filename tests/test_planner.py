@@ -644,6 +644,14 @@ def test_rrt_rejects_goal_in_obstacle():
         rrt_build(NET, X, U, block, [0.0, 0.0], [5.0, 5.0])
 
 
+@pytest.mark.parametrize("clearance", [-0.1, np.nan, np.inf])
+def test_rrt_rejects_a_clearance_that_is_not_a_finite_non_negative_number(
+        clearance):
+    with pytest.raises(ValueError, match="clearance"):
+        rrt_build(NET, X, U, FREE, [0.0, 0.0], [3.0, 3.0],
+                  clearance=clearance)
+
+
 def test_rrt_ignores_an_obstacle_outside_the_state_set():
     # The obstacle's clearance-inflated box misses X, so it guards nothing:
     # the tree is the one planned with no obstacle.
