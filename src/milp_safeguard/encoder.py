@@ -1,24 +1,30 @@
 """Transcribe one robust tracking step into a MILP and solve it.
 
-Four constraint families are emitted: input feasibility (measurement box
-and the control clip's big-M min/max rows, each branch with its tight
-big-M), the ReLU-network structure (sign-switch affine propagation, and
-three activation-case binaries for each neuron whose sign the interval
-bounds leave undetermined), safety (the output layer's image widened by
-eps_x is the safe box, X bounds its variables, and each obstacle within
-the step's reach hull gets separating-coordinate disjunctions, a face out
-of reach fixed), and the l1 tracking objective via slack variables.  The
+Four constraint families are emitted, as array blocks: input feasibility
+(measurement box and the control clip's big-M min/max rows, each branch
+with its tight big-M), the ReLU-network structure (each layer's interval
+image as [I, -W+, -W-] rows, and three activation-case binaries for each
+neuron whose sign the interval bounds leave undetermined), safety (the
+output layer's image widened by eps_x is the safe box, X bounds its
+variables, and each obstacle within the step's reach hull gets
+separating-coordinate disjunctions, a face out of reach fixed), and the l1
+tracking objective via slack variables.  The model's structure (matrix,
+relations, names, variable ids) depends only on the activation cases, the
+kept obstacles and whether u_cmd is fixed: it is handed from one control
+step to the next, and a step with the same key only fills in its bounds,
+right-hand sides and undetermined neurons' coefficients.  The
 post-solve audit checks the safe box against every obstacle, kept or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from milp_safeguard import milp
-from milp_safeguard.milp import GE, LE, EQ, ModelBuilder, SolverConfig
+from milp_safeguard.milp import EQ, GE, INF, LE, MilpModel, SolverConfig
 from milp_safeguard.nn_model import ReluNetwork, output_bounds, \
     preactivation_bounds
 from milp_safeguard.oracle import input_boxes
@@ -117,199 +123,288 @@ class ControlDecision:
     nn_out_box: Hypercube
     safe_box: Hypercube
     cost: float
-    # The MILP's root basis, for solve_tracking(..., warm=) at the next
-    # control step.
+    # For solve_tracking(..., warm=) at the next control step: the MILP's
+    # root basis and tableau, and the model's structure.
     root_basis: object = field(default=None, repr=False, compare=False)
+    structure: object = field(default=None, repr=False, compare=False)
 
 
-def encode_input_feasibility(p: TrackingProblem, b: ModelBuilder) -> dict:
-    """Measurement box fixing plus the big-M min/max rows of each
-    control's input interval; U bounds its ends as variable bounds.  A row
-    relaxed on the unclipped branch takes M = max(width - eps_u, 0), one
-    relaxed on the clipped branch eps_u: tight on each side, so each end's
-    LP relaxation is its convex hull (Anderson, Huchette, Ma,
-    Tjandraatmadja & Vielma, Math. Programming 2020)."""
-    n_x, n_u = p.n_x, p.n_u
-    lo, hi = p.x_box.lo, p.x_box.hi
-    a0_x = [b.add_continuous(lo[j], lo[j], f"a0_x{j}") for j in range(n_x)]
-    b0_x = [b.add_continuous(hi[j], hi[j], f"b0_x{j}") for j in range(n_x)]
-    u_cmd = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"u{j}") for j in range(n_u)]
-    a0_u = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"a0_u{j}") for j in range(n_u)]
-    b0_u = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"b0_u{j}") for j in range(n_u)]
-    da = [b.add_binary(f"da{j}") for j in range(n_u)]
-    db = [b.add_binary(f"db{j}") for j in range(n_u)]
-    M = np.maximum(p.U.hi - p.U.lo - p.eps_u, 0.0)
-    for j in range(n_u):
-        ul, uh, e, m = p.U.lo[j], p.U.hi[j], p.eps_u[j], M[j]
-        # lower end: a0_u = max(u_lo, u_cmd - eps_u), selected by da
-        b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0}, GE, -e)
-        b.add_constraint({a0_u[j]: 1.0, da[j]: m}, LE, ul + m)
-        b.add_constraint({a0_u[j]: 1.0, u_cmd[j]: -1.0, da[j]: -e}, LE, -e)
-        # upper end: b0_u = min(u_hi, u_cmd + eps_u), selected by db
-        b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0}, LE, e)
-        b.add_constraint({b0_u[j]: 1.0, db[j]: -m}, GE, uh - m)
-        b.add_constraint({b0_u[j]: 1.0, u_cmd[j]: -1.0, db[j]: e}, GE, e)
-        b.add_constraint({a0_u[j]: 1.0, b0_u[j]: -1.0}, LE, 0.0)
-    return {
-        "u_cmd": u_cmd,
-        "a0": a0_x + a0_u,
-        "b0": b0_x + b0_u,
-        "delta_a": da,
-        "delta_b": db,
-    }
+def _stamp(A, starts, cols, block):
+    """Write each item's rows into A: block[r, c, i] goes to row starts[i] +
+    r, column cols[c, i]."""
+    A[starts + np.arange(len(block))[:, None, None], cols] = block
 
 
-def _affine_image(b, layer, bounds, a_prev, b_prev, name, pad=0.0):
-    """The layer's image [lo, hi] of the box [a_prev, b_prev], widened by
-    pad, lo within the (low, high) arrays bounds[0] and hi within bounds[1]:
-    per neuron, lo = W+ a_prev + W- b_prev + bias - pad and hi = W+ b_prev +
-    W- a_prev + bias + pad, W+ and W- holding W's positive and negative
-    weights.  lo <= hi needs no row: hi - lo = |W| (b_prev - a_prev) + 2 pad."""
-    pad = np.broadcast_to(pad, (layer.out_dim,))
-    lo, hi = ([b.add_continuous(low[j], high[j], f"{end}{name}{j}")
-               for j in range(layer.out_dim)]
-              for end, (low, high) in zip("ab", bounds))
-    for j, w_row in enumerate(layer.weights):
-        for out, like, unlike, c in ((lo[j], a_prev, b_prev, -pad[j]),
-                                     (hi[j], b_prev, a_prev, pad[j])):
-            coeffs = {out: 1.0}
-            for q in np.flatnonzero(w_row):
-                src = like[q] if w_row[q] > 0 else unlike[q]
-                coeffs[src] = coeffs.get(src, 0.0) - w_row[q]
-            b.add_constraint(coeffs, EQ, layer.bias[j] + c)
-    return lo, hi
+def _case_rows(zl, zh):
+    """The rows of each undetermined neuron, pre-activation bounds [zl, zh],
+    over its columns (a, b, ahat, bhat, dmm, dmp, dpp): the binary of its
+    case (dmm: both ends <= 0, dmp: they straddle 0, dpp: both >= 0) puts
+    each post-activation end at 0 or at its pre-activation end."""
+    z, o = np.zeros_like(zl), np.ones_like(zl)
+    return np.array([[o, z, -o, z, z, z, z],       # a >= ahat
+                     [o, z, -o, z, zl, zl, z],     # a <= ahat - zl (dmm + dmp)
+                     [o, z, z, z, z, z, -zh],      # a <= zh dpp
+                     [z, o, z, -o, z, z, z],       # b >= bhat
+                     [z, o, z, -o, zl, z, z],      # b <= bhat - zl dmm
+                     [z, o, z, z, z, -zh, -zh],    # b <= zh (dmp + dpp)
+                     [o, -o, z, z, z, z, z],       # a <= b
+                     [z, z, z, z, o, o, o]])       # dmm + dmp + dpp = 1
 
 
-def encode_nn_structure(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """Layer-by-layer propagation of [a_0, b_0] through the network.
+def _image(layer, n, out, prev, pad=0.0):
+    """A layer's image [lo, hi] of the box [a_prev, b_prev], widened by
+    pad, as two equality rows per neuron: [I, -W+, -W-] over (lo, a_prev,
+    b_prev) and over (hi, b_prev, a_prev), W+ and W- holding W's positive
+    and negative weights.  hi - lo = |W| (b_prev - a_prev) + 2 pad needs
+    no row."""
+    (lo, hi), (a_prev, b_prev) = out, prev
+    A = np.zeros((2 * layer.out_dim, n))
+    block = np.hstack((np.eye(layer.out_dim), -layer.pos_t.T, -layer.neg_t.T))
+    A[0::2][:, np.concatenate((lo, a_prev, b_prev))] = block
+    A[1::2][:, np.concatenate((hi, b_prev, a_prev))] = block
+    rhs = np.column_stack((layer.bias - pad, layer.bias + pad))
+    return A, [EQ] * A.shape[0], rhs.ravel()
 
-    A provably active neuron's post-activation ends are its pre-activation
-    variables, and a provably inactive neuron's are pinned at zero; only a
-    neuron of undetermined sign gets case binaries and rows of its own.
-    The output layer's image widened by eps_x is the safe box [x_lo, x_hi],
-    bounded by X too; a step where no such box fits raises SolverInfeasible.
+
+class _Structure(NamedTuple):
+    """A tracking model but for a step's data, which goes where model holds
+    0: the lower bounds of the columns lb_at, the upper bounds of ub_at,
+    the right-hand sides of the rows rhs_at and the undetermined neurons'
+    rows at cases_at.  It serves the steps with its key, for the net, X, U
+    and obstacles it was built for (parts, each immutable)."""
+    parts: tuple
+    key: tuple
+    model: MilpModel
+    h: dict
+    lb_at: np.ndarray
+    ub_at: np.ndarray
+    rhs_at: np.ndarray
+    off: list          # per hidden layer, the neurons not provably active
+    und: np.ndarray    # the undetermined ones among all hidden neurons
+    cases_at: tuple
+
+
+def _structure(p: TrackingProblem, parts, key, cases, kept) -> _Structure:
+    """Lay out the tracking model of a step whose hidden neurons have the
+    activation cases `cases` (per layer: 0 provably active, 1 provably
+    inactive, 2 undetermined) and which keeps the obstacles `kept`.
+
+    Columns, in order: the input box's ends a0 = (a0_x, a0_u) and b0 (the
+    state's fixed at the measurement box), u_cmd, the clip binaries da and
+    db; per hidden layer its pre-activation ends ahat and bhat, then for
+    each neuron not provably active its post-activation ends a and b
+    (bounded to 0 if provably inactive) and, if undetermined, its case
+    binaries; the safe box x_lo, x_hi; per kept obstacle its separation
+    binaries d1 and d2; the slacks lam.  Rows, in order: the clip rows;
+    per layer its image rows and its case rows; per kept obstacle its
+    separation rows and one that some coordinate separates; the tracking
+    rows; with fix_u, u_cmd = fix_u.
     """
-    lb = p.layer_bounds
-    (zlo, zhi), X = lb[-1], p.X
-    ends = [(np.maximum(zlo + e, X.lo), np.minimum(zhi + e, X.hi))
-            for e in (-p.eps_x, p.eps_x)]
-    if any(np.any(low > high) for low, high in ends):
-        raise SolverInfeasible("no safe box of this step fits in X")
-    a_prev, b_prev = h["a0"], h["b0"]
-    hidden = {"a": [], "b": [], "ahat": [], "bhat": [],
-              "d_mm": [], "d_mp": [], "d_pp": []}
-    for i, layer in enumerate(p.net.layers[:-1]):
-        zlo, zhi = lb[i]
-        ahat, bhat = _affine_image(b, layer, (lb[i], lb[i]), a_prev, b_prev,
-                                   f"hat{i}_")
-        a_i, b_i = list(ahat), list(bhat)
-        dmm, dmp, dpp = [], [], []
-        for j in range(layer.out_dim):
-            if zlo[j] >= 0.0:
-                continue   # provably active: the ReLU is the identity
-            post_hi = max(0.0, zhi[j])
-            a_i[j] = b.add_continuous(0.0, post_hi, f"a{i}_{j}")
-            b_i[j] = b.add_continuous(0.0, post_hi, f"b{i}_{j}")
-            if zhi[j] <= 0.0:
-                continue   # provably inactive: both ends are bounded to 0
-            # Undetermined sign: the three activation-status binaries.
-            dmm.append(b.add_binary(f"dmm{i}_{j}"))
-            dmp.append(b.add_binary(f"dmp{i}_{j}"))
-            dpp.append(b.add_binary(f"dpp{i}_{j}"))
-            b.add_constraint({a_i[j]: 1.0, ahat[j]: -1.0}, GE, 0.0)
-            b.add_constraint(
-                {a_i[j]: 1.0, ahat[j]: -1.0, dmm[-1]: zlo[j], dmp[-1]: zlo[j]},
-                LE, 0.0)
-            b.add_constraint({a_i[j]: 1.0, dpp[-1]: -zhi[j]}, LE, 0.0)
-            b.add_constraint({b_i[j]: 1.0, bhat[j]: -1.0}, GE, 0.0)
-            b.add_constraint({b_i[j]: 1.0, bhat[j]: -1.0, dmm[-1]: zlo[j]}, LE, 0.0)
-            b.add_constraint({b_i[j]: 1.0, dmp[-1]: -zhi[j], dpp[-1]: -zhi[j]},
-                             LE, 0.0)
-            b.add_constraint({a_i[j]: 1.0, b_i[j]: -1.0}, LE, 0.0)
-            b.add_constraint({dmm[-1]: 1.0, dmp[-1]: 1.0, dpp[-1]: 1.0}, EQ, 1.0)
-        for key, val in zip(hidden, (a_i, b_i, ahat, bhat, dmm, dmp, dpp)):
-            hidden[key].append(val)
-        a_prev, b_prev = a_i, b_i
+    n_x, n_u, X, U, layers = p.n_x, p.n_u, p.X, p.U, p.net.layers
+    names, flags = [], []
 
-    x_lo, x_hi = _affine_image(b, p.net.layers[-1], ends, a_prev, b_prev,
-                               "_safe", pad=p.eps_x)
-    return {**hidden, "x_lo": x_lo, "x_hi": x_hi}
+    def columns(labels, binary=False):
+        names.extend(labels)
+        flags.append(np.full(len(labels), binary))
+        return np.arange(len(names) - len(labels), len(names))
+
+    inputs = columns([f"{v}{j}" for v, k in (
+        ("a0_x", n_x), ("b0_x", n_x), ("u", n_u), ("a0_u", n_u),
+        ("b0_u", n_u)) for j in range(k)])
+    u, a0_u, b0_u = U_cols = inputs[2 * n_x:].reshape(3, n_u)
+    clips = columns([f"d{v}{j}" for v in "ab" for j in range(n_u)], True)
+    h = {"u_cmd": u, "a0": np.concatenate((inputs[:n_x], a0_u)),
+         "b0": np.concatenate((inputs[n_x:2 * n_x], b0_u)),
+         "delta_a": clips[:n_u], "delta_b": clips[n_u:]}
+    hidden = {k: [] for k in ("a", "b", "ahat", "bhat", "d_mm", "d_mp", "d_pp")}
+    lb_at, ub_at, off, images, case_cols = \
+        [inputs[:2 * n_x]], [inputs[:2 * n_x]], [], [], []
+    prev = (h["a0"], h["b0"])
+    for i, (layer, case) in enumerate(zip(layers, cases)):
+        d = layer.out_dim
+        hat = columns([f"{v}hat{i}_{j}" for v in "ab" for j in range(d)])
+        # Each neuron not provably active: its ends, then any case binaries.
+        off.append(np.flatnonzero(case))
+        und = case[off[-1]] == 2
+        width = 2 + 3 * und
+        first = np.cumsum(width) - width
+        binary = np.ones(width.sum(), dtype=bool)
+        binary[first] = binary[first + 1] = False
+        first = columns([f"{v}{i}_{j}" for j, is_und in zip(off[-1], und)
+                         for v in ("a", "b", "dmm", "dmp", "dpp")[
+                             :5 if is_und else 2]], binary)[first]
+        a, b = hat[:d].copy(), hat[d:].copy()
+        a[off[-1]], b[off[-1]] = first, first + 1
+        lb_at.append(hat)
+        ub_at += [hat, first, first + 1]
+        first, j = first[und], off[-1][und]
+        bins = first + np.arange(2, 5)[:, None]
+        case_cols.append(np.vstack((first, first + 1, hat[j], hat[d + j], bins)))
+        for k, v in zip(hidden, (a, b, hat[:d], hat[d:], *bins)):
+            hidden[k].append(v)
+        images.append((layer, (hat[:d], hat[d:]), prev))
+        prev = (a, b)
+    x_lo, x_hi = safe = columns(
+        [f"{v}_safe{j}" for v in "ab" for j in range(n_x)]).reshape(2, n_x)
+    seps = columns([f"du{s}_{k}_{j}" for k in kept for s in (1, 2)
+                    for j in range(n_x)], True).reshape(-1, 2, n_x)
+    lam = columns([f"lam{j}" for j in range(n_x)])
+    h.update({k: tuple(v) for k, v in hidden.items()}, x_lo=x_lo, x_hi=x_hi,
+             delta_u=[tuple(pair) for pair in seps], obstacles=kept.tolist(),
+             lam=lam)
+    lb_at.append(safe.ravel())
+    ub_at += [safe.ravel(), seps.ravel()]
+    n, is_binary = len(names), np.concatenate(flags)
+    lb, ub = np.zeros(n), is_binary.astype(float)
+    lb[U_cols], ub[U_cols], ub[lam] = U.lo, U.hi, INF
+
+    # Rows, block by block: (A, relations, right-hand sides).
+    M, e = np.maximum(U.hi - U.lo - p.eps_u, 0.0), p.eps_u
+    z, o = np.zeros(n_u), np.ones(n_u)
+    # Seven rows per control axis over (u_cmd, a0_u, b0_u, da, db): each end
+    # of its input interval is U's bound or u_cmd -/+ eps_u, the bound where
+    # da (db) is 1.  A row relaxed on the unclipped branch takes M = max(
+    # width - eps_u, 0), one relaxed on the clipped branch eps_u: tight on
+    # each side, so each end's LP relaxation is its convex hull (Anderson,
+    # Huchette, Ma, Tjandraatmadja & Vielma, Math. Programming 2020).
+    A = np.zeros((7 * n_u, n))
+    _stamp(A, 7 * np.arange(n_u), np.vstack((U_cols, clips.reshape(2, n_u))),
+           np.array([[-o, o, z, z, z],      # a0_u >= u_cmd - eps_u
+                     [z, o, z, M, z],       # a0_u <= u_lo + M (1 - da)
+                     [-o, o, z, -e, z],     # a0_u <= u_cmd - eps_u (1 - da)
+                     [-o, z, o, z, z],      # b0_u <= u_cmd + eps_u
+                     [z, z, o, z, -M],      # b0_u >= u_hi - M (1 - db)
+                     [-o, z, o, z, e],      # b0_u >= u_cmd + eps_u (1 - db)
+                     [z, o, -o, z, z]]))    # a0_u <= b0_u
+    blocks = [(A, [GE, LE, LE, LE, GE, GE, LE] * n_u, np.column_stack(
+        (-e, U.lo + M, -e, e, U.hi - M, e, z)).ravel())]
+    case_starts = []
+    for (layer, out, src), cols in zip(images, case_cols):
+        blocks.append(_image(layer, n, out, src))
+        k = cols.shape[1]
+        case_starts.append(sum(len(b[1]) for b in blocks) + 8 * np.arange(k))
+        blocks.append((np.zeros((8 * k, n)), [GE, LE, LE, GE, LE, LE, LE, EQ]
+                       * k, np.tile([0.0] * 7 + [1.0], k)))
+    blocks.append(_image(layers[-1], n, (x_lo, x_hi), prev, p.eps_x))
+    if kept.size:
+        # Per obstacle [ol, oh], five rows per coordinate of X = [Xl, Xh]
+        # over (x_lo, x_hi, d1, d2), d1 = 1 putting the safe box below it
+        # and d2 = 1 above it, then one that some coordinate separates.
+        K, per = kept.size, 5 * n_x + 1
+        ol, oh, Xl, Xh = (np.broadcast_to(v, (K, n_x)).ravel() for v in (
+            p.unsafe.lo[kept], p.unsafe.hi[kept], X.lo, X.hi))
+        z, o = np.zeros(K * n_x), np.ones(K * n_x)
+        A = np.zeros((K * per, n))
+        _stamp(A, (per * np.arange(K)[:, None] + 5 * np.arange(n_x)).ravel(),
+               np.vstack((np.tile(x_lo, K), np.tile(x_hi, K),
+                          seps[:, 0].ravel(), seps[:, 1].ravel())),
+               np.array([[z, o, -(ol - Xh), z],     # x_hi <= Xh + (ol - Xh) d1
+                         [z, o, ol - Xl, z],        # x_hi >= ol - (ol - Xl) d1
+                         [o, z, z, -(oh - Xl)],     # x_lo >= Xl + (oh - Xl) d2
+                         [o, z, z, oh - Xh],        # x_lo <= oh - (oh - Xh) d2
+                         [z, z, o, o]]))            # d1 + d2 <= 1
+        A[per * np.arange(K)[:, None] + per - 1, seps.reshape(K, -1)] = 1.0
+        rhs = np.column_stack((Xh, ol, Xl, oh, o)).reshape(K, -1)
+        blocks.append((A, ([LE, GE, GE, LE, LE] * n_x + [GE]) * K,
+                       np.hstack((rhs, np.ones((K, 1)))).ravel()))
+    m = sum(len(b[1]) for b in blocks)
+    # The l1 objective's slacks, lam >= x_hi - x_ref and lam >= x_ref - x_lo.
+    A = np.zeros((2 * n_x, n))
+    z, o = np.zeros(n_x), np.ones(n_x)
+    _stamp(A, 2 * np.arange(n_x), np.vstack((x_lo, x_hi, lam)),
+           np.array([[z, o, -o], [o, z, o]]))
+    blocks.append((A, [LE, GE] * n_x, np.zeros(2 * n_x)))
+    if not key[2]:
+        A = np.zeros((n_u, n))
+        A[np.arange(n_u), u] = 1.0
+        blocks.append((A, [EQ] * n_u, np.zeros(n_u)))
+
+    A, rel, rhs = zip(*blocks)
+    objective = np.zeros(n)
+    objective[lam] = 1.0
+    model = MilpModel(lb=lb, ub=ub, is_binary=is_binary, names=tuple(names),
+                      objective=objective, A=np.vstack(A),
+                      rel=np.array(sum(rel, [])), rhs=np.concatenate(rhs))
+    for arr in (is_binary, objective, model.A, model.rel,
+                *(v for v in h.values() if isinstance(v, np.ndarray))):
+        arr.setflags(write=False)
+    rows = np.concatenate([np.empty(0, int)] + case_starts)
+    cols = np.hstack([np.empty((7, 0), int)] + case_cols)
+    return _Structure(parts, key, model, h, np.concatenate(lb_at),
+                      np.concatenate(ub_at), np.arange(m, model.rhs.size),
+                      off, np.flatnonzero(np.concatenate(cases) == 2),
+                      np.broadcast_arrays(rows + np.arange(8)[:, None, None],
+                                          cols))
 
 
-def encode_safety(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """Per-obstacle disjointness binaries for the safe box.
+def build_tracking_model(p: TrackingProblem, fix_u=None, structure=None):
+    """The tracking MILP of one step, and h, the variable ids of its parts.
 
+    The safe box is the output layer's image widened by eps_x, within X.
     Only an obstacle that no coordinate separates from the step's reach
-    hull, the output bounds inflated by eps_x, gets binaries and rows: every
-    feasible safe box lies in that hull, so a coordinate that separates the
-    hull separates the box too.  One separation test picks them from all
-    obstacles.  h["obstacles"] lists the indices of those kept.  A face out
-    of every safe box's reach has its binary fixed at 0 by bounds, which
-    keep the matrix; a kept obstacle with no face left is SolverInfeasible.
+    hull (the output bounds inflated by eps_x, which holds every feasible
+    safe box) is kept, and listed in h["obstacles"]; a face of it out of
+    every safe box's reach has its binary fixed at 0 by bounds, which keep
+    the matrix.  A step where no safe box fits in X, or a kept obstacle
+    with no face left, raises SolverInfeasible.  fix_u pins u_cmd.
+
+    structure is an earlier step's h["structure"].  If it has this step's
+    key and was built for the same net and sets, it gets this step's
+    bounds, right-hand sides and undetermined neurons' coefficients;
+    otherwise the model is laid out afresh.
     """
-    n_x = p.n_x
-    x_lo, x_hi = h["x_lo"], h["x_hi"]
+    X, e_x, hidden = p.X, p.eps_x, p.layer_bounds[:-1]
     zlo, zhi = p.layer_bounds[-1]
-    kept = np.flatnonzero(
-        ~p.unsafe.separated(zlo - p.eps_x, zhi + p.eps_x)).tolist()
-    deltas = []
-    for k in kept:
-        dead1 = np.maximum(zlo + p.eps_x, p.X.lo) > p.unsafe.lo[k]
-        dead2 = np.minimum(zhi - p.eps_x, p.X.hi) < p.unsafe.hi[k]
-        if (dead1 & dead2).all():
-            raise SolverInfeasible("every safe box of this step meets an obstacle")
-        d1, d2 = ([b.add_binary(f"du{s}_{k}_{j}", 0.0 if dead[j] else None)
-                   for j in range(n_x)] for s, dead in ((1, dead1), (2, dead2)))
-        card = {}
-        for j in range(n_x):
-            Xl, Xh = p.X.lo[j], p.X.hi[j]
-            ol, oh = p.unsafe.lo[k, j], p.unsafe.hi[k, j]
-            b.add_constraint({x_hi[j]: 1.0, d1[j]: -(ol - Xh)}, LE, Xh)
-            b.add_constraint({x_hi[j]: 1.0, d1[j]: (ol - Xl)}, GE, ol)
-            b.add_constraint({x_lo[j]: 1.0, d2[j]: -(oh - Xl)}, GE, Xl)
-            b.add_constraint({x_lo[j]: 1.0, d2[j]: (oh - Xh)}, LE, oh)
-            b.add_constraint({d1[j]: 1.0, d2[j]: 1.0}, LE, 1.0)
-            card[d1[j]] = 1.0
-            card[d2[j]] = 1.0
-        b.add_constraint(card, GE, 1.0)
-        deltas.append((d1, d2))
-    return {"delta_u": deltas, "obstacles": kept}
+    # The reach hull, and the ranges of the safe box's ends x_lo and x_hi.
+    hull = (zlo - e_x, zhi + e_x)
+    lo_end = (np.maximum(hull[0], X.lo), np.minimum(zhi - e_x, X.hi))
+    hi_end = (np.maximum(zlo + e_x, X.lo), np.minimum(hull[1], X.hi))
+    if (lo_end[0] > lo_end[1]).any() or (hi_end[0] > hi_end[1]).any():
+        raise SolverInfeasible("no safe box of this step fits in X")
+    kept = np.flatnonzero(~p.unsafe.separated(*hull))
+    faces = ()
+    if kept.size:
+        # The faces out of reach: x_hi cannot fall to ol, or x_lo rise to oh.
+        dead = np.stack((hi_end[0] > p.unsafe.lo[kept],
+                         lo_end[1] < p.unsafe.hi[kept]), axis=1)
+        if dead.all(axis=(1, 2)).any():
+            raise SolverInfeasible(
+                "every safe box of this step meets an obstacle")
+        faces = (np.where(dead, 0.0, 1.0).ravel(),)
+    cases = [(zl < 0.0) * (1 + (zh > 0.0)) for zl, zh in hidden]
+    key = (b"".join(c.tobytes() for c in cases), kept.tobytes(),
+           fix_u is None, e_x.tobytes(), p.eps_u.tobytes())
+    parts = (p.net, X, p.U, p.unsafe)
+    s = structure
+    if s is None or s.key != key or any(
+            a is not b for a, b in zip(s.parts, parts)):
+        s = _structure(p, parts, key, cases, kept)
 
-
-def encode_objective(p: TrackingProblem, b: ModelBuilder, h: dict) -> dict:
-    """l1 worst-case tracking cost via per-dimension slack variables,
-    lam >= x_hi - r and lam >= r - x_lo (x_lo <= x_hi in every node LP)."""
-    n_x = p.n_x
-    lam = [b.add_continuous(0.0, milp.INF, f"lam{j}") for j in range(n_x)]
-    for j in range(n_x):
-        r = p.x_ref[j]
-        b.add_constraint({h["x_hi"][j]: 1.0, lam[j]: -1.0}, LE, r)
-        b.add_constraint({h["x_lo"][j]: 1.0, lam[j]: 1.0}, GE, r)
-    b.set_objective({v: 1.0 for v in lam})
-    return {"lam": lam}
-
-
-def build_tracking_model(p: TrackingProblem, fix_u=None):
-    """Compose the four constraint families into one model.
-
-    fix_u optionally pins the commanded control with equality constraints
-    (used by oracles to cross-check the propagated boxes).
-    """
-    b = ModelBuilder()
-    h = encode_input_feasibility(p, b)
-    h.update(encode_nn_structure(p, b, h))
-    h.update(encode_safety(p, b, h))
-    h.update(encode_objective(p, b, h))
-    if fix_u is not None:
-        fix_u = _vec(fix_u, p.n_u, "fix_u")
-        for j, var in enumerate(h["u_cmd"]):
-            b.add_constraint({var: 1.0}, EQ, fix_u[j])
-    return b.build(), h
+    lb, ub, rhs, A = s.model.lb.copy(), s.model.ub.copy(), \
+        s.model.rhs.copy(), s.model.A
+    box = p.x_box
+    lb[s.lb_at] = np.concatenate((box.lo, box.hi, *(
+        z for zl, _ in hidden for z in (zl, zl)), lo_end[0], hi_end[0]))
+    post = [np.maximum(zh[off], 0.0) for (_, zh), off in zip(hidden, s.off)]
+    ub[s.ub_at] = np.concatenate((box.lo, box.hi, *(
+        z for (_, zh), q in zip(hidden, post) for z in (zh, zh, q, q)),
+        lo_end[1], hi_end[1], *faces))
+    rhs[s.rhs_at] = np.repeat(p.x_ref, 2) if fix_u is None else \
+        np.concatenate((np.repeat(p.x_ref, 2), _vec(fix_u, p.n_u, "fix_u")))
+    if s.und.size:
+        A = A.copy()
+        A[s.cases_at] = _case_rows(
+            np.concatenate([zl for zl, _ in hidden])[s.und],
+            np.concatenate([zh for _, zh in hidden])[s.und])
+    model = MilpModel(lb=lb, ub=ub, is_binary=s.model.is_binary,
+                      names=s.model.names, objective=s.model.objective, A=A,
+                      rel=s.model.rel, rhs=rhs)
+    return model, {**s.h, "structure": s}
 
 
 def _extract_box(values, lo_vars, hi_vars, pad=0.0) -> Hypercube:
-    lo = np.array([values[v] for v in lo_vars]) + pad
-    hi = np.array([values[v] for v in hi_vars]) - pad
+    lo = values[lo_vars] + pad
+    hi = values[hi_vars] - pad
     # Solver feasibility tolerance can leave lo marginally above hi.
     return Hypercube(np.minimum(lo, hi), hi)
 
@@ -318,12 +413,15 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
                    fix_u=None, warm=None) -> ControlDecision:
     """Solve the robust tracking MILP and extract the control decision.
 
-    warm is a previous decision's root_basis: the MILP's root LP starts
-    from it when the two models share their constraint matrix.
+    warm is the previous control step's decision: the model reuses its
+    structure when that fits this step, and the MILP's root LP starts from
+    its root basis (see milp.solve).
     """
     cfg = cfg or SolverConfig()
-    model, h = build_tracking_model(p, fix_u=fix_u)
-    sol = milp.solve(model, cfg, warm=warm)
+    model, h = build_tracking_model(
+        p, fix_u=fix_u, structure=None if warm is None else warm.structure)
+    sol = milp.solve(model, cfg,
+                     warm=None if warm is None else warm.root_basis)
     if sol.status == milp.INFEASIBLE:
         raise SolverInfeasible("no robustly safe control exists for this step")
     if sol.status == milp.NUMERICAL_FAILURE:
@@ -331,7 +429,7 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     if sol.status != milp.OPTIMAL:
         raise SolveIterationLimit(f"solver stopped with status {sol.status}")
     v = sol.values
-    u_cmd = np.array([v[j] for j in h["u_cmd"]])
+    u_cmd = v[h["u_cmd"]]
     input_box = _extract_box(v, h["a0"], h["b0"])
     nn_out_box = _extract_box(v, h["x_lo"], h["x_hi"], pad=p.eps_x)
     safe_box = _extract_box(v, h["x_lo"], h["x_hi"])
@@ -342,6 +440,7 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
         safe_box=safe_box,
         cost=float(sol.objective_value),
         root_basis=sol.root_basis,
+        structure=h["structure"],
     )
     _check_decision(p, decision)
     return decision

@@ -1,23 +1,27 @@
 """Self-contained mixed-integer linear programming layer.
 
 Model building, and best-first branch-and-bound over binary variables on
-one LP algorithm, a bounded dual simplex on a dense tableau.  The LP is
-one matrix: the structural columns and one slack per row, bounded by the
-row's relation (an equality row's slack is fixed at 0), so no artificial
-columns are needed.  The root LP starts warm from a previous solve's root
-basis when the caller hands one over and the matrix is the same, value
-for value (a control loop's consecutive tracking models differ only in
-bounds and right-hand sides); otherwise it starts cold from the slack
-basis, which a model's bounded objective makes dual feasible, so no
-phase 1 is needed.  Every child, which differs from its parent only in
-the bound of one basic binary, starts from a copy of its parent's final
-tableau, values and column directions, usually a few pivots from its
-optimum; the tableau is formed afresh after a fixed number of basis
-updates counted down the chain since its last fresh inversion.  A basis
-that fails to invert, or a warm basis that is not dual feasible, is
-reported as NumericalFailure, never as infeasibility; a warm LP that
-hits one is re-solved cold once.  Deterministic throughout: no state
-outlives a call, lowest-index tie-breaks, no cutting planes, no presolve.
+one LP algorithm, a bounded dual simplex on a dense tableau.  A model keeps
+its rows as one dense matrix.  The LP is one matrix: the structural columns
+and one slack per row, bounded by the row's relation (an equality row's
+slack is fixed at 0), so no artificial columns are needed.  A solve hands
+its root LP's final basis and tableau (B^-1 A over the reduced costs) to
+the caller, with the count of basis updates since the tableau was last
+formed afresh.  The next solve's root starts from a copy of that tableau
+if its standard-form matrix and costs equal, value for value, the ones the
+tableau came from (a control loop's consecutive tracking models differ
+only in bounds and right-hand sides), from a fresh inversion of the basis
+if only the matrix does, and otherwise cold from the slack basis, which a
+model's bounded objective makes dual feasible, so no phase 1 is needed.
+Every child, which differs from its parent only in the bound of one basic
+binary, starts from a copy of its parent's final tableau, values and
+column directions.  A tableau is formed afresh once _REFACTOR_EVERY
+updates have accumulated, counted along every solve and node it was handed
+through.  A basis that fails to invert, or a warm basis that is not dual
+feasible, is reported as NumericalFailure, never as infeasibility; a warm
+LP that hits one is re-solved cold once.  Deterministic throughout: the
+only state carried between solves is the basis the caller hands over,
+lowest-index tie-breaks, no cutting planes, no presolve.
 """
 
 from __future__ import annotations
@@ -122,28 +126,37 @@ class ModelBuilder:
         self._obj = dict(zip(idx.tolist(), coef.tolist()))
 
     def build(self) -> "MilpModel":
-        n = self.num_vars
-        obj = np.zeros(n)
+        rows, n = self._constraints, self.num_vars
+        obj, A = np.zeros(n), np.zeros((len(rows), n))
         for var, coef in self._obj.items():
             obj[var] = coef
+        for r, c in enumerate(rows):
+            A[r, c.idx] = c.coef
         return MilpModel(
             lb=np.array(self._lb),
             ub=np.array(self._ub),
             is_binary=np.array(self._binary, dtype=bool),
             names=tuple(self._names),
-            constraints=tuple(self._constraints),
             objective=obj,
+            A=A,
+            rel=np.array([c.rel for c in rows], dtype="<U2"),
+            rhs=np.array([c.rhs for c in rows], dtype=float),
         )
 
 
 @dataclass(frozen=True)
 class MilpModel:
+    """min objective . x over lb <= x <= ub, x_j in {0, 1} where is_binary,
+    and the rows A x rel rhs, A dense (rows x variables), rel each row's
+    relation."""
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
     names: tuple
-    constraints: tuple
     objective: np.ndarray
+    A: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
         # Every cost must point at a finite bound, so the objective is
@@ -160,19 +173,24 @@ class MilpModel:
     def num_vars(self) -> int:
         return self.lb.shape[0]
 
+    @property
+    def constraints(self) -> tuple:
+        """The rows, each with its nonzero coefficients; built on access."""
+        rows = []
+        for row, rel, rhs in zip(self.A, self.rel, self.rhs):
+            idx = np.flatnonzero(row)
+            rows.append(_Constraint(idx, row[idx], str(rel), float(rhs)))
+        return tuple(rows)
+
     def constraint_violation(self, x: np.ndarray) -> float:
         """Max violation of all constraints and bounds at x."""
-        worst = max(float(np.max(self.lb - x, initial=0.0)),
-                    float(np.max(x - self.ub, initial=0.0)))
-        for c in self.constraints:
-            lhs = float(c.coef @ x[c.idx])
-            if c.rel == LE:
-                worst = max(worst, lhs - c.rhs)
-            elif c.rel == GE:
-                worst = max(worst, c.rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - c.rhs))
-        return worst
+        lhs = self.A @ x
+        rows = np.where(self.rel == LE, lhs - self.rhs,
+                        np.where(self.rel == GE, self.rhs - lhs,
+                                 np.abs(lhs - self.rhs)))
+        return max(float(np.max(self.lb - x, initial=0.0)),
+                   float(np.max(x - self.ub, initial=0.0)),
+                   float(np.max(rows, initial=0.0)))
 
     def dump_lp(self) -> str:
         """LP-format-like plain text for debugging; not bit-critical."""
@@ -201,9 +219,8 @@ class MilpSolution:
     values: np.ndarray | None
     objective_value: float
     stats: dict = field(default_factory=dict)
-    # The root LP's optimal basis, for the next solve(..., warm=) on a
-    # model with the same constraint matrix; None if the root was not
-    # Optimal.
+    # The root LP's optimal basis and tableau, for the next solve(...,
+    # warm=); None if the root was not Optimal.
     root_basis: "_Basis | None" = field(default=None, repr=False, compare=False)
 
 
@@ -219,33 +236,27 @@ def _standard_form(model: MilpModel):
     (-inf, 0] for >= and [0, 0] for =.  The slacks form an identity
     block, and an equality row's slack is fixed.
     """
-    rows = model.constraints
-    n, m = model.num_vars, len(rows)
-    A = np.zeros((m, n + m))
-    A[:, n:] = np.eye(m)
-    if rows:
-        row_of = np.repeat(np.arange(m), [c.idx.size for c in rows])
-        A[row_of, np.concatenate([c.idx for c in rows])] = \
-            np.concatenate([c.coef for c in rows])
-    rel = np.array([c.rel for c in rows], dtype=str)
-    rhs = np.array([c.rhs for c in rows], dtype=float)
-    lb = np.concatenate([model.lb, np.where(rel == GE, -INF, 0.0)])
-    ub = np.concatenate([model.ub, np.where(rel == LE, INF, 0.0)])
-    c = np.concatenate([model.objective, np.zeros(m)])
-    return A, rhs, c, lb, ub
+    m, rel = model.rhs.size, model.rel
+    A = np.hstack((model.A, np.eye(m)))
+    lb = np.concatenate((model.lb, np.where(rel == GE, -INF, 0.0)))
+    ub = np.concatenate((model.ub, np.where(rel == LE, INF, 0.0)))
+    c = np.concatenate((model.objective, np.zeros(m)))
+    return A, model.rhs, c, lb, ub
 
 
 class _Basis(NamedTuple):
     """An LP's final basis, from which another LP on the same rows starts.
 
-    A is the standard-form matrix the basis belongs to.  T, when kept, is
-    the final tableau, B^-1 A over the reduced costs, with `updates` basis
-    changes since its last fresh inversion.  x, direction (+1 at a lower
-    bound the column may rise from, -1 at an upper bound it may fall from,
-    0 if basic or fixed) and free (the free columns, None if none), when
-    kept, are the final state: a start from it keeps every nonbasic value.
+    A and c are the standard-form matrix and costs the basis belongs to.
+    T, when kept, is the final tableau, B^-1 A over the reduced costs
+    c - c_B B^-1 A, with `updates` basis changes since its last fresh
+    inversion.  x, direction (+1 at a lower bound the column may rise from,
+    -1 at an upper bound it may fall from, 0 if basic or fixed) and free
+    (the free columns, None if none), when kept, are the final state: a
+    start from it keeps every nonbasic value.
     """
     A: np.ndarray
+    c: np.ndarray
     basis: np.ndarray
     T: np.ndarray | None = None
     updates: int = 0
@@ -400,8 +411,8 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
             direction[out] = 1.0 if up else -1.0
 
     x[basis] = xB
-    return OPTIMAL, x, float(c @ x), iters, _Basis(A, basis, T, updates, x,
-                                                   direction, free)
+    return OPTIMAL, x, float(c @ x), iters, _Basis(A, c, basis, T, updates,
+                                                   x, direction, free)
 
 
 def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> int:
@@ -421,16 +432,18 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
           warm: _Basis | None = None) -> MilpSolution:
     """Best-first branch-and-bound over the binary variables.
 
-    The root LP starts from `warm`, a previous solution's root_basis, when
-    this model's standard-form matrix equals the one that basis came from
-    (same shape, same values), and cold otherwise.  Every child
-    re-solves from a copy of its parent's final tableau and state.  A warm
-    LP whose basis fails to invert, or is not dual feasible for this model,
-    is solved once more cold.  Branches on the most-fractional binary;
-    prunes nodes whose LP bound cannot improve the incumbent beyond the
-    relative gap.  A model whose binaries are all fixed is an LP, and its
-    root optimum is the answer.  The returned solution carries this root's
-    basis for the next call.
+    The root LP starts from `warm`, a previous solution's root_basis: from
+    a copy of its tableau, with its update count, when this model's
+    standard-form matrix and costs equal the ones it came from (same shape,
+    same values); from a fresh inversion of its basis when only the matrix
+    does; cold otherwise.  Every child re-solves from a copy of its
+    parent's final tableau and state.  A warm LP whose basis fails to
+    invert, or is not dual feasible for this model, is solved once more
+    cold.  Branches on the most-fractional binary; prunes nodes whose LP
+    bound cannot improve the incumbent beyond the relative gap.  A model
+    whose binaries are all fixed is an LP, and its root optimum is the
+    answer.  The returned solution carries this root's basis and tableau
+    for the next call.
     """
     config = config or SolverConfig()
     A, rhs, c, lb, ub = _standard_form(model)
@@ -454,9 +467,14 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             stats["cold_resolves"] += 1
             warm = None
 
-    # The root inverts afresh, so no inverse's roundoff outlives its solve.
+    # A tableau depends on A, c and the basis only.
     if warm is not None:
-        warm = _Basis(A, warm.basis) if np.array_equal(warm.A, A) else None
+        if not np.array_equal(warm.A, A):
+            warm = None
+        elif np.array_equal(warm.c, c):
+            warm = warm._replace(x=None, direction=None, free=None)
+        else:
+            warm = _Basis(A, c, warm.basis)
     status, x, obj, basis = node_lp(lb, ub, warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
@@ -467,7 +485,7 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     heap = []
     root_basis = None
     if status == OPTIMAL:
-        root_basis = _Basis(A, basis.basis)
+        root_basis = basis
         heapq.heappush(heap, (obj, counter, lb, ub, x, basis))
         counter += 1
 

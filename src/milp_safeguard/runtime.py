@@ -1,9 +1,9 @@
 """Closed-loop episode execution.
 
 Per step: measure, pick the first remaining waypoint as reference, solve
-the robust tracking MILP (its root LP starting from the previous step's
-root basis; each episode starts cold), actuate with disturbance, advance
-the plant, log.  Waypoints are dropped once the predicted safe box
+the robust tracking MILP (starting from the previous step's decision,
+which carries the model's structure and the root LP's final tableau; each
+episode starts cold), actuate with disturbance, advance the plant, log.  Waypoints are dropped once the predicted safe box
 contains them; the episode ends when the box contains the goal, on
 infeasibility (halt, no fallback), on a numerical failure of the solver,
 a solve that hits its node or simplex-iteration budget or a decision that
@@ -239,7 +239,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     rng = np.random.default_rng(s.seed)
     log = TrajectoryLog()
     x = np.asarray(s.x0, dtype=float)
-    root = None   # each step's root LP starts from the previous step's
+    prev = None   # each step starts from the previous step's decision
 
     for k in range(s.max_steps):
         if not s.plant.admissible(x):
@@ -258,7 +258,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         t0 = time.perf_counter()
         try:
             decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver,
-                                      warm=root)
+                                      warm=prev)
         except (InfeasibleMeasurement, SolverInfeasible, *_HALT_STATUS) as exc:
             log.steps.append(StepRecord(
                 k=k, x=x, y=y, x_ref=x_ref, u_cmd=None, u_act=None,
@@ -268,7 +268,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
             log.status = _HALT_STATUS.get(type(exc), INFEASIBLE)
             return log
         solve_ms = 1e3 * (time.perf_counter() - t0)
-        root = decision.root_basis
+        prev = decision
 
         w_u = sample_noise(s.eps_u, rng)
         u_act = np.clip(decision.u_cmd + w_u, s.U.lo, s.U.hi)

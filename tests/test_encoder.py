@@ -17,7 +17,7 @@ from milp_safeguard.encoder import (
     build_tracking_model,
     solve_tracking,
 )
-from milp_safeguard.milp import EQ
+from milp_safeguard.milp import EQ, GE, LE
 from milp_safeguard.nn_model import (
     LayerParams,
     ReluNetwork,
@@ -48,17 +48,24 @@ def problem(y, x_ref, unsafe=(), eps_x=EPS, eps_y=EPS, eps_u=EPS):
 
 @pytest.mark.parametrize("eps_u", [0.0, 0.05, 0.25, 0.4, 0.5, 0.7])
 def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
-    # U is 0.5 wide.  Of the two rows a clip binary relaxes, the one
-    # relaxed on the unclipped branch ({end, binary}) takes
-    # max(width - eps_u, 0), the one relaxed on the clipped branch
-    # ({end, u_cmd, binary}) takes eps_u.
+    # U is 0.5 wide.  Of the two rows a clip binary relaxes (those that
+    # bound its end from the clipped side, a0_u from above and b0_u from
+    # below, without the other end), the one relaxed on the unclipped
+    # branch ({end, binary}) takes max(width - eps_u, 0), the one relaxed
+    # on the clipped branch ({end, u_cmd, binary}) takes eps_u.  A big-M
+    # of 0 leaves the binary out of its row.
     model, h = build_tracking_model(
         problem([5, 5], [5, 5], eps_u=np.full(2, eps_u)))
-    for d in h["delta_a"] + h["delta_b"]:
-        rows = [c for c in model.constraints if d in c.idx]
-        big_m = {c.idx.size: abs(float(c.coef[c.idx == d][0])) for c in rows}
-        assert len(rows) == 2
-        assert big_m == {2: max(0.5 - eps_u, 0.0), 3: eps_u}
+    A = model.A
+    for j, u in enumerate(h["u_cmd"]):
+        a0, b0 = h["a0"][2 + j], h["b0"][2 + j]
+        for end, other, d, rel in ((a0, b0, h["delta_a"][j], LE),
+                                   (b0, a0, h["delta_b"][j], GE)):
+            rows = np.flatnonzero((A[:, end] == 1.0) & (A[:, other] == 0.0)
+                                  & (model.rel == rel))
+            big_m = {bool(A[r, u]): abs(A[r, d]) for r in rows}
+            assert len(rows) == 2
+            assert big_m == {False: max(0.5 - eps_u, 0.0), True: eps_u}
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +286,7 @@ def test_encoder_case_rows_admit_only_the_sign_case():
                             eps_x=eps, eps_y=eps, eps_u=eps, y_k=y,
                             x_ref=np.array([0.0]))
         model, h = build_tracking_model(p, fix_u=u)
-        if not any(h["d_mm"]):
+        if not any(map(len, h["d_mm"])):
             continue
         nets += 1
         sol = milp.solve(model)
@@ -325,7 +332,8 @@ def test_robot_model_is_compact():
         s.tracking_problem(y, plan_waypoints(s)[0]))
     assert model_size(model) == (28, 30, 4)
     assert h["obstacles"] == [] and h["delta_u"] == []
-    assert h["a"][0] == h["ahat"][0] and h["b"][0] == h["bhat"][0]
+    assert np.array_equal(h["a"][0], h["ahat"][0])
+    assert np.array_equal(h["b"][0], h["bhat"][0])
     assert_states_each_fact_once(model, s.net, h)
 
 

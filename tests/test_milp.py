@@ -368,13 +368,15 @@ def test_children_inherit_their_parents_inverse(monkeypatch):
 
 
 def test_singular_warm_root_resolves_cold(monkeypatch):
-    # A warm root inverts its basis afresh; when that fails, the root is
-    # solved once more cold and the search goes on as a cold solve.
+    # A warm root handed a basis without its tableau inverts the basis
+    # afresh; when that fails, the root is solved once more cold and the
+    # search goes on as a cold solve.
     m, _ = _odd_cycle_partitioning()
     ref = solve(m)
-    assert solve(m, warm=ref.root_basis).stats["warm_root"]
+    stripped = ref.root_basis._replace(T=None)
+    assert solve(m, warm=stripped).stats["warm_root"]
     _singular(monkeypatch)
-    sol = solve(m, warm=ref.root_basis)
+    sol = solve(m, warm=stripped)
     assert sol.status == OPTIMAL
     assert sol.objective_value == ref.objective_value
     assert np.array_equal(sol.values, ref.values)
@@ -382,6 +384,35 @@ def test_singular_warm_root_resolves_cold(monkeypatch):
     assert sol.stats["cold_resolves"] == 1
     assert sol.stats["inversions"] == 1
     assert sol.stats["lp_calls"] == ref.stats["lp_calls"] + 1
+
+
+def test_root_tableau_is_handed_over_only_with_its_costs(monkeypatch):
+    # The root basis carries its final tableau.  A model with the same
+    # matrix and costs starts from a copy of it, with no inversion; one
+    # with the same matrix and other costs never reuses it (its reduced
+    # costs belong to the old costs) and inverts the basis afresh.  Both
+    # end at the cold solve's optimum.
+    def two_columns(c_y):
+        b = ModelBuilder()
+        x = b.add_continuous(0.0, 5.0, "x")
+        y = b.add_continuous(0.0, 4.0, "y")
+        b.add_constraint({x: 1.0, y: 1.0}, LE, 3.0)
+        b.set_objective({x: 0.0, y: c_y})
+        return b.build()
+
+    basis = solve(two_columns(-1.0)).root_basis
+    assert basis.T is not None
+    for c_y, inversions in ((-1.0, 0), (-2.0, 1)):
+        m = two_columns(c_y)
+        cold, warm = solve(m), solve(m, warm=basis)
+        assert warm.stats["warm_root"] and warm.stats["cold_resolves"] == 0
+        assert warm.stats["inversions"] == inversions
+        assert warm.objective_value == cold.objective_value
+        assert np.array_equal(warm.values, cold.values)
+    # Without an inversion the tableau is the one handed over.
+    _singular(monkeypatch)
+    assert solve(two_columns(-1.0), warm=basis).stats["warm_root"]
+    assert not solve(two_columns(-2.0), warm=basis).stats["warm_root"]
 
 
 def test_refactorization_counts_inherited_updates(monkeypatch):
@@ -510,10 +541,10 @@ def test_dual_infeasible_warm_root_resolves_cold(x_lb, c_x, c_y):
     # The root basis of another model with the same matrix (y basic, the
     # reduced costs of x and of the slack 1) is not dual feasible here:
     # a reduced cost asks x for a lower bound it lacks, or (after the cost
-    # change) the slack for an upper bound.  The root is solved once more
-    # cold, and the result is the cold solve's.
-    basis = solve(_two_column_model(0.0, 0.0, -1.0)).root_basis
-    assert basis is not None
+    # change) the slack for an upper bound.  The basis comes without its
+    # tableau, so it is inverted.  The root is solved once more cold, and
+    # the result is the cold solve's.
+    basis = solve(_two_column_model(0.0, 0.0, -1.0)).root_basis._replace(T=None)
     m = _two_column_model(x_lb, c_x, c_y)
     cold, warm = solve(m), solve(m, warm=basis)
     assert warm.stats["cold_resolves"] == 1 and not warm.stats["warm_root"]

@@ -264,7 +264,7 @@ def test_step_with_one_reachable_face_matches_highs():
     model, h = build_tracking_model(
         s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5])))
     (d1, d2), = h["delta_u"]
-    free = [v for v in d1 + d2 if model.lb[v] < model.ub[v]]
+    free = [v for v in (*d1, *d2) if model.lb[v] < model.ub[v]]
     assert free == [d1[0]]
     sol = assert_matches_highs(model)
     assert sol.status == OPTIMAL and sol.values[d1[0]] == 1.0

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -332,10 +333,10 @@ def test_every_lp_of_an_episode_hands_over_a_consistent_state(monkeypatch):
     assert len(checked) > 500 and sum(checked) > 1500
 
 
-# Prints the robot maze episode's LP calls and simplex iterations per
-# tracking solve.
+# Prints the robot maze episode's status and step count, and its tracking
+# solves' stats summed over the episode, as JSON.
 _SOLVE_COUNTS = """
-import sys
+import json, sys
 from milp_safeguard import milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.runtime import run_episode
@@ -346,24 +347,71 @@ def counted(*args, **kwargs):
     return sol
 milp.solve = counted
 scenario, _ = load_scenario(sys.argv[1])
-print(run_episode(scenario).status, len(stats),
-      sum(s["lp_calls"] for s in stats) / len(stats),
-      sum(s["simplex_iters"] for s in stats) / len(stats))
+log = run_episode(scenario)
+counts = {key: sum(s[key] for s in stats) for key in
+          ("lp_calls", "simplex_iters", "inversions", "warm_root")}
+print(json.dumps(dict(counts, status=log.status, steps=len(log.steps),
+                      solves=len(stats))))
 """
 
 
-def test_robot_episode_stays_within_its_solve_count_budget():
-    # The seed-0 plan's episode solves at about 4.4 LP calls and 13
-    # simplex iterations per step; a looser formulation or a worse pivot
-    # rule shows here first.  The counts depend on the BLAS thread count,
-    # so the episode runs at one thread.
+@pytest.fixture(scope="module")
+def robot_episode_counts():
+    # The counts depend on the BLAS thread count, so the episode runs at
+    # one thread.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
         [sys.executable, "-c", _SOLVE_COUNTS,
          os.path.join(ROOT, "scenarios", "robot_maze.yaml")],
         env=env, capture_output=True, text=True, check=True, timeout=300)
-    status, solves, lp_calls, iters = done.stdout.split()
-    assert status == GOAL_REACHED and int(solves) > 100
-    assert float(lp_calls) <= 5.0
-    assert float(iters) <= 16.0
+    return json.loads(done.stdout)
+
+
+def test_robot_episode_stays_within_its_solve_count_budget(
+        robot_episode_counts):
+    # The seed-0 plan's episode solves at about 4.4 LP calls and 13
+    # simplex iterations per step; a looser formulation or a worse pivot
+    # rule shows here first.
+    c = robot_episode_counts
+    assert c["status"] == GOAL_REACHED and c["solves"] > 100
+    assert c["lp_calls"] / c["solves"] <= 5.0
+    assert c["simplex_iters"] / c["solves"] <= 16.0
+
+
+def test_robot_episode_hands_its_root_tableau_over(robot_episode_counts):
+    # The episode takes 106 steps to the goal.  Its model changes structure
+    # on few steps, so at least 90% of the roots start warm, from the
+    # previous root's tableau: an inversion is due only after each change
+    # of structure (a basis of another matrix is dropped) or once per 60
+    # basis updates, inherited ones included.
+    c = robot_episode_counts
+    assert (c["status"], c["steps"], c["solves"]) == (GOAL_REACHED, 106, 106)
+    assert c["warm_root"] >= 0.9 * c["solves"]
+    assert c["inversions"] <= (c["solves"] - c["warm_root"]
+                               + c["simplex_iters"] // milp._REFACTOR_EVERY)
+
+
+def test_root_tableau_chain_refactorizes_on_inherited_counts():
+    # Two robot episodes in a row, 215 steps: each root starts from the
+    # previous one's tableau, which carries its count of basis updates
+    # since its last inversion, so the chain refactorizes although no
+    # solve makes 60 pivots.  Every optimum equals a cold solve's.
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    waypoints = plan_waypoints(s)
+    problems = [s.tracking_problem(rec.y, rec.x_ref) for seed in (0, 1)
+                for rec in run_episode(replace(s, seed=seed),
+                                       [w.copy() for w in waypoints]).steps]
+    assert len(problems) >= 130
+    basis = structure = None
+    inversions = warm_roots = 0
+    for p in problems:
+        model, h = encoder.build_tracking_model(p, structure=structure)
+        warm, cold = milp.solve(model, warm=basis), milp.solve(model)
+        assert warm.status == cold.status == milp.OPTIMAL
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-9
+        assert warm.stats["simplex_iters"] < milp._REFACTOR_EVERY
+        inversions += warm.stats["inversions"]
+        warm_roots += warm.stats["warm_root"]
+        basis, structure = warm.root_basis, h["structure"]
+    assert inversions >= 2 and warm_roots >= 0.85 * len(problems)
