@@ -299,7 +299,12 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     by the dual ratio test, one masked quotient d / g over the nonbasic
     columns whose direction moves the leaving variable toward its bound
     (a free one counts as ratio 0), ties to the largest pivot and then
-    the lowest index; lowest-index rules after a stall.  The tableau,
+    the lowest index; lowest-index rules after a stall.  A row with no
+    pivot element above _TOL proves infeasibility only if its bounded
+    columns cannot close it at their other bounds, with the basic values
+    formed afresh from the tableau; otherwise one of them moves to its
+    other bound, or the LP is a NumericalFailure if its reduced cost
+    forbids that bound.  The tableau,
     reduced costs included, takes one rank-one update per pivot
     (Koberstein, The Dual Simplex Method, 2005), and is formed afresh once
     _REFACTOR_EVERY updates have accumulated since its last fresh
@@ -383,8 +388,32 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
         ratio.fill(INF)
         np.divide(d, g, out=ratio, where=cand)
         r_min = ratio[ratio.argmin()]
-        if r_min == INF:   # the row proves the bounds inconsistent
-            return INFEASIBLE, None, INF, iters, None
+        if r_min == INF:
+            # No pivot element clears _TOL.  The row proves the bounds
+            # inconsistent unless the bounded columns that move it close it
+            # to within _TOL at their other bounds, as a binary whose big-M
+            # is 1e-9 can.  The basic values, updated pivot by pivot, may
+            # carry the violation in their roundoff, so the proof is read
+            # again on values formed afresh from the tableau.  A row that can
+            # be closed moves the column that closes most to its other bound,
+            # the basis kept, if its reduced cost allows that bound; if not,
+            # the row is a numerical failure.
+            span = np.where(np.isfinite(ub - lb), ub - lb, 0.0)
+            reach = np.where(direction * g > 0.0, np.abs(g) * span, 0.0)
+            if reach.sum() < viol[r] - _TOL:
+                x[basis] = 0.0
+                fresh = T[:m, n - m:] @ (rhs - A @ x)
+                if not np.array_equal(fresh, xB):
+                    xB = fresh
+                    continue
+                return INFEASIBLE, None, INF, iters, None
+            j = int(reach.argmax())
+            if abs(d[j]) > _TOL:
+                return NUMERICAL_FAILURE, None, INF, iters, None
+            bound = ub[j] if direction[j] > 0 else lb[j]
+            xB -= (bound - x[j]) * T[:m, j]
+            x[j], direction[j] = bound, -direction[j]
+            continue
         r_min = r_min if r_min > 0.0 else 0.0
         ties = (ratio <= r_min + 1e-12).nonzero()[0]
         enter = int(ties[0] if bland or ties.size == 1

@@ -112,15 +112,17 @@ def forward_batch(net: ReluNetwork, Z) -> np.ndarray:
     return H @ last.weights.T + last.bias
 
 
-def affine_piece(net: ReluNetwork, Z, cols) -> np.ndarray:
-    """Jacobians of the output with respect to the input columns cols, one
-    per row of Z on that row's activation region: shape
-    (n, output_dim, len(cols)).
+def affine_piece(net: ReluNetwork, Z, cols):
+    """The net's affine map on each row's activation region: the Jacobians
+    of the output with respect to the input columns cols, shape
+    (n, output_dim, len(cols)), and the output at each row of Z, shape
+    (n, output_dim), which fixes the map's offset.
 
     The net is affine on each region of fixed activation pattern, and its
     Jacobian there is the product of the weights with the rows of the
-    inactive neurons zeroed.  Each row's pattern is read from sums of its
-    own, in an order that does not depend on the other rows of Z.
+    inactive neurons zeroed.  Each row's pattern and output are read from
+    sums of its own, in an order that does not depend on the other rows of
+    Z.
     """
     H = np.asarray(Z, dtype=float)
     if H.ndim != 2 or H.shape[1] != net.input_dim:
@@ -131,7 +133,9 @@ def affine_piece(net: ReluNetwork, Z, cols) -> np.ndarray:
         pre = (H[:, None, :] * layer.weights).sum(axis=2) + layer.bias
         G = (layer.weights @ G) * (pre > 0.0)[:, :, None]
         H = np.maximum(0.0, pre)
-    return net.layers[-1].weights @ G
+    last = net.layers[-1]
+    return (last.weights @ G,
+            (H[:, None, :] * last.weights).sum(axis=2) + last.bias)
 
 
 def linear_bounds(layer: LayerParams, ends: np.ndarray) -> np.ndarray:

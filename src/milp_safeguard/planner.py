@@ -6,12 +6,13 @@ once per node); the stored child node is the exact model image of the best
 control witness, so every tree edge is a dynamically exact one-step
 transition.  The witness search steers exactly on the net's affine pieces:
 on the piece of its point, the least l1 residual over the control set lies
-at a vertex of a few hyperplanes, and one batched forward pass evaluates
-those vertices.  A node is stable when the interval pass of its reachable
-box gives every hidden neuron one sign over the control set; the net is then
-one affine piece there, and one round from any point finds the least
-residual.  From any other node the search starts at the best point of a
-coarse grid and runs rounds until one does not move it.  The RRT draws its
+at a vertex of a few hyperplanes.  A node is stable when the interval pass
+of its reachable box gives every hidden neuron one sign over the control
+set; the net is then one affine map of the control there, read once, and
+the vertices are ranked on that map in closed form, with no forward pass.
+From any other node the search starts at the best point of a coarse grid
+and runs rounds, one batched forward pass evaluating each round's vertices,
+until one does not move it.  The RRT draws its
 samples ahead and guesses each iteration's nearest node against the tree
 as it stands; the searches of _WINDOW guessed iterations then run in
 lockstep, and the iterations commit in order, an iteration whose nearest
@@ -124,18 +125,15 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
     over U lies at a vertex of the arrangement of the n_x hyperplanes
     J_i u + c_i = x_to_i and the 2 U.dim faces of U, where U.dim of them
     meet.  A round solves every nonsingular U.dim-subset of them but U's
-    corners, which are constant, clips the vertices into U and evaluates
-    them, and the search moves to the best if its residual is lower by more
-    than 1e-15.  A stable row's region holds all of U, so its first round
-    gives the least residual: it starts at the best of U's corners (any
-    point would do, but more than one keeps its pass from being a one-row
-    product, which may round otherwise) and ends after one round.  Any
-    other row starts at the best point of a coarse grid over U and runs
-    rounds until one does not move it.  The k searches run in lockstep, one
-    batched forward pass evaluating the vertices of every unfinished
-    search.  c comes from the pass that chose u, so that no point is
-    evaluated alone, where the arithmetic differs in the last bits: no
-    row's result depends on the rows beside it.
+    corners, which are constant, and clips the vertices into U.  A stable
+    row's region holds all of U, so it takes J and c once, at U.lo, ranks
+    its vertices by |J v + c - x_to| and returns the best, with no forward
+    pass.  Any other row starts at the best point of a coarse grid over U
+    and runs rounds, each evaluating the vertices in one batched forward
+    pass and moving to the best if its residual is lower by more than
+    1e-15, until one does not move it; c comes from the pass that chose u.
+    J, c and the residuals are sums of each row's own, so no row's result
+    depends on the rows beside it.
     """
     X_from = np.atleast_2d(np.asarray(X_from, dtype=float))
     X_to = np.atleast_2d(np.asarray(X_to, dtype=float))
@@ -144,6 +142,26 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
     stable = np.asarray(stable, dtype=bool)
     grid, subsets, faces, bounds, free, corners = _search_tables(
         U.lo.tobytes(), U.hi.tobytes(), n_x, coarse)
+    cols = np.arange(n_x, n_x + m)
+    # Per search: the hyperplanes' rows and right-hand sides, U's faces
+    # after the n_x of the net's piece, and the vertices of a round.
+    planes, rhs = np.empty((k, n_x + 2 * m, m)), np.empty((k, n_x + 2 * m))
+    planes[:, n_x:], rhs[:, n_x:] = faces, bounds
+    us = np.empty((k, len(free), m))
+    us[:, ~free] = corners
+
+    def vertices(ids, J, c):
+        """The vertices of the searches ids on their pieces J u + c,
+        clipped into U, U's corners among them (len(ids) x s x m)."""
+        planes[:len(ids), :n_x], rhs[:len(ids), :n_x] = J, X_to[ids] - c
+        A, b = planes[:len(ids), subsets], rhs[:len(ids), subsets]
+        # A singular subset gets U.lo, which the lower faces give anyway.
+        singular = (np.abs(np.linalg.det(A))
+                    <= 1e-12 * np.prod(np.sqrt((A * A).sum(axis=3)), axis=2))
+        A[singular], b[singular] = np.eye(m), U.lo
+        v = np.linalg.solve(A, b[..., None])[..., 0]
+        us[:len(ids), free] = np.minimum(np.maximum(v, U.lo), U.hi)
+        return us[:len(ids)]
 
     def best_of(ids, us):
         """The input, output and residual of the best control of each search
@@ -157,37 +175,32 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
         j, rows = rs.argmin(axis=1), np.arange(len(ids))
         return Z[rows, j], out[rows, j], rs[rows, j]
 
-    # The stable searches start at the best of U's corners and the others
-    # at the best point of the grid, each group in a pass of its own; ids
-    # lists the searches in that order.
-    starts = [(g,) + best_of(g, start) for g, start in
-              ((np.flatnonzero(stable), corners),
-               (np.flatnonzero(~stable), grid)) if len(g)]
-    ids, z, y, r = map(np.concatenate, zip(*starts))
     best_u, best_r = np.empty((k, m)), np.empty(k)
-    best_u[ids], best_r[ids] = z[:, n_x:], r
-    # Per search: the hyperplanes' rows and right-hand sides, U's faces
-    # after the n_x of the net's piece, and the vertices of a round.
-    planes, rhs = np.empty((k, n_x + 2 * m, m)), np.empty((k, n_x + 2 * m))
-    planes[:, n_x:], rhs[:, n_x:] = faces, bounds
-    us = np.empty((k, len(free), m))
-    us[:, ~free] = corners
+    # The stable searches: their maps read at U.lo, their vertices ranked
+    # on them.
+    ids = np.flatnonzero(stable)
+    if len(ids):
+        z = np.concatenate([X_from[ids], np.broadcast_to(U.lo, (len(ids), m))],
+                           axis=1)
+        J, y = affine_piece(net, z, cols)
+        c = y - (J * U.lo).sum(axis=2)
+        vs = vertices(ids, J, c)
+        rs = np.abs((J[:, None] * vs[:, :, None]).sum(axis=3) + c[:, None]
+                    - X_to[ids, None]).sum(axis=2)
+        j, rows = rs.argmin(axis=1), np.arange(len(ids))
+        best_u[ids], best_r[ids] = vs[rows, j], rs[rows, j]
+    # The others: the best point of the grid, then rounds.
+    ids = np.flatnonzero(~stable)
+    if len(ids):
+        z, y, r = best_of(ids, grid)
+        best_u[ids], best_r[ids] = z[:, n_x:], r
     while len(ids):
-        J = affine_piece(net, z, np.arange(n_x, n_x + m))
+        J, _ = affine_piece(net, z, cols)
         c = y - (J * z[:, None, n_x:]).sum(axis=2)
-        planes[:len(ids), :n_x], rhs[:len(ids), :n_x] = J, X_to[ids] - c
-        A, b = planes[:len(ids), subsets], rhs[:len(ids), subsets]
-        # A singular subset gets U.lo, which the lower faces give anyway.
-        singular = (np.abs(np.linalg.det(A))
-                    <= 1e-12 * np.prod(np.linalg.norm(A, axis=3), axis=2))
-        A[singular], b[singular] = np.eye(m), U.lo
-        v = np.linalg.solve(A, b[..., None])[..., 0]
-        us[:len(ids), free] = np.minimum(np.maximum(v, U.lo), U.hi)
-        z, y, r_new = best_of(ids, us[:len(ids)])
+        z, y, r_new = best_of(ids, vertices(ids, J, c))
         moved = r_new < r - 1e-15
         best_u[ids[moved]], best_r[ids[moved]] = z[moved, n_x:], r_new[moved]
-        go_on = moved & ~stable[ids]
-        ids, z, y, r = ids[go_on], z[go_on], y[go_on], r_new[go_on]
+        ids, z, y, r = ids[moved], z[moved], y[moved], r_new[moved]
     return best_u, best_r
 
 
@@ -293,7 +306,7 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     # Per node, in arrays grown geometrically: its coordinates as columns,
     # for the nearest-node scans, and its reachable box within X as rows,
     # with a mask of the boxes that are not empty and one of the stable
-    # nodes, which the witness search steers in one round.
+    # nodes, which the witness search steers on their affine maps.
     cols = np.empty((X.dim, 256))
     reach_lo, reach_hi = np.empty((256, X.dim)), np.empty((256, X.dim))
     reach_ok = np.empty(256, dtype=bool)

@@ -114,7 +114,8 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
     # tracer wraps the names that planner binds.  Hand the search an opaque
     # net that only the wrapped planner.forward_batch and
     # planner.affine_piece can evaluate: any other way to the network would
-    # fail, and only forward_batch calls count as passes.
+    # fail, and only forward_batch calls count as passes.  A stable node's
+    # search reads its affine map alone; any other makes passes.
     from milp_safeguard import planner
     from milp_safeguard.nn_model import build_identity_sum_network
     from milp_safeguard.sets import Hypercube
@@ -122,7 +123,6 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
     U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
     net, opaque = build_identity_sum_network(X, U), object()
     x_from, x_to = np.array([2.0, 3.0]), np.array([2.13, 2.91])
-    expected = planner._witness_search(net, x_from, x_to, U, [True])
     calls = []
 
     def through(name):
@@ -133,11 +133,18 @@ def test_witness_search_reaches_the_net_only_through_forward_batch(
             calls.append(name)
             return inner(net, Z, *args)
         monkeypatch.setattr(planner, name, traced)
+    expected = {stable: planner._witness_search(net, x_from, x_to, U,
+                                                [stable])
+                for stable in (True, False)}
     through("forward_batch")
     through("affine_piece")
-    u, r = planner._witness_search(opaque, x_from, x_to, U, [True])
-    assert np.array_equal(u, expected[0]) and r == expected[1]
-    assert calls.count("forward_batch") > 1 and "affine_piece" in calls
+    for stable in (True, False):
+        calls.clear()
+        u, r = planner._witness_search(opaque, x_from, x_to, U, [stable])
+        assert (np.array_equal(u, expected[stable][0])
+                and r == expected[stable][1])
+        assert "affine_piece" in calls
+        assert (calls.count("forward_batch") == 0) == stable
 
 
 def test_rrt_build_reaches_interval_bounds_only_through_reachable_box(

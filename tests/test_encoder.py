@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milp_safeguard import encoder, milp
@@ -73,11 +73,17 @@ def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
        share=st.tuples(*[st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0, 1.7])
                          | st.floats(0.0, 2.0)] * 2),
        at=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2))
+@example(width=(1.0, 1.0), share=(0.0, 1e-09), at=(0.0, 0.0))
+@example(width=(0.5, 0.5), share=(1e-08, 0.0), at=(0.0, 0.5))
 def test_fixed_control_gets_the_clipped_interval(width, share, at):
     # eps_u from 0 past width/2 to beyond the width of U: with u_cmd fixed,
     # the MILP's actuated interval is U's clip of [u - eps_u, u + eps_u].
     # A clip binary that the LP leaves near 0 or 1 but off it is fixed
-    # there and its node re-solved, so the ends are the clip's.
+    # there and its node re-solved, so the ends are the clip's.  The pinned
+    # examples once read as infeasible: in the first a row's only pivot
+    # element is the clip's big-M eps_u = 1e-9, the simplex's tolerance; in
+    # the second, pivots on a big-M of 5e-9 leave a child's basic values
+    # 5e-9 off those its tableau gives.
     w, eps_u = np.array(width), np.array(share) * np.array(width)
     Uw = Hypercube(-w / 2, w / 2)
     u = Uw.lo + np.array(at) * w

@@ -61,6 +61,25 @@ def test_lp_infeasible():
     assert solve(b.build()).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("rhs,cost,status", [
+    (1.5e-9, 0.0, OPTIMAL), (1.5e-9, 1.0, NUMERICAL_FAILURE),
+    (3e-9, 0.0, INFEASIBLE)], ids=["moved", "costed", "out-of-reach"])
+def test_row_whose_pivot_element_is_at_the_tolerance(rhs, cost, status):
+    # x's coefficient is the simplex's tolerance, 1e-9, so no pivot clears
+    # it.  The row needs 1.5e-9 and holds within 1e-9 at x = 1, where x
+    # moves; with a cost on x that move would break the duals, a numerical
+    # failure, not a proof of infeasibility.  No x in [0, 1] comes within
+    # 1e-9 of 3e-9.
+    b = ModelBuilder()
+    x = b.add_continuous(0, 1, "x")
+    b.add_constraint({x: 1e-9}, GE, rhs)
+    b.set_objective({x: cost})
+    r = solve(b.build())
+    assert r.status == status
+    if status == OPTIMAL:
+        assert r.values[x] == 1.0
+
+
 def test_lp_free_variable_equality():
     # The free column enters the equality row's basis at dual ratio 0.
     b = ModelBuilder()

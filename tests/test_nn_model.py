@@ -82,17 +82,20 @@ def test_relu_bounds_cases():
 def test_affine_piece_is_the_jacobian_on_the_activation_region():
     # On the vehicle net, a step of 1e-6 along the control columns keeps
     # the activation pattern of a random point, so the net moves by the
-    # piece's Jacobian times the step.  Rows do not depend on their batch.
+    # piece's Jacobian times the step; the piece's output at the point is
+    # the net's.  Rows do not depend on their batch.
     net = load_network(VEHICLE_NET)
     rng = np.random.default_rng(5)
     Z = np.hstack([rng.uniform([0.0, -1.5, -0.35], [8.0, 1.5, 0.35],
                                size=(20, 3)),
                    rng.uniform([2.0, -0.4], [3.8, 0.4], size=(20, 2))])
     cols = np.array([3, 4])
-    J = affine_piece(net, Z, cols)
-    assert J.shape == (20, 3, 2)
-    for z, j in zip(Z, J):
-        assert np.array_equal(affine_piece(net, z[None], cols)[0], j)
+    J, out = affine_piece(net, Z, cols)
+    assert J.shape == (20, 3, 2) and out.shape == (20, 3)
+    for z, j, y in zip(Z, J, out):
+        j_one, y_one = affine_piece(net, z[None], cols)
+        assert np.array_equal(j_one[0], j) and np.array_equal(y_one[0], y)
+        assert np.allclose(y, forward(net, z), rtol=0, atol=1e-12)
         for d in np.eye(2) * 1e-6:
             step = forward(net, z + np.concatenate([[0.0] * 3, d]))
             assert np.allclose(step - forward(net, z), j @ d,
@@ -101,9 +104,10 @@ def test_affine_piece_is_the_jacobian_on_the_activation_region():
 
 def test_affine_piece_of_an_affine_net_is_its_weights():
     net = ReluNetwork((LayerParams(np.arange(6.0).reshape(2, 3), [1.0, 2.0]),))
-    J = affine_piece(net, np.zeros((4, 3)), [0, 2])
+    J, out = affine_piece(net, np.zeros((4, 3)), [0, 2])
     assert J.shape == (4, 2, 2)
     assert np.array_equal(J[3], [[0.0, 2.0], [3.0, 5.0]])
+    assert np.array_equal(out, np.tile([1.0, 2.0], (4, 1)))
 
 
 def test_linear_bounds_sign_switch():

@@ -268,8 +268,9 @@ def test_witness_search_keeps_a_grid_control_on_target(monkeypatch):
 
 def test_witness_search_steers_a_stable_node_in_one_round(monkeypatch):
     # From a stable node of the learned net, targets on the images of
-    # random controls: the corners and one round of vertices, two passes
-    # in all, find a control that reaches each target.
+    # random controls: the vertices of the node's one affine map, ranked
+    # on that map with no forward pass, hold a control that reaches each
+    # target.
     rng = np.random.default_rng(8)
     X_from = VEHICLE_X.sample(rng, 40)
     stable = _stability(VEHICLE_NET, X_from, VEHICLE_U)
@@ -280,7 +281,7 @@ def test_witness_search_steers_a_stable_node_in_one_round(monkeypatch):
     passes = _counted_passes(monkeypatch)
     us, rs = _witness_search(VEHICLE_NET, X_from, X_to, VEHICLE_U,
                              np.ones(8, dtype=bool))
-    assert len(passes) == 2
+    assert len(passes) == 0
     assert np.all(rs <= 1e-12)
 
 
@@ -290,8 +291,9 @@ def test_witness_search_steers_a_stable_node_in_one_round(monkeypatch):
 def test_witness_search_steers_the_identity_net_in_one_round(
         monkeypatch, x_to):
     # The identity-sum net is one affine piece, x + u: its nodes are
-    # stable, and the one round's best vertex is clip(x_to - x_from, U).
-    # The values are dyadic, so the net computes them exactly.
+    # stable, and the best vertex of that map, found with no forward pass,
+    # is clip(x_to - x_from, U).  The values are dyadic, so the net
+    # computes them exactly.
     x_from, x_to = np.array([2.0, 3.0]), np.array(x_to)
     passes = _counted_passes(monkeypatch)
     us, rs = _witness_search(NET, x_from[None], x_to[None], U,
@@ -299,7 +301,7 @@ def test_witness_search_steers_the_identity_net_in_one_round(
     u = np.clip(x_to - x_from, U.lo, U.hi)
     assert np.array_equal(us[0], u)
     assert rs[0] == np.sum(np.abs(x_from + u - x_to))
-    assert len(passes) == 2
+    assert len(passes) == 0
 
 
 def _affine_net(rng, n_x, m):
@@ -343,10 +345,11 @@ def test_witness_search_other_control_dimensions(m, points):
 @settings(max_examples=30, deadline=None)
 def test_witness_search_is_no_worse_than_the_grid_and_rounds(seed, case):
     # The grid-and-rounds path, which every row takes when no flag is set,
-    # is right for any node.  A stable row's one round is no worse than it,
-    # and an unstable row's result is its result.  The affine net's X
-    # reaches past the box on which it is one piece, so its nodes are of
-    # both kinds, as are the vehicle net's.
+    # is right for any node.  A stable row's closed form is no worse than
+    # it, and ranks by the residual that the net gives at its control; an
+    # unstable row's result is its result.  The affine net's X reaches past
+    # the box on which it is one piece, so its nodes are of both kinds, as
+    # are the vehicle net's.
     rng = np.random.default_rng(seed)
     if case == "affine":
         net = _affine_net(rng, 3, 2)
@@ -359,11 +362,14 @@ def test_witness_search_is_no_worse_than_the_grid_and_rounds(seed, case):
     X_from = np.array([p[0] for p in pairs])
     X_to = np.array([p[1] for p in pairs])
     stable = _stability(net, X_from, Us)
-    _, rs = _witness_search(net, X_from, X_to, Us, stable)
+    us, rs = _witness_search(net, X_from, X_to, Us, stable)
     _, rs_grid = _witness_search(net, X_from, X_to, Us,
                                  np.zeros(len(pairs), dtype=bool))
     assert np.all(rs <= rs_grid + 1e-12)
     assert np.array_equal(rs[~stable], rs_grid[~stable])
+    images = forward(net, np.hstack([X_from, us]))
+    assert np.all(np.abs(rs - np.abs(images - X_to).sum(axis=1))[stable]
+                  <= 1e-12)
 
 
 def test_rrt_build_matches_sequential_search(monkeypatch):
@@ -506,11 +512,13 @@ def test_plan_does_not_depend_on_the_blas_thread_count():
         assert plans[0] and plans[0] == plans[1], scenario
 
 
-# Prints the robot maze's seed-0 plan: its witness-search windows, the
-# forward passes they make, its node count and the SHA-256 of its edges.
+# Prints, for each given RRT seed, a scenario's plan: its witness-search
+# windows, the forward passes they make, its node count and the SHA-256 of
+# its edges, one plan a line.
 _PLAN_COUNTS = """
 import hashlib
 import sys
+from dataclasses import replace
 from milp_safeguard import planner, runtime
 from milp_safeguard.cli import load_scenario
 inner_search, inner_pass, inner_build = (
@@ -528,32 +536,68 @@ def build(*args, **kwargs):
 planner._witness_search, planner.forward_batch = search, forward_pass
 runtime.rrt_build = build
 scenario, _ = load_scenario(sys.argv[1])
-runtime.plan_waypoints(scenario)
-edges = repr([(i, j) for i, j, _ in trees[0].edges]).encode()
-print(len(windows), len(passes), len(trees[0].nodes),
-      hashlib.sha256(edges).hexdigest())
+for seed in sys.argv[2:]:
+    for log in (windows, passes, trees):
+        log.clear()
+    runtime.plan_waypoints(replace(scenario, seed=int(seed)))
+    edges = repr([(i, j) for i, j, _ in trees[0].edges]).encode()
+    print(len(windows), len(passes), len(trees[0].nodes),
+          hashlib.sha256(edges).hexdigest())
 """
 
 
-def test_robot_plan_stays_within_its_forward_pass_budget():
-    # Every node of the seed-0 plan is stable, so each window of searches
-    # makes two forward passes: the corners and one round of vertices.  The
-    # tree is the one the grid-and-rounds search planned: 193 windows, 790
-    # nodes and the same edges.  A search that runs more rounds, or a
-    # witness that moves an edge, shows here first.  At one BLAS thread, as
-    # the benchmark runs.
+def _plan_counts(scenario, seeds):
+    """_PLAN_COUNTS's lines for the scenario at the given path under the
+    repository root, split into fields, at one BLAS thread, as the
+    benchmark runs."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(
-        [sys.executable, "-c", _PLAN_COUNTS,
-         os.path.join(root, "scenarios", "robot_maze.yaml")],
+        [sys.executable, "-c", _PLAN_COUNTS, os.path.join(root, *scenario)]
+        + [str(s) for s in seeds],
         env=env, capture_output=True, text=True, check=True, timeout=300)
-    windows, passes, nodes, edges = done.stdout.split()
-    assert int(passes) <= 2.0 * int(windows)
+    return [line.split() for line in done.stdout.splitlines()]
+
+
+def test_robot_plan_stays_within_its_forward_pass_budget():
+    # Every node of the seed-0 plan is stable, so each window of searches
+    # is steered on its nodes' affine maps, with no forward pass.  The tree
+    # is the one the grid-and-rounds search planned: 193 windows, 790 nodes
+    # and the same edges.  A search that falls back to the grid and rounds,
+    # or a witness that moves an edge, shows here first.
+    [(windows, passes, nodes, edges)] = _plan_counts(
+        ("scenarios", "robot_maze.yaml"), [0])
+    assert int(passes) == 0
     assert (int(windows), int(nodes)) == (193, 790)
     assert edges == ("329de9fafa04fdbe64ffc9bd9c3d6004"
                      "7836485bdec5e401c69af4feb815fc03")
+
+
+# The node count and edge-list SHA-256 of each corridor bench seed's tree,
+# as the grid-and-rounds search planned them.
+_CORRIDOR_TREES = {
+    2: (99, "2ef592dd783c4d8f433ec73e223c73e91972fd0876cee04d261a2e0180d16e59"),
+    4: (108, "7fdddd3b3fa9777d0afd19da97dc2cf18ff43b4a950daece37951293d2d2f7e5"),
+    5: (494, "6689653ca5a8722b70160b5c88b813e436475e164abfce491653a9b3f8a4dc89"),
+    6: (103, "7bf134ed84dba12ea32dac9a295bdb1175ee11cdd4cf2aa7b6bf8b89067f269a"),
+    7: (327, "df9447c04d0604b7596c866f45694b757257141d3f7172f1fbd9077605f0d5be"),
+    9: (532, "e7a582caeb4b9d4392dd705845e3414a560e20b6f10d07c56bc8384baf165553"),
+    10: (694, "3ea317f73b0b332751cc4bb85a80d35f5f0004cc254ffc49e984616dd45b7807"),
+    14: (61, "cddb9f1d64af20520395e3097b74b4347447f9044edaf18b93e1e8e6645a0e0d"),
+}
+
+
+def test_corridor_bench_trees_keep_their_edges():
+    # The learned net's stable nodes are steered on their affine maps, which
+    # may move a node in its last bits; the benchmark's corridor seeds must
+    # keep their trees' nodes and edges, or every corridor planner metric
+    # (and the episode that tracks a plan) changes.
+    seeds = sorted(_CORRIDOR_TREES)
+    counts = _plan_counts(("bench", "scenarios", "vehicle_corridor.yaml"),
+                          seeds)
+    assert {seed: (int(nodes), edges) for seed, (_, _, nodes, edges)
+            in zip(seeds, counts)} == _CORRIDOR_TREES
 
 
 # Prints the bytes of every step of the corridor episode that tracks the
