@@ -332,7 +332,7 @@ def _structure(p: TrackingProblem, parts, key, cases, kept) -> _Structure:
     cols = np.hstack([np.empty((7, 0), int)] + case_cols)
     return _Structure(parts, key, model, h, np.concatenate(lb_at),
                       np.concatenate(ub_at), np.arange(m, model.rhs.size),
-                      off, np.flatnonzero(np.concatenate(cases) == 2),
+                      off, np.flatnonzero(np.concatenate([[]] + cases) == 2),
                       np.broadcast_arrays(rows + np.arange(8)[:, None, None],
                                           cols))
 

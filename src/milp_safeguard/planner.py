@@ -12,22 +12,21 @@ set; the net is then one affine map of the control there, read once, and
 the vertices are ranked on that map in closed form, with no forward pass.
 From any other node the search starts at the best point of a coarse grid
 and runs rounds, one batched forward pass evaluating each round's vertices,
-until one does not move it.  The RRT draws its
-samples ahead and guesses each iteration's nearest node against the tree
-as it stands; the searches of _WINDOW guessed iterations then run in
-lockstep, and the iterations commit in order, an iteration whose nearest
-node has changed since its guess being redone.  The work is done a window
-at a time, in array passes: the draws, the nearest-node guesses, the
-searches, and the new nodes' tests and reachable boxes.  No search, node or
-box depends on the rows beside it, so the tree equals that of one iteration
-and one search at a time, bit for bit.  Every node but the root has exactly
-one parent, so path extraction walks the goal-connecting node's parent
-chain back to the root.
+until one does not move it.  The RRT draws its samples ahead into pending
+rows, each of which keeps its nearest node exact against the whole tree:
+every added node updates all later rows in one array pass, and a row whose
+nearest node moves is clipped again and its search undone.  The searches of
+_WINDOW pending rows run in lockstep, and the rows commit in order, so no
+guess is ever redone.  The work is done in array passes: the draws, the
+nearest nodes, the searches, and the new nodes' tests and reachable boxes.
+No search, node or box depends on the rows beside it, so the tree equals
+that of one iteration and one search at a time, bit for bit.  Every node
+but the root has exactly one parent, so path extraction walks the
+goal-connecting node's parent chain back to the root.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -39,8 +38,10 @@ from milp_safeguard.nn_model import ReluNetwork, affine_piece, forward, \
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 
-# Guessed RRT iterations whose witness searches run in one lockstep search.
+# Pending RRT iterations whose witness searches run in one lockstep search,
+# and the iterations drawn at a time to top the pending ones up.
 _WINDOW = 8
+_CHUNK = 2 * _WINDOW
 
 
 class PlanFailure(RuntimeError):
@@ -236,24 +237,6 @@ class _Draws:
         return np.array(xs)
 
 
-@dataclass
-class _Guess:
-    """One RRT iteration as guessed against the tree of its first `seen`
-    nodes: its sample, the nearest of those nodes and its distance, and the
-    candidate to search for (None when the iteration adds nothing).  Once
-    searched: the candidate's witness u, and the node it gives with that
-    node's reachable box within X and goal test, or None for a node that
-    leaves X or meets an obstacle."""
-
-    x_rand: np.ndarray
-    seen: int = 0
-    near: int = 0
-    dist: float = 0.0
-    candidate: np.ndarray | None = None
-    u: np.ndarray | None = None
-    node: tuple | None = None
-
-
 def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
               unsafe: UnsafeRegion, x0, xg, seed: int = 0,
               max_iters: int = 10000, goal_bias: float = 0.1,
@@ -269,17 +252,18 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
     land within that bound anyway.
 
     Each iteration draws one number and, unless it picks the goal, one
-    sample, so the samples are drawn ahead of the tree, a chunk at a time.
-    Each chunk is guessed against the tree as it stands, in one array pass:
-    its nearest nodes, the candidates in those nodes' reachable boxes and
-    the clearance test.  Once the uncommitted guesses hold _WINDOW
-    searches, those not yet run go to one lockstep search; their nodes are
-    the model images of the witnesses, tested against X and the obstacles
-    and given their reachable boxes as one stack.  The iterations then
-    commit in order.  Ties of the nearest-node search go to the older node,
-    so a guess holds unless a node added since is strictly nearer;
-    otherwise it is redone, and a redone search waits for the next lockstep
-    search.  The tree equals that of one iteration at a time.
+    sample, so the samples are drawn ahead of the tree, _CHUNK at a time,
+    into the pending rows.  Each row keeps its nearest node exact against
+    the whole tree: a new row takes it in one array pass, and each added
+    node updates every later row at once, a tie staying with the older
+    node.  A row whose nearest node moves is clipped into that node's
+    reachable box and given the clearance test again, and its search is
+    undone.  Once the rows hold _WINDOW candidates not yet searched, those
+    go to one lockstep search; their nodes are the model images of the
+    witnesses, tested against X and the obstacles and given their reachable
+    boxes as one stack.  The rows then commit in order, up to the first
+    candidate not yet searched.  No guess is redone, and the tree equals
+    that of one iteration at a time.
     """
     x0 = np.asarray(x0, dtype=float)
     xg = np.asarray(xg, dtype=float)
@@ -316,8 +300,8 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
         """The l1 distances from each row of xs to each node from start on,
         the coordinates summed in order, as np.sum sums a row of fewer
         than 8."""
-        return np.abs(cols[:, start:len(tree.nodes)] - xs[:, :, None]).sum(
-            axis=1)
+        d = cols[:, start:len(tree.nodes)] - xs[:, :, None]
+        return np.abs(d, out=d).sum(axis=1)
 
     def nodes(xs):
         """The nodes of the stack xs: per row its state, reachable box
@@ -349,45 +333,52 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
             tree.goal, tree.goal_parent = xg, idx
         return goal
 
-    def guess(xs, start=0) -> list:
-        """Guesses for the samples xs against the nodes from start on: each
-        one's nearest node (ties to the older) and its distance, and its
-        candidate, the sample clipped into that node's reachable box, when
-        the box is not empty and the candidate keeps its clearance."""
-        dists = distances(xs, start)
-        near = start + dists.argmin(axis=1)
-        cand = np.minimum(np.maximum(xs, reach_lo[near]), reach_hi[near])
-        ok = reach_ok[near]
-        if clearance > 0:
-            ok &= inflated.separated(cand, cand).all(axis=1)
-        return [_Guess(x, len(tree.nodes), j, d, c if o else None)
-                for x, j, d, c, o in zip(xs, near.tolist(),
-                                         dists.min(axis=1).tolist(), cand,
-                                         ok.tolist())]
-
     # The trivial plan first: the goal directly reachable from the start.
     if add_node(next(nodes(x0[None]))):
         return tree
-    # pending: the guessed iterations not yet committed, in order; searches:
-    # how many of them have a candidate, searched or not.
-    pending, drawn, searches = deque(), 0, 0
+    # The pending iterations from row head on: each one's sample xs,
+    # nearest node and distance, candidate (the sample clipped into that
+    # node's reachable box), whether it has one (a box not empty, the
+    # clearance kept) and whether it is searched; then its witness and node
+    # in found, None for a node that leaves X or meets an obstacle.
+    xs, cand = np.empty((0, X.dim)), np.empty((0, X.dim))
+    near, dist = np.empty(0, dtype=int), np.empty(0)
+    has, searched = np.empty(0, dtype=bool), np.empty(0, dtype=bool)
+    found, head, drawn = [], 0, 0
+
+    def clip(rows):
+        """Clip and test the rows' samples anew on their nearest nodes."""
+        j = near[rows]
+        c = np.minimum(np.maximum(xs[rows], reach_lo[j]), reach_hi[j])
+        ok = reach_ok[j]
+        if clearance > 0:
+            ok &= inflated.separated(c, c).all(axis=1)
+        cand[rows], has[rows], searched[rows] = c, ok, False
+
     while True:
-        while drawn < max_iters and searches < _WINDOW:
-            c = min(_WINDOW - searches, max_iters - drawn)
+        while (drawn < max_iters and np.count_nonzero(
+                has[head:] & ~searched[head:]) < _WINDOW):
+            c = min(_CHUNK, max_iters - drawn)
             drawn += c
-            for g in guess(draws.take(c)):
-                searches += g.candidate is not None
-                pending.append(g)
-        if not pending:
+            new = draws.take(c)
+            d = distances(new)
+            xs, near, dist, cand, has, searched = (
+                np.concatenate([a[head:], b]) for a, b in zip(
+                    (xs, near, dist, cand, has, searched),
+                    (new, d.argmin(axis=1), d.min(axis=1), new,
+                     np.empty(c, dtype=bool), np.empty(c, dtype=bool))))
+            found, head = found[head:] + [None] * c, 0
+            clip(np.arange(len(xs) - c, len(xs)))
+        if head == len(xs):
             raise PlanFailure(
                 f"no goal connection after {max_iters} iterations")
-        batch = [g for g in pending if g.candidate is not None and g.u is None]
-        if batch:
-            near = [g.near for g in batch]
-            X_from = np.array([tree.nodes[j] for j in near])
-            us, _ = _witness_search(
-                net, X_from, np.array([g.candidate for g in batch]), U,
-                reach_stable[near])
+        batch = head + np.flatnonzero(
+            has[head:] & ~searched[head:])[:_WINDOW]
+        if len(batch):
+            j = near[batch]
+            X_from = np.array([tree.nodes[i] for i in j.tolist()])
+            us, _ = _witness_search(net, X_from, cand[batch], U,
+                                    reach_stable[j])
             # Snap each node onto the model image so that every edge is an
             # exact one-step transition; clipping alone would leave
             # residual slack that downstream tracking cannot realize.
@@ -397,23 +388,23 @@ def rrt_build(net: ReluNetwork, X: Hypercube, U: Hypercube,
             if clearance > 0:
                 keep &= inflated.separated(new, new).all(axis=1)
             kept = nodes(new[keep]) if keep.any() else iter(())
-            for g, u, k in zip(batch, us, keep.tolist()):
-                g.u, g.node = u, (next(kept) if k else None)
-        while pending:
-            g = pending[0]
-            if (g.seen < len(tree.nodes)
-                    and distances(g.x_rand[None], g.seen).min() < g.dist):
-                searches -= g.candidate is not None
-                g = pending[0] = guess(g.x_rand[None], g.seen)[0]
-                if g.candidate is not None:
-                    searches += 1
-                    break
-            pending.popleft()
-            if g.candidate is None:
+            for i, u, k in zip(batch.tolist(), us, keep.tolist()):
+                found[i] = (u, next(kept)) if k else None
+            searched[batch] = True
+        # Commit in order, up to the first candidate not yet searched; a new
+        # node takes the later rows strictly nearer to it.
+        while head < len(xs) and (searched[head] or not has[head]):
+            i, head = head, head + 1
+            if not has[i] or found[i] is None:
                 continue
-            searches -= 1
-            if g.node is not None and add_node(g.node, g.near, g.u):
+            u, node = found[i]
+            if add_node(node, int(near[i]), u):
                 return tree
+            d = distances(xs[head:], len(tree.nodes) - 1)[:, 0]
+            moved = head + np.flatnonzero(d < dist[head:])
+            if len(moved):
+                near[moved], dist[moved] = len(tree.nodes) - 1, d[moved - head]
+                clip(moved)
 
 
 def shortest_path(tree: PlanTree) -> list:

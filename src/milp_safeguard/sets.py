@@ -121,17 +121,6 @@ class UnsafeRegion:
         return not self.separated(x, x, tol).all()
 
 
-def intersect(a: Hypercube, b: Hypercube) -> Hypercube | None:
-    """Componentwise intersection; None when empty."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lo = np.maximum(a.lo, b.lo)
-    hi = np.minimum(a.hi, b.hi)
-    if np.any(lo > hi):
-        return None
-    return Hypercube(lo, hi)
-
-
 def inflate(h: Hypercube, eps) -> Hypercube:
     """Minkowski sum with the center-zero box of half-widths eps >= 0."""
     eps = _as_vector(eps, "eps")

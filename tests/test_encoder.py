@@ -29,7 +29,9 @@ from milp_safeguard.oracle import enumerate_binary_feasibility
 from milp_safeguard.plants import measure
 from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, \
-    intersect, measurement_box
+    measurement_box
+
+from helpers import intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -78,8 +80,8 @@ def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
 def test_fixed_control_gets_the_clipped_interval(width, share, at):
     # eps_u from 0 past width/2 to beyond the width of U: with u_cmd fixed,
     # the MILP's actuated interval is U's clip of [u - eps_u, u + eps_u].
-    # A clip binary that the LP leaves near 0 or 1 but off it is fixed
-    # there and its node re-solved, so the ends are the clip's.  The pinned
+    # A clip binary that the LP leaves near 0 or 1 but more than 1e-12
+    # off it is branched on, so the ends are the clip's.  The pinned
     # examples once read as infeasible: in the first a row's only pivot
     # element is the clip's big-M eps_u = 1e-9, the simplex's tolerance; in
     # the second, pivots on a big-M of 5e-9 leave a child's basic values
@@ -104,8 +106,8 @@ def test_fixed_control_near_the_lower_end_of_u_passes_the_audit():
     # less than 3e-6 times that width above U.lo, and eps_u a random share
     # of the width.  The LP leaves a clip binary 1e-10 to 1e-6 off 0 or 1
     # in most of them, which moves the clip ends by up to big-M times
-    # that; unless such a binary is fixed and its node re-solved, 53 of
-    # the probes fail the audit.
+    # that; unless such a binary is branched on, 53 of the probes fail
+    # the audit.
     rng = np.random.default_rng(0)
     for _ in range(320):
         w = rng.uniform(1.5, 2.0, 2)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from milp_safeguard.planner import (
     shortest_path,
 )
 from milp_safeguard.runtime import plan_waypoints
-from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, intersect
+from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate
+
+from helpers import intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -124,7 +127,7 @@ def _sequential_rrt(net, Xs, Us, unsafe, x0, xg, seed=0, max_iters=10000,
     goal_tol = (np.zeros(Xs.dim) if goal_tol is None
                 else np.asarray(goal_tol, dtype=float))
     rng = np.random.default_rng(seed)
-    tree = PlanTree()
+    tree = planner.PlanTree()
     tree.add_node(x0)
 
     def goal_connected(idx, x):
@@ -395,11 +398,11 @@ VEHICLE_TASK = dict(x0=[0.5, -0.3, 0.2], xg=[7.0, 0.45, 0.0],
 
 
 # The robot cases: a goal bias that draws the goal nine times in ten, so
-# that many guesses of the nearest node go stale, past a wall whose
-# clearance skips most samples; a start whose reach holds the goal; budgets
-# that run out, at the end of a chunk of draws and inside one; a tree of
-# 602 nodes, whose arrays grow past 256 and 512 nodes inside a window; and
-# a goal bias of 1, where every guess of a window has the same sample.  The
+# that many pending draws move to a new nearest node or tie with one, past
+# a wall whose clearance skips most samples; a start whose reach holds the
+# goal; budgets of 60 and 61 iterations that run out; a tree of 602 nodes,
+# whose arrays grow past 256 and 512 nodes inside a window; and a goal bias
+# of 1, where every pending draw has the same sample.  The
 # vehicle cases plan the benchmark corridor with two of its RRT seeds, and
 # with no clearance.
 @pytest.mark.parametrize("net,Xs,Us,unsafe,task", [
@@ -435,24 +438,64 @@ def test_rrt_build_matches_sequential_rrt(net, Xs, Us, unsafe, task):
         _assert_same_tree(tree, ref)
 
 
+def _grown_tree(build, *args, **kwargs):
+    """The tree that build grows, whether or not it connects the goal
+    before its iterations run out, and whether it does."""
+    trees = []
+
+    def recorded():
+        trees.append(PlanTree())
+        return trees[-1]
+    with mock.patch.object(planner, "PlanTree", recorded):
+        try:
+            build(*args, **kwargs)
+        except PlanFailure:
+            return trees[-1], False
+    return trees[-1], True
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       goal_bias=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       clearance=st.booleans(), max_iters=st.integers(1, 150),
+       case=st.sampled_from(["robot", "vehicle"]))
+@settings(max_examples=25, deadline=None)
+def test_rrt_build_matches_sequential_rrt_on_any_budget(
+        seed, goal_bias, clearance, max_iters, case):
+    # Goal-biased draws repeat the goal, so that a new node ties with an
+    # older one as a pending draw's nearest; budgets end inside a chunk of
+    # draws.  The trees must be equal whether or not the plan connects the
+    # goal, as far as it grew.
+    if case == "robot":
+        net, Xs, Us, unsafe = NET, X, U, WALL
+        task = dict(x0=[1.0, 1.0], xg=[3.0, 6.0], clearance=0.25 * clearance)
+    else:
+        net, Xs, Us, unsafe = VEHICLE_NET, VEHICLE_X, VEHICLE_U, VEHICLE_WALL
+        task = dict(VEHICLE_TASK, clearance=0.1 * clearance)
+    task.update(seed=seed, goal_bias=goal_bias, max_iters=max_iters)
+    tree, done = _grown_tree(rrt_build, net, Xs, Us, unsafe, **task)
+    ref, ref_done = _grown_tree(_sequential_rrt, net, Xs, Us, unsafe, **task)
+    assert done == ref_done
+    _assert_same_tree(tree, ref)
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        goal_bias=st.sampled_from([0.0, 0.2, 1.0]), dim=st.integers(2, 3),
-       chunks=st.lists(st.integers(1, planner._WINDOW), max_size=12))
+       chunks=st.lists(st.integers(1, planner._CHUNK), max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_window_draws_are_the_per_iteration_draws(seed, goal_bias, dim,
                                                   chunks):
     # rrt_build reads its draws a chunk of iterations at a time and scales
     # the doubles into X itself.  The samples must be, bit for bit, those of
     # one rng.random() and, unless it picks the goal, one X.sample(rng) per
-    # iteration, for every chunk size up to the window: otherwise every
-    # plan, the benchmark's seeds among them, would silently change.
+    # iteration, for every chunk size up to the top-up chunk: otherwise
+    # every plan, the benchmark's seeds among them, would silently change.
     box = np.random.default_rng([seed, dim])
     lo = box.uniform(-10.0, 5.0, dim)
     Xs = Hypercube(lo, lo + box.uniform(0.1, 10.0, dim))
     xg = Xs.center
     draws = planner._Draws(np.random.default_rng(seed), Xs, xg, goal_bias)
     got = np.concatenate([draws.take(c) for c in
-                          list(range(1, planner._WINDOW + 1)) + chunks])
+                          list(range(1, planner._CHUNK + 1)) + chunks])
     rng = np.random.default_rng(seed)
     ref = np.array([xg if rng.random() < goal_bias else Xs.sample(rng)
                     for _ in got])
@@ -563,13 +606,15 @@ def _plan_counts(scenario, seeds):
 def test_robot_plan_stays_within_its_forward_pass_budget():
     # Every node of the seed-0 plan is stable, so each window of searches
     # is steered on its nodes' affine maps, with no forward pass.  The tree
-    # is the one the grid-and-rounds search planned: 193 windows, 790 nodes
-    # and the same edges.  A search that falls back to the grid and rounds,
-    # or a witness that moves an edge, shows here first.
+    # is the one the grid-and-rounds search planned: 790 nodes and the same
+    # edges.  Pending draws keep their nearest nodes exact, so no search is
+    # redone for a stale guess, and the plan takes 154 windows.  A search
+    # that falls back to the grid and rounds, a witness that moves an edge,
+    # or searches undone more often, show here first.
     [(windows, passes, nodes, edges)] = _plan_counts(
         ("scenarios", "robot_maze.yaml"), [0])
     assert int(passes) == 0
-    assert (int(windows), int(nodes)) == (193, 790)
+    assert (int(windows), int(nodes)) == (154, 790)
     assert edges == ("329de9fafa04fdbe64ffc9bd9c3d6004"
                      "7836485bdec5e401c69af4feb815fc03")
 

@@ -10,7 +10,8 @@ import pytest
 from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.learner import identity_warm_start
-from milp_safeguard.nn_model import build_identity_sum_network, output_bounds
+from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
+    build_identity_sum_network, output_bounds
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.runtime import (
     AUDIT_FAILURE,
@@ -78,6 +79,21 @@ def test_free_space_episode_reaches_goal():
     for rec in log.steps:
         assert s.U.contains(rec.u_cmd, tol=1e-9)
         assert s.U.contains(rec.u_act, tol=1e-9)
+
+
+def test_episode_on_a_net_with_no_hidden_layer_logs_its_status():
+    # One affine layer, x + u, is a valid net: the encoder lays out its
+    # model with no hidden layer, and the planned episode past a wall runs
+    # to a logged status.
+    net = ReluNetwork((LayerParams(np.hstack([np.eye(2), np.eye(2)]),
+                                   np.zeros(2)),))
+    wall = UnsafeRegion((Hypercube(np.array([0.6, -1.0]),
+                                   np.array([0.9, 1.2])),))
+    s = scenario(net=net, unsafe=wall, max_steps=120,
+                 planner=PlannerParams(clearance=0.25))
+    log = run_episode(s)
+    assert log.status == GOAL_REACHED and len(log.steps) > 1
+    assert log.safety_violations(wall) == []
 
 
 def test_episode_replay_is_deterministic():

@@ -8,9 +8,10 @@ from milp_safeguard.sets import (
     Hypercube,
     UnsafeRegion,
     inflate,
-    intersect,
     measurement_box,
 )
+
+from helpers import intersect
 
 
 def box(lo, hi):
