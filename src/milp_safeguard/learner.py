@@ -11,14 +11,22 @@ each layer's block [W | b] a (fan_out, fan_in + 1) view into it, and the
 gradient in one flat buffer of the same layout.  Activations are held
 transposed, as preallocated (width + 1, batch) arrays whose last row is
 ones, so one product gives a layer's pre-activation with its bias and one
-product d @ actsᵀ gives [gW | gb].  The data, one row [z, 1, y] per
-sample, is permuted once per epoch into one array, and each batch is a
-slice of it, read transposed.
+product d @ actsᵀ gives [gW | gb].  Every product is np.dot into a
+C-contiguous out, which costs less per call than np.matmul at these sizes
+and gives the same bits (tests pin the trained parameters).  The inputs,
+one row [z, 1] per sample, and the targets are permuted once per epoch
+into one array each, and each batch is a row slice of both, read
+transposed: F-contiguous, so np.dot copies none of the data.
+
+A run makes one full-data forward pass, for final_mse.  After each epoch
+a bound on the net's outputs over the data, from the largest parameter
+magnitude alone, shows the MSE finite; only when it does not is the
+full-data MSE computed, which raises TrainingDiverged if non-finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +79,12 @@ class TrainConfig:
 
     def __post_init__(self):
         layer_widths(self.hidden_sizes)
-        if min(self.epochs, self.batch_size, self.decay_every) <= 0:
-            raise ValueError("hyperparameters must be positive")
+        for name, least in (("epochs", 1), ("batch_size", 1),
+                            ("decay_every", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if type(v) is not int or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {v!r}")
         if not self.learning_rate >= 0:
             raise ValueError(f"learning rate must be nonnegative, "
                              f"got {self.learning_rate}")
@@ -84,7 +96,6 @@ class TrainConfig:
 class TrainResult:
     net: ReluNetwork
     final_mse: float
-    epoch_losses: tuple = field(default_factory=tuple)
 
 
 def sample_dataset(step, X: Hypercube, U: Hypercube, n: int,
@@ -134,8 +145,6 @@ class _Kernel:
         for Wb, W, b in zip(self.blocks, Ws, bs):
             Wb[:, :-1] = W
             Wb[:, -1] = b
-        # W_lᵀ of every layer after the first, for the backward products.
-        self._WTs = [Wb[:, :-1].T for Wb in self.blocks[1:]]
         self._buffers = {}
 
     def params(self):
@@ -144,10 +153,12 @@ class _Kernel:
                 [Wb[:, -1].copy() for Wb in self.blocks])
 
     def _buffers_for(self, m):
-        """(acts, hs, masks, out) for a batch of m columns: acts[l] is the
+        """(acts, hs, out, back) for a batch of m columns: acts[l] is the
         (width + 1, m) input of layer l + 1 with its ones row, hs[l] its
         first width rows (which gradient overwrites with the layer's
-        delta), masks[l] where hs[l] > 0 and out the output."""
+        delta) and out the output.  back holds, for each layer from the
+        last to the second, its gradient block, its input transposed, that
+        input's hs entry, a mask for where it is > 0 and W_lᵀ."""
         if m not in self._buffers:
             acts = []
             for Wb in self.blocks[:-1]:
@@ -155,37 +166,50 @@ class _Kernel:
                 a[-1] = 1.0
                 acts.append(a)
             hs = [a[:-1] for a in acts]
+            masks = [np.empty(h.shape, dtype=bool) for h in hs]
+            back = list(zip(self.gblocks[:0:-1], [a.T for a in acts[::-1]],
+                            hs[::-1], masks[::-1],
+                            [Wb[:, :-1].T for Wb in self.blocks[:0:-1]]))
             self._buffers[m] = (acts, hs,
-                                [np.empty(h.shape, dtype=bool) for h in hs],
-                                np.empty((len(self.blocks[-1]), m)))
+                                np.empty((len(self.blocks[-1]), m)), back)
         return self._buffers[m]
+
+    def output_bound(self, r):
+        """A bound on every |output| of the net on inputs whose entries are
+        at most r >= 1 in magnitude, up to the rounding of the products: a
+        block's row, cols entries of at most w = max|theta| on an input
+        bounded by b and a ones row, sums to at most cols * w * max(b, 1).
+        NaN or inf if a parameter is."""
+        w = float(np.max(np.abs(self.theta)))
+        for Wb in self.blocks:
+            r = Wb.shape[1] * w * max(r, 1.0)
+        return r
 
     def forward(self, A):
         """The net's output on the columns of A = [Zᵀ; 1], transposed."""
-        acts, hs, _, out = self._buffers_for(A.shape[1])
+        acts, hs, out, _ = self._buffers_for(A.shape[1])
         for Wb, act, h in zip(self.blocks, acts, hs):
-            np.matmul(Wb, A, out=h)
+            np.dot(Wb, A, out=h)
             np.maximum(h, 0.0, out=h)
             A = act
-        np.matmul(self.blocks[-1], A, out=out)
+        np.dot(self.blocks[-1], A, out=out)
         return out
 
     def gradient(self, A, Yt):
         """MSE gradient on the columns of A = [Zᵀ; 1] and Yt = Yᵀ into grad;
         the ReLU subgradient at 0 is taken as 0."""
         m = A.shape[1]
-        acts, hs, masks, d = self._buffers_for(m)
+        d, back = self._buffers_for(m)[2:]
         self.forward(A)
         np.subtract(d, Yt, out=d)
         np.divide(d, m / 2, out=d)      # rounds as 2 (pred - Y) / m does
-        for l in range(len(self.blocks) - 1, 0, -1):
-            np.matmul(d, acts[l - 1].T, out=self.gblocks[l])
-            h, mask = hs[l - 1], masks[l - 1]
+        for g, actT, h, mask, WT in back:
+            np.dot(d, actT, out=g)
             np.greater(h, 0.0, out=mask)
-            np.matmul(self._WTs[l - 1], d, out=h)
+            np.dot(WT, d, out=h)
             np.multiply(h, mask, out=h)
             d = h
-        np.matmul(d, A.T, out=self.gblocks[0])
+        np.dot(d, A.T, out=self.gblocks[0])
 
 
 def _mse(pred, target) -> float:
@@ -255,43 +279,56 @@ def params_from_net(net: ReluNetwork):
 
 def train(cfg: TrainConfig, data: Dataset,
           init: ReluNetwork | None = None) -> TrainResult:
-    """Minibatch SGD on MSE; deterministic given the config seed."""
+    """Minibatch SGD on MSE; deterministic given the config seed.
+
+    Raises TrainingDiverged at the first epoch whose full-data MSE is not
+    finite.  That MSE is computed only after an epoch whose output bound
+    (_Kernel.output_bound) does not show it finite; final_mse is the one
+    full-data pass made at the end of a run.
+    """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    n, k = len(data), data.inputs.shape[1] + 1
+    # The inputs with a ones column, and the targets, one row per sample.
+    Z1 = np.hstack([data.x, data.u, np.ones((len(data), 1))])
+    Y = np.asarray(data.x_next, dtype=float)
+    (n, k), b = Z1.shape, cfg.batch_size
     if init is not None:
         Ws, bs = params_from_net(init)
     else:
-        Ws, bs = init_params(k - 1, cfg.hidden_sizes, data.x_next.shape[1],
-                             cfg.seed)
+        Ws, bs = init_params(k - 1, cfg.hidden_sizes, Y.shape[1], cfg.seed)
     kernel = _Kernel(Ws, bs)
-    # One row [z, 1, y] per sample.  Each epoch refills the permuted copy
-    # in place, so every batch is a fixed view of it.
-    D = np.hstack([data.inputs, np.ones((n, 1)), data.x_next])
-    shuffled = np.empty_like(D)
-    batches = [(rows[:, :k].T, rows[:, k:].T) for rows in
-               (shuffled[s:s + cfg.batch_size]
-                for s in range(0, n, cfg.batch_size))]
+    # Each epoch refills the permuted copies in place, so every batch is a
+    # fixed view of them, read transposed: F-contiguous, which np.dot
+    # takes without a copy.
+    Zs, Ys = np.empty_like(Z1), np.empty_like(Y)
+    batches = [(Zs[s:s + b].T, Ys[s:s + b].T) for s in range(0, n, b)]
+    A, Yt = Z1.T, Y.T
+    # r = max(1, max|z_i|), as A holds the ones row, and y = max|y_i|.
+    r = float(max(A.max(), -A.min()))
+    y = float(max(Yt.max(), -Yt.min()))
     rng = np.random.default_rng(cfg.seed + 1)
-    losses = []
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * cfg.lr_decay ** (epoch // cfg.decay_every)
         # A permutation's indices are all in range, so "clip" changes none;
-        # it lets take write into shuffled without a buffer.
-        np.take(D, rng.permutation(n), axis=0, out=shuffled, mode="clip")
-        for A, Yt in batches:
-            kernel.gradient(A, Yt)
+        # it lets take write into Zs and Ys without a buffer.
+        order = rng.permutation(n)
+        np.take(Z1, order, axis=0, out=Zs, mode="clip")
+        np.take(Y, order, axis=0, out=Ys, mode="clip")
+        for Ab, Yb in batches:
+            kernel.gradient(Ab, Yb)
             kernel.grad *= lr
             kernel.theta -= kernel.grad
-        loss = _mse(kernel.forward(D[:, :k].T), D[:, k:].T)
-        if not np.isfinite(loss):
+        # No residual exceeds e in magnitude, so the sum of the n * n_out
+        # squares in the MSE is finite; a NaN or inf parameter fails this.
+        e = kernel.output_bound(r) + y
+        if not n * len(Yt) * e * e < 1e300 \
+                and not np.isfinite(_mse(kernel.forward(A), Yt)):
             raise TrainingDiverged(
                 f"non-finite MSE at epoch {epoch} (lr={lr:g}); "
                 f"reduce the learning rate"
             )
-        losses.append(loss)
     return TrainResult(net=net_from_params(*kernel.params()),
-                       final_mse=losses[-1], epoch_losses=tuple(losses))
+                       final_mse=_mse(kernel.forward(A), Yt))
 
 
 def quantify_error(net: ReluNetwork, data: Dataset) -> np.ndarray:

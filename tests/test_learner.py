@@ -1,6 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from milp_safeguard import learner
 from milp_safeguard.learner import (
     Dataset,
     TrainConfig,
@@ -87,7 +96,7 @@ def test_train_reduces_loss_and_is_deterministic():
                       hidden_sizes=(8, 4))
     r1 = train(cfg, data)
     r2 = train(cfg, data)
-    assert r1.epoch_losses[-1] < r1.epoch_losses[0]
+    assert r1.final_mse < train(replace(cfg, epochs=1), data).final_mse
     assert r1.final_mse == r2.final_mse
     for a, b in zip(r1.net.layers, r2.net.layers):
         assert np.array_equal(a.weights, b.weights)
@@ -99,6 +108,15 @@ def test_train_reduces_loss_and_is_deterministic():
     ids=str)
 def test_train_config_rejects_bad_rates(field, value):
     with pytest.raises(ValueError, match=field.replace("_", ".")):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("epochs", 0), ("batch_size", True), ("batch_size", 0),
+    ("decay_every", 1.5), ("seed", -1), ("seed", 1.5), ("seed", False)],
+    ids=str)
+def test_train_config_rejects_bad_counts(field, value):
+    with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
 
 
@@ -204,20 +222,55 @@ TRAIN_CASES = pytest.mark.parametrize("plant, X, U, warm", [
     ids=["robot", "robot-warm", "vehicle", "vehicle-warm"])
 
 
+CASE_CONFIG = TrainConfig(epochs=25, learning_rate=4e-3, batch_size=64,
+                          seed=2, hidden_sizes=(8, 4), lr_decay=0.5,
+                          decay_every=10)
+
+
+def _case(plant, X, U, warm):
+    """(data, init) of a TRAIN_CASES case."""
+    return (sample_dataset(plant.step, X, U, 1000, seed=4),
+            identity_warm_start(X, U, (8, 4), seed=1) if warm else None)
+
+
 @TRAIN_CASES
 def test_train_matches_the_reference_loop(plant, X, U, warm):
-    data = sample_dataset(plant.step, X, U, 1000, seed=4)
-    cfg = TrainConfig(epochs=25, learning_rate=4e-3, batch_size=64, seed=2,
-                      hidden_sizes=(8, 4), lr_decay=0.5, decay_every=10)
-    init = identity_warm_start(X, U, (8, 4), seed=1) if warm else None
-    result = train(cfg, data, init=init)
-    Ws, bs, losses = _reference_train(cfg, data, init=init)
+    data, init = _case(plant, X, U, warm)
+    result = train(CASE_CONFIG, data, init=init)
+    Ws, bs, losses = _reference_train(CASE_CONFIG, data, init=init)
     for layer, W, b in zip(result.net.layers, Ws, bs):
         for got, want in ((layer.weights, W), (layer.bias, b)):
             assert np.allclose(got, want, rtol=1e-10,
                                atol=1e-10 * np.max(np.abs(want)))
-    assert np.allclose(result.epoch_losses, losses, rtol=1e-10, atol=0)
-    assert result.final_mse == result.epoch_losses[-1]
+    assert np.isclose(result.final_mse, losses[-1], rtol=1e-10, atol=0)
+
+
+def _theta_bytes(net):
+    """A net's parameters as train's kernel lays them out: each layer's
+    [W | b] block, row-major, one after the other."""
+    return b"".join(np.hstack([l.weights, l.bias[:, None]]).tobytes()
+                    for l in net.layers)
+
+
+# SHA-256 of each case's trained parameters, bit for bit.
+THETA_SHA256 = {
+    "robot": "a5cc7cc01e2763327bf752e9a378b872"
+             "2f5048550a990d2c71dfffaf036f29e3",
+    "robot-warm": "be900970b997bc3d2e5147a1d08e4a6a"
+                  "2c78d545cd062b2adcfd3f1d6182b594",
+    "vehicle": "baf03143f16aafd7661e7ade048f6585"
+               "a1e04397a724ee1a118358aeb0602408",
+    "vehicle-warm": "48c0798d5ecb43137cf82dc7376914d6"
+                    "8d9d77c609237b34085bae79aa22765e",
+}
+
+
+@TRAIN_CASES
+def test_trained_parameters_are_pinned(request, plant, X, U, warm):
+    data, init = _case(plant, X, U, warm)
+    net = train(CASE_CONFIG, data, init=init).net
+    assert (hashlib.sha256(_theta_bytes(net)).hexdigest()
+            == THETA_SHA256[request.node.callspec.id])
 
 
 @TRAIN_CASES
@@ -249,3 +302,88 @@ def test_one_full_batch_epoch_steps_by_the_checked_gradient():
                            rtol=1e-15, atol=0)
         assert np.allclose(layer.bias, b - cfg.learning_rate * gb,
                            rtol=1e-15, atol=0)
+
+
+# Trains the bench vehicle net for 20 epochs (bench/scenarios/
+# vehicle_train.yaml's data, warm start and schedule) and prints its
+# parameters in hex and its final MSE, one a line.
+_TRAIN_BYTES = """
+import numpy as np
+from milp_safeguard.learner import (TrainConfig, identity_warm_start,
+                                    sample_dataset, train)
+from milp_safeguard.plants import VehiclePlant
+from milp_safeguard.sets import Hypercube
+X = Hypercube([0.0, -1.5, -0.35], [8.0, 1.5, 0.35])
+U = Hypercube([2.0, -0.45], [3.8, 0.45])
+data = sample_dataset(VehiclePlant(wheelbase=5.0, dt=0.1).step, X, U, 30000)
+cfg = TrainConfig(epochs=20, learning_rate=0.002, batch_size=128,
+                  lr_decay=0.75, decay_every=24)
+result = train(cfg, data, init=identity_warm_start(X, U, (8, 4)))
+print(b"".join(np.hstack([l.weights, l.bias[:, None]]).tobytes()
+               for l in result.net.layers).hex())
+print(repr(result.final_mse))
+"""
+
+
+def test_training_does_not_depend_on_the_blas_thread_count():
+    # The parameters agree bit for bit; the final full-data pass's products
+    # may split differently over threads, so its MSE may differ in its
+    # last bits.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", _TRAIN_BYTES], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        runs.append(done.stdout.split())
+    (theta1, mse1), (theta2, mse2) = runs
+    assert theta1 == theta2
+    assert np.isclose(float(mse1), float(mse2), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       weight_exps=st.lists(st.floats(-3.0, 100.0), min_size=1, max_size=4),
+       dims=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+       data_exp=st.floats(-3.0, 3.0), tight=st.booleans())
+@example(seed=0, weight_exps=[0.5], dims=(3, 2), data_exp=0.0, tight=True)
+@example(seed=0, weight_exps=[-3.0, -3.0], dims=(1, 1), data_exp=0.0,
+         tight=True)
+@example(seed=0, weight_exps=[0.0, 2.0], dims=(2, 1), data_exp=0.0,
+         tight=True)
+def test_output_bound_holds_wherever_the_outputs_are_finite(
+        seed, weight_exps, dims, data_exp, tight):
+    # Layer l's weights and biases are 10**weight_exps[l] times draws from
+    # [-1, 1], or that scale itself if tight, where the first layer's sums
+    # meet the bound when r is 1.  The examples meet it, need max(b, 1) and
+    # need the largest weight of all layers.
+    rng = np.random.default_rng(seed)
+    (n_in, n_out), r = dims, 10.0 ** data_exp
+    sizes = [n_in, *rng.integers(1, 7, len(weight_exps) - 1), n_out]
+    draw = (np.ones if tight else lambda shape: rng.uniform(-1, 1, shape))
+    Ws, bs = [], []
+    for e, fan_in, fan_out in zip(weight_exps, sizes, sizes[1:]):
+        Ws.append(10.0 ** e * draw((fan_out, fan_in)))
+        bs.append(10.0 ** e * draw(fan_out))
+    Z = r * draw((7, n_in))
+    kernel = learner._Kernel(Ws, bs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel.forward(np.vstack([Z.T, np.ones(7)]))
+    bound = kernel.output_bound(max(1.0, float(np.max(np.abs(Z)))))
+    if np.all(np.isfinite(out)):
+        assert np.max(np.abs(out)) <= bound * (1 + 1e-12)
+
+
+def test_train_makes_one_full_data_pass(monkeypatch):
+    data = sample_dataset(ROBOT.step, X2, U2, 500, seed=0)
+    cfg = TrainConfig(epochs=30, learning_rate=5e-3, batch_size=32, seed=0)
+    inner, full = learner._Kernel.forward, []
+
+    def counted(kernel, A):
+        full.append(A.shape[1] == len(data))
+        return inner(kernel, A)
+    monkeypatch.setattr(learner._Kernel, "forward", counted)
+    train(cfg, data)
+    assert sum(full) == 1 and len(full) == 1 + 30 * 16
