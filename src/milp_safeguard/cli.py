@@ -392,14 +392,15 @@ def cmd_verify(args) -> int:
     # The first step of an episode: the first measurement and waypoint.
     y = measure(scenario.x0, scenario.eps_y,
                 np.random.default_rng(scenario.seed))
-    p = scenario.tracking_problem(y, plan_waypoints(scenario)[0])
-    decision = solve_tracking(p, scenario.solver)
+    p, x_ref = scenario.problem, plan_waypoints(scenario)[0]
+    step = p.step(y, x_ref)
+    decision = solve_tracking(p, y, x_ref, scenario.solver)
     results = []
 
     # 1. Fixing the commanded control, the MILP's network output box must
     #    coincide with direct interval propagation.
-    fixed = solve_tracking(p, scenario.solver, fix_u=decision.u_cmd)
-    z_lo, z_hi = input_boxes(p, decision.u_cmd)
+    fixed = solve_tracking(p, y, x_ref, scenario.solver, fix_u=decision.u_cmd)
+    z_lo, z_hi = input_boxes(p, step, decision.u_cmd)
     ref_lo, ref_hi = output_bounds(p.net, z_lo, z_hi)
     err = max(float(np.max(np.abs(fixed.nn_out_box.lo - ref_lo))),
               float(np.max(np.abs(fixed.nn_out_box.hi - ref_hi))))
@@ -414,7 +415,7 @@ def cmd_verify(args) -> int:
 
     # 3. The MILP optimum must match a brute-force control grid.
     try:
-        g = grid_control_search(p, 0.005)
+        g = grid_control_search(p, step, 0.005)
         gap = g["best_cost"] - decision.cost
         ok = -1e-6 <= gap <= 0.02
         detail = f"grid-milp gap {gap:.2e}"
@@ -440,7 +441,7 @@ def cmd_solve_once(args) -> int:
         x_ref = scenario.x_ref
     else:
         x_ref = scenario.xg
-    d = solve_tracking(scenario.tracking_problem(y, x_ref), scenario.solver)
+    d = solve_tracking(scenario.problem, y, x_ref, scenario.solver)
     print("u:", " ".join(f"{v:.9g}" for v in d.u_cmd))
     print("input box:", d.input_box.lo, d.input_box.hi)
     print("nn output box:", d.nn_out_box.lo, d.nn_out_box.hi)

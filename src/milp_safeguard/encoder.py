@@ -1,19 +1,22 @@
 """Transcribe one robust tracking step into a MILP and solve it.
 
-Four constraint families are emitted, as array blocks: input feasibility
-(measurement box and the control clip's big-M min/max rows, each branch
-with its tight big-M), the ReLU-network structure (each layer's interval
-image as [I, -W+, -W-] rows, and three activation-case binaries for each
-neuron whose sign the interval bounds leave undetermined), safety (the
-output layer's image widened by eps_x is the safe box, X bounds its
-variables, and each obstacle within the step's reach hull gets
-separating-coordinate disjunctions, a face out of reach fixed), and the l1
-tracking objective via slack variables.  The model's structure (matrix,
-relations, names, variable ids) depends only on the activation cases, the
-kept obstacles and whether u_cmd is fixed: it is handed from one control
-step to the next, and a step with the same key only fills in its bounds,
-right-hand sides and undetermined neurons' coefficients.  The
-post-solve audit checks the safe box against every obstacle, kept or not.
+A TrackingProblem holds what an episode fixes, checked once; its step
+method derives a step's data from its measurement and reference, once, for
+the model, the audit and the oracles.  Four constraint families are emitted, as array
+blocks: input feasibility (measurement box and the control clip's big-M
+min/max rows, each branch with its tight big-M), the ReLU-network
+structure (each layer's interval image as [I, -W+, -W-] rows, and three
+activation-case binaries for each neuron whose sign the interval bounds
+leave undetermined), safety (the output layer's image widened by eps_x is
+the safe box, X bounds its variables, and each obstacle within the step's
+reach hull gets separating-coordinate disjunctions, a face out of reach
+fixed), and the l1 tracking objective via slack variables.  The model's
+structure (matrix, relations, names, variable ids) depends only on the
+problem, the activation cases, the kept obstacles and whether u_cmd is
+fixed: it is handed from one control step to the next, and a step with the
+same key only fills in its bounds, right-hand sides and undetermined
+neurons' coefficients.  The post-solve audit, one pass over the decision's
+(lo, hi) arrays, checks the safe box against every obstacle, kept or not.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from milp_safeguard.milp import EQ, GE, INF, LE, MilpModel, SolverConfig
 from milp_safeguard.nn_model import ReluNetwork, output_bounds, \
     preactivation_bounds
 from milp_safeguard.oracle import input_boxes
-from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, \
-    measurement_box
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 _TOL = 1e-6
 
@@ -62,9 +64,19 @@ def _vec(v, n, name):
     return arr
 
 
+class Step(NamedTuple):
+    """A control step's reference, measurement box (the states in X
+    consistent with y) and the net's bounds over it x U, per layer."""
+    x_ref: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    bounds: list
+
+
 @dataclass(frozen=True)
 class TrackingProblem:
-    """One robust tracking step: model, sets, uncertainty bounds, inputs."""
+    """What an episode of tracking steps fixes: the model, the sets and the
+    uncertainty bounds, each checked once, here; step adds a step's data."""
 
     net: ReluNetwork
     X: Hypercube
@@ -73,39 +85,23 @@ class TrackingProblem:
     eps_x: np.ndarray
     eps_y: np.ndarray
     eps_u: np.ndarray
-    y_k: np.ndarray
-    x_ref: np.ndarray
-    # The states in X consistent with y_k.
-    x_box: Hypercube = field(init=False)
-    layer_bounds: list = field(init=False)
 
     def __post_init__(self):
         n_x, n_u = self.X.dim, self.U.dim
-        if self.net.input_dim != n_x + n_u or self.net.output_dim != n_x:
-            raise ValueError("network dimensions do not match state/control sets")
+        if (self.net.input_dim, self.net.output_dim) != (n_x + n_u, n_x):
+            raise ValueError(
+                f"the network maps {self.net.input_dim} inputs to "
+                f"{self.net.output_dim} outputs, but X and U need "
+                f"{n_x + n_u} to {n_x}")
         if len(self.unsafe) and self.unsafe.lo.shape[1] != n_x:
             raise ValueError(f"the obstacles are {self.unsafe.lo.shape[1]}-D, "
                              f"but X is {n_x}-D")
-        for name in ("eps_x", "eps_y", "eps_u", "y_k", "x_ref"):
-            n = n_u if name == "eps_u" else n_x
-            object.__setattr__(self, name, _vec(getattr(self, name), n, name))
-        for name in ("eps_x", "eps_y", "eps_u"):
-            if np.any(getattr(self, name) < 0):
+        for name, n in (("eps_x", n_x), ("eps_y", n_x), ("eps_u", n_u)):
+            v = _vec(getattr(self, name), n, name).copy()
+            if np.any(v < 0):
                 raise ValueError(f"{name} must be nonnegative")
-        if not self.X.contains(self.x_ref, tol=1e-12):
-            raise ValueError("x_ref outside the state feasible set")
-        if self.unsafe.contains_interior(self.x_ref):
-            raise ValueError("x_ref inside an obstacle")
-        x_box = measurement_box(self.y_k, self.eps_y, self.X)
-        if x_box is None:
-            raise InfeasibleMeasurement(f"measurement {self.y_k} inconsistent "
-                                        f"with X under eps_y={self.eps_y}")
-        object.__setattr__(self, "x_box", x_box)
-        # Any box containing every feasible state yields valid neuron
-        # bounds; the measurement box is far tighter than X and lets the
-        # encoder pin most activation cases without branching.
-        object.__setattr__(self, "layer_bounds",
-                           preactivation_bounds(self.net, x_box, self.U))
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def n_x(self) -> int:
@@ -114,6 +110,31 @@ class TrackingProblem:
     @property
     def n_u(self) -> int:
         return self.U.dim
+
+    def point(self, v, name="x_ref", tol=1e-12) -> np.ndarray:
+        """v as an array, checked to lie in X (within tol) and outside every
+        obstacle's interior; its errors call it name."""
+        v = _vec(v, self.n_x, name)
+        if not self.X.contains(v, tol=tol):
+            raise ValueError(f"{name} outside the state feasible set")
+        if self.unsafe.contains_interior(v):
+            raise ValueError(f"{name} inside an obstacle")
+        return v
+
+    def step(self, y, x_ref) -> Step:
+        """The data of the step that measures y and tracks x_ref."""
+        y = _vec(y, self.n_x, "y")
+        x_ref = self.point(x_ref)
+        x_lo = np.maximum(self.X.lo, y - self.eps_y)
+        x_hi = np.minimum(self.X.hi, y + self.eps_y)
+        if np.any(x_lo > x_hi):
+            raise InfeasibleMeasurement(f"measurement {y} inconsistent "
+                                        f"with X under eps_y={self.eps_y}")
+        # Any box containing every feasible state yields valid neuron
+        # bounds; the measurement box is far tighter than X and lets the
+        # encoder pin most activation cases without branching.
+        return Step(x_ref, x_lo, x_hi,
+                    preactivation_bounds(self.net, x_lo, x_hi, self.U))
 
 
 @dataclass(frozen=True)
@@ -170,9 +191,9 @@ class _Structure(NamedTuple):
     """A tracking model but for a step's data, which goes where model holds
     0: the lower bounds of the columns lb_at, the upper bounds of ub_at,
     the right-hand sides of the rows rhs_at and the undetermined neurons'
-    rows at cases_at.  It serves the steps with its key, for the net, X, U
-    and obstacles it was built for (parts, each immutable)."""
-    parts: tuple
+    rows at cases_at.  It serves the steps with its key of the problem it
+    was built for."""
+    problem: TrackingProblem
     key: tuple
     model: MilpModel
     h: dict
@@ -184,7 +205,7 @@ class _Structure(NamedTuple):
     cases_at: tuple
 
 
-def _structure(p: TrackingProblem, parts, key, cases, kept) -> _Structure:
+def _structure(p: TrackingProblem, key, cases, kept) -> _Structure:
     """Lay out the tracking model of a step whose hidden neurons have the
     activation cases `cases` (per layer: 0 provably active, 1 provably
     inactive, 2 undetermined) and which keeps the obstacles `kept`.
@@ -330,15 +351,16 @@ def _structure(p: TrackingProblem, parts, key, cases, kept) -> _Structure:
         arr.setflags(write=False)
     rows = np.concatenate([np.empty(0, int)] + case_starts)
     cols = np.hstack([np.empty((7, 0), int)] + case_cols)
-    return _Structure(parts, key, model, h, np.concatenate(lb_at),
+    return _Structure(p, key, model, h, np.concatenate(lb_at),
                       np.concatenate(ub_at), np.arange(m, model.rhs.size),
                       off, np.flatnonzero(np.concatenate([[]] + cases) == 2),
                       np.broadcast_arrays(rows + np.arange(8)[:, None, None],
                                           cols))
 
 
-def build_tracking_model(p: TrackingProblem, fix_u=None, structure=None):
-    """The tracking MILP of one step, and h, the variable ids of its parts.
+def build_tracking_model(p: TrackingProblem, step: Step, fix_u=None,
+                         structure=None):
+    """The tracking MILP of a step (p.step), and h, its parts' variable ids.
 
     The safe box is the output layer's image widened by eps_x, within X.
     Only an obstacle that no coordinate separates from the step's reach
@@ -349,12 +371,12 @@ def build_tracking_model(p: TrackingProblem, fix_u=None, structure=None):
     with no face left, raises SolverInfeasible.  fix_u pins u_cmd.
 
     structure is an earlier step's h["structure"].  If it has this step's
-    key and was built for the same net and sets, it gets this step's
-    bounds, right-hand sides and undetermined neurons' coefficients;
-    otherwise the model is laid out afresh.
+    key and was built for the same problem, it gets this step's bounds,
+    right-hand sides and undetermined neurons' coefficients; otherwise the
+    model is laid out afresh.
     """
-    X, e_x, hidden = p.X, p.eps_x, p.layer_bounds[:-1]
-    zlo, zhi = p.layer_bounds[-1]
+    X, e_x, hidden = p.X, p.eps_x, step.bounds[:-1]
+    zlo, zhi = step.bounds[-1]
     # The reach hull, and the ranges of the safe box's ends x_lo and x_hi.
     hull = (zlo - e_x, zhi + e_x)
     lo_end = (np.maximum(hull[0], X.lo), np.minimum(zhi - e_x, X.hi))
@@ -373,24 +395,21 @@ def build_tracking_model(p: TrackingProblem, fix_u=None, structure=None):
         faces = (np.where(dead, 0.0, 1.0).ravel(),)
     cases = [(zl < 0.0) * (1 + (zh > 0.0)) for zl, zh in hidden]
     key = (b"".join(c.tobytes() for c in cases), kept.tobytes(),
-           fix_u is None, e_x.tobytes(), p.eps_u.tobytes())
-    parts = (p.net, X, p.U, p.unsafe)
+           fix_u is None)
     s = structure
-    if s is None or s.key != key or any(
-            a is not b for a, b in zip(s.parts, parts)):
-        s = _structure(p, parts, key, cases, kept)
+    if s is None or s.key != key or s.problem is not p:
+        s = _structure(p, key, cases, kept)
 
     lb, ub, rhs, A = s.model.lb.copy(), s.model.ub.copy(), \
         s.model.rhs.copy(), s.model.A
-    box = p.x_box
-    lb[s.lb_at] = np.concatenate((box.lo, box.hi, *(
+    lb[s.lb_at] = np.concatenate((step.x_lo, step.x_hi, *(
         z for zl, _ in hidden for z in (zl, zl)), lo_end[0], hi_end[0]))
     post = [np.maximum(zh[off], 0.0) for (_, zh), off in zip(hidden, s.off)]
-    ub[s.ub_at] = np.concatenate((box.lo, box.hi, *(
+    ub[s.ub_at] = np.concatenate((step.x_lo, step.x_hi, *(
         z for (_, zh), q in zip(hidden, post) for z in (zh, zh, q, q)),
         lo_end[1], hi_end[1], *faces))
-    rhs[s.rhs_at] = np.repeat(p.x_ref, 2) if fix_u is None else \
-        np.concatenate((np.repeat(p.x_ref, 2), _vec(fix_u, p.n_u, "fix_u")))
+    rhs[s.rhs_at] = np.repeat(step.x_ref, 2) if fix_u is None else \
+        np.concatenate((np.repeat(step.x_ref, 2), _vec(fix_u, p.n_u, "fix_u")))
     if s.und.size:
         A = A.copy()
         A[s.cases_at] = _case_rows(
@@ -409,17 +428,19 @@ def _extract_box(values, lo_vars, hi_vars, pad=0.0) -> Hypercube:
     return Hypercube(np.minimum(lo, hi), hi)
 
 
-def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
-                   fix_u=None, warm=None) -> ControlDecision:
-    """Solve the robust tracking MILP and extract the control decision.
+def solve_tracking(p: TrackingProblem, y, x_ref,
+                   cfg: SolverConfig | None = None, fix_u=None,
+                   warm=None) -> ControlDecision:
+    """Solve the robust tracking MILP for y and x_ref; extract the decision.
 
     warm is the previous control step's decision: the model reuses its
     structure when that fits this step, and the MILP's root LP starts from
     its root basis (see milp.solve).
     """
-    cfg = cfg or SolverConfig()
+    step = p.step(y, x_ref)
     model, h = build_tracking_model(
-        p, fix_u=fix_u, structure=None if warm is None else warm.structure)
+        p, step, fix_u=fix_u,
+        structure=None if warm is None else warm.structure)
     sol = milp.solve(model, cfg,
                      warm=None if warm is None else warm.root_basis)
     if sol.status == milp.INFEASIBLE:
@@ -429,49 +450,45 @@ def solve_tracking(p: TrackingProblem, cfg: SolverConfig | None = None,
     if sol.status != milp.OPTIMAL:
         raise SolveIterationLimit(f"solver stopped with status {sol.status}")
     v = sol.values
-    u_cmd = v[h["u_cmd"]]
-    input_box = _extract_box(v, h["a0"], h["b0"])
-    nn_out_box = _extract_box(v, h["x_lo"], h["x_hi"], pad=p.eps_x)
-    safe_box = _extract_box(v, h["x_lo"], h["x_hi"])
     decision = ControlDecision(
-        u_cmd=u_cmd,
-        input_box=input_box,
-        nn_out_box=nn_out_box,
-        safe_box=safe_box,
+        u_cmd=v[h["u_cmd"]],
+        input_box=_extract_box(v, h["a0"], h["b0"]),
+        nn_out_box=_extract_box(v, h["x_lo"], h["x_hi"], pad=p.eps_x),
+        safe_box=_extract_box(v, h["x_lo"], h["x_hi"]),
         cost=float(sol.objective_value),
         root_basis=sol.root_basis,
         structure=h["structure"],
     )
-    _check_decision(p, decision)
+    _check_decision(p, step, decision)
     return decision
 
 
-def _off(box: Hypercube, lo, hi) -> bool:
-    """Whether an end of box is more than _TOL away from lo or hi."""
-    return max(np.max(np.abs(box.lo - lo)), np.max(np.abs(box.hi - hi))) > _TOL
+_AUDIT = ("NN box is not the interval image of the input box",
+          "input box state part escapes X", "commanded control escapes U",
+          "safe box is not the eps_x inflation of the interval image",
+          "safe box escapes X")
 
 
-def _check_decision(p: TrackingProblem, d: ControlDecision):
+def _check_decision(p: TrackingProblem, step: Step, d: ControlDecision):
     """Post-extraction audit of the ControlDecision invariants (AuditFailure).
 
     The NN box is re-derived by direct interval propagation of the
     commanded control's input box, apart from the MILP's rows, and the safe
-    box must be that image inflated by eps_x.
+    box must be that image inflated by eps_x.  One pass checks each end
+    against its range [a, b] within _TOL (an equality's is [t, t]) and
+    raises the first failed check of _AUDIT; then the obstacles.
     """
-    n_x = p.n_x
-    image = Hypercube(*output_bounds(p.net, *input_boxes(p, d.u_cmd)))
-    if _off(d.nn_out_box, image.lo, image.hi):
-        raise AuditFailure("NN box is not the interval image of the input box")
-    state_part = Hypercube(d.input_box.lo[:n_x], d.input_box.hi[:n_x])
-    if not p.X.contains_box(state_part, tol=_TOL):
-        raise AuditFailure("input box state part escapes X")
-    if not p.U.contains(d.u_cmd, tol=_TOL):
-        raise AuditFailure("commanded control escapes U")
-    inflated = inflate(image, p.eps_x)
-    if _off(d.safe_box, inflated.lo, inflated.hi):
-        raise AuditFailure(
-            "safe box is not the eps_x inflation of the interval image")
-    if not p.X.contains_box(d.safe_box, tol=_TOL):
-        raise AuditFailure("safe box escapes X")
-    if not p.unsafe.separated(d.safe_box.lo, d.safe_box.hi, 1e-9).all():
+    n_x, X, U, e = p.n_x, p.X, p.U, p.eps_x
+    lo, hi = output_bounds(p.net, *input_boxes(p, step, d.u_cmd))
+    z, nn, safe = d.input_box, d.nn_out_box, d.safe_box
+    v = np.concatenate((nn.lo, nn.hi, z.lo[:n_x], z.hi[:n_x], d.u_cmd,
+                        safe.lo, safe.hi, safe.lo, safe.hi))
+    a = np.concatenate((lo, hi, X.lo, X.lo, U.lo, lo - e, hi + e, X.lo, X.lo))
+    b = np.concatenate((lo, hi, X.hi, X.hi, U.hi, lo - e, hi + e, X.hi, X.hi))
+    off = np.maximum(a - v, v - b) > _TOL
+    if off.any():
+        check = np.repeat(np.arange(5), (2 * n_x, 2 * n_x, p.n_u, 2 * n_x,
+                                         2 * n_x))
+        raise AuditFailure(_AUDIT[check[off.argmax()]])
+    if not p.unsafe.separated(safe.lo, safe.hi, 1e-9).all():
         raise AuditFailure("safe box overlaps an obstacle")

@@ -182,20 +182,12 @@ def output_bounds(net: ReluNetwork, lo: np.ndarray, hi: np.ndarray):
     return interval_bounds(net, lo, hi)[-1]
 
 
-def preactivation_bounds(net: ReluNetwork, X: Hypercube, U: Hypercube) -> list:
-    """Neuron bounds over the input box X x U, as interval_bounds returns
-    them.
-
-    X is any box that contains the state.  The MILP encoder passes the
-    step's measurement box (the state set itself only when the measurement
-    box is empty), so the bounds are recomputed at every control step.
-    """
-    if X.dim + U.dim != net.input_dim:
-        raise ValueError(
-            f"X dim {X.dim} + U dim {U.dim} != network input dim {net.input_dim}"
-        )
-    box = X.concat(U)
-    return interval_bounds(net, box.lo, box.hi)
+def preactivation_bounds(net: ReluNetwork, x_lo, x_hi, U: Hypercube) -> list:
+    """Neuron bounds over the input box [x_lo, x_hi] x U, as interval_bounds
+    returns them; [x_lo, x_hi] is any box that contains the state (the
+    MILP encoder passes each control step's measurement box)."""
+    return interval_bounds(net, np.concatenate((x_lo, U.lo)),
+                           np.concatenate((x_hi, U.hi)))
 
 
 def save_network(net: ReluNetwork, path=None) -> bytes:

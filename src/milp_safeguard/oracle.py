@@ -31,26 +31,26 @@ def box_tracking_cost(lo: np.ndarray, hi: np.ndarray, x_ref: np.ndarray):
     return np.sum(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref)), axis=-1)
 
 
-def input_boxes(p, u):
-    """The network's input boxes for the controls u: the measurement box
-    beside [u - eps_u, u + eps_u] clipped to U.
+def input_boxes(p, step, u):
+    """The network's input boxes for the controls u at a step (p.step): the
+    measurement box beside [u - eps_u, u + eps_u] clipped to U.
 
     u is one control, shape (n_u,), or a stack of them by rows, shape
     (k, n_u); the (lo, hi) arrays returned have the same leading shape.
     """
     u = np.asarray(u, dtype=float)
     shape = u.shape[:-1] + (p.n_x,)
-    lo = np.concatenate([np.broadcast_to(p.x_box.lo, shape),
+    lo = np.concatenate([np.broadcast_to(step.x_lo, shape),
                          np.maximum(u - p.eps_u, p.U.lo)], axis=-1)
-    hi = np.concatenate([np.broadcast_to(p.x_box.hi, shape),
+    hi = np.concatenate([np.broadcast_to(step.x_hi, shape),
                          np.minimum(u + p.eps_u, p.U.hi)], axis=-1)
     return lo, hi
 
 
-def grid_control_search(p, step: float) -> dict:
-    """Minimize the box tracking cost over a grid of controls.
+def grid_control_search(p, step, spacing: float) -> dict:
+    """Minimize the box tracking cost over a grid of controls at a step.
 
-    The grid takes every step along each axis of U from its lower end,
+    The grid takes every spacing along each axis of U from its lower end,
     plus the upper end.  For each grid control the reachable box is the
     interval image of its input box, inflated by the prediction-error
     bound.  It must lie in X and be separated from every obstacle
@@ -60,24 +60,24 @@ def grid_control_search(p, step: float) -> dict:
     test.  Ties go to the lexicographically smallest control within 1e-12
     of the least cost.
     """
-    if not step > 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+    if not spacing > 0:
+        raise ValueError(f"grid step must be positive, got {spacing}")
     axes = []
     for lo, hi in zip(p.U.lo, p.U.hi):
-        pts = np.arange(lo, hi, step)
+        pts = np.arange(lo, hi, spacing)
         if pts.size == 0 or pts[-1] < hi - 1e-12:
             pts = np.append(pts, hi)
         axes.append(pts)
     u = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                  axis=1)
-    lo, hi = output_bounds(p.net, *input_boxes(p, u))
+    lo, hi = output_bounds(p.net, *input_boxes(p, step, u))
     lo, hi = lo - p.eps_x, hi + p.eps_x
     ok = (np.all(lo >= p.X.lo - 1e-9, axis=1)
           & np.all(hi <= p.X.hi + 1e-9, axis=1)
           & np.all(p.unsafe.separated(lo, hi, 1e-9), axis=1))
     if not ok.any():
         raise NoFeasibleGridPoint("no grid control satisfies the constraints")
-    cost = np.where(ok, box_tracking_cost(lo, hi, p.x_ref), np.inf)
+    cost = np.where(ok, box_tracking_cost(lo, hi, step.x_ref), np.inf)
     best = int(np.argmax(cost <= cost.min() + 1e-12))
     return {"best_u": u[best], "best_cost": float(cost[best])}
 

@@ -1,14 +1,17 @@
 """Closed-loop episode execution.
 
-Per step: measure, pick the first remaining waypoint as reference, solve
-the robust tracking MILP (starting from the previous step's decision,
-which carries the model's structure and the root LP's final tableau; each
-episode starts cold), actuate with disturbance, advance the plant, log.  Waypoints are dropped once the predicted safe box
-contains them; the episode ends when the box contains the goal, on
-infeasibility (halt, no fallback), on a numerical failure of the solver,
-a solve that hits its node or simplex-iteration budget or a decision that
-fails its audit (halt, each logged apart from infeasibility), when the
-state leaves the plant's admissible domain, or at the step limit.
+The scenario checks its tracking problem once, and run_episode every
+waypoint before the first step.  Per step: measure, pick the first
+remaining waypoint as reference, solve the robust tracking MILP (starting
+from the previous step's decision, which carries the model's structure
+and the root LP's final tableau; each episode starts cold), actuate with
+disturbance, advance the plant, log.  Waypoints are dropped once the
+predicted safe box contains them; the episode ends when the box contains
+the goal, on infeasibility (halt, no fallback), on a numerical failure of
+the solver, a solve that hits its node or simplex-iteration budget or a
+decision that fails its audit (halt, each logged apart from
+infeasibility), when the state leaves the plant's admissible domain, or at
+the step limit.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ class Scenario:
     solver: SolverConfig = field(default_factory=SolverConfig)
     max_steps: int = 500
     planner: PlannerParams = field(default_factory=PlannerParams)
+    # The episode's tracking problem, checked once, here.
+    problem: TrackingProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nx, nu = self.X.dim, self.U.dim
@@ -82,32 +87,18 @@ class Scenario:
                 f"{type(self.plant).__name__} has a {self.plant.state_dim}-D "
                 f"state and a {self.plant.control_dim}-D control, but X is "
                 f"{nx}-D and U {nu}-D")
-        if (self.net.input_dim, self.net.output_dim) != (nx + nu, nx):
-            raise ValueError(
-                f"the network maps {self.net.input_dim} inputs to "
-                f"{self.net.output_dim} outputs, but X and U need "
-                f"{nx + nu} to {nx}")
-        if len(self.unsafe) and self.unsafe.lo.shape[1] != nx:
-            raise ValueError(f"the obstacles are {self.unsafe.lo.shape[1]}-D, "
-                             f"but X is {nx}-D")
-        for name in ("eps_x", "eps_y", "eps_u", "x0", "xg", "x_ref"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name,
-                                   np.atleast_1d(np.asarray(v, dtype=float)))
+        p = TrackingProblem(net=self.net, X=self.X, U=self.U,
+                            unsafe=self.unsafe, eps_x=self.eps_x,
+                            eps_y=self.eps_y, eps_u=self.eps_u)
+        object.__setattr__(self, "problem", p)
+        for name in ("eps_x", "eps_y", "eps_u"):
+            object.__setattr__(self, name, getattr(p, name))
         if self.xg is None and self.x_ref is None:
             raise ValueError("scenario needs a goal or a fixed reference")
         for name in ("x0", "xg", "x_ref"):
             v = getattr(self, name)
-            if v is None:
-                continue
-            if not self.X.contains(v):
-                raise ValueError(f"{name} outside the state feasible set")
-            if self.unsafe.contains_interior(v):
-                raise ValueError(f"{name} inside an obstacle")
-        for name in ("eps_x", "eps_y", "eps_u"):
-            if np.any(getattr(self, name) < 0):
-                raise ValueError(f"{name} must be nonnegative")
+            if v is not None:
+                object.__setattr__(self, name, p.point(v, name, tol=0.0))
         if not self.plant.admissible(self.x0):
             raise ValueError("x0 outside the plant's admissible domain")
         m = self.planner.u_margin
@@ -118,13 +109,6 @@ class Scenario:
                 raise ValueError(
                     f"planner.u_margin must be {self.U.dim} non-negative "
                     f"numbers that leave U non-empty, got {m.tolist()}")
-
-    def tracking_problem(self, y, x_ref) -> TrackingProblem:
-        """The tracking MILP for measurement y and reference x_ref."""
-        return TrackingProblem(
-            net=self.net, X=self.X, U=self.U, unsafe=self.unsafe,
-            eps_x=self.eps_x, eps_y=self.eps_y, eps_u=self.eps_u,
-            y_k=y, x_ref=x_ref)
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ class TrajectoryLog:
 def plan_waypoints(s: Scenario) -> list:
     """Reference path for the scenario: RRT+Dijkstra, or the fixed x_ref."""
     if s.xg is None:
-        return [np.asarray(s.x_ref, dtype=float)]
+        return [s.x_ref]
     U_plan = s.U
     if s.planner.u_margin is not None:
         # Plan over a shrunken control set so the tracking controller keeps
@@ -231,10 +215,12 @@ def plan_waypoints(s: Scenario) -> list:
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     """Run one closed-loop episode; infeasibility, a numerical failure of
     the solver, a solver budget hit, a failed audit and an inadmissible
-    state halt it, and the halt is logged."""
+    state halt it, and the halt is logged.  Every waypoint is checked
+    (TrackingProblem.point) before the first step."""
+    p = s.problem
     if waypoints is None:
         waypoints = plan_waypoints(s)
-    waypoints = [np.asarray(w, dtype=float) for w in waypoints]
+    waypoints = [p.point(w) for w in waypoints]
     goal = waypoints[-1]
     rng = np.random.default_rng(s.seed)
     log = TrajectoryLog()
@@ -257,8 +243,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
         x_ref = waypoints[0]
         t0 = time.perf_counter()
         try:
-            decision = solve_tracking(s.tracking_problem(y, x_ref), s.solver,
-                                      warm=prev)
+            decision = solve_tracking(p, y, x_ref, s.solver, warm=prev)
         except (InfeasibleMeasurement, SolverInfeasible, *_HALT_STATUS) as exc:
             log.steps.append(StepRecord(
                 k=k, x=x, y=y, x_ref=x_ref, u_cmd=None, u_act=None,

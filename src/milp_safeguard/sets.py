@@ -2,12 +2,10 @@
 
 Hypercubes house every set in the toolkit: state/control feasible sets,
 the center-zero uncertainty sets (via their half-width vectors), box
-obstacles, and reachable-set over-approximations.  An empty intersection
-is a first-class value (``None``), not an error: downstream encoders must
-surface it as solver infeasibility.  An UnsafeRegion holds its K
-obstacles as (K, n) arrays, and one separation test answers for all of
-them at once: the reach presolve, the audit, the violation check and the
-grid oracle all ask it.
+obstacles, and reachable-set over-approximations.  An UnsafeRegion holds
+its K obstacles as (K, n) arrays, and one separation test answers for all
+of them at once: the reach presolve, the audit, the violation check and
+the grid oracle all ask it.
 """
 
 from __future__ import annotations
@@ -119,32 +117,3 @@ class UnsafeRegion:
         """True iff x lies in the open interior of some obstacle: no
         coordinate separates the point box [x, x] from it."""
         return not self.separated(x, x, tol).all()
-
-
-def inflate(h: Hypercube, eps) -> Hypercube:
-    """Minkowski sum with the center-zero box of half-widths eps >= 0."""
-    eps = _as_vector(eps, "eps")
-    if eps.shape[0] != h.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {eps.shape[0]}")
-    if np.any(eps < 0):
-        raise ValueError(f"negative inflation: {eps}")
-    return Hypercube(h.lo - eps, h.hi + eps)
-
-
-def measurement_box(y, eps_y, X: Hypercube) -> Hypercube | None:
-    """Clamp [y - eps_y, y + eps_y] to X.
-
-    None signals an inconsistent measurement: no state in X could have
-    produced y under the assumed noise bound.
-    """
-    y = _as_vector(y, "y")
-    eps_y = _as_vector(eps_y, "eps_y")
-    if y.shape[0] != X.dim or eps_y.shape[0] != X.dim:
-        raise ValueError("measurement/bound dimension mismatch")
-    if np.any(eps_y < 0):
-        raise ValueError(f"negative eps_y: {eps_y}")
-    lo = np.maximum(X.lo, y - eps_y)
-    hi = np.minimum(X.hi, y + eps_y)
-    if np.any(lo > hi):
-        return None
-    return Hypercube(lo, hi)

@@ -14,3 +14,13 @@ def intersect(a: Hypercube, b: Hypercube) -> Hypercube | None:
     if np.any(lo > hi):
         return None
     return Hypercube(lo, hi)
+
+
+def inflate(h: Hypercube, eps) -> Hypercube:
+    """Minkowski sum with the center-zero box of half-widths eps >= 0."""
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    if eps.shape != (h.dim,):
+        raise ValueError(f"dimension mismatch: {h.dim} vs {eps.shape}")
+    if np.any(eps < 0):
+        raise ValueError(f"negative inflation: {eps}")
+    return Hypercube(h.lo - eps, h.hi + eps)

@@ -127,9 +127,8 @@ def test_criterion_2_box_equality_oracle(capsys):
         y = rng.uniform(-2.0, 2.0, size=2)
         u_fix = rng.uniform(-0.9, 0.9, size=2)
         p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(()),
-                            eps_x=eps, eps_y=eps, eps_u=eps,
-                            y_k=y, x_ref=y)
-        d = solve_tracking(p, fix_u=u_fix)
+                            eps_x=eps, eps_y=eps, eps_u=eps)
+        d = solve_tracking(p, y, y, fix_u=u_fix)
         x_box = Hypercube(np.maximum(X.lo, y - eps),
                           np.minimum(X.hi, y + eps))
         u_box = Hypercube(np.maximum(U.lo, u_fix - eps),
@@ -170,11 +169,10 @@ def _random_robot_instance(rng, with_obstacle):
             else:
                 lo[other] = y[other] - rng.uniform(0.05, 0.2)
             boxes = (Hypercube(lo, hi),)
+        p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(boxes),
+                            eps_x=eps, eps_y=eps, eps_u=eps)
         try:
-            return TrackingProblem(net=net, X=X, U=U,
-                                   unsafe=UnsafeRegion(boxes),
-                                   eps_x=eps, eps_y=eps, eps_u=eps,
-                                   y_k=y, x_ref=x_ref)
+            return p, y, x_ref, p.step(y, x_ref)
         except ValueError:
             continue
 
@@ -188,10 +186,10 @@ def test_criterion_3_grid_vs_milp_optimality(capsys):
     for with_obstacle in (False, True):
         count = 0
         while count < 20:
-            p = _random_robot_instance(rng, with_obstacle)
+            p, y, x_ref, step = _random_robot_instance(rng, with_obstacle)
             try:
-                d = solve_tracking(p)
-                g = grid_control_search(p, 0.005)
+                d = solve_tracking(p, y, x_ref)
+                g = grid_control_search(p, step, 0.005)
             except (SolverInfeasible, NoFeasibleGridPoint):
                 continue
             worst_under = max(worst_under, d.cost - g["best_cost"])

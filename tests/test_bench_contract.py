@@ -16,13 +16,18 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH = os.path.join(ROOT, "bench")
 
 
-def test_every_traced_function_resolves(monkeypatch):
+def _workload(monkeypatch):
     # workload.py imports its sibling modules (checker, spans) by bare name.
     monkeypatch.syspath_prepend(BENCH)
     spec = importlib.util.spec_from_file_location(
         "bench_workload", os.path.join(BENCH, "workload.py"))
     workload = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workload)
+    return workload
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    workload = _workload(monkeypatch)
     assert workload.TRACED
     for module, func, _span, _note in workload.TRACED:
         mod = importlib.import_module("milp_safeguard." + module)
@@ -72,7 +77,7 @@ def test_simplex_calls_are_the_solve_lp_calls(monkeypatch):
     # keeps: the solve branches.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     model, h = build_tracking_model(
-        s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5])))
+        s.problem, s.problem.step([1.7, 1.0], [1.9, 1.5]))
     assert h["obstacles"] == [0]
     results = []
     inner = milp._simplex
@@ -99,12 +104,55 @@ def test_tracking_model_reports_undetermined_neurons():
                  net=build_identity_sum_network(X, U), X=X, U=U,
                  unsafe=UnsafeRegion(()), eps_x=eps, eps_y=eps, eps_u=eps,
                  x0=np.zeros(2), x_ref=np.ones(2))
-    model, h = build_tracking_model(s.tracking_problem(np.zeros(2), np.ones(2)))
+    model, h = build_tracking_model(s.problem,
+                                    s.problem.step(np.zeros(2), np.ones(2)))
     # One list of undetermined-neuron binaries per hidden layer; the
     # identity-sum net's neurons are all provably active.
     assert [list(d) for d in h["d_mm"]] == [[]] * (len(s.net.layers) - 1)
     assert all(c.rel in ("<=", ">=", "=") for c in model.constraints)
     assert int(model.is_binary.sum()) > 0
+
+
+def test_a_tracking_step_calls_each_traced_layer_once(monkeypatch):
+    # workload.py reads encoder.preactivation_bounds_ms_p50,
+    # build_model_ms_p50 and check_decision_ms_p50 from spans of
+    # nn_model.preactivation_bounds, encoder.build_tracking_model and
+    # encoder._check_decision.  A step must reach each of them once, from
+    # inside solve_tracking, through the bindings the tracer patches.
+    from milp_safeguard import encoder
+    from milp_safeguard.cli import load_scenario
+    tracer = _workload(monkeypatch).install_tracer()
+    try:
+        s, _ = load_scenario(os.path.join(ROOT, "scenarios",
+                                          "robot_maze.yaml"))
+        encoder.solve_tracking(s.problem, [1.7, 1.0], [1.9, 1.5])
+    finally:
+        tracer.uninstall()
+    spans = importlib.import_module("spans").Spans(tracer)
+    assert spans.count("encoder.solve_tracking") == 1
+    for span in ("encoder.preactivation_bounds", "encoder.build_model",
+                 "encoder.check_decision"):
+        assert spans.count(span) == 1, span
+        assert spans.count_under(span, "encoder.solve_tracking") == 1, span
+
+
+def test_a_robot_step_builds_only_the_decision_s_boxes(monkeypatch):
+    # The fixed parts are checked once, by the scenario; a step is arrays
+    # but for the decision's three boxes.
+    from milp_safeguard import sets
+    from milp_safeguard.cli import load_scenario
+    from milp_safeguard.runtime import plan_waypoints, run_episode
+    s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
+    waypoints = plan_waypoints(s)
+    inner, built = sets.Hypercube.__post_init__, []
+
+    def counted(self):
+        built.append(self)
+        inner(self)
+    monkeypatch.setattr(sets.Hypercube, "__post_init__", counted)
+    log = run_episode(s, waypoints)
+    assert len(log.steps) > 1
+    assert len(built) <= 3 * len(log.steps)
 
 
 def test_witness_search_reaches_the_net_only_through_forward_batch(

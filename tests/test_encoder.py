@@ -28,10 +28,9 @@ from milp_safeguard.nn_model import (
 from milp_safeguard.oracle import enumerate_binary_feasibility
 from milp_safeguard.plants import measure
 from milp_safeguard.runtime import plan_waypoints
-from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate, \
-    measurement_box
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import intersect
+from helpers import inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -40,12 +39,15 @@ NET = build_identity_sum_network(X, U)
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def problem(y, x_ref, unsafe=(), eps_x=EPS, eps_y=EPS, eps_u=EPS):
+def problem(unsafe=(), eps_x=EPS, eps_y=EPS, eps_u=EPS):
     return TrackingProblem(net=NET, X=X, U=U,
                            unsafe=UnsafeRegion(tuple(unsafe)),
-                           eps_x=eps_x, eps_y=eps_y, eps_u=eps_u,
-                           y_k=np.asarray(y, dtype=float),
-                           x_ref=np.asarray(x_ref, dtype=float))
+                           eps_x=eps_x, eps_y=eps_y, eps_u=eps_u)
+
+
+def model_of(p, y, x_ref, **kwargs):
+    """build_tracking_model of the step that measures y and tracks x_ref."""
+    return build_tracking_model(p, p.step(y, x_ref), **kwargs)
 
 
 @pytest.mark.parametrize("eps_u", [0.0, 0.05, 0.25, 0.4, 0.5, 0.7])
@@ -56,8 +58,7 @@ def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
     # branch ({end, binary}) takes max(width - eps_u, 0), the one relaxed
     # on the clipped branch ({end, u_cmd, binary}) takes eps_u.  A big-M
     # of 0 leaves the binary out of its row.
-    model, h = build_tracking_model(
-        problem([5, 5], [5, 5], eps_u=np.full(2, eps_u)))
+    model, h = model_of(problem(eps_u=np.full(2, eps_u)), [5, 5], [5, 5])
     A = model.A
     for j, u in enumerate(h["u_cmd"]):
         a0, b0 = h["a0"][2 + j], h["b0"][2 + j]
@@ -91,9 +92,8 @@ def test_fixed_control_gets_the_clipped_interval(width, share, at):
     u = Uw.lo + np.array(at) * w
     p = TrackingProblem(net=build_identity_sum_network(X, Uw), X=X, U=Uw,
                         unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
-                        eps_u=eps_u, y_k=np.array([5.0, 5.0]),
-                        x_ref=np.array([5.2, 4.9]))
-    model, h = build_tracking_model(p, fix_u=u)
+                        eps_u=eps_u)
+    model, h = model_of(p, [5.0, 5.0], [5.2, 4.9], fix_u=u)
     sol = milp.solve(model)
     assert sol.status == milp.OPTIMAL
     for ends, clip in ((h["a0"], np.maximum(Uw.lo, u - eps_u)),
@@ -114,54 +114,70 @@ def test_fixed_control_near_the_lower_end_of_u_passes_the_audit():
         Uw = Hypercube(-w / 2, w / 2)
         p = TrackingProblem(net=build_identity_sum_network(X, Uw), X=X,
                             U=Uw, unsafe=UnsafeRegion(()), eps_x=EPS,
-                            eps_y=EPS, eps_u=rng.uniform(0.05, 0.95, 2) * w,
-                            y_k=np.array([5.0, 5.0]),
-                            x_ref=np.array([5.2, 4.9]))
-        solve_tracking(p, fix_u=Uw.lo + rng.uniform(0.0, 3e-6, 2) * w)
+                            eps_y=EPS, eps_u=rng.uniform(0.05, 0.95, 2) * w)
+        solve_tracking(p, [5.0, 5.0], [5.2, 4.9],
+                       fix_u=Uw.lo + rng.uniform(0.0, 3e-6, 2) * w)
 
 
 def test_reference_validation():
     with pytest.raises(ValueError):
-        problem([5, 5], [20, 20])
+        problem().step([5, 5], [20, 20])
     block = Hypercube(np.array([4.0, 4.0]), np.array([6.0, 6.0]))
     with pytest.raises(ValueError):
-        problem([1, 1], [5, 5], unsafe=[block])
+        problem(unsafe=[block]).step([1, 1], [5, 5])
+
+
+def test_measurement_box_clamps_to_state_set():
+    X10 = Hypercube(np.zeros(2), np.full(2, 10.0))
+    p = TrackingProblem(net=build_identity_sum_network(X10, U), X=X10, U=U,
+                        unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
+                        eps_u=EPS)
+    step = p.step([0.02, 5.0], [5.0, 5.0])
+    assert np.allclose(step.x_lo, [0.0, 4.95])
+    assert np.allclose(step.x_hi, [0.07, 5.05])
 
 
 def test_inconsistent_measurement_raises():
-    with pytest.raises(InfeasibleMeasurement):
-        TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion(()),
-                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                        y_k=np.array([-2.0, 5.0]), x_ref=np.array([5.0, 5.0]))
+    # y - eps_y beyond X's end, by 1.95 and by 1e-9.
+    for y in ([-2.0, 5.0], [5.0, 10.05 + 1e-9]):
+        with pytest.raises(InfeasibleMeasurement):
+            problem().step(y, [5.0, 5.0])
 
 
 def test_obstacles_of_another_dimension_rejected():
     # A 1-D obstacle would broadcast silently against the 2-D safe box.
     line = Hypercube(np.array([4.0]), np.array([6.0]))
     with pytest.raises(ValueError, match="obstacles are 1-D, but X is 2-D"):
-        problem([1, 1], [1.2, 1.2], unsafe=[line])
+        problem(unsafe=[line])
     # No obstacles at all fit any X.
-    assert len(problem([1, 1], [1.2, 1.2], unsafe=[]).unsafe) == 0
+    assert len(problem(unsafe=[]).unsafe) == 0
+
+
+def test_step_checks_the_shapes_of_its_arrays():
+    with pytest.raises(ValueError, match="y must have shape"):
+        problem().step([5.0, 5.0, 5.0], [5.0, 5.0])
+    with pytest.raises(ValueError, match="x_ref must have shape"):
+        problem().step([5.0, 5.0], [5.0])
 
 
 def test_unconstrained_step_tracks_reference():
     """With x_ref well inside reach, the commanded u is the displacement."""
-    d = solve_tracking(problem([5, 5], [5.1, 4.9]))
+    d = solve_tracking(problem(), [5, 5], [5.1, 4.9])
     assert np.allclose(d.u_cmd, [0.1, -0.1], atol=1e-6)
     # Safe box center sits on the reference.
     assert np.allclose(d.safe_box.center, [5.1, 4.9], atol=1e-6)
 
 
 def test_far_reference_saturates_control():
-    d = solve_tracking(problem([5, 5], [9.0, 9.0]))
+    d = solve_tracking(problem(), [5, 5], [9.0, 9.0])
     assert np.allclose(d.u_cmd, [0.25, 0.25], atol=1e-6)
 
 
 def test_box_geometry_identity_net():
     """For the exact-sum net the boxes follow in closed form."""
-    p = problem([5, 5], [5.2, 5.2])
-    d = solve_tracking(p)
-    mbox = measurement_box(p.y_k, p.eps_y, p.X)
+    p, y = problem(), np.array([5.0, 5.0])
+    d = solve_tracking(p, y, [5.2, 5.2])
+    mbox = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(d.u_cmd - p.eps_u, d.u_cmd + p.eps_u), p.U)
     assert np.allclose(d.nn_out_box.lo, mbox.lo + u_box.lo, atol=1e-6)
     assert np.allclose(d.nn_out_box.hi, mbox.hi + u_box.hi, atol=1e-6)
@@ -170,10 +186,10 @@ def test_box_geometry_identity_net():
 
 
 def test_fixed_control_box_matches_output_bounds():
-    p = problem([3.0, 7.0], [3.1, 7.1])
+    p, y = problem(), np.array([3.0, 7.0])
     u_fix = np.array([0.1, -0.05])
-    d = solve_tracking(p, fix_u=u_fix)
-    x_box = measurement_box(p.y_k, p.eps_y, p.X)
+    d = solve_tracking(p, y, [3.1, 7.1], fix_u=u_fix)
+    x_box = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(u_fix - p.eps_u, u_fix + p.eps_u), p.U)
     z_box = x_box.concat(u_box)
     out = Hypercube(*output_bounds(p.net, z_box.lo, z_box.hi))
@@ -184,7 +200,7 @@ def test_fixed_control_box_matches_output_bounds():
 def test_obstacle_forces_detour():
     """A wall between the state and the reference shifts the optimum."""
     block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
-    d = solve_tracking(problem([5, 5], [5.4, 6.5], unsafe=[block]))
+    d = solve_tracking(problem(unsafe=[block]), [5, 5], [5.4, 6.5])
     # Safe box must not overlap the obstacle interior.
     assert (d.safe_box.hi[0] <= 5.1 + 1e-6 or d.safe_box.lo[0] >= 5.6 - 1e-6
             or d.safe_box.hi[1] <= 4.0 + 1e-6 or d.safe_box.lo[1] >= 6.0 - 1e-6)
@@ -195,28 +211,27 @@ def test_surrounded_state_is_infeasible():
     sealed = Hypercube(np.array([4.2, 4.2]), np.array([5.8, 5.8]))
     p = TrackingProblem(net=NET, X=X, U=U,
                         unsafe=UnsafeRegion((sealed,)),
-                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                        y_k=np.array([5.0, 5.0]), x_ref=np.array([9.0, 9.0]))
+                        eps_x=EPS, eps_y=EPS, eps_u=EPS)
     with pytest.raises(SolverInfeasible):
-        solve_tracking(p)
+        solve_tracking(p, [5.0, 5.0], [9.0, 9.0])
 
 
 def test_cost_is_worst_case_l1_distance():
-    p = problem([5, 5], [5.2, 5.2])
-    d = solve_tracking(p)
-    expected = np.sum(np.maximum(np.abs(d.safe_box.lo - p.x_ref),
-                                 np.abs(d.safe_box.hi - p.x_ref)))
+    x_ref = np.array([5.2, 5.2])
+    d = solve_tracking(problem(), [5, 5], x_ref)
+    expected = np.sum(np.maximum(np.abs(d.safe_box.lo - x_ref),
+                                 np.abs(d.safe_box.hi - x_ref)))
     assert abs(d.cost - expected) < 1e-6
 
 
 def test_safe_box_contains_all_model_outcomes():
     """Monte-Carlo audit of the robustness guarantee for one step."""
-    p = problem([5, 5], [5.2, 4.8])
-    d = solve_tracking(p)
+    p = problem()
+    d = solve_tracking(p, [5, 5], [5.2, 4.8])
     rng = np.random.default_rng(0)
-    mbox = measurement_box(p.y_k, p.eps_y, p.X)
+    step = p.step([5, 5], [5.2, 4.8])
     for _ in range(500):
-        x = mbox.sample(rng)
+        x = rng.uniform(step.x_lo, step.x_hi)
         w_u = rng.uniform(-p.eps_u, p.eps_u)
         u_act = np.clip(d.u_cmd + w_u, p.U.lo, p.U.hi)
         w_x = rng.uniform(-p.eps_x, p.eps_x)
@@ -225,9 +240,9 @@ def test_safe_box_contains_all_model_outcomes():
 
 
 def test_model_shape_row_and_binary_counts_deterministic():
-    p = problem([5, 5], [5.2, 5.2])
-    m1, h1 = build_tracking_model(p)
-    m2, h2 = build_tracking_model(p)
+    p = problem()
+    m1, h1 = model_of(p, [5, 5], [5.2, 5.2])
+    m2, h2 = model_of(p, [5, 5], [5.2, 5.2])
     assert m1.num_vars == m2.num_vars
     assert len(m1.constraints) == len(m2.constraints)
     assert [v for v in h1["u_cmd"]] == [v for v in h2["u_cmd"]]
@@ -237,9 +252,10 @@ def test_audit_rederives_the_nn_box():
     # The NN box and the safe box moved together by 1e-5 agree with each
     # other, X and the obstacles; only the interval image of the input box
     # tells them from the MILP's.
-    p = problem([5, 5], [5.2, 4.8])
-    d = solve_tracking(p)
-    _check_decision(p, d)
+    p = problem()
+    step = p.step([5, 5], [5.2, 4.8])
+    d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    _check_decision(p, step, d)
 
     def shift(box):
         return Hypercube(box.lo + 1e-5, box.hi + 1e-5)
@@ -247,7 +263,7 @@ def test_audit_rederives_the_nn_box():
     moved = replace(d, nn_out_box=shift(d.nn_out_box),
                     safe_box=shift(d.safe_box))
     with pytest.raises(AssertionError, match="interval image"):
-        _check_decision(p, moved)
+        _check_decision(p, step, moved)
 
 
 @pytest.mark.parametrize("nn_shift,safe_shift", [(0.0, 1e-5),
@@ -259,8 +275,8 @@ def test_audit_checks_the_safe_box_against_the_interval_image(nn_shift,
     # eps_x.  Nor is one that drifts 0.9e-6 from an NN box that drifts
     # 0.9e-6 from the image: each step is within the audit's tolerance,
     # but the safe box is checked against the image itself.
-    p = problem([5, 5], [5.2, 4.8])
-    d = solve_tracking(p)
+    p = problem()
+    d = solve_tracking(p, [5, 5], [5.2, 4.8])
 
     def shift(box, by):
         return Hypercube(box.lo + by, box.hi + by)
@@ -269,7 +285,7 @@ def test_audit_checks_the_safe_box_against_the_interval_image(nn_shift,
                     safe_box=shift(d.safe_box, safe_shift))
     with pytest.raises(AuditFailure,
                        match="eps_x inflation of the interval image"):
-        _check_decision(p, moved)
+        _check_decision(p, p.step([5, 5], [5.2, 4.8]), moved)
 
 
 def random_net(rng, widths):
@@ -291,9 +307,9 @@ def test_encoder_case_rows_admit_only_the_sign_case():
         net = random_net(rng, widths)
         y, u = rng.uniform(-1, 1, 1), rng.uniform(-0.9, 0.9, 1)
         p = TrackingProblem(net=net, X=X1, U=U1, unsafe=UnsafeRegion(()),
-                            eps_x=eps, eps_y=eps, eps_u=eps, y_k=y,
-                            x_ref=np.array([0.0]))
-        model, h = build_tracking_model(p, fix_u=u)
+                            eps_x=eps, eps_y=eps, eps_u=eps)
+        step = p.step(y, [0.0])
+        model, h = build_tracking_model(p, step, fix_u=u)
         if not any(map(len, h["d_mm"])):
             continue
         nets += 1
@@ -303,7 +319,7 @@ def test_encoder_case_rows_admit_only_the_sign_case():
                  if not model.is_binary[j]}
         (assign,) = enumerate_binary_feasibility(model, fixed)
         value = dict(zip(np.flatnonzero(model.is_binary).tolist(), assign))
-        for i, (zlo, zhi) in enumerate(p.layer_bounds[:-1]):
+        for i, (zlo, zhi) in enumerate(step.bounds[:-1]):
             undetermined = np.flatnonzero((zlo < 0) & (zhi > 0))
             for k, j in enumerate(undetermined):
                 lo = sol.values[h["ahat"][i][j]]
@@ -336,8 +352,7 @@ def test_robot_model_is_compact():
     # clips.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
-    model, h = build_tracking_model(
-        s.tracking_problem(y, plan_waypoints(s)[0]))
+    model, h = model_of(s.problem, y, plan_waypoints(s)[0])
     assert model_size(model) == (28, 30, 4)
     assert h["obstacles"] == [] and h["delta_u"] == []
     assert np.array_equal(h["a"][0], h["ahat"][0])
@@ -354,7 +369,7 @@ def test_corridor_model_is_compact():
     with open(os.path.join(ROOT, "bench", "scenarios", "vehicle_plan.csv")) as f:
         first = np.array([float(v) for v in f.readlines()[1].split(",")[1:]])
     y = measure(s.x0, s.eps_y, np.random.default_rng(s.seed))
-    model, h = build_tracking_model(s.tracking_problem(y, first))
+    model, h = model_of(s.problem, y, first)
     assert model_size(model) == (58, 58, 7)
     assert h["obstacles"] == [] and sum(len(d) for d in h["d_mm"]) == 1
     assert_states_each_fact_once(model, s.net, h)
@@ -369,12 +384,13 @@ def test_obstacle_out_of_reach_leaves_the_model_as_without_it():
     # From y = [5, 5] the reach hull is [4.65, 5.35]^2; the block lies past
     # it.
     far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
-    bare = problem([5, 5], [5.6, 5.1])
-    walled = problem([5, 5], [5.6, 5.1], unsafe=[far])
-    model, h = build_tracking_model(walled)
-    assert model_size(model) == model_size(build_tracking_model(bare)[0])
+    bare, walled = problem(), problem(unsafe=[far])
+    step = ([5, 5], [5.6, 5.1])
+    model, h = model_of(walled, *step)
+    assert model_size(model) == model_size(model_of(bare, *step)[0])
     assert h["obstacles"] == [] and h["delta_u"] == []
-    assert abs(solve_tracking(walled).cost - solve_tracking(bare).cost) <= 1e-9
+    assert abs(solve_tracking(walled, *step).cost
+               - solve_tracking(bare, *step).cost) <= 1e-9
 
 
 @pytest.mark.parametrize("overlap,kept", [(0.0, False), (1e-6, True)],
@@ -382,14 +398,13 @@ def test_obstacle_out_of_reach_leaves_the_model_as_without_it():
 def test_obstacle_kept_only_when_it_overlaps_the_reach_hull(overlap, kept):
     # The hull is the output bounds [4.7, 5.3]^2 inflated by eps_x; a block
     # from its upper x face on meets it only at that face.
-    hull = inflate(Hypercube(*problem([5, 5], [5.1, 5.0]).layer_bounds[-1]),
+    hull = inflate(Hypercube(*problem().step([5, 5], [5.1, 5.0]).bounds[-1]),
                    EPS)
     assert np.allclose(hull.hi, 5.35)
     block = Hypercube(np.array([hull.hi[0] - overlap, 4.0]),
                       np.array([6.0, 6.0]))
-    model, h = build_tracking_model(
-        problem([5, 5], [5.1, 5.0], unsafe=[block]))
-    bare, _ = build_tracking_model(problem([5, 5], [5.1, 5.0]))
+    model, h = model_of(problem(unsafe=[block]), [5, 5], [5.1, 5.0])
+    bare, _ = model_of(problem(), [5, 5], [5.1, 5.0])
     assert h["obstacles"] == ([0] if kept else [])
     assert model_size(model)[2] - model_size(bare)[2] == (4 if kept else 0)
 
@@ -401,12 +416,10 @@ EPS_FLAT = np.array([0.05, 0.0])
 NET_FLAT = build_identity_sum_network(X, U_FLAT)
 
 
-def flat_problem(y, x_ref, unsafe=()):
+def flat_problem(unsafe=()):
     return TrackingProblem(net=NET_FLAT, X=X, U=U_FLAT,
                            unsafe=UnsafeRegion(tuple(unsafe)),
-                           eps_x=EPS_FLAT, eps_y=EPS_FLAT, eps_u=EPS_FLAT,
-                           y_k=np.asarray(y, dtype=float),
-                           x_ref=np.asarray(x_ref, dtype=float))
+                           eps_x=EPS_FLAT, eps_y=EPS_FLAT, eps_u=EPS_FLAT)
 
 
 def test_flat_hull_keeps_the_obstacle_it_crosses():
@@ -414,9 +427,9 @@ def test_flat_hull_keeps_the_obstacle_it_crosses():
     # only x can separate a box from the block: the block keeps its
     # binaries, and the box stays left of it instead of crossing it.
     block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
-    p = flat_problem([5, 5], [5.8, 5.0], unsafe=[block])
-    assert build_tracking_model(p)[1]["obstacles"] == [0]
-    d = solve_tracking(p)
+    p = flat_problem(unsafe=[block])
+    assert model_of(p, [5, 5], [5.8, 5.0])[1]["obstacles"] == [0]
+    d = solve_tracking(p, [5, 5], [5.8, 5.0])
     assert d.safe_box.lo[1] == d.safe_box.hi[1] == 5.0
     assert d.safe_box.hi[0] <= 5.1 + 1e-6
 
@@ -428,9 +441,10 @@ def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
     # fooled into agreeing too, the audit of every obstacle, dropped ones
     # included, would still reject them, also a safe box that is flat in y.
     far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
-    p = make([5, 5], [5.2, 4.8], unsafe=[far])
-    d = solve_tracking(p)
-    assert build_tracking_model(p)[1]["obstacles"] == []
+    p = make(unsafe=[far])
+    step = p.step([5, 5], [5.2, 4.8])
+    d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    assert build_tracking_model(p, step)[1]["obstacles"] == []
 
     def shift(box):
         return Hypercube(box.lo + [1.2, 0.0], box.hi + [1.2, 0.0])
@@ -438,12 +452,12 @@ def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
     moved = replace(d, nn_out_box=shift(d.nn_out_box),
                     safe_box=shift(d.safe_box))
     with pytest.raises(AssertionError, match="interval image"):
-        _check_decision(p, moved)
+        _check_decision(p, step, moved)
     monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: (
         moved.nn_out_box.lo, moved.nn_out_box.hi))
-    _check_decision(make([5, 5], [5.2, 4.8]), moved)
+    _check_decision(make(), step, moved)
     with pytest.raises(AssertionError, match="overlaps an obstacle"):
-        _check_decision(p, moved)
+        _check_decision(p, step, moved)
 
 
 @pytest.mark.parametrize("out", [50.0, 9.99], ids=["beyond-X", "widened-out"])
@@ -455,10 +469,9 @@ def test_reach_hull_outside_X_is_infeasible(out):
     net = ReluNetwork((LayerParams(np.zeros((2, 4)), np.zeros(2)),
                        LayerParams(np.zeros((2, 2)), np.array([out, 5.0]))))
     p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(()),
-                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                        y_k=np.array([5.0, 5.0]), x_ref=np.array([5.0, 5.0]))
+                        eps_x=EPS, eps_y=EPS, eps_u=EPS)
     with pytest.raises(SolverInfeasible):
-        solve_tracking(p)
+        solve_tracking(p, [5.0, 5.0], [5.0, 5.0])
 
 
 
@@ -473,13 +486,13 @@ def test_kept_obstacle_without_a_reachable_face_raises_before_the_solve(
     # every safe box covers [4.75, 5.25]^2, which pokes into the block on
     # every side: no face of the block is left to separate a box from it.
     block = Hypercube(np.array([4.72, 4.72]), np.array([5.28, 5.28]))
-    p = problem([5, 5], [9, 9], unsafe=[block])
+    p = problem(unsafe=[block])
 
     def solve(*args, **kwargs):
         raise AssertionError("milp.solve called")
     monkeypatch.setattr(milp, "solve", solve)
     with pytest.raises(SolverInfeasible):
-        solve_tracking(p)
+        solve_tracking(p, [5, 5], [9, 9])
 
 
 def test_unreachable_faces_are_fixed_by_bounds_and_keep_the_root_warm():
@@ -488,9 +501,8 @@ def test_unreachable_faces_are_fixed_by_bounds_and_keep_the_root_warm():
     # top face (x_lo >= 6.5) is too.  The fixes are bounds, so the two
     # models share their matrix and the second root starts warm.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
-    steps = [s.tracking_problem(np.array(y), np.array(r))
-             for y, r in (((1.7, 1.0), (1.9, 1.5)), ((1.8, 6.6), (2.2, 6.8)))]
-    (m1, h1), (m2, h2) = map(build_tracking_model, steps)
+    (m1, h1), (m2, h2) = (model_of(s.problem, y, r) for y, r in (
+        ((1.7, 1.0), (1.9, 1.5)), ((1.8, 6.6), (2.2, 6.8))))
     assert h1["obstacles"] == h2["obstacles"] == [0]
     assert fixed_faces(m1) == {"du1_0_1", "du2_0_0", "du2_0_1"}
     assert fixed_faces(m2) == {"du1_0_1", "du2_0_0"}

@@ -1,7 +1,8 @@
 """The array-built tracking model against a row-by-row oracle.
 
 The oracle writes the same MILP one row at a time through ModelBuilder, as
-the encoder once did.  It shares only TrackingProblem with the encoder.
+the encoder once did.  It shares only TrackingProblem and its steps
+with the encoder.
 Each case asserts that both give the same standard form, value for value,
 and the same variable ids.
 """
@@ -30,9 +31,9 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # The oracle: the tracking model written row by row.
 # ---------------------------------------------------------------------------
 
-def _oracle_input_feasibility(p, b):
+def _oracle_input_feasibility(p, step, b):
     n_x, n_u = p.n_x, p.n_u
-    lo, hi = p.x_box.lo, p.x_box.hi
+    lo, hi = step.x_lo, step.x_hi
     a0_x = [b.add_continuous(lo[j], lo[j], f"a0_x{j}") for j in range(n_x)]
     b0_x = [b.add_continuous(hi[j], hi[j], f"b0_x{j}") for j in range(n_x)]
     u_cmd = [b.add_continuous(p.U.lo[j], p.U.hi[j], f"u{j}") for j in range(n_u)]
@@ -70,8 +71,8 @@ def _oracle_affine_image(b, layer, bounds, a_prev, b_prev, name, pad=0.0):
     return lo, hi
 
 
-def _oracle_nn_structure(p, b, h):
-    lb = p.layer_bounds
+def _oracle_nn_structure(p, step, b, h):
+    lb = step.bounds
     (zlo, zhi), X = lb[-1], p.X
     ends = [(np.maximum(zlo + e, X.lo), np.minimum(zhi + e, X.hi))
             for e in (-p.eps_x, p.eps_x)]
@@ -116,10 +117,10 @@ def _oracle_nn_structure(p, b, h):
     return {**hidden, "x_lo": x_lo, "x_hi": x_hi}
 
 
-def _oracle_safety(p, b, h):
+def _oracle_safety(p, step, b, h):
     n_x = p.n_x
     x_lo, x_hi = h["x_lo"], h["x_hi"]
-    zlo, zhi = p.layer_bounds[-1]
+    zlo, zhi = step.bounds[-1]
     kept = np.flatnonzero(
         ~p.unsafe.separated(zlo - p.eps_x, zhi + p.eps_x)).tolist()
     deltas = []
@@ -146,22 +147,22 @@ def _oracle_safety(p, b, h):
     return {"delta_u": deltas, "obstacles": kept}
 
 
-def _oracle_objective(p, b, h):
+def _oracle_objective(p, step, b, h):
     lam = [b.add_continuous(0.0, milp.INF, f"lam{j}") for j in range(p.n_x)]
     for j in range(p.n_x):
-        r = p.x_ref[j]
+        r = step.x_ref[j]
         b.add_constraint({h["x_hi"][j]: 1.0, lam[j]: -1.0}, LE, r)
         b.add_constraint({h["x_lo"][j]: 1.0, lam[j]: 1.0}, GE, r)
     b.set_objective({v: 1.0 for v in lam})
     return {"lam": lam}
 
 
-def oracle_tracking_model(p: TrackingProblem, fix_u=None):
+def oracle_tracking_model(p: TrackingProblem, step, fix_u=None):
     b = ModelBuilder()
-    h = _oracle_input_feasibility(p, b)
-    h.update(_oracle_nn_structure(p, b, h))
-    h.update(_oracle_safety(p, b, h))
-    h.update(_oracle_objective(p, b, h))
+    h = _oracle_input_feasibility(p, step, b)
+    h.update(_oracle_nn_structure(p, step, b, h))
+    h.update(_oracle_safety(p, step, b, h))
+    h.update(_oracle_objective(p, step, b, h))
     if fix_u is not None:
         for j, var in enumerate(h["u_cmd"]):
             b.add_constraint({var: 1.0}, EQ, float(fix_u[j]))
@@ -180,11 +181,12 @@ def _same_ids(a, b):
     return np.array_equal(np.asarray(a, dtype=int), np.asarray(b, dtype=int))
 
 
-def assert_matches_oracle(p, fix_u=None, structure=None):
+def assert_matches_oracle(p, step, fix_u=None, structure=None):
     """The model and h of one step, built on an earlier step's structure if
     given, equal the oracle's; returns h."""
-    model, h = build_tracking_model(p, fix_u=fix_u, structure=structure)
-    ref, ref_h = oracle_tracking_model(p, fix_u=fix_u)
+    model, h = build_tracking_model(p, step, fix_u=fix_u,
+                                    structure=structure)
+    ref, ref_h = oracle_tracking_model(p, step, fix_u=fix_u)
     for part, got, want in zip(("A", "rhs", "c", "lb", "ub"),
                                milp._standard_form(model),
                                milp._standard_form(ref)):
@@ -205,16 +207,16 @@ def _robot():
 
 
 def _steps(s, log):
-    return [s.tracking_problem(rec.y, rec.x_ref) for rec in log.steps]
+    return [s.problem.step(rec.y, rec.x_ref) for rec in log.steps]
 
 
-def _chain(problems):
+def _chain(p, steps):
     """Each step's h, each built on the previous step's structure, as an
     episode builds them; checks that a structure with the step's key is
     kept and any other laid out afresh."""
     hs, structure = [], None
-    for p in problems:
-        h = assert_matches_oracle(p, structure=structure)
+    for step in steps:
+        h = assert_matches_oracle(p, step, structure=structure)
         assert (h["structure"] is structure) == (
             structure is not None and h["structure"].key == structure.key)
         structure = h["structure"]
@@ -224,9 +226,9 @@ def _chain(problems):
 
 def test_robot_maze_steps_match_the_oracle():
     s = _robot()
-    problems = _steps(s, run_episode(s))
-    assert len(problems) > 100
-    hs = _chain(problems)
+    steps = _steps(s, run_episode(s))
+    assert len(steps) > 100
+    hs = _chain(s.problem, steps)
     assert any(h["obstacles"] for h in hs)
     kept = sum(a["structure"] is b["structure"] for a, b in zip(hs, hs[1:]))
     assert kept >= 0.85 * len(hs)
@@ -238,9 +240,9 @@ def test_corridor_steps_match_the_oracle():
     plan = np.loadtxt(os.path.join(ROOT, "bench", "scenarios",
                                    "vehicle_plan.csv"),
                       delimiter=",", skiprows=1, ndmin=2)[:, 1:]
-    problems = _steps(s, run_episode(s, waypoints=list(plan)))
-    assert len(problems) == 25
-    assert any(sum(map(len, h["d_mm"])) for h in _chain(problems))
+    steps = _steps(s, run_episode(s, waypoints=list(plan)))
+    assert len(steps) == 25
+    assert any(sum(map(len, h["d_mm"])) for h in _chain(s.problem, steps))
 
 
 def test_forest_steps_match_the_oracle():
@@ -259,8 +261,8 @@ def test_forest_steps_match_the_oracle():
                  xg=np.array([20.5, 0.0]), max_steps=150)
     waypoints = [np.array([x, 0.0]) for x in (2.0, 6.0, 10.0, 14.0, 18.0,
                                                20.5)]
-    kept = [h["obstacles"] for h in
-            _chain(_steps(s, run_episode(s, waypoints=waypoints)))]
+    steps = _steps(s, run_episode(s, waypoints=waypoints))
+    kept = [h["obstacles"] for h in _chain(s.problem, steps)]
     changes = sum(a != b for a, b in zip(kept, kept[1:]))
     assert max(map(len, kept)) >= 2 and changes >= 10
 
@@ -269,8 +271,8 @@ def test_kept_obstacles_differ_between_consecutive_steps():
     # Robot maze, next to the wall [2, 3] x [-1, 6.5] and then next to
     # the wall [5.5, 6.5] x [2.5, 10].
     s = _robot()
-    hs = _chain([s.tracking_problem(np.array(y), np.array(r)) for y, r in
-                 (((1.7, 1.0), (1.9, 1.5)), ((5.2, 5.0), (5.3, 5.0)))])
+    hs = _chain(s.problem, [s.problem.step(y, r) for y, r in (
+        ((1.7, 1.0), (1.9, 1.5)), ((5.2, 5.0), (5.3, 5.0)))])
     assert [h["obstacles"] for h in hs] == [[0], [1]]
 
 
@@ -278,13 +280,15 @@ def test_structure_of_other_sets_is_not_kept():
     # The same step with another eps_u, and with a U of the same values
     # but another object: the structure is laid out afresh.
     s = _robot()
-    p = s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5]))
-    structure = build_tracking_model(p)[1]["structure"]
+    p = s.problem
+    step = p.step([1.7, 1.0], [1.9, 1.5])
+    structure = build_tracking_model(p, step)[1]["structure"]
     for other in (replace(p, eps_u=p.eps_u * 2.0),
                   replace(p, U=Hypercube(p.U.lo.copy(), p.U.hi.copy()))):
-        h = assert_matches_oracle(other, structure=structure)
+        h = assert_matches_oracle(other, other.step([1.7, 1.0], [1.9, 1.5]),
+                                  structure=structure)
         assert h["structure"] is not structure
-    assert assert_matches_oracle(p, structure=structure)["structure"] \
+    assert assert_matches_oracle(p, step, structure=structure)["structure"] \
         is structure
 
 
@@ -310,16 +314,16 @@ def test_undetermined_neurons_match_the_oracle(fixed):
         net = _random_net(rng, widths)
         y, u = rng.uniform(-1, 1, 1), rng.uniform(-0.9, 0.9, 1)
         structure = None
-        for step in (y, y + 1e-3):
-            p = TrackingProblem(net=net, X=X1, U=U1, unsafe=free,
-                                eps_x=eps, eps_y=eps, eps_u=eps, y_k=step,
-                                x_ref=np.array([0.0]))
+        p = TrackingProblem(net=net, X=X1, U=U1, unsafe=free, eps_x=eps,
+                            eps_y=eps, eps_u=eps)
+        for step in (p.step(y, [0.0]), p.step(y + 1e-3, [0.0])):
             try:
-                h = assert_matches_oracle(p, fix_u=u if fixed else None,
+                h = assert_matches_oracle(p, step,
+                                          fix_u=u if fixed else None,
                                           structure=structure)
             except SolverInfeasible:
                 with pytest.raises(SolverInfeasible):
-                    oracle_tracking_model(p)
+                    oracle_tracking_model(p, step)
                 break
             undetermined = any(map(len, h["d_mm"]))
             seen += undetermined and structure is None
@@ -330,7 +334,8 @@ def test_undetermined_neurons_match_the_oracle(fixed):
 
 def test_fixed_control_matches_the_oracle():
     s = _robot()
-    p = s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5]))
-    model, _ = build_tracking_model(p, fix_u=np.array([0.1, -0.2]))
+    p = s.problem
+    step = p.step([1.7, 1.0], [1.9, 1.5])
+    model, _ = build_tracking_model(p, step, fix_u=np.array([0.1, -0.2]))
     assert model.rel[-2:].tolist() == [EQ, EQ]
-    assert_matches_oracle(p, fix_u=np.array([0.1, -0.2]))
+    assert_matches_oracle(p, step, fix_u=np.array([0.1, -0.2]))

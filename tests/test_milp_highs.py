@@ -178,9 +178,10 @@ def test_random_lps_match_highs():
 
 
 def tracking_models(scenario, pairs):
+    p = scenario.problem
     for y, x_ref in pairs:
         try:
-            yield build_tracking_model(scenario.tracking_problem(y, x_ref))[0]
+            yield build_tracking_model(p, p.step(y, x_ref))[0]
         except (ValueError, InfeasibleMeasurement, SolverInfeasible):
             # a reference in an obstacle or outside X, or no safe box in X
             continue
@@ -262,7 +263,7 @@ def test_step_with_one_reachable_face_matches_highs():
     # fixed at 0.  Released to [0, 1], they leave HiGHS's optimum as it is.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     model, h = build_tracking_model(
-        s.tracking_problem(np.array([1.7, 1.0]), np.array([1.9, 1.5])))
+        s.problem, s.problem.step([1.7, 1.0], [1.9, 1.5]))
     (d1, d2), = h["delta_u"]
     free = [v for v in (*d1, *d2) if model.lb[v] < model.ub[v]]
     assert free == [d1[0]]

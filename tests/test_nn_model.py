@@ -43,7 +43,7 @@ def test_interval_validation():
     ))
     box = Hypercube(np.array([1e10]), np.array([2e10]))
     with pytest.raises(ValueError):
-        preactivation_bounds(net, box, box)
+        preactivation_bounds(net, box.lo, box.hi, box)
 
 
 def test_layer_validation():
@@ -193,7 +193,7 @@ def test_preactivation_bounds_cover_samples():
     ))
     X = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     U = Hypercube(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-    lb = preactivation_bounds(net, X, U)
+    lb = preactivation_bounds(net, X.lo, X.hi, U)
     for z in X.concat(U).sample(rng, 100):
         h = z
         for i, layer in enumerate(net.layers[:-1]):
@@ -216,7 +216,7 @@ def test_identity_sum_hidden_units_stay_active():
     X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
     U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
     net = build_identity_sum_network(X, U)
-    lb = preactivation_bounds(net, X, U)
+    lb = preactivation_bounds(net, X.lo, X.hi, U)
     plo, _ = lb[0]
     assert np.all(plo > 0)
 

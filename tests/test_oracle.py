@@ -19,25 +19,25 @@ EPS = np.array([0.05, 0.05])
 NET = build_identity_sum_network(X, U)
 
 
-def problem(y, x_ref, unsafe=()):
+def problem(unsafe=()):
     return TrackingProblem(net=NET, X=X, U=U,
                            unsafe=UnsafeRegion(tuple(unsafe)),
-                           eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                           y_k=np.asarray(y, dtype=float),
-                           x_ref=np.asarray(x_ref, dtype=float))
+                           eps_x=EPS, eps_y=EPS, eps_u=EPS)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.05])
 def test_grid_step_must_be_positive(step):
     with pytest.raises(ValueError, match="step"):
-        grid_control_search(problem([5, 5], [5.2, 5.2]), step)
+        p = problem()
+        grid_control_search(p, p.step([5, 5], [5.2, 5.2]), step)
 
 
 def test_grid_includes_both_ends_of_U():
     # A step of 0.1 from -0.25 falls short of 0.25, which the grid adds;
     # references far off on either side pick the two ends.
     for x_ref, end in (([9, 9], U.hi), ([1, 1], U.lo)):
-        g = grid_control_search(problem([5, 5], x_ref), 0.1)
+        p = problem()
+        g = grid_control_search(p, p.step([5, 5], x_ref), 0.1)
         assert np.array_equal(g["best_u"], end)
 
 
@@ -49,12 +49,12 @@ def test_grid_ties_go_to_the_lexicographically_smallest_control():
     out = LayerParams(np.eye(2), np.zeros(2))
     p = TrackingProblem(net=ReluNetwork((hidden, out)), X=X, U=U,
                         unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
-                        eps_u=EPS, y_k=np.array([5.0, 5.0]),
-                        x_ref=np.array([5.2, 5.2]))
-    g = grid_control_search(p, 0.05)
+                        eps_u=EPS)
+    step = p.step([5.0, 5.0], [5.2, 5.2])
+    g = grid_control_search(p, step, 0.05)
     assert np.array_equal(g["best_u"], U.lo)
-    assert g["best_cost"] == box_tracking_cost(p.x_box.lo - EPS,
-                                               p.x_box.hi + EPS, p.x_ref)
+    assert g["best_cost"] == box_tracking_cost(step.x_lo - EPS,
+                                               step.x_hi + EPS, step.x_ref)
 
 
 def test_box_tracking_cost():
@@ -72,28 +72,27 @@ def test_box_tracking_cost():
 
 
 def test_grid_search_matches_milp_no_obstacles():
-    p = problem([5, 5], [5.2, 5.2])
-    d = solve_tracking(p)
-    g = grid_control_search(p, 0.005)
+    p = problem()
+    d = solve_tracking(p, [5, 5], [5.2, 5.2])
+    g = grid_control_search(p, p.step([5, 5], [5.2, 5.2]), 0.005)
     assert np.allclose(g["best_u"], d.u_cmd, atol=0.005 + 1e-9)
     assert abs(g["best_cost"] - d.cost) < 1e-4
 
 
 def test_grid_search_refinement_does_not_worsen():
-    p = problem([5, 5], [5.17, 4.83])
-    coarse = grid_control_search(p, 0.05)
-    fine = grid_control_search(p, 0.005)
+    p = problem()
+    step = p.step([5, 5], [5.17, 4.83])
+    coarse = grid_control_search(p, step, 0.05)
+    fine = grid_control_search(p, step, 0.005)
     assert fine["best_cost"] <= coarse["best_cost"] + 1e-12
 
 
 def test_grid_search_all_blocked():
     # Obstacle swallows the whole reachable neighborhood.
     block = Hypercube(np.array([4.0, 4.0]), np.array([6.0, 6.0]))
-    p = TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion((block,)),
-                        eps_x=EPS, eps_y=EPS, eps_u=EPS,
-                        y_k=np.array([5.0, 5.0]), x_ref=np.array([9.0, 9.0]))
+    p = problem(unsafe=[block])
     with pytest.raises(NoFeasibleGridPoint):
-        grid_control_search(p, 0.05)
+        grid_control_search(p, p.step([5.0, 5.0], [9.0, 9.0]), 0.05)
 
 
 def test_grid_rejects_a_point_box_inside_an_obstacle():
@@ -104,11 +103,10 @@ def test_grid_rejects_a_point_box_inside_an_obstacle():
     zero = np.zeros(2)
     block = Hypercube(np.array([0.1, -0.1]), np.array([0.3, 0.1]))
     p = TrackingProblem(net=NET, X=X, U=U, unsafe=UnsafeRegion((block,)),
-                        eps_x=zero, eps_y=zero, eps_u=zero, y_k=zero,
-                        x_ref=np.array([0.35, 0.0]))
+                        eps_x=zero, eps_y=zero, eps_u=zero)
     assert p.unsafe.contains_interior([0.25, 0.0])
-    g = grid_control_search(p, 0.05)
-    d = solve_tracking(p)
+    g = grid_control_search(p, p.step(zero, [0.35, 0.0]), 0.05)
+    d = solve_tracking(p, zero, [0.35, 0.0])
     for u in (d.u_cmd, g["best_u"]):
         assert any(np.allclose(u, face, atol=1e-9)
                    for face in ([0.25, -0.1], [0.25, 0.1]))

@@ -23,9 +23,9 @@ from milp_safeguard.planner import (
     shortest_path,
 )
 from milp_safeguard.runtime import plan_waypoints
-from milp_safeguard.sets import Hypercube, UnsafeRegion, inflate
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import intersect
+from helpers import inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))

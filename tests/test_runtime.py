@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -61,6 +62,52 @@ def test_scenario_rejects_endpoints_in_obstacle():
 def test_scenario_rejects_negative_noise_bound():
     with pytest.raises(ValueError):
         scenario(eps_u=np.array([-0.01, 0.01]))
+
+
+@pytest.mark.parametrize("name, value, shape", [
+    ("eps_u", np.full(3, 0.01), "(3,)"), ("eps_x", [0.01], "(1,)"),
+    ("eps_y", np.full((2, 1), 0.01), "(2, 1)")], ids=str)
+def test_scenario_checks_each_uncertainty_vector_s_length(name, value,
+                                                          shape):
+    # A wrong length fails the scenario's construction, not the first step.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must have shape (2,), got {shape}")):
+        replace(scenario(), **{name: value})
+
+
+def test_an_episode_checks_its_tracking_problem_once(monkeypatch):
+    # The scenario checks the parts an episode fixes; its steps add arrays.
+    inner, built = encoder.TrackingProblem.__post_init__, []
+
+    def counted(self):
+        built.append(self)
+        inner(self)
+    monkeypatch.setattr(encoder.TrackingProblem, "__post_init__", counted)
+    s = scenario(max_steps=60)
+    log = run_episode(s)
+    assert log.status == GOAL_REACHED and len(log.steps) > 1
+    assert len(built) == 1 and built[0] is s.problem
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([20.0, 0.0], "x_ref outside the state feasible set"),
+    ([1.0, 1.0], "x_ref inside an obstacle"),
+    ([1.0], "x_ref must have shape")], ids=["outside-X", "in-obstacle",
+                                            "shape"])
+def test_every_waypoint_is_checked_before_the_first_step(monkeypatch, bad,
+                                                         message):
+    # A bad last waypoint raises before any solve, not when it becomes the
+    # reference and the earlier steps' log is lost.
+    from milp_safeguard import runtime
+    block = UnsafeRegion((Hypercube(np.array([0.9, 0.9]),
+                                    np.array([1.1, 1.1])),))
+    calls = []
+    monkeypatch.setattr(runtime, "solve_tracking",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_episode(scenario(unsafe=block),
+                    [np.array([0.5, 0.5]), np.array(bad)])
+    assert calls == []
 
 
 def test_fixed_reference_skips_planning():
@@ -246,7 +293,7 @@ def test_episode_through_a_generated_forest():
     assert log.status == GOAL_REACHED
     assert log.safety_violations(s.unsafe) == []
     kept = [encoder.build_tracking_model(
-        s.tracking_problem(rec.y, rec.x_ref))[1]["obstacles"]
+        s.problem, s.problem.step(rec.y, rec.x_ref))[1]["obstacles"]
         for rec in log.steps]
     # At most two columns on either side, and some steps keep blocks.
     assert max(map(len, kept)) <= 4
@@ -415,14 +462,15 @@ def test_root_tableau_chain_refactorizes_on_inherited_counts():
     # solve makes 60 pivots.  Every optimum equals a cold solve's.
     s, _ = load_scenario(os.path.join(ROOT, "scenarios", "robot_maze.yaml"))
     waypoints = plan_waypoints(s)
-    problems = [s.tracking_problem(rec.y, rec.x_ref) for seed in (0, 1)
-                for rec in run_episode(replace(s, seed=seed),
-                                       [w.copy() for w in waypoints]).steps]
-    assert len(problems) >= 130
+    steps = [s.problem.step(rec.y, rec.x_ref) for seed in (0, 1)
+             for rec in run_episode(replace(s, seed=seed),
+                                    [w.copy() for w in waypoints]).steps]
+    assert len(steps) >= 130
     basis = structure = None
     inversions = warm_roots = 0
-    for p in problems:
-        model, h = encoder.build_tracking_model(p, structure=structure)
+    for step in steps:
+        model, h = encoder.build_tracking_model(s.problem, step,
+                                                structure=structure)
         warm, cold = milp.solve(model, warm=basis), milp.solve(model)
         assert warm.status == cold.status == milp.OPTIMAL
         assert abs(warm.objective_value - cold.objective_value) <= 1e-9
@@ -430,4 +478,4 @@ def test_root_tableau_chain_refactorizes_on_inherited_counts():
         inversions += warm.stats["inversions"]
         warm_roots += warm.stats["warm_root"]
         basis, structure = warm.root_basis, h["structure"]
-    assert inversions >= 2 and warm_roots >= 0.85 * len(problems)
+    assert inversions >= 2 and warm_roots >= 0.85 * len(steps)

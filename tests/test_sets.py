@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from milp_safeguard.sets import (
-    Hypercube,
-    UnsafeRegion,
-    inflate,
-    measurement_box,
-)
+from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import intersect
+from helpers import inflate, intersect
 
 
 def box(lo, hi):
@@ -142,18 +137,6 @@ def test_empty_region_separates_every_box():
         assert region.separated(np.zeros(n), np.ones(n)).shape == (0,)
         assert not region.contains_interior(np.zeros(n))
     assert region.separated(np.zeros((4, 2)), np.ones((4, 2))).shape == (4, 0)
-
-
-def test_measurement_box_clamps_to_state_set():
-    X = box([0, 0], [10, 10])
-    mb = measurement_box(np.array([0.02, 5.0]), np.array([0.05, 0.05]), X)
-    assert np.allclose(mb.lo, [0.0, 4.95])
-    assert np.allclose(mb.hi, [0.07, 5.05])
-
-
-def test_measurement_box_outside_state_set_is_none():
-    X = box([0, 0], [10, 10])
-    assert measurement_box(np.array([-1.0, 5.0]), np.array([0.05, 0.05]), X) is None
 
 
 finite = st.floats(-50, 50, allow_nan=False)
