@@ -127,14 +127,24 @@ def test_reference_validation():
         problem(unsafe=[block]).step([1, 1], [5, 5])
 
 
-def test_measurement_box_clamps_to_state_set():
+def problem_on_x10():
+    """The problem on X = [0, 10]^2, whose lower end y - eps_y can pass."""
     X10 = Hypercube(np.zeros(2), np.full(2, 10.0))
-    p = TrackingProblem(net=build_identity_sum_network(X10, U), X=X10, U=U,
-                        unsafe=UnsafeRegion(()), eps_x=EPS, eps_y=EPS,
-                        eps_u=EPS)
-    step = p.step([0.02, 5.0], [5.0, 5.0])
+    return TrackingProblem(net=build_identity_sum_network(X10, U), X=X10,
+                           U=U, unsafe=UnsafeRegion(()), eps_x=EPS,
+                           eps_y=EPS, eps_u=EPS)
+
+
+def test_measurement_box_clamps_to_state_set():
+    step = problem_on_x10().step([0.02, 5.0], [5.0, 5.0])
     assert np.allclose(step.x_lo, [0.0, 4.95])
     assert np.allclose(step.x_hi, [0.07, 5.05])
+
+
+def test_measurement_box_outside_state_set_raises():
+    # [y - eps_y, y + eps_y] = [-1.05, -0.95] misses X = [0, 10] in x1.
+    with pytest.raises(InfeasibleMeasurement):
+        problem_on_x10().step([-1.0, 5.0], [5.0, 5.0])
 
 
 def test_inconsistent_measurement_raises():
