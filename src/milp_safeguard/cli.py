@@ -397,13 +397,13 @@ def cmd_verify(args) -> int:
     decision = solve_tracking(p, y, x_ref, scenario.solver)
     results = []
 
-    # 1. Fixing the commanded control, the MILP's network output box must
-    #    coincide with direct interval propagation.
+    # 1. Fixing the commanded control, the MILP's safe box narrowed by
+    #    eps_x must coincide with direct interval propagation.
     fixed = solve_tracking(p, y, x_ref, scenario.solver, fix_u=decision.u_cmd)
     z_lo, z_hi = input_boxes(p, step, decision.u_cmd)
     ref_lo, ref_hi = output_bounds(p.net, z_lo, z_hi)
-    err = max(float(np.max(np.abs(fixed.nn_out_box.lo - ref_lo))),
-              float(np.max(np.abs(fixed.nn_out_box.hi - ref_hi))))
+    err = max(float(np.max(np.abs(fixed.box_lo + p.eps_x - ref_lo))),
+              float(np.max(np.abs(fixed.box_hi - p.eps_x - ref_hi))))
     results.append(("box-equality", err <= 1e-6, f"max dev {err:.2e}"))
 
     # 2. Sampled true network outputs must land inside the output box.
@@ -441,11 +441,12 @@ def cmd_solve_once(args) -> int:
         x_ref = scenario.x_ref
     else:
         x_ref = scenario.xg
-    d = solve_tracking(scenario.problem, y, x_ref, scenario.solver)
+    p = scenario.problem
+    d = solve_tracking(p, y, p.point(x_ref), scenario.solver)
     print("u:", " ".join(f"{v:.9g}" for v in d.u_cmd))
-    print("input box:", d.input_box.lo, d.input_box.hi)
-    print("nn output box:", d.nn_out_box.lo, d.nn_out_box.hi)
-    print("safe box:", d.safe_box.lo, d.safe_box.hi)
+    print("input box:", d.z_lo, d.z_hi)
+    print("nn output box:", d.box_lo + p.eps_x, d.box_hi - p.eps_x)
+    print("safe box:", d.box_lo, d.box_hi)
     print(f"cost: {d.cost:.9g}")
     return 0
 

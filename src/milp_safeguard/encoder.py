@@ -122,9 +122,10 @@ class TrackingProblem:
         return v
 
     def step(self, y, x_ref) -> Step:
-        """The data of the step that measures y and tracks x_ref."""
-        y = _vec(y, self.n_x, "y")
-        x_ref = self.point(x_ref)
+        """The data of the step that measures y and tracks x_ref.  Only
+        their shapes are checked: a reference is checked (point) where it
+        enters, once."""
+        y, x_ref = _vec(y, self.n_x, "y"), _vec(x_ref, self.n_x, "x_ref")
         x_lo = np.maximum(self.X.lo, y - self.eps_y)
         x_hi = np.minimum(self.X.hi, y + self.eps_y)
         if np.any(x_lo > x_hi):
@@ -139,10 +140,14 @@ class TrackingProblem:
 
 @dataclass(frozen=True)
 class ControlDecision:
+    """A step's certificate, as the solver's arrays: the commanded control,
+    the network's input box [z_lo, z_hi] and the safe box [box_lo,
+    box_hi], each lo clamped to its hi."""
     u_cmd: np.ndarray
-    input_box: Hypercube
-    nn_out_box: Hypercube
-    safe_box: Hypercube
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    box_lo: np.ndarray
+    box_hi: np.ndarray
     cost: float
     # For solve_tracking(..., warm=) at the next control step: the MILP's
     # root basis and tableau, and the model's structure.
@@ -421,13 +426,6 @@ def build_tracking_model(p: TrackingProblem, step: Step, fix_u=None,
     return model, {**s.h, "structure": s}
 
 
-def _extract_box(values, lo_vars, hi_vars, pad=0.0) -> Hypercube:
-    lo = values[lo_vars] + pad
-    hi = values[hi_vars] - pad
-    # Solver feasibility tolerance can leave lo marginally above hi.
-    return Hypercube(np.minimum(lo, hi), hi)
-
-
 def solve_tracking(p: TrackingProblem, y, x_ref,
                    cfg: SolverConfig | None = None, fix_u=None,
                    warm=None) -> ControlDecision:
@@ -450,21 +448,18 @@ def solve_tracking(p: TrackingProblem, y, x_ref,
     if sol.status != milp.OPTIMAL:
         raise SolveIterationLimit(f"solver stopped with status {sol.status}")
     v = sol.values
+    # Solver feasibility tolerance can leave a lo marginally above its hi.
+    z_hi, box_hi = v[h["b0"]], v[h["x_hi"]]
     decision = ControlDecision(
-        u_cmd=v[h["u_cmd"]],
-        input_box=_extract_box(v, h["a0"], h["b0"]),
-        nn_out_box=_extract_box(v, h["x_lo"], h["x_hi"], pad=p.eps_x),
-        safe_box=_extract_box(v, h["x_lo"], h["x_hi"]),
-        cost=float(sol.objective_value),
-        root_basis=sol.root_basis,
-        structure=h["structure"],
-    )
+        u_cmd=v[h["u_cmd"]], z_lo=np.minimum(v[h["a0"]], z_hi), z_hi=z_hi,
+        box_lo=np.minimum(v[h["x_lo"]], box_hi), box_hi=box_hi,
+        cost=float(sol.objective_value), root_basis=sol.root_basis,
+        structure=h["structure"])
     _check_decision(p, step, decision)
     return decision
 
 
-_AUDIT = ("NN box is not the interval image of the input box",
-          "input box state part escapes X", "commanded control escapes U",
+_AUDIT = ("input box state part escapes X", "commanded control escapes U",
           "safe box is not the eps_x inflation of the interval image",
           "safe box escapes X")
 
@@ -472,23 +467,21 @@ _AUDIT = ("NN box is not the interval image of the input box",
 def _check_decision(p: TrackingProblem, step: Step, d: ControlDecision):
     """Post-extraction audit of the ControlDecision invariants (AuditFailure).
 
-    The NN box is re-derived by direct interval propagation of the
-    commanded control's input box, apart from the MILP's rows, and the safe
-    box must be that image inflated by eps_x.  One pass checks each end
-    against its range [a, b] within _TOL (an equality's is [t, t]) and
-    raises the first failed check of _AUDIT; then the obstacles.
+    The network's output box is re-derived by direct interval propagation
+    of the commanded control's input box, apart from the MILP's rows, and
+    the safe box must be that image inflated by eps_x.  One pass checks
+    each end against its range [a, b] within _TOL (an equality's is [t, t])
+    and raises the first failed check of _AUDIT; then the obstacles.
     """
     n_x, X, U, e = p.n_x, p.X, p.U, p.eps_x
     lo, hi = output_bounds(p.net, *input_boxes(p, step, d.u_cmd))
-    z, nn, safe = d.input_box, d.nn_out_box, d.safe_box
-    v = np.concatenate((nn.lo, nn.hi, z.lo[:n_x], z.hi[:n_x], d.u_cmd,
-                        safe.lo, safe.hi, safe.lo, safe.hi))
-    a = np.concatenate((lo, hi, X.lo, X.lo, U.lo, lo - e, hi + e, X.lo, X.lo))
-    b = np.concatenate((lo, hi, X.hi, X.hi, U.hi, lo - e, hi + e, X.hi, X.hi))
+    v = np.concatenate((d.z_lo[:n_x], d.z_hi[:n_x], d.u_cmd, d.box_lo,
+                        d.box_hi, d.box_lo, d.box_hi))
+    a = np.concatenate((X.lo, X.lo, U.lo, lo - e, hi + e, X.lo, X.lo))
+    b = np.concatenate((X.hi, X.hi, U.hi, lo - e, hi + e, X.hi, X.hi))
     off = np.maximum(a - v, v - b) > _TOL
     if off.any():
-        check = np.repeat(np.arange(5), (2 * n_x, 2 * n_x, p.n_u, 2 * n_x,
-                                         2 * n_x))
+        check = np.repeat(np.arange(4), (2 * n_x, p.n_u, 2 * n_x, 2 * n_x))
         raise AuditFailure(_AUDIT[check[off.argmax()]])
-    if not p.unsafe.separated(safe.lo, safe.hi, 1e-9).all():
+    if not p.unsafe.separated(d.box_lo, d.box_hi, 1e-9).all():
         raise AuditFailure("safe box overlaps an obstacle")

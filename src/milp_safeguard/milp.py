@@ -10,16 +10,16 @@ the caller, with the count of basis updates since the tableau was last
 formed afresh.  The next solve's root starts from a copy of that tableau
 if its standard-form matrix and costs equal, value for value, the ones the
 tableau came from (a control loop's consecutive tracking models differ
-only in bounds and right-hand sides), from a fresh inversion of the basis
-if only the matrix does, and otherwise cold from the slack basis, which a
-model's bounded objective makes dual feasible, so no phase 1 is needed.
-Every child, which differs from its parent only in the bound of one basic
-binary, starts from a copy of its parent's final tableau, values and
-column directions.  A tableau is formed afresh once _REFACTOR_EVERY
-updates have accumulated, counted along every solve and node it was handed
-through.  A basis that fails to invert, or a warm basis that is not dual
-feasible, is reported as NumericalFailure, never as infeasibility; a warm
-LP that hits one is re-solved cold once.  Deterministic throughout: the
+only in bounds and right-hand sides), and otherwise cold from the slack
+basis, which a model's bounded objective makes dual feasible, so no phase
+1 is needed.  Every child, which differs from its parent only in the bound
+of one basic binary, starts from a copy of its parent's final tableau,
+values and column directions.  So a basis is inverted only to form its
+tableau afresh, once _REFACTOR_EVERY updates have accumulated, counted
+along every solve and node the tableau was handed through.  A basis that
+fails to invert, or a handed tableau that is not dual feasible under the
+new bounds, is reported as NumericalFailure, never as infeasibility; a
+warm LP that hits one is re-solved cold once.  Deterministic throughout: the
 only state carried between solves is the basis the caller hands over,
 lowest-index tie-breaks, no cutting planes, no presolve.
 """
@@ -247,53 +247,35 @@ def _standard_form(model: MilpModel):
 class _Basis(NamedTuple):
     """An LP's final basis, from which another LP on the same rows starts.
 
-    A and c are the standard-form matrix and costs the basis belongs to.
-    T, when kept, is the final tableau, B^-1 A over the reduced costs
-    c - c_B B^-1 A, with `updates` basis changes since its last fresh
-    inversion.  x, direction (+1 at a lower bound the column may rise from,
-    -1 at an upper bound it may fall from, 0 if basic or fixed) and free
-    (the free columns, None if none), when kept, are the final state: a
-    start from it keeps every nonbasic value.
+    A and c are the standard-form matrix and costs the basis belongs to,
+    and T its final tableau, B^-1 A over the reduced costs c - c_B B^-1 A,
+    with `updates` basis changes since its last fresh inversion.  x,
+    direction (+1 at a lower bound the column may rise from, -1 at an
+    upper bound it may fall from, 0 if basic or fixed) and free (the free
+    columns, None if none), when kept, are the final state: a start from
+    it keeps every nonbasic value.
     """
     A: np.ndarray
     c: np.ndarray
     basis: np.ndarray
-    T: np.ndarray | None = None
-    updates: int = 0
+    T: np.ndarray
+    updates: int
     x: np.ndarray | None = None
     direction: np.ndarray | None = None
     free: np.ndarray | None = None
-
-
-def _tableau(A, c, basis, stats):
-    """A basis's tableau from a fresh inversion, its basic columns set to
-    the unit vectors they are; None if the basis is numerically singular."""
-    if stats is not None:
-        stats["inversions"] += 1
-    try:
-        Binv = np.linalg.inv(A[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    T = np.empty((basis.size + 1, A.shape[1]))
-    np.matmul(Binv, A, out=T[:-1])
-    T[:-1, basis] = np.eye(basis.size)
-    T[-1] = c - c[basis] @ T[:-1]
-    T[-1, basis] = 0.0
-    return T
 
 
 def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     """Bounded dual simplex on a standard form, cold or from a given basis.
 
     Cold (warm=None), the basis is the m slack columns, the last m of A,
-    so the tableau is A over c.  Warm (warm=a _Basis of A), the LP starts
-    from a copy of the basis's tableau and state if it keeps them (a
-    branch-and-bound child, whose only new bound is on a basic binary);
-    otherwise it inverts the basis afresh and puts each nonbasic variable
-    at the bound its reduced cost favours.  That start must be dual
-    feasible, which MilpModel's bounded objective makes a cold start; a
-    warm basis that is not, or that fails to invert, gives
-    NumericalFailure, so that the caller re-solves cold.
+    so the tableau is A over c.  Warm (warm=a _Basis of A and c), the LP
+    starts from a copy of the basis's tableau, and of its state if it
+    keeps one (a branch-and-bound child, whose only new bound is on a
+    basic binary); otherwise each nonbasic variable goes to the bound its
+    reduced cost favours.  That start must be dual feasible, which
+    MilpModel's bounded objective makes a cold start; a warm one that is
+    not gives NumericalFailure, so that the caller re-solves cold.
 
     Each pivot: leaving row the largest bound violation; entering column
     by the dual ratio test, one masked quotient d / g over the nonbasic
@@ -304,11 +286,11 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     columns cannot close it at their other bounds, with the basic values
     formed afresh from the tableau; otherwise one of them moves to its
     other bound, or the LP is a NumericalFailure if its reduced cost
-    forbids that bound.  The tableau,
-    reduced costs included, takes one rank-one update per pivot
-    (Koberstein, The Dual Simplex Method, 2005), and is formed afresh once
-    _REFACTOR_EVERY updates have accumulated since its last fresh
-    inversion, counting those inherited with a warm basis.
+    forbids that bound.  The tableau, reduced costs included, takes one
+    rank-one update per pivot (Koberstein, The Dual Simplex Method, 2005),
+    and is formed afresh once _REFACTOR_EVERY updates have accumulated
+    since its last fresh inversion, counting those inherited with a warm
+    basis; a basis that fails that inversion gives NumericalFailure too.
 
     Returns (status, x, objective, iterations, basis); basis is the final
     _Basis, with its tableau and state, when Optimal, else None.  stats,
@@ -320,11 +302,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     if warm is None:
         basis, T, updates = np.arange(n - m, n), np.vstack([A, c]), 0
     else:
-        basis, updates = warm.basis.copy(), warm.updates
-        T = _tableau(A, c, basis, stats) if warm.T is None else warm.T.copy()
-        if T is None:
-            return NUMERICAL_FAILURE, None, INF, 0, None
-        updates = 0 if warm.T is None else updates
+        basis, T, updates = warm.basis.copy(), warm.T.copy(), warm.updates
     d = T[m]   # the reduced costs, a view
     if warm is not None and warm.x is not None:
         x, direction, free = warm.x.copy(), warm.direction.copy(), warm.free
@@ -354,10 +332,17 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
             return ITERATION_LIMIT, None, INF, iters, None
         iters += 1
         if updates >= _REFACTOR_EVERY:
-            T = _tableau(A, c, basis, stats)
-            if T is None:
+            # The tableau afresh, its basic columns the unit vectors they are.
+            if stats is not None:
+                stats["inversions"] += 1
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
                 return NUMERICAL_FAILURE, None, INF, iters, None
-            updates, d = 0, T[m]
+            np.matmul(Binv, A, out=T[:m])
+            T[:m, basis] = np.eye(m)
+            T[m] = c - c[basis] @ T[:m]
+            T[m, basis], updates = 0.0, 0
             x[basis] = 0.0
             xB = T[:m, n - m:] @ (rhs - A @ x)
 
@@ -464,15 +449,15 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
     The root LP starts from `warm`, a previous solution's root_basis: from
     a copy of its tableau, with its update count, when this model's
     standard-form matrix and costs equal the ones it came from (same shape,
-    same values); from a fresh inversion of its basis when only the matrix
-    does; cold otherwise.  Every child re-solves from a copy of its
-    parent's final tableau and state.  A warm LP whose basis fails to
-    invert, or is not dual feasible for this model, is solved once more
-    cold.  Branches on the most-fractional binary; prunes nodes whose LP
-    bound cannot improve the incumbent beyond the relative gap.  A model
-    whose binaries are all fixed is an LP, and its root optimum is the
-    answer.  The returned solution carries this root's basis and tableau
-    for the next call.
+    same values), and cold otherwise.  Every child re-solves from a copy
+    of its parent's final tableau and state.  A warm LP whose tableau is
+    not dual feasible under this model's bounds, or whose basis fails to
+    invert when it is due to be formed afresh, is solved once more cold.
+    Branches on the most-fractional binary; prunes nodes whose LP bound
+    cannot improve the incumbent beyond the relative gap.  A model whose
+    binaries are all fixed is an LP, and its root optimum is the answer.
+    The returned solution carries this root's basis and tableau for the
+    next call.
     """
     config = config or SolverConfig()
     A, rhs, c, lb, ub = _standard_form(model)
@@ -497,13 +482,11 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             warm = None
 
     # A tableau depends on A, c and the basis only.
-    if warm is not None:
-        if not np.array_equal(warm.A, A):
-            warm = None
-        elif np.array_equal(warm.c, c):
-            warm = warm._replace(x=None, direction=None, free=None)
-        else:
-            warm = _Basis(A, c, warm.basis)
+    if warm is not None and np.array_equal(warm.A, A) \
+            and np.array_equal(warm.c, c):
+        warm = warm._replace(x=None, direction=None, free=None)
+    else:
+        warm = None
     status, x, obj, basis = node_lp(lb, ub, warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
     if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
@@ -540,13 +523,13 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
                 incumbent[binaries] = np.clip(np.round(x[binaries]), 0.0, 1.0)
                 incumbent_obj = bound
             continue
-        # A fractional binary is basic: only a basic bound moves.
-        start = basis if j in basis.basis else basis._replace(x=None)
+        # A nonbasic binary sits at 0 or 1, so j is basic: a child starts
+        # from its parent's state, of which only a basic bound moves.
         for fixed in (0.0, 1.0):
             clb, cub = lb.copy(), ub.copy()
             clb[j] = fixed
             cub[j] = fixed
-            status, cx, cobj, cbasis = node_lp(clb, cub, start)
+            status, cx, cobj, cbasis = node_lp(clb, cub, basis)
             if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
                 stop = status
                 break

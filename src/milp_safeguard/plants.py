@@ -34,6 +34,19 @@ class RobotPlant:
     state_dim = 2
     control_dim = 2
 
+    def __post_init__(self):
+        # One bound per axis, checked once, here, in TrackingProblem's words.
+        eps = np.array(self.eps_x, dtype=float, ndmin=1)
+        if eps.shape != (self.state_dim,):
+            raise ValueError(f"eps_x must have shape ({self.state_dim},), "
+                             f"got {eps.shape}")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("eps_x must be finite")
+        if np.any(eps < 0):
+            raise ValueError("eps_x must be nonnegative")
+        eps.setflags(write=False)
+        object.__setattr__(self, "eps_x", eps)
+
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
         x, u = _state_and_control(self, x, u, rng)
         if rng is None:

@@ -1,14 +1,17 @@
 """Closed-loop episode execution.
 
 The scenario checks its tracking problem once, and run_episode every
-waypoint before the first step.  Per step: measure, pick the first
-remaining waypoint as reference, solve the robust tracking MILP (starting
-from the previous step's decision, which carries the model's structure
-and the root LP's final tableau; each episode starts cold), actuate with
-disturbance, advance the plant, log.  Waypoints are dropped once the
-predicted safe box contains them; the episode ends when the box contains
-the goal, on infeasibility (halt, no fallback), on a numerical failure of
-the solver, a solve that hits its node or simplex-iteration budget or a
+waypoint before the first step, so a step checks only its reference's
+shape.  Per step: measure, pick the first remaining waypoint as
+reference, solve the robust tracking MILP (starting from the previous
+step's decision, which carries the model's structure and the root LP's
+final tableau; each episode starts cold), actuate with disturbance,
+advance the plant, log.  The decision's safe box is the solver's (box_lo,
+box_hi) arrays, which the log keeps and the waypoint and goal tests read
+as they are: a step builds no Hypercube.  Waypoints are dropped once the
+safe box contains them; the episode ends when the box contains the goal,
+on infeasibility (halt, no fallback), on a numerical failure of the
+solver, a solve that hits its node or simplex-iteration budget or a
 decision that fails its audit (halt, each logged apart from
 infeasibility), when the state leaves the plant's admissible domain, or at
 the step limit.
@@ -34,7 +37,7 @@ from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import ReluNetwork
 from milp_safeguard.planner import rrt_build, shortest_path
 from milp_safeguard.plants import measure, sample_noise
-from milp_safeguard.sets import Hypercube, UnsafeRegion
+from milp_safeguard.sets import Hypercube, UnsafeRegion, in_box
 
 AUDIT_FAILURE = "AuditFailure"
 GOAL_REACHED = "GoalReached"
@@ -140,10 +143,9 @@ class TrajectoryLog:
         for s in self.steps:
             if s.status != "Optimal":
                 continue
-            box = Hypercube(np.minimum(s.box_lo, s.box_hi), s.box_hi)
-            if not box.contains(s.x_next, tol=tol):
+            if not in_box(s.x_next, s.box_lo, s.box_hi, tol):
                 bad.append((s.k, "containment"))
-            if not unsafe.separated(box.lo, box.hi, tol).all():
+            if not unsafe.separated(s.box_lo, s.box_hi, tol).all():
                 bad.append((s.k, "obstacle"))
         return bad
 
@@ -261,14 +263,14 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
 
         log.steps.append(StepRecord(
             k=k, x=x, y=y, x_ref=x_ref, u_cmd=decision.u_cmd, u_act=u_act,
-            box_lo=decision.safe_box.lo, box_hi=decision.safe_box.hi,
+            box_lo=decision.box_lo, box_hi=decision.box_hi,
             cost=decision.cost, status="Optimal", solve_ms=solve_ms,
             x_next=x_next))
 
-        while waypoints and decision.safe_box.contains(waypoints[0],
-                                                       tol=_MEMBER_TOL):
+        lo, hi = decision.box_lo, decision.box_hi
+        while waypoints and in_box(waypoints[0], lo, hi, _MEMBER_TOL):
             waypoints.pop(0)
-        if decision.safe_box.contains(goal, tol=_MEMBER_TOL):
+        if in_box(goal, lo, hi, _MEMBER_TOL):
             log.status = GOAL_REACHED
             return log
         if not waypoints:

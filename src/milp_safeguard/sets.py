@@ -24,6 +24,11 @@ def _as_vector(v, name: str) -> np.ndarray:
     return arr
 
 
+def in_box(x, lo, hi, tol: float = 0.0) -> bool:
+    """Whether the box [lo, hi], given as arrays, holds x, within tol."""
+    return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
+
+
 @dataclass(frozen=True)
 class Hypercube:
     """Box [lo, hi] in R^n with lo <= hi elementwise."""
@@ -52,23 +57,12 @@ class Hypercube:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def contains_box(self, other: "Hypercube", tol: float = 0.0) -> bool:
-        return bool(
-            np.all(other.lo >= self.lo - tol) and np.all(other.hi <= self.hi + tol)
-        )
+        return in_box(np.asarray(x, dtype=float), self.lo, self.hi, tol)
 
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform samples; shape (dim,) if n is None else (n, dim)."""
         size = self.dim if n is None else (n, self.dim)
         return rng.uniform(self.lo, self.hi, size=size)
-
-    def concat(self, other: "Hypercube") -> "Hypercube":
-        return Hypercube(
-            np.concatenate([self.lo, other.lo]), np.concatenate([self.hi, other.hi])
-        )
 
 
 @dataclass(frozen=True)

@@ -24,3 +24,15 @@ def inflate(h: Hypercube, eps) -> Hypercube:
     if np.any(eps < 0):
         raise ValueError(f"negative inflation: {eps}")
     return Hypercube(h.lo - eps, h.hi + eps)
+
+
+def concat(a: Hypercube, b: Hypercube) -> Hypercube:
+    """The product box a x b."""
+    return Hypercube(np.concatenate([a.lo, b.lo]),
+                     np.concatenate([a.hi, b.hi]))
+
+
+def contains_box(outer: Hypercube, inner: Hypercube, tol: float = 0.0) -> bool:
+    """Whether outer holds inner, within tol."""
+    return bool(np.all(inner.lo >= outer.lo - tol)
+                and np.all(inner.hi <= outer.hi + tol))

@@ -48,6 +48,7 @@ from milp_safeguard.plants import VehiclePlant
 from milp_safeguard.runtime import GOAL_REACHED, plan_waypoints, run_episode
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
+from helpers import concat
 from test_oracle import _control_bound_model, _obstacle_model, \
     _relu_neuron_model
 
@@ -133,11 +134,11 @@ def test_criterion_2_box_equality_oracle(capsys):
                           np.minimum(X.hi, y + eps))
         u_box = Hypercube(np.maximum(U.lo, u_fix - eps),
                           np.minimum(U.hi, u_fix + eps))
-        z_box = x_box.concat(u_box)
+        z_box = concat(x_box, u_box)
         out = Hypercube(*output_bounds(net, z_box.lo, z_box.hi))
         worst = max(worst,
-                    float(np.max(np.abs(d.nn_out_box.lo - out.lo))),
-                    float(np.max(np.abs(d.nn_out_box.hi - out.hi))))
+                    float(np.max(np.abs(d.box_lo + eps - out.lo))),
+                    float(np.max(np.abs(d.box_hi - eps - out.hi))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 120
     _announce(capsys, "criterion 2 (box-equality oracle, 100 nets)", ok,

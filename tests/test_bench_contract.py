@@ -136,9 +136,9 @@ def test_a_tracking_step_calls_each_traced_layer_once(monkeypatch):
         assert spans.count_under(span, "encoder.solve_tracking") == 1, span
 
 
-def test_a_robot_step_builds_only_the_decision_s_boxes(monkeypatch):
-    # The fixed parts are checked once, by the scenario; a step is arrays
-    # but for the decision's three boxes.
+def test_a_robot_episode_builds_no_hypercube(monkeypatch):
+    # The fixed parts are checked once, by the scenario; a step, its
+    # decision included, is arrays.
     from milp_safeguard import sets
     from milp_safeguard.cli import load_scenario
     from milp_safeguard.runtime import plan_waypoints, run_episode
@@ -152,7 +152,7 @@ def test_a_robot_step_builds_only_the_decision_s_boxes(monkeypatch):
     monkeypatch.setattr(sets.Hypercube, "__post_init__", counted)
     log = run_episode(s, waypoints)
     assert len(log.steps) > 1
-    assert len(built) <= 3 * len(log.steps)
+    assert built == []
 
 
 def test_witness_search_reaches_the_net_only_through_forward_batch(

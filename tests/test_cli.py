@@ -503,6 +503,18 @@ def test_solve_once_prints_solution(tmp_path, capsys):
     assert any(ln.startswith("cost:") for ln in stdout.splitlines())
 
 
+@pytest.mark.parametrize("x_ref, message", [
+    ("20,20", "x_ref outside the state feasible set"),
+    ("2.5,3.0", "x_ref inside an obstacle")], ids=["outside-X", "in-obstacle"])
+def test_solve_once_rejects_a_bad_reference(capsys, x_ref, message):
+    # A reference is checked where it enters; the solve checks its shape.
+    rc = main(["solve-once", os.path.join(ROOT, "scenarios", "robot_maze.yaml"),
+               "--x-ref", x_ref])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 def test_infeasible_solve_once_exits_2(capsys):
     # The measurement lies inside the first wall: no control moves the
     # whole next-state box out of it.

@@ -30,7 +30,7 @@ from milp_safeguard.plants import measure
 from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import inflate, intersect
+from helpers import concat, inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -87,6 +87,24 @@ def test_fixed_control_gets_the_clipped_interval(width, share, at):
     # element is the clip's big-M eps_u = 1e-9, the simplex's tolerance; in
     # the second, pivots on a big-M of 5e-9 leave a child's basic values
     # 5e-9 off those its tableau gives.
+    _check_clipped_interval(width, share, at)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: a tiny eps_u share leaves a clip "
+                          "end 1.2e-9 off")
+def test_a_tiny_eps_u_share_misses_its_clip_end():
+    # A draw of the test above that fails it: after 3 branch-and-bound
+    # nodes the first control's lower end sits 1.22e-9 above U's clip of
+    # u - eps_u, past the 1e-9 bound.  This pins the defect, which the
+    # random draws find only now and then.
+    _check_clipped_interval((1.3125, 1.0), (1.192092896e-07, 0.0),
+                            (1.192092896e-07, 0.0))
+
+
+def _check_clipped_interval(width, share, at):
+    """With u_cmd fixed on a U of the given widths, the MILP's input box
+    ends are U's clip of [u - eps_u, u + eps_u], within 1e-9."""
     w, eps_u = np.array(width), np.array(share) * np.array(width)
     Uw = Hypercube(-w / 2, w / 2)
     u = Uw.lo + np.array(at) * w
@@ -120,11 +138,12 @@ def test_fixed_control_near_the_lower_end_of_u_passes_the_audit():
 
 
 def test_reference_validation():
-    with pytest.raises(ValueError):
-        problem().step([5, 5], [20, 20])
+    # A reference is checked where it enters (point); step checks shapes.
+    with pytest.raises(ValueError, match="x_ref outside the state"):
+        problem().point([20, 20])
     block = Hypercube(np.array([4.0, 4.0]), np.array([6.0, 6.0]))
-    with pytest.raises(ValueError):
-        problem(unsafe=[block]).step([1, 1], [5, 5])
+    with pytest.raises(ValueError, match="x_ref inside an obstacle"):
+        problem(unsafe=[block]).point([5, 5])
 
 
 def problem_on_x10():
@@ -175,7 +194,7 @@ def test_unconstrained_step_tracks_reference():
     d = solve_tracking(problem(), [5, 5], [5.1, 4.9])
     assert np.allclose(d.u_cmd, [0.1, -0.1], atol=1e-6)
     # Safe box center sits on the reference.
-    assert np.allclose(d.safe_box.center, [5.1, 4.9], atol=1e-6)
+    assert np.allclose((d.box_lo + d.box_hi) / 2, [5.1, 4.9], atol=1e-6)
 
 
 def test_far_reference_saturates_control():
@@ -189,10 +208,11 @@ def test_box_geometry_identity_net():
     d = solve_tracking(p, y, [5.2, 5.2])
     mbox = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(d.u_cmd - p.eps_u, d.u_cmd + p.eps_u), p.U)
-    assert np.allclose(d.nn_out_box.lo, mbox.lo + u_box.lo, atol=1e-6)
-    assert np.allclose(d.nn_out_box.hi, mbox.hi + u_box.hi, atol=1e-6)
-    assert np.allclose(d.safe_box.lo, d.nn_out_box.lo - p.eps_x, atol=1e-6)
-    assert np.allclose(d.safe_box.hi, d.nn_out_box.hi + p.eps_x, atol=1e-6)
+    z_box = concat(mbox, u_box)
+    assert np.allclose(d.z_lo, z_box.lo, atol=1e-6)
+    assert np.allclose(d.z_hi, z_box.hi, atol=1e-6)
+    assert np.allclose(d.box_lo, mbox.lo + u_box.lo - p.eps_x, atol=1e-6)
+    assert np.allclose(d.box_hi, mbox.hi + u_box.hi + p.eps_x, atol=1e-6)
 
 
 def test_fixed_control_box_matches_output_bounds():
@@ -201,10 +221,10 @@ def test_fixed_control_box_matches_output_bounds():
     d = solve_tracking(p, y, [3.1, 7.1], fix_u=u_fix)
     x_box = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(u_fix - p.eps_u, u_fix + p.eps_u), p.U)
-    z_box = x_box.concat(u_box)
+    z_box = concat(x_box, u_box)
     out = Hypercube(*output_bounds(p.net, z_box.lo, z_box.hi))
-    assert np.allclose(d.nn_out_box.lo, out.lo, atol=1e-6)
-    assert np.allclose(d.nn_out_box.hi, out.hi, atol=1e-6)
+    assert np.allclose(d.box_lo + p.eps_x, out.lo, atol=1e-6)
+    assert np.allclose(d.box_hi - p.eps_x, out.hi, atol=1e-6)
 
 
 def test_obstacle_forces_detour():
@@ -212,8 +232,8 @@ def test_obstacle_forces_detour():
     block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
     d = solve_tracking(problem(unsafe=[block]), [5, 5], [5.4, 6.5])
     # Safe box must not overlap the obstacle interior.
-    assert (d.safe_box.hi[0] <= 5.1 + 1e-6 or d.safe_box.lo[0] >= 5.6 - 1e-6
-            or d.safe_box.hi[1] <= 4.0 + 1e-6 or d.safe_box.lo[1] >= 6.0 - 1e-6)
+    assert (d.box_hi[0] <= 5.1 + 1e-6 or d.box_lo[0] >= 5.6 - 1e-6
+            or d.box_hi[1] <= 4.0 + 1e-6 or d.box_lo[1] >= 6.0 - 1e-6)
 
 
 def test_surrounded_state_is_infeasible():
@@ -229,8 +249,8 @@ def test_surrounded_state_is_infeasible():
 def test_cost_is_worst_case_l1_distance():
     x_ref = np.array([5.2, 5.2])
     d = solve_tracking(problem(), [5, 5], x_ref)
-    expected = np.sum(np.maximum(np.abs(d.safe_box.lo - x_ref),
-                                 np.abs(d.safe_box.hi - x_ref)))
+    expected = np.sum(np.maximum(np.abs(d.box_lo - x_ref),
+                                 np.abs(d.box_hi - x_ref)))
     assert abs(d.cost - expected) < 1e-6
 
 
@@ -238,6 +258,7 @@ def test_safe_box_contains_all_model_outcomes():
     """Monte-Carlo audit of the robustness guarantee for one step."""
     p = problem()
     d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    safe = Hypercube(d.box_lo, d.box_hi)
     rng = np.random.default_rng(0)
     step = p.step([5, 5], [5.2, 4.8])
     for _ in range(500):
@@ -246,7 +267,7 @@ def test_safe_box_contains_all_model_outcomes():
         u_act = np.clip(d.u_cmd + w_u, p.U.lo, p.U.hi)
         w_x = rng.uniform(-p.eps_x, p.eps_x)
         nxt = forward(p.net, np.concatenate([x, u_act])) + w_x
-        assert d.safe_box.contains(nxt, tol=1e-9)
+        assert safe.contains(nxt, tol=1e-9)
 
 
 def test_model_shape_row_and_binary_counts_deterministic():
@@ -259,40 +280,28 @@ def test_model_shape_row_and_binary_counts_deterministic():
 
 
 def test_audit_rederives_the_nn_box():
-    # The NN box and the safe box moved together by 1e-5 agree with each
-    # other, X and the obstacles; only the interval image of the input box
-    # tells them from the MILP's.
+    # A commanded control moved by 1e-5 stays in U, and the decision's
+    # boxes still agree with X and the obstacles; only the interval image
+    # of the input box, re-derived from the control, tells it from the
+    # MILP's.
     p = problem()
     step = p.step([5, 5], [5.2, 4.8])
     d = solve_tracking(p, [5, 5], [5.2, 4.8])
     _check_decision(p, step, d)
-
-    def shift(box):
-        return Hypercube(box.lo + 1e-5, box.hi + 1e-5)
-
-    moved = replace(d, nn_out_box=shift(d.nn_out_box),
-                    safe_box=shift(d.safe_box))
     with pytest.raises(AssertionError, match="interval image"):
-        _check_decision(p, step, moved)
+        _check_decision(p, step, replace(d, u_cmd=d.u_cmd + 1e-5))
 
 
-@pytest.mark.parametrize("nn_shift,safe_shift", [(0.0, 1e-5),
-                                                 (9e-7, 1.8e-6)],
-                         ids=["moved", "drifted-within-tolerance"])
-def test_audit_checks_the_safe_box_against_the_interval_image(nn_shift,
-                                                              safe_shift):
+@pytest.mark.parametrize("lo_shift,hi_shift", [(1e-5, 1e-5), (-1e-5, 1e-5)],
+                         ids=["moved", "widened"])
+def test_audit_checks_the_safe_box_against_the_interval_image(lo_shift,
+                                                              hi_shift):
     # A safe box moved by 1e-5 is not the interval image inflated by
-    # eps_x.  Nor is one that drifts 0.9e-6 from an NN box that drifts
-    # 0.9e-6 from the image: each step is within the audit's tolerance,
-    # but the safe box is checked against the image itself.
+    # eps_x.  Nor is one widened by 1e-5 on each side, although it holds
+    # the image: the audit checks the MILP's box, not a containment.
     p = problem()
     d = solve_tracking(p, [5, 5], [5.2, 4.8])
-
-    def shift(box, by):
-        return Hypercube(box.lo + by, box.hi + by)
-
-    moved = replace(d, nn_out_box=shift(d.nn_out_box, nn_shift),
-                    safe_box=shift(d.safe_box, safe_shift))
+    moved = replace(d, box_lo=d.box_lo + lo_shift, box_hi=d.box_hi + hi_shift)
     with pytest.raises(AuditFailure,
                        match="eps_x inflation of the interval image"):
         _check_decision(p, p.step([5, 5], [5.2, 4.8]), moved)
@@ -440,31 +449,28 @@ def test_flat_hull_keeps_the_obstacle_it_crosses():
     p = flat_problem(unsafe=[block])
     assert model_of(p, [5, 5], [5.8, 5.0])[1]["obstacles"] == [0]
     d = solve_tracking(p, [5, 5], [5.8, 5.0])
-    assert d.safe_box.lo[1] == d.safe_box.hi[1] == 5.0
-    assert d.safe_box.hi[0] <= 5.1 + 1e-6
+    assert d.box_lo[1] == d.box_hi[1] == 5.0
+    assert d.box_hi[0] <= 5.1 + 1e-6
 
 
 @pytest.mark.parametrize("make", [problem, flat_problem], ids=["box", "flat"])
 def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
-    # The NN box and the safe box shifted together into a block beyond the
-    # reach hull agree with each other and with X.  Were the interval image
-    # fooled into agreeing too, the audit of every obstacle, dropped ones
-    # included, would still reject them, also a safe box that is flat in y.
+    # The safe box shifted into a block beyond the reach hull agrees with
+    # X.  Were the interval image fooled into agreeing too, the audit of
+    # every obstacle, dropped ones included, would still reject it, also a
+    # safe box that is flat in y.
     far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
     p = make(unsafe=[far])
     step = p.step([5, 5], [5.2, 4.8])
     d = solve_tracking(p, [5, 5], [5.2, 4.8])
     assert build_tracking_model(p, step)[1]["obstacles"] == []
 
-    def shift(box):
-        return Hypercube(box.lo + [1.2, 0.0], box.hi + [1.2, 0.0])
-
-    moved = replace(d, nn_out_box=shift(d.nn_out_box),
-                    safe_box=shift(d.safe_box))
+    moved = replace(d, box_lo=d.box_lo + [1.2, 0.0],
+                    box_hi=d.box_hi + [1.2, 0.0])
     with pytest.raises(AssertionError, match="interval image"):
         _check_decision(p, step, moved)
     monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: (
-        moved.nn_out_box.lo, moved.nn_out_box.hi))
+        moved.box_lo + p.eps_x, moved.box_hi - p.eps_x))
     _check_decision(make(), step, moved)
     with pytest.raises(AssertionError, match="overlaps an obstacle"):
         _check_decision(p, step, moved)

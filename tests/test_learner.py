@@ -27,6 +27,8 @@ from milp_safeguard.nn_model import forward
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.sets import Hypercube
 
+from helpers import concat
+
 X2 = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 U2 = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
 ROBOT = RobotPlant(eps_x=np.zeros(2))
@@ -151,7 +153,7 @@ def test_identity_warm_start_passes_state_through():
     U = Hypercube(np.array([2.0, -0.5]), np.array([4.0, 0.5]))
     net = identity_warm_start(X, U, (8, 4), seed=0, scale=0.0)
     rng = np.random.default_rng(0)
-    for z in X.concat(U).sample(rng, 100):
+    for z in concat(X, U).sample(rng, 100):
         assert np.allclose(forward(net, z), z[:3], atol=1e-9)
 
 

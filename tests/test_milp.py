@@ -387,30 +387,43 @@ def test_children_inherit_their_parents_inverse(monkeypatch):
 
 
 def test_singular_warm_root_resolves_cold(monkeypatch):
-    # A warm root handed a basis without its tableau inverts the basis
-    # afresh; when that fails, the root is solved once more cold and the
-    # search goes on as a cold solve.
-    m, _ = _odd_cycle_partitioning()
+    # The handed tableau carries its count of basis updates, two here, so
+    # with _REFACTOR_EVERY at 2 the warm root forms its tableau afresh
+    # before its first pivot.  When that inversion fails, the root is
+    # solved once more cold, which here needs no pivot, and the solve ends
+    # at the cold optimum.
+    def two_rows(rhs):
+        b = ModelBuilder()
+        x = b.add_continuous(0.0, 5.0, "x")
+        y = b.add_continuous(0.0, 5.0, "y")
+        b.add_constraint({x: 1.0, y: 2.0}, GE, rhs)
+        b.add_constraint({x: 2.0, y: 1.0}, GE, rhs)
+        b.set_objective({x: 1.0, y: 1.0})
+        return b.build()
+
+    basis = solve(two_rows(2.0)).root_basis
+    assert basis.updates == 2
+    m = two_rows(-1.0)
     ref = solve(m)
-    stripped = ref.root_basis._replace(T=None)
-    assert solve(m, warm=stripped).stats["warm_root"]
+    monkeypatch.setattr(milp, "_REFACTOR_EVERY", 2)
+    warm = solve(m, warm=basis)
+    assert warm.stats["warm_root"] and warm.stats["inversions"] > 0
     _singular(monkeypatch)
-    sol = solve(m, warm=stripped)
+    sol = solve(m, warm=basis)
     assert sol.status == OPTIMAL
     assert sol.objective_value == ref.objective_value
     assert np.array_equal(sol.values, ref.values)
-    assert not sol.stats["warm_root"]
-    assert sol.stats["cold_resolves"] == 1
-    assert sol.stats["inversions"] == 1
-    assert sol.stats["lp_calls"] == ref.stats["lp_calls"] + 1
+    assert sol.stats == dict(ref.stats, cold_resolves=1, inversions=1,
+                             lp_calls=ref.stats["lp_calls"] + 1,
+                             simplex_iters=ref.stats["simplex_iters"] + 1)
 
 
 def test_root_tableau_is_handed_over_only_with_its_costs(monkeypatch):
     # The root basis carries its final tableau.  A model with the same
-    # matrix and costs starts from a copy of it, with no inversion; one
-    # with the same matrix and other costs never reuses it (its reduced
-    # costs belong to the old costs) and inverts the basis afresh.  Both
-    # end at the cold solve's optimum.
+    # matrix and costs starts from a copy of it; one with the same matrix
+    # and other costs never reuses it (its reduced costs belong to the old
+    # costs) and starts cold, exactly as without a basis.  Neither inverts
+    # a basis, and both end at the cold solve's optimum.
     def two_columns(c_y):
         b = ModelBuilder()
         x = b.add_continuous(0.0, 5.0, "x")
@@ -420,18 +433,18 @@ def test_root_tableau_is_handed_over_only_with_its_costs(monkeypatch):
         return b.build()
 
     basis = solve(two_columns(-1.0)).root_basis
-    assert basis.T is not None
-    for c_y, inversions in ((-1.0, 0), (-2.0, 1)):
-        m = two_columns(c_y)
-        cold, warm = solve(m), solve(m, warm=basis)
-        assert warm.stats["warm_root"] and warm.stats["cold_resolves"] == 0
-        assert warm.stats["inversions"] == inversions
-        assert warm.objective_value == cold.objective_value
-        assert np.array_equal(warm.values, cold.values)
-    # Without an inversion the tableau is the one handed over.
     _singular(monkeypatch)
-    assert solve(two_columns(-1.0), warm=basis).stats["warm_root"]
-    assert not solve(two_columns(-2.0), warm=basis).stats["warm_root"]
+    m = two_columns(-1.0)
+    cold, warm = solve(m), solve(m, warm=basis)
+    assert warm.stats["warm_root"] and warm.stats["cold_resolves"] == 0
+    assert warm.stats["inversions"] == 0
+    assert warm.objective_value == cold.objective_value
+    assert np.array_equal(warm.values, cold.values)
+    m = two_columns(-2.0)
+    cold, other = solve(m), solve(m, warm=basis)
+    assert not other.stats["warm_root"] and other.stats["inversions"] == 0
+    assert other.stats == cold.stats
+    assert np.array_equal(other.values, cold.values)
 
 
 def test_refactorization_counts_inherited_updates(monkeypatch):
@@ -544,36 +557,33 @@ def test_basis_of_another_matrix_is_ignored():
     assert warm.stats == cold.stats
 
 
-def _two_column_model(x_lb, c_x, c_y):
-    # x + y <= 3 with y in [0, 4]: at the optimum for c_y < 0, y is basic.
+def _two_column_model(x_lb, rel):
+    # x + y (rel) 3, x in [x_lb, 5] and y in [0, 4], minimizing -y.
     b = ModelBuilder()
     x = b.add_continuous(x_lb, 5.0, "x")
     y = b.add_continuous(0.0, 4.0, "y")
-    b.add_constraint({x: 1.0, y: 1.0}, LE, 3.0)
-    b.set_objective({x: c_x, y: c_y})
+    b.add_constraint({x: 1.0, y: 1.0}, rel, 3.0)
+    b.set_objective({x: 0.0, y: -1.0})
     return b.build()
 
 
-@pytest.mark.parametrize("x_lb,c_x,c_y", [(-INF, 0.0, -1.0), (0.0, 0.0, 1.0)],
-                         ids=["bound_pattern", "costs"])
-def test_dual_infeasible_warm_root_resolves_cold(x_lb, c_x, c_y):
-    # The root basis of another model with the same matrix (y basic, the
-    # reduced costs of x and of the slack 1) is not dual feasible here:
-    # a reduced cost asks x for a lower bound it lacks, or (after the cost
-    # change) the slack for an upper bound.  The basis comes without its
-    # tableau, so it is inverted.  The root is solved once more cold, and
-    # the result is the cold solve's.
-    basis = solve(_two_column_model(0.0, 0.0, -1.0)).root_basis._replace(T=None)
-    m = _two_column_model(x_lb, c_x, c_y)
+@pytest.mark.parametrize("x_lb,rel", [(-INF, LE), (0.0, GE)],
+                         ids=["bound_pattern", "relation"])
+def test_dual_infeasible_warm_root_resolves_cold(x_lb, rel):
+    # The root tableau of another model with the same matrix and costs (y
+    # basic, the reduced costs of x and of the slack 1) is not dual
+    # feasible under these bounds: a reduced cost asks x, or the slack of
+    # the row that turned >=, for a lower bound it lacks.  The root is
+    # solved once more cold, and the result is the cold solve's.
+    basis = solve(_two_column_model(0.0, LE)).root_basis
+    m = _two_column_model(x_lb, rel)
     cold, warm = solve(m), solve(m, warm=basis)
     assert warm.stats["cold_resolves"] == 1 and not warm.stats["warm_root"]
     assert warm.status == cold.status == OPTIMAL
     assert warm.objective_value == cold.objective_value
     assert np.array_equal(warm.values, cold.values)
-    expected = dict(cold.stats, cold_resolves=1,
-                    lp_calls=cold.stats["lp_calls"] + 1,
-                    inversions=cold.stats["inversions"] + 1)
-    assert warm.stats == expected
+    assert warm.stats == dict(cold.stats, cold_resolves=1,
+                              lp_calls=cold.stats["lp_calls"] + 1)
 
 
 def test_singular_basis_is_numerical_failure(monkeypatch):

@@ -21,6 +21,8 @@ from milp_safeguard.nn_model import (
 )
 from milp_safeguard.sets import Hypercube
 
+from helpers import concat
+
 ROBOT_X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 ROBOT_U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
 VEHICLE_NET = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -194,7 +196,7 @@ def test_preactivation_bounds_cover_samples():
     X = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     U = Hypercube(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
     lb = preactivation_bounds(net, X.lo, X.hi, U)
-    for z in X.concat(U).sample(rng, 100):
+    for z in concat(X, U).sample(rng, 100):
         h = z
         for i, layer in enumerate(net.layers[:-1]):
             pre = layer.weights @ h + layer.bias
@@ -208,7 +210,7 @@ def test_identity_sum_network_is_exact():
     U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
     net = build_identity_sum_network(X, U)
     rng = np.random.default_rng(1)
-    for z in X.concat(U).sample(rng, 200):
+    for z in concat(X, U).sample(rng, 200):
         assert np.allclose(forward(net, z), z[:2] + z[2:], atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,21 @@ def test_robot_step():
     assert np.allclose(plant.step(x, u), [1.1, 1.8])
     # With an rng, the plant adds its own disturbance w, |w| <= eps_x.
     assert np.allclose(plant.step(x, u, _UpperRng()), [1.15, 1.85])
+
+
+@pytest.mark.parametrize("eps, message", [
+    (np.array([0.05]), "must have shape (2,), got (1,)"),
+    (0.05, "must have shape (2,), got (1,)"),
+    (np.full((2, 1), 0.05), "must have shape (2,), got (2, 1)"),
+    (np.array([0.05, np.inf]), "must be finite"),
+    (np.array([0.05, np.nan]), "must be finite"),
+    (np.array([0.05, -0.01]), "must be nonnegative")],
+    ids=["one-element", "scalar", "column", "inf", "nan", "negative"])
+def test_robot_plant_checks_its_eps_x_at_construction(eps, message):
+    # A one-element or scalar bound would draw one disturbance for both
+    # axes, and a negative one would fail only at the first noisy step.
+    with pytest.raises(ValueError, match=re.escape("eps_x " + message)):
+        RobotPlant(eps_x=eps)
 
 
 def test_robot_step_shape_check():

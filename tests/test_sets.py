@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import inflate, intersect
+from helpers import concat, contains_box, inflate, intersect
 
 
 def box(lo, hi):
@@ -76,7 +76,7 @@ def test_inflate():
 
 
 def test_concat():
-    h = box([0], [1]).concat(box([2, 3], [4, 5]))
+    h = concat(box([0], [1]), box([2, 3], [4, 5]))
     assert np.allclose(h.lo, [0, 2, 3])
     assert np.allclose(h.hi, [1, 4, 5])
 
@@ -158,8 +158,8 @@ def test_intersect_commutes_and_is_contained(a, b):
         assert c2 is None
         return
     assert np.allclose(c.lo, c2.lo) and np.allclose(c.hi, c2.hi)
-    assert a.contains_box(c, tol=1e-12)
-    assert b.contains_box(c, tol=1e-12)
+    assert contains_box(a, c, tol=1e-12)
+    assert contains_box(b, c, tol=1e-12)
 
 
 @given(hypercubes(), st.integers(0, 2**32 - 1), st.integers(1, 20))
@@ -174,7 +174,7 @@ def test_samples_are_members(h, seed, n):
 @given(hypercubes(), arrays(float, 2, elements=st.floats(0, 5)))
 @settings(max_examples=100)
 def test_inflate_contains_original(h, eps):
-    assert inflate(h, eps).contains_box(h, tol=1e-12)
+    assert contains_box(inflate(h, eps), h, tol=1e-12)
 
 
 def _coordinates(draw, n, k):
