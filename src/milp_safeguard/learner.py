@@ -22,6 +22,12 @@ A run makes one full-data forward pass, for final_mse.  After each epoch
 a bound on the net's outputs over the data, from the largest parameter
 magnitude alone, shows the MSE finite; only when it does not is the
 full-data MSE computed, which raises TrainingDiverged if non-finite.
+
+Every pass over all samples runs in chunks of _CHUNK rows: sample_dataset
+steps the plant, the full-data MSE forwards the kernel and quantify_error
+takes the residuals one chunk at a time.  A pass's temporaries are thus
+of a fixed size; only the samples, and train's inputs and targets with
+their permuted copies, grow with the dataset.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ import numpy as np
 
 from milp_safeguard.nn_model import LayerParams, ReluNetwork, forward_batch
 from milp_safeguard.sets import Hypercube
+
+# Rows per chunk in every pass over all samples.
+_CHUNK = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,10 +61,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return np.hstack([self.x, self.u])
 
 
 def layer_widths(sizes) -> tuple:
@@ -102,14 +107,18 @@ def sample_dataset(step, X: Hypercube, U: Hypercube, n: int,
                    seed: int = 0) -> Dataset:
     """n uniform samples of X x U with exact plant outputs.
 
-    step: callable (xs, us) -> x_next on (n, ·) stacks, as a plant's step.
+    step: callable (xs, us) -> x_next on (k, ·) stacks, as a plant's step;
+    it steps the samples _CHUNK rows at a time.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     xs = X.sample(rng, n)
     us = U.sample(rng, n)
-    return Dataset(x=xs, u=us, x_next=step(xs, us))
+    x_next = np.empty_like(xs)
+    for s in range(0, n, _CHUNK):
+        x_next[s:s + _CHUNK] = step(xs[s:s + _CHUNK], us[s:s + _CHUNK])
+    return Dataset(x=xs, u=us, x_next=x_next)
 
 
 def init_params(in_dim: int, hidden_sizes, out_dim: int, seed: int):
@@ -158,7 +167,9 @@ class _Kernel:
         first width rows (which gradient overwrites with the layer's
         delta) and out the output.  back holds, for each layer from the
         last to the second, its gradient block, its input transposed, that
-        input's hs entry, a mask for where it is > 0 and W_lᵀ."""
+        input's hs entry, a mask for where it is > 0, [W_l | b_l]ᵀ (an
+        F-contiguous view, which np.dot reads without a copy) and a
+        (width + 1, m) array for [W_l | b_l]ᵀ d."""
         if m not in self._buffers:
             acts = []
             for Wb in self.blocks[:-1]:
@@ -169,7 +180,8 @@ class _Kernel:
             masks = [np.empty(h.shape, dtype=bool) for h in hs]
             back = list(zip(self.gblocks[:0:-1], [a.T for a in acts[::-1]],
                             hs[::-1], masks[::-1],
-                            [Wb[:, :-1].T for Wb in self.blocks[:0:-1]]))
+                            [Wb.T for Wb in self.blocks[:0:-1]],
+                            [np.empty(a.shape) for a in acts[::-1]]))
             self._buffers[m] = (acts, hs,
                                 np.empty((len(self.blocks[-1]), m)), back)
         return self._buffers[m]
@@ -203,20 +215,25 @@ class _Kernel:
         self.forward(A)
         np.subtract(d, Yt, out=d)
         np.divide(d, m / 2, out=d)      # rounds as 2 (pred - Y) / m does
-        for g, actT, h, mask, WT in back:
+        for g, actT, h, mask, WbT, WbTd in back:
             np.dot(d, actT, out=g)
             np.greater(h, 0.0, out=mask)
-            np.dot(WT, d, out=h)
-            np.multiply(h, mask, out=h)
+            np.dot(WbT, d, out=WbTd)
+            np.multiply(WbTd[:-1], mask, out=h)
             d = h
         np.dot(d, A.T, out=self.gblocks[0])
 
 
-def _mse(pred, target) -> float:
-    """Mean over the columns of the squared error summed down each one;
-    overwrites pred with the residual."""
-    np.subtract(pred, target, out=pred)
-    return float(np.vdot(pred, pred)) / pred.shape[1]
+def _mse(kernel, A, Yt) -> float:
+    """The kernel's MSE on the columns of A = [Zᵀ; 1] against Yt = Yᵀ: the
+    mean over the columns of the squared error summed down each one,
+    forwarded _CHUNK columns at a time."""
+    sse = 0.0
+    for s in range(0, A.shape[1], _CHUNK):
+        pred = kernel.forward(A[:, s:s + _CHUNK])
+        np.subtract(pred, Yt[:, s:s + _CHUNK], out=pred)
+        sse += float(np.vdot(pred, pred))
+    return sse / A.shape[1]
 
 
 def gradients(Ws, bs, Z, Y):
@@ -284,7 +301,8 @@ def train(cfg: TrainConfig, data: Dataset,
     Raises TrainingDiverged at the first epoch whose full-data MSE is not
     finite.  That MSE is computed only after an epoch whose output bound
     (_Kernel.output_bound) does not show it finite; final_mse is the one
-    full-data pass made at the end of a run.
+    full-data pass made at the end of a run.  Both forward the data in
+    chunks of _CHUNK columns.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
@@ -322,18 +340,24 @@ def train(cfg: TrainConfig, data: Dataset,
         # squares in the MSE is finite; a NaN or inf parameter fails this.
         e = kernel.output_bound(r) + y
         if not n * len(Yt) * e * e < 1e300 \
-                and not np.isfinite(_mse(kernel.forward(A), Yt)):
+                and not np.isfinite(_mse(kernel, A, Yt)):
             raise TrainingDiverged(
                 f"non-finite MSE at epoch {epoch} (lr={lr:g}); "
                 f"reduce the learning rate"
             )
     return TrainResult(net=net_from_params(*kernel.params()),
-                       final_mse=_mse(kernel.forward(A), Yt))
+                       final_mse=_mse(kernel, A, Yt))
 
 
 def quantify_error(net: ReluNetwork, data: Dataset) -> np.ndarray:
-    """Componentwise maximum absolute residual over the dataset."""
+    """Componentwise maximum absolute residual over the dataset, taken
+    _CHUNK samples at a time."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    pred = forward_batch(net, data.inputs)
-    return np.max(np.abs(data.x_next - pred), axis=0)
+    worst = np.zeros(data.x_next.shape[1])
+    for s in range(0, len(data), _CHUNK):
+        rows = slice(s, s + _CHUNK)
+        res = forward_batch(net, np.hstack([data.x[rows], data.u[rows]]))
+        np.subtract(data.x_next[rows], res, out=res)
+        np.maximum(worst, np.abs(res, out=res).max(axis=0), out=worst)
+    return worst

@@ -52,10 +52,6 @@ class Hypercube:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x, tol: float = 0.0) -> bool:
         return in_box(np.asarray(x, dtype=float), self.lo, self.hi, tol)
 

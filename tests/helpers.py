@@ -1,4 +1,4 @@
-"""Box helpers that only the tests use, kept out of the package."""
+"""Box and dataset helpers that only the tests use, kept out of the package."""
 
 import numpy as np
 
@@ -26,6 +26,11 @@ def inflate(h: Hypercube, eps) -> Hypercube:
     return Hypercube(h.lo - eps, h.hi + eps)
 
 
+def center(h: Hypercube) -> np.ndarray:
+    """The midpoint of the box."""
+    return 0.5 * (h.lo + h.hi)
+
+
 def concat(a: Hypercube, b: Hypercube) -> Hypercube:
     """The product box a x b."""
     return Hypercube(np.concatenate([a.lo, b.lo]),
@@ -36,3 +41,8 @@ def contains_box(outer: Hypercube, inner: Hypercube, tol: float = 0.0) -> bool:
     """Whether outer holds inner, within tol."""
     return bool(np.all(inner.lo >= outer.lo - tol)
                 and np.all(inner.hi <= outer.hi + tol))
+
+
+def inputs(data) -> np.ndarray:
+    """A learner.Dataset's net inputs, one row [x, u] per sample."""
+    return np.hstack([data.x, data.u])

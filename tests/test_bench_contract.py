@@ -267,3 +267,29 @@ def test_stacked_reachable_boxes_equal_one_row_calls():
                 assert row_lo.tobytes() == one_lo.tobytes()
                 assert row_hi.tobytes() == one_hi.tobytes()
                 assert row_stable == one_stable
+
+
+def test_a_train_command_samples_twice_and_quantifies_once(monkeypatch,
+                                                           tmp_path):
+    # workload.py reads learner.samples as the rows of every traced
+    # learner.sample_dataset call, 90,000 a bench train: the training set
+    # and the evaluation set, each sampled in one call, and the error bound
+    # taken in one learner.quantify_error call.  Run a small copy of the
+    # bench's train scenario under the bench's own tracer.
+    import yaml
+    from milp_safeguard.cli import main
+    with open(os.path.join(BENCH, "scenarios", "vehicle_train.yaml")) as f:
+        doc = yaml.safe_load(f)
+    doc["network"].update(samples=300, eval_samples=700, epochs=2)
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    tracer = _workload(monkeypatch).install_tracer()
+    try:
+        assert main(["train", str(path), "--out",
+                     str(tmp_path / "net.json")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = importlib.import_module("spans").Spans(tracer)
+    assert spans.count("learner.sample_dataset") == 2
+    assert tracer.notes["samples"] == [300, 700]
+    assert spans.count("learner.quantify_error") == 1

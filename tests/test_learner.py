@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +24,11 @@ from milp_safeguard.learner import (
     sample_dataset,
     train,
 )
-from milp_safeguard.nn_model import forward
+from milp_safeguard.nn_model import forward, forward_batch
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.sets import Hypercube
 
-from helpers import concat
+from helpers import concat, inputs
 
 X2 = Hypercube(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 U2 = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -35,6 +36,11 @@ ROBOT = RobotPlant(eps_x=np.zeros(2))
 X3 = Hypercube(np.array([0.0, -1.5, -0.35]), np.array([8.0, 1.5, 0.35]))
 U3 = Hypercube(np.array([2.0, -0.45]), np.array([3.8, 0.45]))
 VEHICLE = VehiclePlant()
+# Every pass over all samples runs in chunks of CHUNK rows; these sizes
+# make a whole chunk, a partial one, and the edges between.
+CHUNK = learner._CHUNK
+CHUNK_SIZES = pytest.mark.parametrize(
+    "n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
 
 
 def test_dataset_rejects_ragged():
@@ -47,7 +53,7 @@ def test_sample_dataset_supervision_is_exact():
     data = sample_dataset(ROBOT.step, X2, U2, 50, seed=3)
     assert len(data) == 50
     assert np.allclose(data.x_next, data.x + data.u)
-    assert data.inputs.shape == (50, 4)
+    assert inputs(data).shape == (50, 4)
 
 
 def test_init_params_shapes_and_determinism():
@@ -143,7 +149,7 @@ def test_quantify_error_is_max_abs_residual():
     Ws, bs = init_params(4, (8,), 2, seed=0)
     net = net_from_params(Ws, bs)
     eps = quantify_error(net, data)
-    residuals = np.array([data.x_next[i] - forward(net, data.inputs[i])
+    residuals = np.array([data.x_next[i] - forward(net, inputs(data)[i])
                           for i in range(len(data))])
     assert np.allclose(eps, np.max(np.abs(residuals), axis=0))
 
@@ -185,7 +191,7 @@ def _reference_train(cfg, data, init=None):
             acts.append(np.maximum(0.0, acts[-1] @ W.T + b))
         return acts[-1] @ Ws[-1].T + bs[-1], acts
 
-    Z, Y = data.inputs, data.x_next
+    Z, Y = inputs(data), data.x_next
     if init is not None:
         Ws, bs = params_from_net(init)
     else:
@@ -297,7 +303,7 @@ def test_one_full_batch_epoch_steps_by_the_checked_gradient():
                       hidden_sizes=(5, 4))
     Ws, bs = init_params(4, (5, 4), 2, seed=3)
     order = np.random.default_rng(cfg.seed + 1).permutation(len(data))
-    gWs, gbs = gradients(Ws, bs, data.inputs[order], data.x_next[order])
+    gWs, gbs = gradients(Ws, bs, inputs(data)[order], data.x_next[order])
     result = train(cfg, data)
     for layer, W, b, gW, gb in zip(result.net.layers, Ws, bs, gWs, gbs):
         assert np.allclose(layer.weights, W - cfg.learning_rate * gW,
@@ -379,13 +385,65 @@ def test_output_bound_holds_wherever_the_outputs_are_finite(
 
 
 def test_train_makes_one_full_data_pass(monkeypatch):
-    data = sample_dataset(ROBOT.step, X2, U2, 500, seed=0)
-    cfg = TrainConfig(epochs=30, learning_rate=5e-3, batch_size=32, seed=0)
-    inner, full = learner._Kernel.forward, []
+    inner, widths = learner._Kernel.forward, []
 
     def counted(kernel, A):
-        full.append(A.shape[1] == len(data))
+        widths.append(A.shape[1])
         return inner(kernel, A)
     monkeypatch.setattr(learner._Kernel, "forward", counted)
+    data = sample_dataset(ROBOT.step, X2, U2, 500, seed=0)
+    cfg = TrainConfig(epochs=30, learning_rate=5e-3, batch_size=32, seed=0)
     train(cfg, data)
-    assert sum(full) == 1 and len(full) == 1 + 30 * 16
+    assert widths.count(len(data)) == 1 and len(widths) == 1 + 30 * 16
+    # Above one chunk, the pass after the 2 x 10 SGD batches forwards the
+    # data a chunk at a time, every sample once.
+    widths.clear()
+    data = sample_dataset(ROBOT.step, X2, U2, 2 * CHUNK + 904, seed=0)
+    train(replace(cfg, epochs=2, batch_size=1000), data)
+    assert widths[:20] == ([1000] * 9 + [96]) * 2
+    assert widths[20:] == [CHUNK, CHUNK, 904]
+    assert sum(widths[20:]) == len(data)
+
+
+@CHUNK_SIZES
+def test_sample_dataset_steps_its_chunks_as_one_call_would(n):
+    data = sample_dataset(VEHICLE.step, X3, U3, n, seed=5)
+    rng = np.random.default_rng(5)
+    xs, us = X3.sample(rng, n), U3.sample(rng, n)
+    assert data.x.tobytes() == xs.tobytes()
+    assert data.u.tobytes() == us.tobytes()
+    assert data.x_next.tobytes() == VEHICLE.step(xs, us).tobytes()
+
+
+@CHUNK_SIZES
+def test_quantify_error_is_the_one_pass_maximum(n):
+    data = sample_dataset(VEHICLE.step, X3, U3, n, seed=6)
+    net = identity_warm_start(X3, U3, (8, 4), seed=1)
+    want = np.max(np.abs(data.x_next - forward_batch(net, inputs(data))),
+                  axis=0)
+    assert quantify_error(net, data).tobytes() == want.tobytes()
+
+
+def test_final_mse_over_chunks_is_the_one_pass_mse():
+    data = sample_dataset(VEHICLE.step, X3, U3, 2 * CHUNK + 300, seed=7)
+    cfg = TrainConfig(epochs=2, learning_rate=2e-3, batch_size=128, seed=0)
+    result = train(cfg, data, init=identity_warm_start(X3, U3, (8, 4)))
+    res = forward_batch(result.net, inputs(data)) - data.x_next
+    want = float(np.mean(np.sum(res ** 2, axis=1)))
+    assert np.isclose(result.final_mse, want, rtol=1e-12, atol=0)
+
+
+def test_quantify_error_takes_the_same_memory_for_more_samples():
+    # quantify_error's traced peak on 8 n samples may exceed the one on n
+    # samples by less than one chunk of the data's rows [x, u, x_next].
+    net = identity_warm_start(X3, U3, (8, 4), seed=1)
+    peaks = []
+    for n in (2 * CHUNK, 16 * CHUNK):
+        data = sample_dataset(VEHICLE.step, X3, U3, n, seed=0)
+        tracemalloc.start()
+        try:
+            quantify_error(net, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < CHUNK * (3 + 2 + 3) * 8

@@ -25,7 +25,7 @@ from milp_safeguard.planner import (
 from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import inflate, intersect
+from helpers import center, inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -492,7 +492,7 @@ def test_window_draws_are_the_per_iteration_draws(seed, goal_bias, dim,
     box = np.random.default_rng([seed, dim])
     lo = box.uniform(-10.0, 5.0, dim)
     Xs = Hypercube(lo, lo + box.uniform(0.1, 10.0, dim))
-    xg = Xs.center
+    xg = center(Xs)
     draws = planner._Draws(np.random.default_rng(seed), Xs, xg, goal_bias)
     got = np.concatenate([draws.take(c) for c in
                           list(range(1, planner._CHUNK + 1)) + chunks])

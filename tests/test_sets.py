@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import concat, contains_box, inflate, intersect
+from helpers import center, concat, contains_box, inflate, intersect
 
 
 def box(lo, hi):
@@ -33,7 +33,7 @@ def contains_interior_reference(boxes, x, tol=0.0):
 def test_basic_properties():
     h = box([0, -1], [2, 3])
     assert h.dim == 2
-    assert np.allclose(h.center, [1, 1])
+    assert np.allclose(center(h), [1, 1])
     assert h.contains(np.array([0.0, 3.0]))
     assert not h.contains(np.array([2.1, 0.0]))
 
