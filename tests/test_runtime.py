@@ -478,3 +478,69 @@ def test_root_tableau_chain_refactorizes_on_inherited_counts():
         warm_roots += warm.stats["warm_root"]
         basis, structure = warm.root_basis, h["structure"]
     assert inversions >= 2 and warm_roots >= 0.85 * len(steps)
+
+
+# Prints, for each given disturbance seed, the SHA-256 over an episode's
+# step records (every field but the timing) and its status, one episode a
+# line.  The scenario's own plan is
+# tracked, or the plan in the CSV file given after the seeds' count.
+_EPISODE_PRINTS = """
+import hashlib
+import sys
+from dataclasses import replace
+import numpy as np
+from milp_safeguard.cli import load_scenario
+from milp_safeguard.runtime import plan_waypoints, run_episode
+scenario, _ = load_scenario(sys.argv[1])
+waypoints = (plan_waypoints(scenario) if len(sys.argv) < 4 else
+             list(np.loadtxt(sys.argv[3], delimiter=",", skiprows=1,
+                             ndmin=2)[:, 1:]))
+for seed in range(int(sys.argv[2])):
+    log = run_episode(replace(scenario, seed=seed),
+                      [w.copy() for w in waypoints])
+    h = hashlib.sha256()
+    for rec in log.steps:
+        for name in ("x", "y", "x_ref", "u_cmd", "u_act", "box_lo",
+                     "box_hi", "x_next"):
+            v = getattr(rec, name)
+            h.update(b"None" if v is None else v.tobytes())
+        h.update(repr((float(rec.cost), rec.status)).encode())
+    h.update(log.status.encode())
+    print(h.hexdigest())
+"""
+
+# Each episode's print under disturbance seeds 0-5: the robot maze on its
+# plan for RRT seed 0, and the corridor on the committed bench plan.
+_EPISODES = {
+    ("scenarios", "robot_maze.yaml"): [
+        "54bb51b22d949b1f869a7c51dd2beb5c0e43b4878e7b06fdc087df6cdee1d7ff",
+        "9f36b8f8bc92b62efe4ee180078c077ad2ffb6c43d1d557d9987f644f957ebb5",
+        "44169a921513aa69e7b8a9def6d8dcc71498b8305e4cc8a923d1cd9a849de273",
+        "174164207d3ede9a1bbe437b8e4b5b01505dd0b1d13615ec6c680318e11fbec4",
+        "80712818480574206dd99942f9d4a4c194b41b2c81e0c6606f4dae3bf3181443",
+        "df9a3f6632fc10577332fb69b43d5ef6ba4f3696c9a5a83f1032c042c86def92"],
+    ("bench", "scenarios", "vehicle_corridor.yaml"): [
+        "8254c80ba888bded5247e0f8049938bf813568641585472b71d25ba0de6ce941",
+        "4067524a1dfd9ce76d982bfaac9f4314dc8b990c44814cd09eb6cc17b4815adb",
+        "68220d61d08b10587cadedc7eb52a57b403897bbc926d9a5a44d92b45143a9b8",
+        "a9b9d6162fbe28fbe7d004349d1a082e092f6e8b8cc76462383ba2fd745d2a9b",
+        "5cc43ae33e7fca0e9c9f29041397b4d109ce4fa32d1a379f6614f2daee501ba8",
+        "1e44420ac4bf6ad81e97cd43638214b43ad5f7176e6dad58fa4d33cbfbbf751b"],
+}
+
+
+@pytest.mark.parametrize("scenario_path", list(_EPISODES),
+                         ids=["robot", "corridor"])
+def test_episodes_keep_every_step_record(scenario_path):
+    # A change to the encoder, the solver or the episode loop that is meant
+    # to keep every certificate must keep these prints, at one BLAS thread
+    # as the benchmark runs.  Each episode reaches the goal.
+    plan = ([os.path.join(ROOT, "bench", "scenarios", "vehicle_plan.csv")]
+            if scenario_path[0] == "bench" else [])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _EPISODE_PRINTS,
+         os.path.join(ROOT, *scenario_path), "6"] + plan,
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert done.stdout.split() == _EPISODES[scenario_path]
