@@ -7,7 +7,7 @@ that is not a setting, or a value out of its setting's range, is an
 error.  Exit codes: 0 success/GoalReached, 1 usage, config error or
 diverged training, 2 an episode halted short of its goal or step limit,
 a failed seed sweep, verification or audit, a plan that misses the goal,
-or no safe control in solve-once or verify, 3 step limit.
+or a solve-once or verify step with no decision, 3 step limit.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from milp_safeguard.encoder import AuditFailure, SolveIterationLimit, \
-    SolverInfeasible, SolverNumericalFailure, solve_tracking
+from milp_safeguard.encoder import OPTIMAL, solve_tracking
 from milp_safeguard.learner import (
     TrainConfig,
     TrainingDiverged,
@@ -58,10 +57,6 @@ from milp_safeguard.runtime import (
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 log = logging.getLogger("milp_safeguard")
-
-# Failures of a run, not of its input: the command exits 2.
-_RUN_FAILURES = (SolverInfeasible, SolveIterationLimit, SolverNumericalFailure,
-                 AuditFailure, PlanFailure, NoPath)
 
 
 class ScenarioError(ValueError):
@@ -319,7 +314,7 @@ def write_plan_csv(path, waypoints):
 # ---------------------------------------------------------------------------
 
 def _solve_ms(logbook) -> list:
-    return [s.solve_ms for s in logbook.steps if s.status == "Optimal"]
+    return [s.solve_ms for s in logbook.steps if s.status == OPTIMAL]
 
 
 def cmd_simulate(args) -> int:
@@ -394,12 +389,17 @@ def cmd_verify(args) -> int:
                 np.random.default_rng(scenario.seed))
     p, x_ref = scenario.problem, plan_waypoints(scenario)[0]
     step = p.step(y, x_ref)
-    decision = solve_tracking(p, y, x_ref, scenario.solver)
-    results = []
+    # The step's decision and, for check 1, the one with its control fixed.
+    solved = solve_tracking(p, y, x_ref, scenario.solver)
+    pinned = solved if solved.decision is None else solve_tracking(
+        p, y, x_ref, scenario.solver, fix_u=solved.decision.u_cmd)
+    if pinned.decision is None:   # a failure of the run: exit 2
+        print(f"{pinned.status}: {pinned.reason}", file=sys.stderr)
+        return 2
+    decision, fixed, results = solved.decision, pinned.decision, []
 
     # 1. Fixing the commanded control, the MILP's safe box narrowed by
     #    eps_x must coincide with direct interval propagation.
-    fixed = solve_tracking(p, y, x_ref, scenario.solver, fix_u=decision.u_cmd)
     z_lo, z_hi = input_boxes(p, step, decision.u_cmd)
     ref_lo, ref_hi = output_bounds(p.net, z_lo, z_hi)
     err = max(float(np.max(np.abs(fixed.box_lo + p.eps_x - ref_lo))),
@@ -442,7 +442,14 @@ def cmd_solve_once(args) -> int:
     else:
         x_ref = scenario.xg
     p = scenario.problem
-    d = solve_tracking(p, y, p.point(x_ref), scenario.solver)
+    step = p.step(y, p.point(x_ref))
+    if np.any(step.x_lo > step.x_hi):   # no state in X explains --y
+        raise ValueError(step.reason)
+    solved = solve_tracking(p, y, step.x_ref, scenario.solver)
+    if solved.decision is None:   # a failure of the run: exit 2
+        print(f"{solved.status}: {solved.reason}", file=sys.stderr)
+        return 2
+    d = solved.decision
     print("u:", " ".join(f"{v:.9g}" for v in d.u_cmd))
     print("input box:", d.z_lo, d.z_hi)
     print("nn output box:", d.box_lo + p.eps_x, d.box_hi - p.eps_x)
@@ -495,7 +502,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
-    except _RUN_FAILURES as exc:
+    except (PlanFailure, NoPath) as exc:   # a failure of the run
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -2,7 +2,9 @@
 
 A TrackingProblem holds what an episode fixes, checked once; its step
 method derives a step's data from its measurement and reference, once, for
-the model, the audit and the oracles.  Four constraint families are emitted, as array
+the model, the audit and the oracles, and presolves it: a step whose
+measurement box is empty, or whose every safe box leaves X or meets an
+obstacle, gets no model.  Four constraint families are emitted, as array
 blocks: input feasibility (measurement box and the control clip's big-M
 min/max rows, each branch with its tight big-M), the ReLU-network
 structure (each layer's interval image as [I, -W+, -W-] rows, and three
@@ -17,6 +19,8 @@ fixed: it is handed from one control step to the next, and a step with the
 same key only fills in its bounds, right-hand sides and undetermined
 neurons' coefficients.  The post-solve audit, one pass over the decision's
 (lo, hi) arrays, checks the safe box against every obstacle, kept or not.
+solve_tracking returns a step's outcome as one value, a StepOutcome: the
+certified decision, or the status and reason of a step that has none.
 """
 
 from __future__ import annotations
@@ -35,26 +39,10 @@ from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 _TOL = 1e-6
 
-
-class InfeasibleMeasurement(ValueError):
-    """Measurement inconsistent with the state feasible set."""
-
-
-class SolverInfeasible(RuntimeError):
-    """No safe control exists under the box over-approximation."""
-
-
-class SolveIterationLimit(RuntimeError):
-    """The MILP solver hit its node or iteration budget."""
-
-
-class SolverNumericalFailure(RuntimeError):
-    """A simplex basis could not be inverted, even after a cold re-solve;
-    says nothing about whether a safe control exists."""
-
-
-class AuditFailure(AssertionError):
-    """A solved decision failed its post-solve audit."""
+# A step's statuses.  Only an Optimal step has a decision; a budget hit and
+# a numerical failure say nothing about whether a safe control exists.
+OPTIMAL, INFEASIBLE, SOLVER_LIMIT, NUMERICAL_FAILURE, AUDIT_FAILURE = (
+    "Optimal", "Infeasible", "SolverLimit", "NumericalFailure", "AuditFailure")
 
 
 def _vec(v, n, name):
@@ -66,11 +54,21 @@ def _vec(v, n, name):
 
 class Step(NamedTuple):
     """A control step's reference, measurement box (the states in X
-    consistent with y) and the net's bounds over it x U, per layer."""
+    consistent with y) and the net's bounds over it x U, per layer, and
+    its presolve: the ranges (lo, hi) of its safe box's ends x_lo and x_hi,
+    the obstacles that no coordinate separates from its reach hull (kept)
+    and the upper bounds of their separation binaries (faces, 0 for a face
+    out of every safe box's reach).  If no safe box exists, reason says
+    why, and the parts not derived are None."""
     x_ref: np.ndarray
     x_lo: np.ndarray
     x_hi: np.ndarray
-    bounds: list
+    bounds: list | None = None
+    lo_end: tuple | None = None
+    hi_end: tuple | None = None
+    kept: np.ndarray | None = None
+    faces: np.ndarray | None = None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -122,20 +120,40 @@ class TrackingProblem:
         return v
 
     def step(self, y, x_ref) -> Step:
-        """The data of the step that measures y and tracks x_ref.  Only
-        their shapes are checked: a reference is checked (point) where it
-        enters, once."""
+        """The data of the step that measures y and tracks x_ref, and its
+        presolve.  Only their shapes are checked: a reference is checked
+        (point) where it enters, once."""
         y, x_ref = _vec(y, self.n_x, "y"), _vec(x_ref, self.n_x, "x_ref")
-        x_lo = np.maximum(self.X.lo, y - self.eps_y)
-        x_hi = np.minimum(self.X.hi, y + self.eps_y)
+        X, e_x = self.X, self.eps_x
+        x_lo = np.maximum(X.lo, y - self.eps_y)
+        x_hi = np.minimum(X.hi, y + self.eps_y)
         if np.any(x_lo > x_hi):
-            raise InfeasibleMeasurement(f"measurement {y} inconsistent "
-                                        f"with X under eps_y={self.eps_y}")
+            return Step(x_ref, x_lo, x_hi, reason=f"measurement {y} "
+                        f"inconsistent with X under eps_y={self.eps_y}")
         # Any box containing every feasible state yields valid neuron
         # bounds; the measurement box is far tighter than X and lets the
         # encoder pin most activation cases without branching.
-        return Step(x_ref, x_lo, x_hi,
-                    preactivation_bounds(self.net, x_lo, x_hi, self.U))
+        bounds = preactivation_bounds(self.net, x_lo, x_hi, self.U)
+        zlo, zhi = bounds[-1]
+        # The reach hull holds every feasible safe box.
+        hull = (zlo - e_x, zhi + e_x)
+        lo_end = (np.maximum(hull[0], X.lo), np.minimum(zhi - e_x, X.hi))
+        hi_end = (np.maximum(zlo + e_x, X.lo), np.minimum(hull[1], X.hi))
+        step = Step(x_ref, x_lo, x_hi, bounds, lo_end, hi_end)
+        if (lo_end[0] > lo_end[1]).any() or (hi_end[0] > hi_end[1]).any():
+            return step._replace(reason="no safe box of this step fits in X")
+        kept = np.flatnonzero(~self.unsafe.separated(*hull))
+        faces = np.empty(0)
+        if kept.size:
+            # The faces out of reach: x_hi cannot fall to ol, or x_lo rise
+            # to oh.
+            dead = np.stack((hi_end[0] > self.unsafe.lo[kept],
+                             lo_end[1] < self.unsafe.hi[kept]), axis=1)
+            if dead.all(axis=(1, 2)).any():
+                return step._replace(reason="every safe box of this step "
+                                     "meets an obstacle")
+            faces = np.where(dead, 0.0, 1.0).ravel()
+        return step._replace(kept=kept, faces=faces)
 
 
 @dataclass(frozen=True)
@@ -153,6 +171,16 @@ class ControlDecision:
     # root basis and tableau, and the model's structure.
     root_basis: object = field(default=None, repr=False, compare=False)
     structure: object = field(default=None, repr=False, compare=False)
+
+
+class StepOutcome(NamedTuple):
+    """How a control step ended: its status, its certified decision (None
+    unless Optimal), the solver's MilpSolution.stats (None when the
+    presolve decided the step) and, unless Optimal, the reason."""
+    status: str
+    decision: ControlDecision | None
+    stats: dict | None
+    reason: str | None
 
 
 def _stamp(A, starts, cols, block):
@@ -372,47 +400,33 @@ def build_tracking_model(p: TrackingProblem, step: Step, fix_u=None,
     hull (the output bounds inflated by eps_x, which holds every feasible
     safe box) is kept, and listed in h["obstacles"]; a face of it out of
     every safe box's reach has its binary fixed at 0 by bounds, which keep
-    the matrix.  A step where no safe box fits in X, or a kept obstacle
-    with no face left, raises SolverInfeasible.  fix_u pins u_cmd.
+    the matrix.  A step that its presolve found to have no safe box has no
+    model: ValueError.  fix_u pins u_cmd.
 
     structure is an earlier step's h["structure"].  If it has this step's
     key and was built for the same problem, it gets this step's bounds,
     right-hand sides and undetermined neurons' coefficients; otherwise the
     model is laid out afresh.
     """
-    X, e_x, hidden = p.X, p.eps_x, step.bounds[:-1]
-    zlo, zhi = step.bounds[-1]
-    # The reach hull, and the ranges of the safe box's ends x_lo and x_hi.
-    hull = (zlo - e_x, zhi + e_x)
-    lo_end = (np.maximum(hull[0], X.lo), np.minimum(zhi - e_x, X.hi))
-    hi_end = (np.maximum(zlo + e_x, X.lo), np.minimum(hull[1], X.hi))
-    if (lo_end[0] > lo_end[1]).any() or (hi_end[0] > hi_end[1]).any():
-        raise SolverInfeasible("no safe box of this step fits in X")
-    kept = np.flatnonzero(~p.unsafe.separated(*hull))
-    faces = ()
-    if kept.size:
-        # The faces out of reach: x_hi cannot fall to ol, or x_lo rise to oh.
-        dead = np.stack((hi_end[0] > p.unsafe.lo[kept],
-                         lo_end[1] < p.unsafe.hi[kept]), axis=1)
-        if dead.all(axis=(1, 2)).any():
-            raise SolverInfeasible(
-                "every safe box of this step meets an obstacle")
-        faces = (np.where(dead, 0.0, 1.0).ravel(),)
+    if step.reason is not None:
+        raise ValueError(f"no tracking model: {step.reason}")
+    hidden = step.bounds[:-1]
     cases = [(zl < 0.0) * (1 + (zh > 0.0)) for zl, zh in hidden]
-    key = (b"".join(c.tobytes() for c in cases), kept.tobytes(),
+    key = (b"".join(c.tobytes() for c in cases), step.kept.tobytes(),
            fix_u is None)
     s = structure
     if s is None or s.key != key or s.problem is not p:
-        s = _structure(p, key, cases, kept)
+        s = _structure(p, key, cases, step.kept)
 
     lb, ub, rhs, A = s.model.lb.copy(), s.model.ub.copy(), \
         s.model.rhs.copy(), s.model.A
     lb[s.lb_at] = np.concatenate((step.x_lo, step.x_hi, *(
-        z for zl, _ in hidden for z in (zl, zl)), lo_end[0], hi_end[0]))
+        z for zl, _ in hidden for z in (zl, zl)), step.lo_end[0],
+        step.hi_end[0]))
     post = [np.maximum(zh[off], 0.0) for (_, zh), off in zip(hidden, s.off)]
     ub[s.ub_at] = np.concatenate((step.x_lo, step.x_hi, *(
         z for (_, zh), q in zip(hidden, post) for z in (zh, zh, q, q)),
-        lo_end[1], hi_end[1], *faces))
+        step.lo_end[1], step.hi_end[1], step.faces))
     rhs[s.rhs_at] = np.repeat(step.x_ref, 2) if fix_u is None else \
         np.concatenate((np.repeat(step.x_ref, 2), _vec(fix_u, p.n_u, "fix_u")))
     if s.und.size:
@@ -428,25 +442,31 @@ def build_tracking_model(p: TrackingProblem, step: Step, fix_u=None,
 
 def solve_tracking(p: TrackingProblem, y, x_ref,
                    cfg: SolverConfig | None = None, fix_u=None,
-                   warm=None) -> ControlDecision:
-    """Solve the robust tracking MILP for y and x_ref; extract the decision.
+                   warm=None) -> StepOutcome:
+    """Solve the robust tracking MILP for y and x_ref; extract and audit
+    the decision.  A step with no decision is an outcome, not an error.
 
     warm is the previous control step's decision: the model reuses its
     structure when that fits this step, and the MILP's root LP starts from
     its root basis (see milp.solve).
     """
     step = p.step(y, x_ref)
+    if step.reason is not None:
+        return StepOutcome(INFEASIBLE, None, None, step.reason)
     model, h = build_tracking_model(
         p, step, fix_u=fix_u,
         structure=None if warm is None else warm.structure)
     sol = milp.solve(model, cfg,
                      warm=None if warm is None else warm.root_basis)
     if sol.status == milp.INFEASIBLE:
-        raise SolverInfeasible("no robustly safe control exists for this step")
+        return StepOutcome(INFEASIBLE, None, sol.stats,
+                           "no robustly safe control exists for this step")
     if sol.status == milp.NUMERICAL_FAILURE:
-        raise SolverNumericalFailure("singular simplex basis in the tracking MILP")
+        return StepOutcome(NUMERICAL_FAILURE, None, sol.stats,
+                           "singular simplex basis in the tracking MILP")
     if sol.status != milp.OPTIMAL:
-        raise SolveIterationLimit(f"solver stopped with status {sol.status}")
+        return StepOutcome(SOLVER_LIMIT, None, sol.stats,
+                           f"solver stopped with status {sol.status}")
     v = sol.values
     # Solver feasibility tolerance can leave a lo marginally above its hi.
     z_hi, box_hi = v[h["b0"]], v[h["x_hi"]]
@@ -455,8 +475,10 @@ def solve_tracking(p: TrackingProblem, y, x_ref,
         box_lo=np.minimum(v[h["x_lo"]], box_hi), box_hi=box_hi,
         cost=float(sol.objective_value), root_basis=sol.root_basis,
         structure=h["structure"])
-    _check_decision(p, step, decision)
-    return decision
+    reason = _check_decision(p, step, decision)
+    if reason is not None:
+        return StepOutcome(AUDIT_FAILURE, None, sol.stats, reason)
+    return StepOutcome(OPTIMAL, decision, sol.stats, None)
 
 
 _AUDIT = ("input box state part escapes X", "commanded control escapes U",
@@ -465,13 +487,14 @@ _AUDIT = ("input box state part escapes X", "commanded control escapes U",
 
 
 def _check_decision(p: TrackingProblem, step: Step, d: ControlDecision):
-    """Post-extraction audit of the ControlDecision invariants (AuditFailure).
+    """Post-extraction audit of the ControlDecision invariants: the reason
+    of the first that fails, or None.
 
     The network's output box is re-derived by direct interval propagation
     of the commanded control's input box, apart from the MILP's rows, and
     the safe box must be that image inflated by eps_x.  One pass checks
     each end against its range [a, b] within _TOL (an equality's is [t, t])
-    and raises the first failed check of _AUDIT; then the obstacles.
+    and names the first failed check of _AUDIT; then the obstacles.
     """
     n_x, X, U, e = p.n_x, p.X, p.U, p.eps_x
     lo, hi = output_bounds(p.net, *input_boxes(p, step, d.u_cmd))
@@ -482,6 +505,7 @@ def _check_decision(p: TrackingProblem, step: Step, d: ControlDecision):
     off = np.maximum(a - v, v - b) > _TOL
     if off.any():
         check = np.repeat(np.arange(4), (2 * n_x, p.n_u, 2 * n_x, 2 * n_x))
-        raise AuditFailure(_AUDIT[check[off.argmax()]])
+        return _AUDIT[check[off.argmax()]]
     if not p.unsafe.separated(d.box_lo, d.box_hi, 1e-9).all():
-        raise AuditFailure("safe box overlaps an obstacle")
+        return "safe box overlaps an obstacle"
+    return None

@@ -167,8 +167,8 @@ class _Kernel:
         first width rows (which gradient overwrites with the layer's
         delta) and out the output.  back holds, for each layer from the
         last to the second, its gradient block, its input transposed, that
-        input's hs entry, a mask for where it is > 0, [W_l | b_l]ᵀ (an
-        F-contiguous view, which np.dot reads without a copy) and a
+        input's hs entry, a float mask, 1.0 where it is > 0, [W_l | b_l]ᵀ
+        (an F-contiguous view, which np.dot reads without a copy) and a
         (width + 1, m) array for [W_l | b_l]ᵀ d."""
         if m not in self._buffers:
             acts = []
@@ -177,7 +177,7 @@ class _Kernel:
                 a[-1] = 1.0
                 acts.append(a)
             hs = [a[:-1] for a in acts]
-            masks = [np.empty(h.shape, dtype=bool) for h in hs]
+            masks = [np.empty(h.shape) for h in hs]
             back = list(zip(self.gblocks[:0:-1], [a.T for a in acts[::-1]],
                             hs[::-1], masks[::-1],
                             [Wb.T for Wb in self.blocks[:0:-1]],
@@ -217,7 +217,10 @@ class _Kernel:
         np.divide(d, m / 2, out=d)      # rounds as 2 (pred - Y) / m does
         for g, actT, h, mask, WbT, WbTd in back:
             np.dot(d, actT, out=g)
-            np.greater(h, 0.0, out=mask)
+            # 1.0 where h > 0, else 0.0 (h >= 0): a float mask multiplies
+            # with no cast buffer.
+            np.minimum(h, 1.0, out=mask)
+            np.ceil(mask, out=mask)
             np.dot(WbT, d, out=WbTd)
             np.multiply(WbTd[:-1], mask, out=h)
             d = h

@@ -104,11 +104,10 @@ def _state_and_control(plant, x, u, rng):
     return x, u
 
 
-def sample_noise(eps, rng: np.random.Generator) -> np.ndarray:
-    """Componentwise uniform draw in [-eps, eps]."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if np.any(eps < 0):
-        raise ValueError("noise bound must be nonnegative")
+def sample_noise(eps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Componentwise uniform draw in [-eps, eps].  eps is a bound checked
+    where it was set (RobotPlant.eps_x, TrackingProblem's eps_y and eps_u),
+    so a draw checks nothing."""
     return rng.uniform(-eps, eps)
 
 

@@ -10,11 +10,10 @@ advance the plant, log.  The decision's safe box is the solver's (box_lo,
 box_hi) arrays, which the log keeps and the waypoint and goal tests read
 as they are: a step builds no Hypercube.  Waypoints are dropped once the
 safe box contains them; the episode ends when the box contains the goal,
-on infeasibility (halt, no fallback), on a numerical failure of the
-solver, a solve that hits its node or simplex-iteration budget or a
-decision that fails its audit (halt, each logged apart from
-infeasibility), when the state leaves the plant's admissible domain, or at
-the step limit.
+at a step that commits no decision (halt, no fallback: the step and the
+episode are logged with the step's status, reason and solver counters),
+when the state leaves the plant's admissible domain, or at the step
+limit.
 """
 
 from __future__ import annotations
@@ -24,35 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from milp_safeguard.encoder import (
-    AuditFailure,
-    InfeasibleMeasurement,
-    SolveIterationLimit,
-    SolverInfeasible,
-    SolverNumericalFailure,
-    TrackingProblem,
-    solve_tracking,
-)
+from milp_safeguard.encoder import OPTIMAL, TrackingProblem, solve_tracking
 from milp_safeguard.milp import SolverConfig
 from milp_safeguard.nn_model import ReluNetwork
 from milp_safeguard.planner import rrt_build, shortest_path
 from milp_safeguard.plants import measure, sample_noise
 from milp_safeguard.sets import Hypercube, UnsafeRegion, in_box
 
-AUDIT_FAILURE = "AuditFailure"
 GOAL_REACHED = "GoalReached"
-INFEASIBLE = "Infeasible"
 INADMISSIBLE = "InadmissibleState"
-NUMERICAL_FAILURE = "NumericalFailure"
-SOLVER_LIMIT = "SolverLimit"
 STEP_LIMIT = "StepLimit"
 
 _MEMBER_TOL = 1e-9
-
-# Solver failures that say nothing about whether a safe control exists,
-# and failed audits; every other halt of the solve is infeasibility.
-_HALT_STATUS = {SolverNumericalFailure: NUMERICAL_FAILURE,
-                SolveIterationLimit: SOLVER_LIMIT, AuditFailure: AUDIT_FAILURE}
 
 
 @dataclass(frozen=True)
@@ -116,18 +98,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """A control step; the decision's parts, the actuation and the next
+    state are None at a step that commits no decision."""
     k: int
     x: np.ndarray
     y: np.ndarray
     x_ref: np.ndarray
-    u_cmd: np.ndarray | None
-    u_act: np.ndarray | None
-    box_lo: np.ndarray | None
-    box_hi: np.ndarray | None
-    cost: float
     status: str
     solve_ms: float
+    u_cmd: np.ndarray | None = None
+    u_act: np.ndarray | None = None
+    box_lo: np.ndarray | None = None
+    box_hi: np.ndarray | None = None
+    cost: float = float("inf")
     x_next: np.ndarray | None = None
+    reason: str | None = None   # StepOutcome.reason
+    stats: dict | None = None   # StepOutcome.stats
 
 
 @dataclass
@@ -141,7 +127,7 @@ class TrajectoryLog:
         disjointness guarantee."""
         bad = []
         for s in self.steps:
-            if s.status != "Optimal":
+            if s.status != OPTIMAL:
                 continue
             if not in_box(s.x_next, s.box_lo, s.box_hi, tol):
                 bad.append((s.k, "containment"))
@@ -150,42 +136,27 @@ class TrajectoryLog:
         return bad
 
     def to_csv(self, path):
+        """One row per step, zeros for the parts a step with no decision
+        lacks."""
         if not self.steps:
             raise ValueError("empty log")
         first = self.steps[0]
         n_x = first.x.shape[0]
         n_u = len(first.u_cmd) if first.u_cmd is not None else 0
-        cols = (["k"]
-                + [f"x{j}" for j in range(n_x)]
-                + [f"y{j}" for j in range(n_x)]
-                + [f"xr{j}" for j in range(n_x)]
-                + [f"u_cmd{j}" for j in range(n_u)]
-                + [f"u_act{j}" for j in range(n_u)]
-                + [f"box_lo{j}" for j in range(n_x)]
-                + [f"box_hi{j}" for j in range(n_x)]
-                + ["cost", "status", "solve_ms"])
-
-        def fmt(v):
-            return f"{float(v):.17g}"
-
+        # Each group of array columns: its field, its prefix and its width.
+        groups = (("x", "x", n_x), ("y", "y", n_x), ("x_ref", "xr", n_x),
+                  ("u_cmd", "u_cmd", n_u), ("u_act", "u_act", n_u),
+                  ("box_lo", "box_lo", n_x), ("box_hi", "box_hi", n_x))
+        cols = (["k"] + [f"{pre}{j}" for _, pre, n in groups
+                         for j in range(n)] + ["cost", "status", "solve_ms"])
         with open(path, "w") as f:
             f.write(",".join(cols) + "\n")
             for s in self.steps:
-                zero_u = np.zeros(n_u)
-                zero_x = np.zeros(n_x)
-                row = ([str(s.k)]
-                       + [fmt(v) for v in s.x]
-                       + [fmt(v) for v in s.y]
-                       + [fmt(v) for v in s.x_ref]
-                       + [fmt(v) for v in (s.u_cmd if s.u_cmd is not None
-                                           else zero_u)]
-                       + [fmt(v) for v in (s.u_act if s.u_act is not None
-                                           else zero_u)]
-                       + [fmt(v) for v in (s.box_lo if s.box_lo is not None
-                                           else zero_x)]
-                       + [fmt(v) for v in (s.box_hi if s.box_hi is not None
-                                           else zero_x)]
-                       + [fmt(s.cost), s.status, f"{s.solve_ms:.3f}"])
+                arrays = [np.zeros(n) if getattr(s, name) is None
+                          else getattr(s, name) for name, _, n in groups]
+                row = ([str(s.k)] + [f"{float(v):.17g}" for v in (
+                    *np.concatenate(arrays), s.cost)]
+                    + [s.status, f"{s.solve_ms:.3f}"])
                 f.write(",".join(row) + "\n")
 
 
@@ -215,10 +186,9 @@ def plan_waypoints(s: Scenario) -> list:
 
 
 def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
-    """Run one closed-loop episode; infeasibility, a numerical failure of
-    the solver, a solver budget hit, a failed audit and an inadmissible
-    state halt it, and the halt is logged.  Every waypoint is checked
-    (TrackingProblem.point) before the first step."""
+    """Run one closed-loop episode; a step that commits no decision and an
+    inadmissible state halt it, and the halt is logged.  Every waypoint is
+    checked (TrackingProblem.point) before the first step."""
     p = s.problem
     if waypoints is None:
         waypoints = plan_waypoints(s)
@@ -244,28 +214,25 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
             waypoints.pop(0)
         x_ref = waypoints[0]
         t0 = time.perf_counter()
-        try:
-            decision = solve_tracking(p, y, x_ref, s.solver, warm=prev)
-        except (InfeasibleMeasurement, SolverInfeasible, *_HALT_STATUS) as exc:
-            log.steps.append(StepRecord(
-                k=k, x=x, y=y, x_ref=x_ref, u_cmd=None, u_act=None,
-                box_lo=None, box_hi=None, cost=float("inf"),
-                status=type(exc).__name__,
-                solve_ms=1e3 * (time.perf_counter() - t0)))
-            log.status = _HALT_STATUS.get(type(exc), INFEASIBLE)
-            return log
+        out = solve_tracking(p, y, x_ref, s.solver, warm=prev)
         solve_ms = 1e3 * (time.perf_counter() - t0)
-        prev = decision
+        decision = prev = out.decision
+        if decision is None:
+            log.steps.append(StepRecord(
+                k=k, x=x, y=y, x_ref=x_ref, status=out.status,
+                solve_ms=solve_ms, reason=out.reason, stats=out.stats))
+            log.status = out.status
+            return log
 
         w_u = sample_noise(s.eps_u, rng)
         u_act = np.clip(decision.u_cmd + w_u, s.U.lo, s.U.hi)
         x_next = s.plant.step(x, u_act, rng)
 
         log.steps.append(StepRecord(
-            k=k, x=x, y=y, x_ref=x_ref, u_cmd=decision.u_cmd, u_act=u_act,
-            box_lo=decision.box_lo, box_hi=decision.box_hi,
-            cost=decision.cost, status="Optimal", solve_ms=solve_ms,
-            x_next=x_next))
+            k=k, x=x, y=y, x_ref=x_ref, status=out.status, solve_ms=solve_ms,
+            u_cmd=decision.u_cmd, u_act=u_act, box_lo=decision.box_lo,
+            box_hi=decision.box_hi, cost=decision.cost, x_next=x_next,
+            stats=out.stats))
 
         lo, hi = decision.box_lo, decision.box_hi
         while waypoints and in_box(waypoints[0], lo, hi, _MEMBER_TOL):

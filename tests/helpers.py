@@ -1,7 +1,9 @@
-"""Box and dataset helpers that only the tests use, kept out of the package."""
+"""Box, dataset and solve helpers that only the tests use, kept out of the
+package."""
 
 import numpy as np
 
+from milp_safeguard.encoder import OPTIMAL, solve_tracking
 from milp_safeguard.sets import Hypercube
 
 
@@ -46,3 +48,11 @@ def contains_box(outer: Hypercube, inner: Hypercube, tol: float = 0.0) -> bool:
 def inputs(data) -> np.ndarray:
     """A learner.Dataset's net inputs, one row [x, u] per sample."""
     return np.hstack([data.x, data.u])
+
+
+def decide(p, y, x_ref, cfg=None, **kwargs):
+    """The decision of a tracking step (encoder.solve_tracking) that must
+    reach Optimal."""
+    out = solve_tracking(p, y, x_ref, cfg, **kwargs)
+    assert out.status == OPTIMAL, f"{out.status}: {out.reason}"
+    return out.decision

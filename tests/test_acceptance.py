@@ -16,12 +16,9 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
+from milp_safeguard import encoder
 from milp_safeguard.cli import _train_from_block, load_scenario
-from milp_safeguard.encoder import (
-    SolverInfeasible,
-    TrackingProblem,
-    solve_tracking,
-)
+from milp_safeguard.encoder import TrackingProblem, solve_tracking
 from milp_safeguard.learner import gradients, init_params, net_from_params
 from milp_safeguard.milp import (
     EQ,
@@ -48,7 +45,7 @@ from milp_safeguard.plants import VehiclePlant
 from milp_safeguard.runtime import GOAL_REACHED, plan_waypoints, run_episode
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import concat
+from helpers import concat, decide
 from test_oracle import _control_bound_model, _obstacle_model, \
     _relu_neuron_model
 
@@ -129,7 +126,7 @@ def test_criterion_2_box_equality_oracle(capsys):
         u_fix = rng.uniform(-0.9, 0.9, size=2)
         p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(()),
                             eps_x=eps, eps_y=eps, eps_u=eps)
-        d = solve_tracking(p, y, y, fix_u=u_fix)
+        d = decide(p, y, y, fix_u=u_fix)
         x_box = Hypercube(np.maximum(X.lo, y - eps),
                           np.minimum(X.hi, y + eps))
         u_box = Hypercube(np.maximum(U.lo, u_fix - eps),
@@ -188,10 +185,14 @@ def test_criterion_3_grid_vs_milp_optimality(capsys):
         count = 0
         while count < 20:
             p, y, x_ref, step = _random_robot_instance(rng, with_obstacle)
+            solved = solve_tracking(p, y, x_ref)
+            if solved.status == encoder.INFEASIBLE:
+                continue
+            assert solved.status == encoder.OPTIMAL, solved.reason
+            d = solved.decision
             try:
-                d = solve_tracking(p, y, x_ref)
                 g = grid_control_search(p, step, 0.005)
-            except (SolverInfeasible, NoFeasibleGridPoint):
+            except NoFeasibleGridPoint:
                 continue
             worst_under = max(worst_under, d.cost - g["best_cost"])
             worst_over = max(worst_over, g["best_cost"] - d.cost)

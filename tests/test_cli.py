@@ -324,7 +324,7 @@ def test_simulate_solver_budget_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "status: SolverLimit" in capsys.readouterr().out
     traj = (out / "trajectory.csv").read_text().strip().split("\n")
-    assert len(traj) == 2 and traj[1].split(",")[-2] == "SolveIterationLimit"
+    assert len(traj) == 2 and traj[1].split(",")[-2] == "SolverLimit"
 
 
 def off_by_1e3(monkeypatch):
@@ -515,6 +515,18 @@ def test_solve_once_rejects_a_bad_reference(capsys, x_ref, message):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+def test_solve_once_rejects_an_inconsistent_measurement(capsys):
+    # No state in X lies within eps_y of --y: an input error, not a step
+    # with no safe control.
+    rc = main(["solve-once", os.path.join(ROOT, "scenarios", "robot_maze.yaml"),
+               "--y=-2,5"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: measurement [-2.  5.] inconsistent with X under "
+        "eps_y=[0.05 0.05]\n")
+
+
 def test_infeasible_solve_once_exits_2(capsys):
     # The measurement lies inside the first wall: no control moves the
     # whole next-state box out of it.
@@ -523,5 +535,5 @@ def test_infeasible_solve_once_exits_2(capsys):
     assert rc == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("SolverInfeasible: ")
+    assert out.err.startswith("Infeasible: ")
     assert len(out.err.splitlines()) == 1

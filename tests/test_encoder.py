@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from milp_safeguard import encoder, milp
 from milp_safeguard.cli import load_scenario
 from milp_safeguard.encoder import (
-    AuditFailure,
-    InfeasibleMeasurement,
-    SolverInfeasible,
+    INFEASIBLE,
     TrackingProblem,
     _check_decision,
     build_tracking_model,
@@ -30,7 +28,7 @@ from milp_safeguard.plants import measure
 from milp_safeguard.runtime import plan_waypoints
 from milp_safeguard.sets import Hypercube, UnsafeRegion
 
-from helpers import concat, inflate, intersect
+from helpers import concat, decide, inflate, intersect
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -133,8 +131,8 @@ def test_fixed_control_near_the_lower_end_of_u_passes_the_audit():
         p = TrackingProblem(net=build_identity_sum_network(X, Uw), X=X,
                             U=Uw, unsafe=UnsafeRegion(()), eps_x=EPS,
                             eps_y=EPS, eps_u=rng.uniform(0.05, 0.95, 2) * w)
-        solve_tracking(p, [5.0, 5.0], [5.2, 4.9],
-                       fix_u=Uw.lo + rng.uniform(0.0, 3e-6, 2) * w)
+        decide(p, [5.0, 5.0], [5.2, 4.9],
+               fix_u=Uw.lo + rng.uniform(0.0, 3e-6, 2) * w)
 
 
 def test_reference_validation():
@@ -160,17 +158,21 @@ def test_measurement_box_clamps_to_state_set():
     assert np.allclose(step.x_hi, [0.07, 5.05])
 
 
-def test_measurement_box_outside_state_set_raises():
+def inconsistent(step):
+    """Whether a step's presolve found no state in X consistent with y."""
+    return step.bounds is None and step.reason.startswith("measurement")
+
+
+def test_measurement_box_outside_state_set_has_no_safe_box():
     # [y - eps_y, y + eps_y] = [-1.05, -0.95] misses X = [0, 10] in x1.
-    with pytest.raises(InfeasibleMeasurement):
-        problem_on_x10().step([-1.0, 5.0], [5.0, 5.0])
+    assert inconsistent(problem_on_x10().step([-1.0, 5.0], [5.0, 5.0]))
 
 
-def test_inconsistent_measurement_raises():
+def test_inconsistent_measurement_has_no_safe_box():
     # y - eps_y beyond X's end, by 1.95 and by 1e-9.
     for y in ([-2.0, 5.0], [5.0, 10.05 + 1e-9]):
-        with pytest.raises(InfeasibleMeasurement):
-            problem().step(y, [5.0, 5.0])
+        assert inconsistent(problem().step(y, [5.0, 5.0]))
+    assert problem().step([5.0, 10.05 - 1e-9], [5.0, 5.0]).reason is None
 
 
 def test_obstacles_of_another_dimension_rejected():
@@ -191,21 +193,21 @@ def test_step_checks_the_shapes_of_its_arrays():
 
 def test_unconstrained_step_tracks_reference():
     """With x_ref well inside reach, the commanded u is the displacement."""
-    d = solve_tracking(problem(), [5, 5], [5.1, 4.9])
+    d = decide(problem(), [5, 5], [5.1, 4.9])
     assert np.allclose(d.u_cmd, [0.1, -0.1], atol=1e-6)
     # Safe box center sits on the reference.
     assert np.allclose((d.box_lo + d.box_hi) / 2, [5.1, 4.9], atol=1e-6)
 
 
 def test_far_reference_saturates_control():
-    d = solve_tracking(problem(), [5, 5], [9.0, 9.0])
+    d = decide(problem(), [5, 5], [9.0, 9.0])
     assert np.allclose(d.u_cmd, [0.25, 0.25], atol=1e-6)
 
 
 def test_box_geometry_identity_net():
     """For the exact-sum net the boxes follow in closed form."""
     p, y = problem(), np.array([5.0, 5.0])
-    d = solve_tracking(p, y, [5.2, 5.2])
+    d = decide(p, y, [5.2, 5.2])
     mbox = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(d.u_cmd - p.eps_u, d.u_cmd + p.eps_u), p.U)
     z_box = concat(mbox, u_box)
@@ -218,7 +220,7 @@ def test_box_geometry_identity_net():
 def test_fixed_control_box_matches_output_bounds():
     p, y = problem(), np.array([3.0, 7.0])
     u_fix = np.array([0.1, -0.05])
-    d = solve_tracking(p, y, [3.1, 7.1], fix_u=u_fix)
+    d = decide(p, y, [3.1, 7.1], fix_u=u_fix)
     x_box = intersect(Hypercube(y - p.eps_y, y + p.eps_y), p.X)
     u_box = intersect(Hypercube(u_fix - p.eps_u, u_fix + p.eps_u), p.U)
     z_box = concat(x_box, u_box)
@@ -230,7 +232,7 @@ def test_fixed_control_box_matches_output_bounds():
 def test_obstacle_forces_detour():
     """A wall between the state and the reference shifts the optimum."""
     block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
-    d = solve_tracking(problem(unsafe=[block]), [5, 5], [5.4, 6.5])
+    d = decide(problem(unsafe=[block]), [5, 5], [5.4, 6.5])
     # Safe box must not overlap the obstacle interior.
     assert (d.box_hi[0] <= 5.1 + 1e-6 or d.box_lo[0] >= 5.6 - 1e-6
             or d.box_hi[1] <= 4.0 + 1e-6 or d.box_lo[1] >= 6.0 - 1e-6)
@@ -242,13 +244,12 @@ def test_surrounded_state_is_infeasible():
     p = TrackingProblem(net=NET, X=X, U=U,
                         unsafe=UnsafeRegion((sealed,)),
                         eps_x=EPS, eps_y=EPS, eps_u=EPS)
-    with pytest.raises(SolverInfeasible):
-        solve_tracking(p, [5.0, 5.0], [9.0, 9.0])
+    assert solve_tracking(p, [5.0, 5.0], [9.0, 9.0]).status == INFEASIBLE
 
 
 def test_cost_is_worst_case_l1_distance():
     x_ref = np.array([5.2, 5.2])
-    d = solve_tracking(problem(), [5, 5], x_ref)
+    d = decide(problem(), [5, 5], x_ref)
     expected = np.sum(np.maximum(np.abs(d.box_lo - x_ref),
                                  np.abs(d.box_hi - x_ref)))
     assert abs(d.cost - expected) < 1e-6
@@ -257,7 +258,7 @@ def test_cost_is_worst_case_l1_distance():
 def test_safe_box_contains_all_model_outcomes():
     """Monte-Carlo audit of the robustness guarantee for one step."""
     p = problem()
-    d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    d = decide(p, [5, 5], [5.2, 4.8])
     safe = Hypercube(d.box_lo, d.box_hi)
     rng = np.random.default_rng(0)
     step = p.step([5, 5], [5.2, 4.8])
@@ -286,10 +287,10 @@ def test_audit_rederives_the_nn_box():
     # MILP's.
     p = problem()
     step = p.step([5, 5], [5.2, 4.8])
-    d = solve_tracking(p, [5, 5], [5.2, 4.8])
-    _check_decision(p, step, d)
-    with pytest.raises(AssertionError, match="interval image"):
-        _check_decision(p, step, replace(d, u_cmd=d.u_cmd + 1e-5))
+    d = decide(p, [5, 5], [5.2, 4.8])
+    assert _check_decision(p, step, d) is None
+    assert "interval image" in _check_decision(
+        p, step, replace(d, u_cmd=d.u_cmd + 1e-5))
 
 
 @pytest.mark.parametrize("lo_shift,hi_shift", [(1e-5, 1e-5), (-1e-5, 1e-5)],
@@ -300,11 +301,10 @@ def test_audit_checks_the_safe_box_against_the_interval_image(lo_shift,
     # eps_x.  Nor is one widened by 1e-5 on each side, although it holds
     # the image: the audit checks the MILP's box, not a containment.
     p = problem()
-    d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    d = decide(p, [5, 5], [5.2, 4.8])
     moved = replace(d, box_lo=d.box_lo + lo_shift, box_hi=d.box_hi + hi_shift)
-    with pytest.raises(AuditFailure,
-                       match="eps_x inflation of the interval image"):
-        _check_decision(p, p.step([5, 5], [5.2, 4.8]), moved)
+    assert _check_decision(p, p.step([5, 5], [5.2, 4.8]), moved) == (
+        "safe box is not the eps_x inflation of the interval image")
 
 
 def random_net(rng, widths):
@@ -408,8 +408,7 @@ def test_obstacle_out_of_reach_leaves_the_model_as_without_it():
     model, h = model_of(walled, *step)
     assert model_size(model) == model_size(model_of(bare, *step)[0])
     assert h["obstacles"] == [] and h["delta_u"] == []
-    assert abs(solve_tracking(walled, *step).cost
-               - solve_tracking(bare, *step).cost) <= 1e-9
+    assert abs(decide(walled, *step).cost - decide(bare, *step).cost) <= 1e-9
 
 
 @pytest.mark.parametrize("overlap,kept", [(0.0, False), (1e-6, True)],
@@ -448,7 +447,7 @@ def test_flat_hull_keeps_the_obstacle_it_crosses():
     block = Hypercube(np.array([5.1, 4.0]), np.array([5.6, 6.0]))
     p = flat_problem(unsafe=[block])
     assert model_of(p, [5, 5], [5.8, 5.0])[1]["obstacles"] == [0]
-    d = solve_tracking(p, [5, 5], [5.8, 5.0])
+    d = decide(p, [5, 5], [5.8, 5.0])
     assert d.box_lo[1] == d.box_hi[1] == 5.0
     assert d.box_hi[0] <= 5.1 + 1e-6
 
@@ -462,18 +461,16 @@ def test_audit_checks_obstacles_the_presolve_dropped(monkeypatch, make):
     far = Hypercube(np.array([6.0, 4.0]), np.array([7.0, 6.0]))
     p = make(unsafe=[far])
     step = p.step([5, 5], [5.2, 4.8])
-    d = solve_tracking(p, [5, 5], [5.2, 4.8])
+    d = decide(p, [5, 5], [5.2, 4.8])
     assert build_tracking_model(p, step)[1]["obstacles"] == []
 
     moved = replace(d, box_lo=d.box_lo + [1.2, 0.0],
                     box_hi=d.box_hi + [1.2, 0.0])
-    with pytest.raises(AssertionError, match="interval image"):
-        _check_decision(p, step, moved)
+    assert "interval image" in _check_decision(p, step, moved)
     monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: (
         moved.box_lo + p.eps_x, moved.box_hi - p.eps_x))
-    _check_decision(make(), step, moved)
-    with pytest.raises(AssertionError, match="overlaps an obstacle"):
-        _check_decision(p, step, moved)
+    assert _check_decision(make(), step, moved) is None
+    assert _check_decision(p, step, moved) == "safe box overlaps an obstacle"
 
 
 @pytest.mark.parametrize("out", [50.0, 9.99], ids=["beyond-X", "widened-out"])
@@ -486,8 +483,9 @@ def test_reach_hull_outside_X_is_infeasible(out):
                        LayerParams(np.zeros((2, 2)), np.array([out, 5.0]))))
     p = TrackingProblem(net=net, X=X, U=U, unsafe=UnsafeRegion(()),
                         eps_x=EPS, eps_y=EPS, eps_u=EPS)
-    with pytest.raises(SolverInfeasible):
-        solve_tracking(p, [5.0, 5.0], [5.0, 5.0])
+    out = solve_tracking(p, [5.0, 5.0], [5.0, 5.0])
+    assert out == (INFEASIBLE, None, None,
+                   "no safe box of this step fits in X")
 
 
 
@@ -496,7 +494,7 @@ def fixed_faces(model):
         model.is_binary & (model.lb == model.ub))}
 
 
-def test_kept_obstacle_without_a_reachable_face_raises_before_the_solve(
+def test_kept_obstacle_without_a_reachable_face_halts_before_the_solve(
         monkeypatch):
     # The reach hull [4.7, 5.3]^2 widened by eps_x overlaps the block, and
     # every safe box covers [4.75, 5.25]^2, which pokes into the block on
@@ -507,8 +505,10 @@ def test_kept_obstacle_without_a_reachable_face_raises_before_the_solve(
     def solve(*args, **kwargs):
         raise AssertionError("milp.solve called")
     monkeypatch.setattr(milp, "solve", solve)
-    with pytest.raises(SolverInfeasible):
-        solve_tracking(p, [5, 5], [9, 9])
+    assert solve_tracking(p, [5, 5], [9, 9]) == (
+        INFEASIBLE, None, None, "every safe box of this step meets an obstacle")
+    with pytest.raises(ValueError, match="no tracking model: every safe box"):
+        build_tracking_model(p, p.step([5, 5], [9, 9]))
 
 
 def test_unreachable_faces_are_fixed_by_bounds_and_keep_the_root_warm():

@@ -15,8 +15,7 @@ import pytest
 
 from milp_safeguard import milp
 from milp_safeguard.cli import load_scenario
-from milp_safeguard.encoder import SolverInfeasible, TrackingProblem, \
-    build_tracking_model
+from milp_safeguard.encoder import TrackingProblem, build_tracking_model
 from milp_safeguard.milp import EQ, GE, LE, ModelBuilder
 from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
     build_identity_sum_network
@@ -30,6 +29,10 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # ---------------------------------------------------------------------------
 # The oracle: the tracking model written row by row.
 # ---------------------------------------------------------------------------
+
+class NoSafeBox(Exception):
+    """The oracle finds no safe box for the step: it has no model."""
+
 
 def _oracle_input_feasibility(p, step, b):
     n_x, n_u = p.n_x, p.n_u
@@ -77,7 +80,7 @@ def _oracle_nn_structure(p, step, b, h):
     ends = [(np.maximum(zlo + e, X.lo), np.minimum(zhi + e, X.hi))
             for e in (-p.eps_x, p.eps_x)]
     if any(np.any(low > high) for low, high in ends):
-        raise SolverInfeasible("no safe box of this step fits in X")
+        raise NoSafeBox("no safe box of this step fits in X")
     a_prev, b_prev = h["a0"], h["b0"]
     hidden = {"a": [], "b": [], "ahat": [], "bhat": [],
               "d_mm": [], "d_mp": [], "d_pp": []}
@@ -128,7 +131,7 @@ def _oracle_safety(p, step, b, h):
         dead1 = np.maximum(zlo + p.eps_x, p.X.lo) > p.unsafe.lo[k]
         dead2 = np.minimum(zhi - p.eps_x, p.X.hi) < p.unsafe.hi[k]
         if (dead1 & dead2).all():
-            raise SolverInfeasible("every safe box of this step meets an obstacle")
+            raise NoSafeBox("every safe box of this step meets an obstacle")
         d1, d2 = ([b.add_binary(f"du{s}_{k}_{j}", 0.0 if dead[j] else None)
                    for j in range(n_x)] for s, dead in ((1, dead1), (2, dead2)))
         card = {}
@@ -317,14 +320,12 @@ def test_undetermined_neurons_match_the_oracle(fixed):
         p = TrackingProblem(net=net, X=X1, U=U1, unsafe=free, eps_x=eps,
                             eps_y=eps, eps_u=eps)
         for step in (p.step(y, [0.0]), p.step(y + 1e-3, [0.0])):
-            try:
-                h = assert_matches_oracle(p, step,
-                                          fix_u=u if fixed else None,
-                                          structure=structure)
-            except SolverInfeasible:
-                with pytest.raises(SolverInfeasible):
+            if step.reason is not None:
+                with pytest.raises(NoSafeBox, match=step.reason):
                     oracle_tracking_model(p, step)
                 break
+            h = assert_matches_oracle(p, step, fix_u=u if fixed else None,
+                                      structure=structure)
             undetermined = any(map(len, h["d_mm"]))
             seen += undetermined and structure is None
             kept += undetermined and h["structure"] is structure

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milp_safeguard.encoder import TrackingProblem, solve_tracking
+from milp_safeguard.encoder import TrackingProblem
 from milp_safeguard.milp import EQ, GE, LE, ModelBuilder
 from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
     build_identity_sum_network
@@ -12,6 +12,8 @@ from milp_safeguard.oracle import (
     grid_control_search,
 )
 from milp_safeguard.sets import Hypercube, UnsafeRegion
+
+from helpers import decide
 
 X = Hypercube(np.array([-1.0, -1.0]), np.array([10.0, 10.0]))
 U = Hypercube(np.array([-0.25, -0.25]), np.array([0.25, 0.25]))
@@ -73,7 +75,7 @@ def test_box_tracking_cost():
 
 def test_grid_search_matches_milp_no_obstacles():
     p = problem()
-    d = solve_tracking(p, [5, 5], [5.2, 5.2])
+    d = decide(p, [5, 5], [5.2, 5.2])
     g = grid_control_search(p, p.step([5, 5], [5.2, 5.2]), 0.005)
     assert np.allclose(g["best_u"], d.u_cmd, atol=0.005 + 1e-9)
     assert abs(g["best_cost"] - d.cost) < 1e-4
@@ -106,7 +108,7 @@ def test_grid_rejects_a_point_box_inside_an_obstacle():
                         eps_x=zero, eps_y=zero, eps_u=zero)
     assert p.unsafe.contains_interior([0.25, 0.0])
     g = grid_control_search(p, p.step(zero, [0.35, 0.0]), 0.05)
-    d = solve_tracking(p, zero, [0.35, 0.0])
+    d = decide(p, zero, [0.35, 0.0])
     for u in (d.u_cmd, g["best_u"]):
         assert any(np.allclose(u, face, atol=1e-9)
                    for face in ([0.25, -0.1], [0.25, 0.1]))

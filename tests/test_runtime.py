@@ -8,19 +8,23 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from milp_safeguard import encoder, milp
+from milp_safeguard import encoder, milp, runtime
 from milp_safeguard.cli import load_scenario
+from milp_safeguard.encoder import (
+    AUDIT_FAILURE,
+    INFEASIBLE,
+    NUMERICAL_FAILURE,
+    OPTIMAL,
+    SOLVER_LIMIT,
+    solve_tracking,
+)
 from milp_safeguard.learner import identity_warm_start
 from milp_safeguard.nn_model import LayerParams, ReluNetwork, \
     build_identity_sum_network, output_bounds
 from milp_safeguard.plants import RobotPlant, VehiclePlant
 from milp_safeguard.runtime import (
-    AUDIT_FAILURE,
     GOAL_REACHED,
     INADMISSIBLE,
-    INFEASIBLE,
-    NUMERICAL_FAILURE,
-    SOLVER_LIMIT,
     STEP_LIMIT,
     PlannerParams,
     Scenario,
@@ -204,7 +208,7 @@ def test_sealed_reference_halts_infeasible():
     assert len(log.steps) == 1
     rec = log.steps[0]
     assert rec.u_cmd is None and rec.box_lo is None
-    assert rec.status != "Optimal"
+    assert rec.status == INFEASIBLE
 
 
 def test_numerical_failure_halts_episode_logged(monkeypatch):
@@ -224,7 +228,7 @@ def test_numerical_failure_halts_episode_logged(monkeypatch):
     assert log.status == NUMERICAL_FAILURE
     assert len(log.steps) == 1
     rec = log.steps[0]
-    assert rec.status == "SolverNumericalFailure"
+    assert rec.status == NUMERICAL_FAILURE
     assert rec.u_cmd is None and rec.box_lo is None
 
 
@@ -238,7 +242,7 @@ def test_audit_failure_halts_episode_logged(monkeypatch):
     assert log.status == AUDIT_FAILURE
     assert len(log.steps) == 1
     rec = log.steps[0]
-    assert rec.status == "AuditFailure"
+    assert rec.status == AUDIT_FAILURE
     assert rec.u_cmd is None and rec.box_lo is None
 
 
@@ -250,8 +254,95 @@ def test_solver_budget_halts_episode_logged():
     assert log.status == SOLVER_LIMIT
     assert len(log.steps) == 1
     rec = log.steps[0]
-    assert rec.status == "SolveIterationLimit"
+    assert rec.status == SOLVER_LIMIT
     assert rec.u_cmd is None and rec.box_lo is None
+
+
+def _walls(*ends):
+    return UnsafeRegion(tuple(Hypercube(np.array(lo), np.array(hi))
+                              for lo, hi in ends))
+
+
+def _singular_basis(monkeypatch):
+    # A refresh after every basis update makes a cold root LP invert after
+    # its first pivot.
+    def inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(milp.np.linalg, "inv", inv)
+    monkeypatch.setattr(milp, "_REFACTOR_EVERY", 1)
+
+
+def _audit_off_by_1e3(monkeypatch):
+    monkeypatch.setattr(encoder, "output_bounds", lambda net, lo, hi: tuple(
+        v + 1e-3 for v in output_bounds(net, lo, hi)))
+
+
+# Each way a free-space robot step from y tracking [5.2, 4.9] halts: the
+# problem's changed parts, y, the solver's budget, a patch of the solve's
+# layers, and the step's status and reason.  From y = [5, 5] the reach hull
+# is [4.65, 5.35]^2, and every safe box is 0.3 wide.
+_HALTS = {
+    "no-safe-box-in-X": (
+        {"eps_x": np.full(2, 6.0)}, [5.0, 5.0], None, None, INFEASIBLE,
+        "no safe box of this step fits in X"),
+    "every-safe-box-meets-an-obstacle": (
+        {"unsafe": _walls(([4.5, 4.5], [5.5, 5.5]))}, [5.0, 5.0], None, None,
+        INFEASIBLE, "every safe box of this step meets an obstacle"),
+    # Each wall leaves a face in reach, but the gap between them is 0.2.
+    "milp-infeasible": (
+        {"unsafe": _walls(([4.0, -1.0], [4.9, 10.0]),
+                          ([5.1, -1.0], [6.0, 10.0]))}, [5.0, 5.0], None,
+        None, INFEASIBLE, "no robustly safe control exists for this step"),
+    "simplex-budget": (
+        {}, [5.0, 5.0], milp.SolverConfig(max_simplex_iters=5), None,
+        SOLVER_LIMIT, "solver stopped with status IterationLimit"),
+    "singular-basis": (
+        {}, [5.0, 5.0], None, _singular_basis, NUMERICAL_FAILURE,
+        "singular simplex basis in the tracking MILP"),
+    "audit": (
+        {}, [5.0, 5.0], None, _audit_off_by_1e3, AUDIT_FAILURE,
+        "safe box is not the eps_x inflation of the interval image"),
+    "empty-measurement-box": (
+        {}, [-2.0, 5.0], None, None, INFEASIBLE,
+        "measurement [-2.  5.] inconsistent with X under eps_y=[0.05 0.05]"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HALTS))
+def test_a_step_that_halts_is_an_outcome_the_episode_logs(monkeypatch, name):
+    changes, y, cfg, patch, status, reason = _HALTS[name]
+    p = replace(scenario().problem, **changes)
+
+    def halt():
+        if patch is not None:
+            patch(monkeypatch)
+        return solve_tracking(p, y, [5.2, 4.9], cfg)
+    out = halt()
+    assert (out.status, out.decision, out.reason) == (status, None, reason)
+    # Only a step that reaches the solver has its counters.
+    solved = name not in ("no-safe-box-in-X", "every-safe-box-meets-an-"
+                          "obstacle", "empty-measurement-box")
+    assert (out.stats is not None) == solved
+    monkeypatch.undo()
+
+    # The third step of a free-space episode halts so: it is logged with
+    # the outcome, the episode ends with its status, and the log keeps the
+    # steps before it.
+    calls = []
+
+    def third_step_halts(*args, **kwargs):
+        calls.append(args)
+        return solve_tracking(*args, **kwargs) if len(calls) < 3 else halt()
+    monkeypatch.setattr(runtime, "solve_tracking", third_step_halts)
+    log = run_episode(scenario(max_steps=60))
+    assert log.status == status
+    assert [rec.status for rec in log.steps] == [OPTIMAL, OPTIMAL, status]
+    first, second, last = log.steps
+    assert first.stats is not None and first.reason is None
+    assert np.array_equal(second.x_next, last.x)
+    assert (last.reason, last.u_cmd, last.box_lo, last.x_next) == (
+        reason, None, None, None)
+    assert (last.stats is not None) == solved
 
 
 def test_step_limit_status():
@@ -397,8 +488,10 @@ def test_every_lp_of_an_episode_hands_over_a_consistent_state(monkeypatch):
     assert len(checked) > 500 and sum(checked) > 1500
 
 
-# Prints the robot maze episode's status and step count, and its tracking
-# solves' stats summed over the episode, as JSON.
+# Prints the robot maze episode's status and step count, its tracking
+# solves' stats summed over the episode, as a wrapper of milp.solve counts
+# them (as the benchmark's tracer does), and the step records' stats
+# summed, as JSON.
 _SOLVE_COUNTS = """
 import json, sys
 from milp_safeguard import milp
@@ -413,9 +506,11 @@ milp.solve = counted
 scenario, _ = load_scenario(sys.argv[1])
 log = run_episode(scenario)
 counts = {key: sum(s[key] for s in stats) for key in
-          ("lp_calls", "simplex_iters", "inversions", "warm_root")}
+          ("nodes", "lp_calls", "simplex_iters", "inversions", "warm_root")}
+logged = {key: sum(rec.stats[key] for rec in log.steps)
+          for key in ("nodes", "simplex_iters")}
 print(json.dumps(dict(counts, status=log.status, steps=len(log.steps),
-                      solves=len(stats))))
+                      solves=len(stats), logged=logged)))
 """
 
 
@@ -441,6 +536,15 @@ def test_robot_episode_stays_within_its_solve_count_budget(
     assert c["status"] == GOAL_REACHED and c["solves"] > 100
     assert c["lp_calls"] / c["solves"] <= 5.0
     assert c["simplex_iters"] / c["solves"] <= 16.0
+
+
+def test_step_records_carry_the_solver_s_counts(robot_episode_counts):
+    # Each step record keeps its solve's stats: summed over the episode,
+    # they are the counts the benchmark reads from milp.solve.
+    c = robot_episode_counts
+    assert c["nodes"] >= c["solves"] > 100
+    assert c["logged"] == {"nodes": c["nodes"],
+                           "simplex_iters": c["simplex_iters"]}
 
 
 def test_robot_episode_hands_its_root_tableau_over(robot_episode_counts):
@@ -481,9 +585,10 @@ def test_root_tableau_chain_refactorizes_on_inherited_counts():
 
 
 # Prints, for each given disturbance seed, the SHA-256 over an episode's
-# step records (every field but the timing) and its status, one episode a
-# line.  The scenario's own plan is
-# tracked, or the plan in the CSV file given after the seeds' count.
+# step records (states, measurements, references, controls, safe boxes,
+# costs and statuses) and its status, one episode a line.  The scenario's
+# own plan is tracked, or the plan in the CSV file given after the seeds'
+# count.
 _EPISODE_PRINTS = """
 import hashlib
 import sys
