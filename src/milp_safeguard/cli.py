@@ -202,12 +202,12 @@ def _build_network(block, X, U, plant, scenario_dir):
         if not block.get("path"):
             raise ScenarioError("network kind 'file' needs a 'path'")
         return load_network(os.path.join(scenario_dir, block["path"]))
-    net, _, _ = _train_from_block(block, X, U, plant)
-    return net
+    return _fit(block, X, U, plant)[0].net
 
 
-def _train_from_block(block, X, U, plant):
-    """Returns (net, eps_x estimate, final mse)."""
+def _fit(block, X, U, plant):
+    """Train the block's net and evaluate nothing: (TrainResult, the
+    block's eval_samples, its seed)."""
     cfg = _kind(block, "network", {"train": _TRAIN})
     del cfg["kind"]
     n = cfg.pop("samples", 20000)
@@ -219,8 +219,13 @@ def _train_from_block(block, X, U, plant):
             if identity else None)
     log.info("training on %d samples, hidden=%s, %d epochs",
              n, cfg.hidden_sizes, cfg.epochs)
-    result = train(cfg, data, init=init)
-    eval_data = sample_dataset(plant.step, X, U, n_eval, seed=cfg.seed + 1)
+    return train(cfg, data, init=init), n_eval, cfg.seed
+
+
+def _train_from_block(block, X, U, plant):
+    """Returns (net, eps_x estimate, final mse)."""
+    result, n_eval, seed = _fit(block, X, U, plant)
+    eval_data = sample_dataset(plant.step, X, U, n_eval, seed=seed + 1)
     eps = quantify_error(result.net, eval_data)
     return result.net, eps, result.final_mse
 
@@ -247,8 +252,11 @@ def load_scenario(path, seed_override=None):
 # SVG plotting (hand-emitted; first two state dimensions).
 # ---------------------------------------------------------------------------
 
-def write_plot_svg(path, scenario, waypoints, logbook, size=640):
-    X = scenario.X
+_PLOT_SIZE = 640   # the plot's width and height, in pixels
+
+
+def write_plot_svg(path, scenario, waypoints, logbook):
+    X, size = scenario.X, _PLOT_SIZE
     span = max(X.hi[0] - X.lo[0], X.hi[1] - X.lo[1])
     scale = (size - 40) / span
 

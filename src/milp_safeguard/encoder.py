@@ -20,7 +20,8 @@ same key only fills in its bounds, right-hand sides and undetermined
 neurons' coefficients.  The post-solve audit, one pass over the decision's
 (lo, hi) arrays, checks the safe box against every obstacle, kept or not.
 solve_tracking returns a step's outcome as one value, a StepOutcome: the
-certified decision, or the status and reason of a step that has none.
+certified decision, or the status and reason of a step that has none, the
+solver's own but for an Infeasible MILP, which is worded for the step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from milp_safeguard import milp
-from milp_safeguard.milp import EQ, GE, INF, LE, MilpModel, SolverConfig
+from milp_safeguard.milp import EQ, GE, INF, INFEASIBLE, LE, \
+    NUMERICAL_FAILURE, OPTIMAL, SOLVER_LIMIT, MilpModel, SolverConfig
 from milp_safeguard.nn_model import ReluNetwork, output_bounds, \
     preactivation_bounds
 from milp_safeguard.oracle import input_boxes
@@ -39,10 +41,9 @@ from milp_safeguard.sets import Hypercube, UnsafeRegion
 
 _TOL = 1e-6
 
-# A step's statuses.  Only an Optimal step has a decision; a budget hit and
-# a numerical failure say nothing about whether a safe control exists.
-OPTIMAL, INFEASIBLE, SOLVER_LIMIT, NUMERICAL_FAILURE, AUDIT_FAILURE = (
-    "Optimal", "Infeasible", "SolverLimit", "NumericalFailure", "AuditFailure")
+# A step's statuses: milp's four and this.  Only an Optimal step has a
+# decision; SolverLimit and NumericalFailure do not say no safe control exists.
+AUDIT_FAILURE = "AuditFailure"
 
 
 def _vec(v, n, name):
@@ -458,15 +459,10 @@ def solve_tracking(p: TrackingProblem, y, x_ref,
         structure=None if warm is None else warm.structure)
     sol = milp.solve(model, cfg,
                      warm=None if warm is None else warm.root_basis)
-    if sol.status == milp.INFEASIBLE:
-        return StepOutcome(INFEASIBLE, None, sol.stats,
-                           "no robustly safe control exists for this step")
-    if sol.status == milp.NUMERICAL_FAILURE:
-        return StepOutcome(NUMERICAL_FAILURE, None, sol.stats,
-                           "singular simplex basis in the tracking MILP")
-    if sol.status != milp.OPTIMAL:
-        return StepOutcome(SOLVER_LIMIT, None, sol.stats,
-                           f"solver stopped with status {sol.status}")
+    if sol.status != OPTIMAL:
+        reason = ("no robustly safe control exists for this step"
+                  if sol.status == INFEASIBLE else sol.reason)
+        return StepOutcome(sol.status, None, sol.stats, reason)
     v = sol.values
     # Solver feasibility tolerance can leave a lo marginally above its hi.
     z_hi, box_hi = v[h["b0"]], v[h["x_hi"]]

@@ -17,11 +17,14 @@ of one basic binary, starts from a copy of its parent's final tableau,
 values and column directions.  So a basis is inverted only to form its
 tableau afresh, once _REFACTOR_EVERY updates have accumulated, counted
 along every solve and node the tableau was handed through.  A basis that
-fails to invert, or a handed tableau that is not dual feasible under the
-new bounds, is reported as NumericalFailure, never as infeasibility; a
-warm LP that hits one is re-solved cold once.  Deterministic throughout: the
-only state carried between solves is the basis the caller hands over,
-lowest-index tie-breaks, no cutting planes, no presolve.
+fails to invert, a row that only a bound flip its reduced cost forbids
+could close, or a handed tableau that is not dual feasible under the new
+bounds, is reported as NumericalFailure, never as infeasibility; a warm
+LP that hits one is re-solved cold once.  A solve that is not Optimal
+(Infeasible, SolverLimit or NumericalFailure) says why in its reason,
+which names the budget and its value at a SolverLimit.  Deterministic
+throughout: the only state carried between solves is the basis the caller
+hands over, lowest-index tie-breaks, no cutting planes, no presolve.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ _RELATIONS = (LE, EQ, GE)
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-ITERATION_LIMIT = "IterationLimit"
+SOLVER_LIMIT = "SolverLimit"
 NUMERICAL_FAILURE = "NumericalFailure"
+
+_REASONS = {   # why a solve ended Infeasible or NumericalFailure
+    INFEASIBLE: "no point meets the model's rows, bounds and binaries",
+    NUMERICAL_FAILURE: "a simplex basis failed to invert, or a reduced cost "
+                       "forbade the bound flip that would close a row"}
 
 _TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
 _REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
@@ -215,7 +223,8 @@ class MilpModel:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    status: str                       # Optimal | Infeasible | IterationLimit | NumericalFailure
+    status: str          # Optimal | Infeasible | SolverLimit | NumericalFailure
+    reason: str | None   # why the status, in one sentence; None if Optimal
     values: np.ndarray | None
     objective_value: float
     stats: dict = field(default_factory=dict)
@@ -329,7 +338,7 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     bland_after = 2 * m + 20 if m else -1   # no rows: nothing to argmax
     while True:
         if iters >= max_iters:
-            return ITERATION_LIMIT, None, INF, iters, None
+            return SOLVER_LIMIT, None, INF, iters, None
         iters += 1
         if updates >= _REFACTOR_EVERY:
             # The tableau afresh, its basic columns the unit vectors they are.
@@ -489,24 +498,18 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
         warm = None
     status, x, obj, basis = node_lp(lb, ub, warm)
     stats["warm_root"] = warm is not None and stats["cold_resolves"] == 0
-    if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
-        return MilpSolution(status, None, INF, stats)
 
     # Heap ordered by LP bound; the counter makes ordering deterministic.
-    counter = 0
-    heap = []
-    root_basis = None
-    if status == OPTIMAL:
-        root_basis = basis
-        heapq.heappush(heap, (obj, counter, lb, ub, x, basis))
-        counter += 1
-
-    incumbent = None
-    incumbent_obj = INF
-    stop = None   # ITERATION_LIMIT or NUMERICAL_FAILURE ends the search
+    # A root that is not Optimal has no basis and leaves the heap empty.
+    heap = [(obj, 0, lb, ub, x, basis)] if status == OPTIMAL else []
+    counter, root_basis = 1, basis
+    incumbent, incumbent_obj = None, INF
+    # An LP's SolverLimit or NumericalFailure, or the node budget, ends it.
+    stop = None if status in (OPTIMAL, INFEASIBLE) else status
+    budget = "max_simplex_iters"
     while heap and stop is None:
         if stats["nodes"] >= config.max_nodes:
-            stop = ITERATION_LIMIT
+            stop, budget = SOLVER_LIMIT, "max_nodes"
             break
         bound, _, lb, ub, x, basis = heapq.heappop(heap)
         stats["nodes"] += 1
@@ -530,7 +533,7 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             clb[j] = fixed
             cub[j] = fixed
             status, cx, cobj, cbasis = node_lp(clb, cub, basis)
-            if status in (ITERATION_LIMIT, NUMERICAL_FAILURE):
+            if status in (SOLVER_LIMIT, NUMERICAL_FAILURE):
                 stop = status
                 break
             if status != OPTIMAL:
@@ -541,7 +544,8 @@ def solve(model: MilpModel, config: SolverConfig | None = None,
             heapq.heappush(heap, (cobj, counter, clb, cub, cx, cbasis))
             counter += 1
 
-    if incumbent is None:
-        return MilpSolution(stop or INFEASIBLE, None, INF, stats, root_basis)
-    return MilpSolution(stop or OPTIMAL, incumbent, incumbent_obj, stats,
+    status = stop or (OPTIMAL if incumbent is not None else INFEASIBLE)
+    reason = (f"the solver's budget {budget}={getattr(config, budget)} "
+              "ran out" if status == SOLVER_LIMIT else _REASONS.get(status))
+    return MilpSolution(status, reason, incumbent, incumbent_obj, stats,
                         root_basis)

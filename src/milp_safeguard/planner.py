@@ -42,6 +42,8 @@ from milp_safeguard.sets import Hypercube, UnsafeRegion
 # and the iterations drawn at a time to top the pending ones up.
 _WINDOW = 8
 _CHUNK = 2 * _WINDOW
+# Points per axis of the grid over U where an unstable row's search starts.
+_COARSE = 9
 
 
 class PlanFailure(RuntimeError):
@@ -88,7 +90,7 @@ def reachable_box(net: ReluNetwork, xs, U: Hypercube):
 
 
 @lru_cache(maxsize=16)
-def _search_tables(lo: bytes, hi: bytes, n_x: int, coarse: int):
+def _search_tables(lo: bytes, hi: bytes, n_x: int):
     """What a witness search over U = [lo, hi] shares with every other,
     built once and read-only: the coarse grid over U; the hyperplanes'
     m-subsets to solve, rows n_x on being U's lower and then upper faces,
@@ -97,7 +99,7 @@ def _search_tables(lo: bytes, hi: bytes, n_x: int, coarse: int):
     mask of the others among all subsets, and the corners themselves."""
     lo, hi = np.frombuffer(lo), np.frombuffer(hi)
     m = len(lo)
-    axes = [np.linspace(lo[j], hi[j], coarse) for j in range(m)]
+    axes = [np.linspace(lo[j], hi[j], _COARSE) for j in range(m)]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                     axis=1)
     subsets = np.array([s for s in combinations(range(n_x + 2 * m), m)
@@ -115,8 +117,7 @@ def _search_tables(lo: bytes, hi: bytes, n_x: int, coarse: int):
     return tables
 
 
-def _witness_search(net, X_from, X_to, U: Hypercube, stable,
-                    coarse: int = 9):
+def _witness_search(net, X_from, X_to, U: Hypercube, stable):
     """Controls minimizing the l1 residuals |f(x_from, u) - x_to|, row by row.
 
     X_from and X_to stack k pairs as rows (k x n_x), and stable holds the k
@@ -142,7 +143,7 @@ def _witness_search(net, X_from, X_to, U: Hypercube, stable,
     m = U.dim
     stable = np.asarray(stable, dtype=bool)
     grid, subsets, faces, bounds, free, corners = _search_tables(
-        U.lo.tobytes(), U.hi.tobytes(), n_x, coarse)
+        U.lo.tobytes(), U.hi.tobytes(), n_x)
     cols = np.arange(n_x, n_x + m)
     # Per search: the hyperplanes' rows and right-hand sides, U's faces
     # after the n_x of the net's piece, and the vertices of a round.

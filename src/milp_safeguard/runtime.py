@@ -120,6 +120,7 @@ class StepRecord:
 class TrajectoryLog:
     steps: list = field(default_factory=list)
     status: str = STEP_LIMIT
+    n_u: int = 0   # the scenario's control width, which to_csv writes
 
     def safety_violations(self, unsafe: UnsafeRegion,
                           tol: float = _MEMBER_TOL) -> list:
@@ -137,12 +138,10 @@ class TrajectoryLog:
 
     def to_csv(self, path):
         """One row per step, zeros for the parts a step with no decision
-        lacks."""
+        lacks, so the columns are the scenario's, whatever its fate."""
         if not self.steps:
             raise ValueError("empty log")
-        first = self.steps[0]
-        n_x = first.x.shape[0]
-        n_u = len(first.u_cmd) if first.u_cmd is not None else 0
+        n_x, n_u = self.steps[0].x.shape[0], self.n_u
         # Each group of array columns: its field, its prefix and its width.
         groups = (("x", "x", n_x), ("y", "y", n_x), ("x_ref", "xr", n_x),
                   ("u_cmd", "u_cmd", n_u), ("u_act", "u_act", n_u),
@@ -195,7 +194,7 @@ def run_episode(s: Scenario, waypoints: list | None = None) -> TrajectoryLog:
     waypoints = [p.point(w) for w in waypoints]
     goal = waypoints[-1]
     rng = np.random.default_rng(s.seed)
-    log = TrajectoryLog()
+    log = TrajectoryLog(n_u=s.U.dim)
     x = np.asarray(s.x0, dtype=float)
     prev = None   # each step starts from the previous step's decision
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from milp_safeguard import encoder
+from milp_safeguard import cli, encoder
 from milp_safeguard.cli import (
     ScenarioError,
     _read_document,
@@ -325,6 +325,23 @@ def test_simulate_solver_budget_exits_2(tmp_path, capsys):
     assert "status: SolverLimit" in capsys.readouterr().out
     traj = (out / "trajectory.csv").read_text().strip().split("\n")
     assert len(traj) == 2 and traj[1].split(",")[-2] == "SolverLimit"
+    # A run that halts at its first step writes the columns of one that
+    # reaches its goal, the control's included, zeros in the halted row.
+    assert main(["simulate", write(tmp_path, SMALL, "goal.yaml"), "--out",
+                 str(tmp_path / "goal")]) == 0
+    header = (tmp_path / "goal" / "trajectory.csv").read_text().split("\n")[0]
+    assert traj[0] == header and "u_cmd1" in header and "u_act1" in header
+    row = dict(zip(header.split(","), traj[1].split(",")))
+    assert all(float(row[c]) == 0.0 for c in ("u_cmd0", "u_act1", "box_hi1"))
+
+
+def test_solve_once_names_the_budget_it_ran_out_of(tmp_path, capsys):
+    path = write(tmp_path, SMALL + "solver: {max_simplex_iters: 5}\n")
+    rc = main(["solve-once", path, "--y", "5,5", "--x-ref", "5.1,4.9"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "SolverLimit: the solver's budget max_simplex_iters=5 ran out\n")
 
 
 def off_by_1e3(monkeypatch):
@@ -435,6 +452,30 @@ def test_train_round_trip(tmp_path, capsys):
     s, _ = load_scenario(path)
     data = sample_dataset(s.plant.step, s.X, s.U, 400, seed=1)
     assert np.allclose(quantify_error(net, data), printed, atol=1e-6)
+
+
+def test_loading_a_training_scenario_evaluates_nothing(tmp_path,
+                                                        monkeypatch):
+    # A scenario needs only the trained net: loading one draws the training
+    # samples alone, and the train command's error estimate is not taken.
+    sampled, evaluated = [], []
+    draw, evaluate = cli.sample_dataset, cli.quantify_error
+
+    def counted_draw(step, X, U, n, seed=0):
+        sampled.append(n)
+        return draw(step, X, U, n, seed=seed)
+
+    def counted_evaluate(net, data):
+        evaluated.append(len(data))
+        return evaluate(net, data)
+    monkeypatch.setattr(cli, "sample_dataset", counted_draw)
+    monkeypatch.setattr(cli, "quantify_error", counted_evaluate)
+    path = write(tmp_path, TRAIN.replace("eval_samples: 400",
+                                         "eval_samples: 300"))
+    load_scenario(path)
+    assert (sampled, evaluated) == ([400], [])
+    assert main(["train", path, "--out", str(tmp_path / "net.json")]) == 0
+    assert (sampled, evaluated) == ([400, 400, 300], [300])
 
 
 def test_train_divergence_is_reported(tmp_path, capsys):

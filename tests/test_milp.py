@@ -12,10 +12,10 @@ from milp_safeguard.milp import (
     GE,
     INF,
     INFEASIBLE,
-    ITERATION_LIMIT,
     LE,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    SOLVER_LIMIT,
     ModelBuilder,
     ModelError,
     SolverConfig,
@@ -76,6 +76,7 @@ def test_row_whose_pivot_element_is_at_the_tolerance(rhs, cost, status):
     b.set_objective({x: cost})
     r = solve(b.build())
     assert r.status == status
+    assert (r.reason is None) == (status == OPTIMAL)
     if status == OPTIMAL:
         assert r.values[x] == 1.0
 
@@ -330,7 +331,8 @@ def test_iteration_limit_reported():
     rng = np.random.default_rng(5)
     m, _ = _random_model(rng, 5, 3, 6)
     sol = solve(m, SolverConfig(max_simplex_iters=1))
-    assert sol.status == ITERATION_LIMIT
+    assert sol.status == SOLVER_LIMIT
+    assert "max_simplex_iters=1" in sol.reason
 
 
 def _odd_cycle_partitioning():
@@ -365,6 +367,23 @@ def test_degenerate_partitioning_matches_enumeration():
     assert np.array_equal(a.values, b.values)
     assert a.objective_value == b.objective_value
     assert a.stats == b.stats
+
+
+def test_each_budget_is_named_by_the_solve_it_stops():
+    # The partitioning's best-first search takes 5 nodes and 21 simplex
+    # iterations; its fourth node finds the optimum, and its fifth proves it.
+    m, cover = _odd_cycle_partitioning()
+    done = solve(m)
+    assert done.status == OPTIMAL and done.reason is None
+    lp = solve(m, SolverConfig(max_simplex_iters=5))
+    assert lp.status == SOLVER_LIMIT and lp.values is None
+    assert "max_simplex_iters=5" in lp.reason and "max_nodes" not in lp.reason
+    nodes = solve(m, SolverConfig(max_nodes=4))
+    assert nodes.status == SOLVER_LIMIT
+    assert "max_nodes=4" in nodes.reason and "simplex" not in nodes.reason
+    # The budget ran out with an incumbent in hand, and the solve keeps it.
+    assert nodes.objective_value == done.objective_value == 6.0
+    assert np.all(cover @ nodes.values == 1.0)
 
 
 def _singular(monkeypatch):
@@ -607,3 +626,4 @@ def test_singular_basis_is_numerical_failure(monkeypatch):
     sol = solve(m)
     assert sol.status == NUMERICAL_FAILURE
     assert sol.values is None
+    assert "basis failed to invert" in sol.reason

@@ -295,10 +295,15 @@ _HALTS = {
         None, INFEASIBLE, "no robustly safe control exists for this step"),
     "simplex-budget": (
         {}, [5.0, 5.0], milp.SolverConfig(max_simplex_iters=5), None,
-        SOLVER_LIMIT, "solver stopped with status IterationLimit"),
+        SOLVER_LIMIT, "the solver's budget max_simplex_iters=5 ran out"),
+    # The root node branches, and the budget allows no second node.
+    "node-budget": (
+        {}, [5.0, 5.0], milp.SolverConfig(max_nodes=1), None, SOLVER_LIMIT,
+        "the solver's budget max_nodes=1 ran out"),
     "singular-basis": (
         {}, [5.0, 5.0], None, _singular_basis, NUMERICAL_FAILURE,
-        "singular simplex basis in the tracking MILP"),
+        "a simplex basis failed to invert, or a reduced cost forbade the "
+        "bound flip that would close a row"),
     "audit": (
         {}, [5.0, 5.0], None, _audit_off_by_1e3, AUDIT_FAILURE,
         "safe box is not the eps_x inflation of the interval image"),
