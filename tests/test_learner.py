@@ -281,6 +281,31 @@ def test_trained_parameters_are_pinned(request, plant, X, U, warm):
             == THETA_SHA256[request.node.callspec.id])
 
 
+# SHA-256 of the vehicle's parameters after 3 epochs at other batch sizes:
+# 10 batches of 100 (m / 2 = 50, not a power of two), and 333 batches of 3
+# (1.5) with a tail batch of 1 (0.5, a power of two).  CASE_CONFIG's 64 and
+# 40 (32 and 20) are pinned above.
+WIDTH_SHA256 = {
+    (100, False): "45037984a4c20ad19ed94bf087542eef"
+                  "ef6083f6b9f2381fbffcc4027fbdec02",
+    (100, True): "c1865abfac6e6da8f4aeb8e3cff25724"
+                 "83adf69cb0390472fd08671657ae8aa5",
+    (3, False): "e9047bd353d3cb4af23baf1171ae3ad5"
+                "296bbc7c1ef8d718813cf2d5beeacf53",
+    (3, True): "b7d87f1bf60d31ab3f7c38312c8fe93c"
+               "e5a101586da90545d79affcb874ffba6",
+}
+
+
+@pytest.mark.parametrize("batch_size, warm", WIDTH_SHA256, ids=str)
+def test_trained_parameters_are_pinned_at_other_widths(batch_size, warm):
+    data, init = _case(VEHICLE, X3, U3, warm)
+    cfg = replace(CASE_CONFIG, epochs=3, batch_size=batch_size)
+    net = train(cfg, data, init=init).net
+    assert (hashlib.sha256(_theta_bytes(net)).hexdigest()
+            == WIDTH_SHA256[batch_size, warm])
+
+
 @TRAIN_CASES
 def test_train_diverges_at_the_reference_loops_epoch(plant, X, U, warm):
     data = sample_dataset(plant.step, X, U, 1000, seed=4)
