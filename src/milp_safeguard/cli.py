@@ -27,8 +27,8 @@ from milp_safeguard.learner import (
     TrainingDiverged,
     identity_warm_start,
     layer_widths,
-    quantify_error,
     sample_dataset,
+    sampled_error,
     train,
 )
 from milp_safeguard.milp import SolverConfig
@@ -225,8 +225,7 @@ def _fit(block, X, U, plant):
 def _train_from_block(block, X, U, plant):
     """Returns (net, eps_x estimate, final mse)."""
     result, n_eval, seed = _fit(block, X, U, plant)
-    eval_data = sample_dataset(plant.step, X, U, n_eval, seed=seed + 1)
-    eps = quantify_error(result.net, eval_data)
+    eps = sampled_error(plant.step, result.net, X, U, n_eval, seed=seed + 1)
     return result.net, eps, result.final_mse
 
 

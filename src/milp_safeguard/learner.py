@@ -9,25 +9,27 @@ over the dataset.
 Layout of the SGD kernel (_Kernel): all parameters sit in one flat vector,
 each layer's block [W | b] a (fan_out, fan_in + 1) view into it, and the
 gradient in one flat buffer of the same layout.  Activations are held
-transposed, as preallocated (width + 1, batch) arrays whose last row is
-ones, so one product gives a layer's pre-activation with its bias and one
-product d @ actsᵀ gives [gW | gb].  Every product is np.dot into a
-C-contiguous out, which costs less per call than np.matmul at these sizes
-and gives the same bits (tests pin the trained parameters).  The inputs,
-one row [z, 1] per sample, and the targets are permuted once per epoch
-into one array each, and each batch is a row slice of both, read
-transposed: F-contiguous, so np.dot copies none of the data.
+transposed, as (width + 1, batch) arrays whose last row is ones, so one
+product gives a layer's pre-activation with its bias and one d @ actsᵀ
+gives [gW | gb], each into a C-contiguous out by np.dot, cheaper per call
+than np.matmul at these sizes.  A step runs its batch width's prebuilt
+program: 15 numpy calls, and 2 for the update.  Its products are bound
+ndarray.dot methods, which skip np.dot's dispatch, its ReLU mask is
+np.sign, and where m / 2 is a power of two it leaves the divide by m / 2 to
+train's step size; no bit of the trained net changes (tests pin it).  The
+input rows [z, 1] and the targets are permuted once per epoch into one
+array each; a batch is a row slice of both, read transposed (F-contiguous:
+np.dot copies nothing).
 
 A run makes one full-data forward pass, for final_mse.  After each epoch
 a bound on the net's outputs over the data, from the largest parameter
 magnitude alone, shows the MSE finite; only when it does not is the
 full-data MSE computed, which raises TrainingDiverged if non-finite.
 
-Every pass over all samples runs in chunks of _CHUNK rows: sample_dataset
-steps the plant, the full-data MSE forwards the kernel and quantify_error
-takes the residuals one chunk at a time.  A pass's temporaries are thus
-of a fixed size; only the samples, and train's inputs and targets with
-their permuted copies, grow with the dataset.
+Every pass over all samples runs in chunks of _CHUNK rows (sample_dataset
+stepping the plant, the full-data MSE, quantify_error, and sampled_error's
+draws), so its temporaries are of a fixed size; only the samples, and
+train's inputs and targets with their permuted copies, grow with the data.
 """
 
 from __future__ import annotations
@@ -103,20 +105,23 @@ class TrainResult:
     final_mse: float
 
 
-def sample_dataset(step, X: Hypercube, U: Hypercube, n: int,
-                   seed: int = 0) -> Dataset:
-    """n uniform samples of X x U with exact plant outputs.
+def sample_dataset(step, X: Hypercube, U: Hypercube, n: int, seed: int = 0,
+                   start: int = 0, stop: int | None = None) -> Dataset:
+    """Rows start:stop of n uniform samples of X x U with exact plant outputs.
 
     step: callable (xs, us) -> x_next on (k, ·) stacks, as a plant's step;
-    it steps the samples _CHUNK rows at a time.
+    it steps the samples _CHUNK rows at a time.  One generator draws the n
+    x's, then the n u's, a 64-bit word a coordinate, skipping other rows'.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    xs = X.sample(rng, n)
-    us = U.sample(rng, n)
+    stop = n if stop is None else min(stop, n)
+    gx, gu = np.random.PCG64(seed), np.random.PCG64(seed)
+    xs = X.sample(np.random.Generator(gx.advance(X.dim * start)), stop - start)
+    us = U.sample(np.random.Generator(gu.advance(X.dim * n + U.dim * start)),
+                  stop - start)
     x_next = np.empty_like(xs)
-    for s in range(0, n, _CHUNK):
+    for s in range(0, len(xs), _CHUNK):
         x_next[s:s + _CHUNK] = step(xs[s:s + _CHUNK], us[s:s + _CHUNK])
     return Dataset(x=xs, u=us, x_next=x_next)
 
@@ -134,12 +139,11 @@ def init_params(in_dim: int, hidden_sizes, out_dim: int, seed: int):
 
 
 class _Kernel:
-    """A net's parameters and gradient as flat vectors, and the MSE gradient.
+    """A net's parameters and gradient as flat vectors, and its SGD steps.
 
     theta holds every layer's [W | b] block, row-major, one after the
     other; blocks[l] is layer l's block as a view into theta, and grad and
-    gblocks are the same for the gradient.  The transposed activations of
-    each batch width are allocated on first use and kept.
+    gblocks are the same for the gradient.
     """
 
     def __init__(self, Ws, bs):
@@ -154,37 +158,11 @@ class _Kernel:
         for Wb, W, b in zip(self.blocks, Ws, bs):
             Wb[:, :-1] = W
             Wb[:, -1] = b
-        self._buffers = {}
 
     def params(self):
         """Copies of the weight matrices and bias vectors."""
         return ([Wb[:, :-1].copy() for Wb in self.blocks],
                 [Wb[:, -1].copy() for Wb in self.blocks])
-
-    def _buffers_for(self, m):
-        """(acts, hs, out, back) for a batch of m columns: acts[l] is the
-        (width + 1, m) input of layer l + 1 with its ones row, hs[l] its
-        first width rows (which gradient overwrites with the layer's
-        delta) and out the output.  back holds, for each layer from the
-        last to the second, its gradient block, its input transposed, that
-        input's hs entry, a float mask, 1.0 where it is > 0, [W_l | b_l]ᵀ
-        (an F-contiguous view, which np.dot reads without a copy) and a
-        (width + 1, m) array for [W_l | b_l]ᵀ d."""
-        if m not in self._buffers:
-            acts = []
-            for Wb in self.blocks[:-1]:
-                a = np.empty((len(Wb) + 1, m))
-                a[-1] = 1.0
-                acts.append(a)
-            hs = [a[:-1] for a in acts]
-            masks = [np.empty(h.shape) for h in hs]
-            back = list(zip(self.gblocks[:0:-1], [a.T for a in acts[::-1]],
-                            hs[::-1], masks[::-1],
-                            [Wb.T for Wb in self.blocks[:0:-1]],
-                            [np.empty(a.shape) for a in acts[::-1]]))
-            self._buffers[m] = (acts, hs,
-                                np.empty((len(self.blocks[-1]), m)), back)
-        return self._buffers[m]
 
     def output_bound(self, r):
         """A bound on every |output| of the net on inputs whose entries are
@@ -199,32 +177,52 @@ class _Kernel:
 
     def forward(self, A):
         """The net's output on the columns of A = [Zᵀ; 1], transposed."""
-        acts, hs, out, _ = self._buffers_for(A.shape[1])
-        for Wb, act, h in zip(self.blocks, acts, hs):
-            np.dot(Wb, A, out=h)
-            np.maximum(h, 0.0, out=h)
-            A = act
-        np.dot(self.blocks[-1], A, out=out)
-        return out
+        for Wb in self.blocks[:-1]:
+            a = np.ones((len(Wb) + 1, A.shape[1]))
+            np.maximum(np.dot(Wb, A, out=a[:-1]), 0.0, out=a[:-1])
+            A = a
+        return np.dot(self.blocks[-1], A)
 
-    def gradient(self, A, Yt):
-        """MSE gradient on the columns of A = [Zᵀ; 1] and Yt = Yᵀ into grad;
-        the ReLU subgradient at 0 is taken as 0."""
-        m = A.shape[1]
-        d, back = self._buffers_for(m)[2:]
-        self.forward(A)
-        np.subtract(d, Yt, out=d)
-        np.divide(d, m / 2, out=d)      # rounds as 2 (pred - Y) / m does
-        for g, actT, h, mask, WbT, WbTd in back:
-            np.dot(d, actT, out=g)
-            # 1.0 where h > 0, else 0.0 (h >= 0): a float mask multiplies
-            # with no cast buffer.
-            np.minimum(h, 1.0, out=mask)
-            np.ceil(mask, out=mask)
-            np.dot(WbT, d, out=WbTd)
-            np.multiply(WbTd[:-1], mask, out=h)
-            d = h
-        np.dot(d, A.T, out=self.gblocks[0])
+    def program(self, m):
+        """(step, c) for batches of m columns: step(A, Yt) puts c times the
+        MSE gradient on the columns of A = [Zᵀ; 1] and Yt = Yᵀ into grad
+        (ReLU subgradient 0 at 0) in 15 numpy calls, c = m / 2 where that is
+        a power of two (an exact scale); otherwise in 16, c = 1."""
+        maximum, sign, multiply = np.maximum, np.sign, np.multiply
+        subtract, divide, fold = np.subtract, np.divide, m & (m - 1) == 0
+        # acts[l], layer l + 1's input with its ones row; hs[l], its first
+        # width rows, which the backward pass overwrites with a delta.
+        acts = [np.ones((len(Wb) + 1, m)) for Wb in self.blocks[:-1]]
+        hs, out = [a[:-1] for a in acts], np.empty((len(self.blocks[-1]), m))
+        # ds: the arrays of the layers' output deltas, last layer first.
+        ds, wds = [out, *hs[::-1]], [np.empty(a.shape) for a in acts[::-1]]
+        fwd = tuple(zip([Wb.dot for Wb in self.blocks], hs, acts))
+        last, first, g0 = self.blocks[-1].dot, ds[-1].dot, self.gblocks[0]
+        # Layer l, last to second: d.dot, input transposed, gradient block,
+        # [W_l | b_l]ᵀ.dot (F-contiguous: no copy), [W_l | b_l]ᵀ d's array,
+        # its top width rows, and hs[l - 1].
+        back = tuple(zip([d.dot for d in ds], [a.T for a in acts[::-1]],
+                         self.gblocks[:0:-1],
+                         [Wb.T.dot for Wb in self.blocks[:0:-1]],
+                         wds, [wd[:-1] for wd in wds], hs[::-1]))
+        zero, half = np.zeros(()), np.array(m / 2)  # 0-d: faster than floats
+
+        def step(A, Yt):
+            x = A
+            for dot, h, a in fwd:
+                dot(x, out=h)
+                maximum(h, zero, out=h)
+                x = a
+            d = subtract(last(x, out=out), Yt, out=out)
+            if not fold:
+                divide(d, half, out=d)      # rounds as 2 (pred - Y) / m does
+            for gdot, xT, g, wdot, wd, top, h in back:
+                gdot(xT, out=g)
+                sign(h, out=h)      # h >= 0: the float mask, 1.0 where h > 0
+                wdot(d, out=wd)
+                d = multiply(top, h, out=h)
+            first(A.T, out=g0)
+        return step, m / 2 if fold else 1.0
 
 
 def _mse(kernel, A, Yt) -> float:
@@ -242,7 +240,9 @@ def _mse(kernel, A, Yt) -> float:
 def gradients(Ws, bs, Z, Y):
     """Analytic MSE gradients (gWs, gbs); ReLU subgradient at 0 taken as 0."""
     kernel = _Kernel(Ws, bs)
-    kernel.gradient(np.hstack([Z, np.ones((len(Z), 1))]).T, Y.T)
+    step, c = kernel.program(len(Z))
+    step(np.hstack([Z, np.ones((len(Z), 1))]).T, Y.T)
+    kernel.grad /= c
     return ([g[:, :-1] for g in kernel.gblocks],
             [g[:, -1] for g in kernel.gblocks])
 
@@ -318,11 +318,13 @@ def train(cfg: TrainConfig, data: Dataset,
     else:
         Ws, bs = init_params(k - 1, cfg.hidden_sizes, Y.shape[1], cfg.seed)
     kernel = _Kernel(Ws, bs)
+    theta, grad = kernel.theta, kernel.grad
     # Each epoch refills the permuted copies in place, so every batch is a
-    # fixed view of them, read transposed: F-contiguous, which np.dot
-    # takes without a copy.
+    # fixed view of them, run by its width's step program: b, or a tail's.
     Zs, Ys = np.empty_like(Z1), np.empty_like(Y)
-    batches = [(Zs[s:s + b].T, Ys[s:s + b].T) for s in range(0, n, b)]
+    programs = {m: kernel.program(m) for m in (b, n % b) if 0 < m <= n}
+    batches = [(*programs[min(b, n - s)], Zs[s:s + b].T, Ys[s:s + b].T)
+               for s in range(0, n, b)]
     A, Yt = Z1.T, Y.T
     # r = max(1, max|z_i|), as A holds the ones row, and y = max|y_i|.
     r = float(max(A.max(), -A.min()))
@@ -335,10 +337,10 @@ def train(cfg: TrainConfig, data: Dataset,
         order = rng.permutation(n)
         np.take(Z1, order, axis=0, out=Zs, mode="clip")
         np.take(Y, order, axis=0, out=Ys, mode="clip")
-        for Ab, Yb in batches:
-            kernel.gradient(Ab, Yb)
-            kernel.grad *= lr
-            kernel.theta -= kernel.grad
+        for step, c, Ab, Yb in batches:
+            step(Ab, Yb)
+            grad *= lr / c
+            theta -= grad
         # No residual exceeds e in magnitude, so the sum of the n * n_out
         # squares in the MSE is finite; a NaN or inf parameter fails this.
         e = kernel.output_bound(r) + y
@@ -364,3 +366,11 @@ def quantify_error(net: ReluNetwork, data: Dataset) -> np.ndarray:
         np.subtract(data.x_next[rows], res, out=res)
         np.maximum(worst, np.abs(res, out=res).max(axis=0), out=worst)
     return worst
+
+
+def sampled_error(step, net, X, U, n: int, seed: int = 0) -> np.ndarray:
+    """quantify_error(net, sample_dataset(step, X, U, n, seed)), bit for
+    bit, with the samples drawn and evaluated _CHUNK rows at a time."""
+    return np.max([quantify_error(net, sample_dataset(step, X, U, n, seed,
+                                                      s, s + _CHUNK))
+                   for s in range(0, n, _CHUNK)], axis=0)

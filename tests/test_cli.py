@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from milp_safeguard import cli, encoder
+from milp_safeguard import cli, encoder, learner
 from milp_safeguard.cli import (
     ScenarioError,
     _read_document,
@@ -458,18 +458,21 @@ def test_loading_a_training_scenario_evaluates_nothing(tmp_path,
                                                         monkeypatch):
     # A scenario needs only the trained net: loading one draws the training
     # samples alone, and the train command's error estimate is not taken.
+    # cli draws the training samples; learner.sampled_error draws and
+    # evaluates the estimate's.
     sampled, evaluated = [], []
-    draw, evaluate = cli.sample_dataset, cli.quantify_error
+    draw, evaluate = learner.sample_dataset, learner.quantify_error
 
-    def counted_draw(step, X, U, n, seed=0):
+    def counted_draw(step, X, U, n, seed=0, start=0, stop=None):
         sampled.append(n)
-        return draw(step, X, U, n, seed=seed)
+        return draw(step, X, U, n, seed, start, stop)
 
     def counted_evaluate(net, data):
         evaluated.append(len(data))
         return evaluate(net, data)
     monkeypatch.setattr(cli, "sample_dataset", counted_draw)
-    monkeypatch.setattr(cli, "quantify_error", counted_evaluate)
+    monkeypatch.setattr(learner, "sample_dataset", counted_draw)
+    monkeypatch.setattr(learner, "quantify_error", counted_evaluate)
     path = write(tmp_path, TRAIN.replace("eval_samples: 400",
                                          "eval_samples: 300"))
     load_scenario(path)

@@ -22,6 +22,7 @@ from milp_safeguard.learner import (
     params_from_net,
     quantify_error,
     sample_dataset,
+    sampled_error,
     train,
 )
 from milp_safeguard.nn_model import forward, forward_batch
@@ -410,24 +411,60 @@ def test_output_bound_holds_wherever_the_outputs_are_finite(
 
 
 def test_train_makes_one_full_data_pass(monkeypatch):
-    inner, widths = learner._Kernel.forward, []
+    # SGD steps run the step programs, one built per batch width; a
+    # full-data pass forwards the kernel.  Count the two apart.
+    program, forward = learner._Kernel.program, learner._Kernel.forward
+    built, steps, passes = [], [], []
 
-    def counted(kernel, A):
-        widths.append(A.shape[1])
-        return inner(kernel, A)
-    monkeypatch.setattr(learner._Kernel, "forward", counted)
+    def counted_program(kernel, m):
+        built.append(m)
+        step, c = program(kernel, m)
+
+        def counted(A, Yt):
+            steps.append(A.shape[1])
+            step(A, Yt)
+        return counted, c
+
+    def counted_forward(kernel, A):
+        passes.append(A.shape[1])
+        return forward(kernel, A)
+    monkeypatch.setattr(learner._Kernel, "program", counted_program)
+    monkeypatch.setattr(learner._Kernel, "forward", counted_forward)
     data = sample_dataset(ROBOT.step, X2, U2, 500, seed=0)
     cfg = TrainConfig(epochs=30, learning_rate=5e-3, batch_size=32, seed=0)
     train(cfg, data)
-    assert widths.count(len(data)) == 1 and len(widths) == 1 + 30 * 16
-    # Above one chunk, the pass after the 2 x 10 SGD batches forwards the
-    # data a chunk at a time, every sample once.
-    widths.clear()
+    assert built == [32, 20]
+    assert steps == ([32] * 15 + [20]) * 30
+    assert passes == [len(data)]
+    # Above one chunk, the one pass after the 2 x 10 SGD batches forwards
+    # the data a chunk at a time, every sample once.
+    built.clear(), steps.clear(), passes.clear()
     data = sample_dataset(ROBOT.step, X2, U2, 2 * CHUNK + 904, seed=0)
     train(replace(cfg, epochs=2, batch_size=1000), data)
-    assert widths[:20] == ([1000] * 9 + [96]) * 2
-    assert widths[20:] == [CHUNK, CHUNK, 904]
-    assert sum(widths[20:]) == len(data)
+    assert built == [1000, 96]
+    assert steps == ([1000] * 9 + [96]) * 2
+    assert passes == [CHUNK, CHUNK, 904]
+
+
+def test_a_step_keeps_no_memory():
+    # 1,000 steps at batch 128 on the 5-8-4-3 net keep nothing they
+    # allocate.  Their traced peak is the 4 KB iteration buffer np.subtract
+    # takes for targets read transposed; one (8, 128) temporary is 8 KB.
+    Ws, bs = init_params(5, (8, 4), 3, seed=0)
+    step, _ = learner._Kernel(Ws, bs).program(128)
+    rng = np.random.default_rng(0)
+    A = np.hstack([rng.uniform(-1, 1, (128, 5)), np.ones((128, 1))]).T
+    Yt = rng.uniform(-1, 1, (128, 3)).T
+    step(A, Yt)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            step(A, Yt)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end - start < 1024 and peak - start < 5 * 1024
 
 
 @CHUNK_SIZES
@@ -472,3 +509,32 @@ def test_quantify_error_takes_the_same_memory_for_more_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < CHUNK * (3 + 2 + 3) * 8
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 60_000])
+def test_sampled_error_is_the_error_on_the_one_shot_samples(n):
+    # The draws a chunk at a time are the one-shot draws, bit for bit.
+    net = identity_warm_start(X3, U3, (8, 4), seed=1)
+    data = sample_dataset(VEHICLE.step, X3, U3, n, seed=3)
+    rows = sample_dataset(VEHICLE.step, X3, U3, n, seed=3, start=n // 3,
+                          stop=n // 3 + 5)
+    for got, want in ((rows.x, data.x), (rows.u, data.u),
+                      (rows.x_next, data.x_next)):
+        assert got.tobytes() == want[n // 3:n // 3 + 5].tobytes()
+    assert (sampled_error(VEHICLE.step, net, X3, U3, n, seed=3).tobytes()
+            == quantify_error(net, data).tobytes())
+
+
+def test_sampled_error_takes_the_same_memory_for_more_samples():
+    # Its traced peak on 8 n samples may exceed the one on n samples by
+    # less than a tenth of a chunk of the data's rows [x, u, x_next].
+    net = identity_warm_start(X3, U3, (8, 4), seed=1)
+    peaks = []
+    for n in (2 * CHUNK, 16 * CHUNK):
+        tracemalloc.start()
+        try:
+            sampled_error(VEHICLE.step, net, X3, U3, n, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < CHUNK * (3 + 2 + 3) * 8 // 10
