@@ -50,8 +50,11 @@ _REASONS = {   # why a solve ended Infeasible or NumericalFailure
     NUMERICAL_FAILURE: "a simplex basis failed to invert, or a reduced cost "
                        "forbade the bound flip that would close a row"}
 
-_TOL = 1e-9            # primal and dual feasibility tolerance of the simplex
+_TOL = 1e-9            # pivot and dual feasibility tolerance of the simplex
+_PRIMAL_TOL = 1e-10    # primal feasibility tolerance: of a basic value's
+                       # bound, and of a row of A x = rhs
 _REFACTOR_EVERY = 60   # basis updates between fresh basis inversions
+_FLIP_PIVOT = 1e-7     # a pivot element below it flips its column instead
 _INTEGRALITY_TOL = 1e-12  # a binary this close to 0 or 1 counts as integral
 _RELATIVE_GAP = 1e-6      # share of the incumbent a node must beat to stay open
 
@@ -286,13 +289,17 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     MilpModel's bounded objective makes a cold start; a warm one that is
     not gives NumericalFailure, so that the caller re-solves cold.
 
-    Each pivot: leaving row the largest bound violation; entering column
+    Each pivot: leaving row the largest bound violation, if above
+    _PRIMAL_TOL (above _TOL after a stall); entering column
     by the dual ratio test, one masked quotient d / g over the nonbasic
     columns whose direction moves the leaving variable toward its bound
     (a free one counts as ratio 0), ties to the largest pivot and then
-    the lowest index; lowest-index rules after a stall.  A row with no
-    pivot element above _TOL proves infeasibility only if its bounded
-    columns cannot close it at their other bounds, with the basic values
+    the lowest index; lowest-index rules after a stall.  An entering
+    column whose pivot element is below _FLIP_PIVOT, whose reduced cost is
+    0 and which the step would carry across its range goes to its other
+    bound instead, the basis kept.  A row with no pivot element above
+    _TOL proves infeasibility only if its bounded columns cannot close
+    it at their other bounds, with the basic values
     formed afresh from the tableau; otherwise one of them moves to its
     other bound, or the LP is a NumericalFailure if its reduced cost
     forbids that bound.  The tableau, reduced costs included, takes one
@@ -300,6 +307,11 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     and is formed afresh once _REFACTOR_EVERY updates have accumulated
     since its last fresh inversion, counting those inherited with a warm
     basis; a basis that fails that inversion gives NumericalFailure too.
+    The updates let the kept basic values drift from the ones the basis
+    gives: an LP that would end, Optimal or Infeasible, while a row of
+    A x = rhs is off by more than _PRIMAL_TOL forms its tableau afresh
+    and goes on.  A row off by no more than _TOL that no pivot can close
+    ends the LP as Optimal.
 
     Returns (status, x, objective, iterations, basis); basis is the final
     _Basis, with its tableau and state, when Optimal, else None.  stats,
@@ -360,13 +372,15 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
         bland = stall > bland_after
         if bland:
             rows = (viol > _TOL).nonzero()[0]
-            if rows.size == 0:
-                break
-            r = int(rows[np.argmin(basis[rows])])
+            r = int(rows[np.argmin(basis[rows])]) if rows.size else -1
         else:
             r = int(viol.argmax())
-            if not viol[r] > _TOL:
-                break
+            r = r if viol[r] > _PRIMAL_TOL else -1
+        if r < 0:
+            if _drifted(A, rhs, x, basis, xB, updates):
+                updates = _REFACTOR_EVERY
+                continue
+            break
         up = below[r] > 0   # the leaving variable rises to its lb
         target = lbB[r] if up else ubB[r]
 
@@ -391,18 +405,28 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
             # again on values formed afresh from the tableau.  A row that can
             # be closed moves the column that closes most to its other bound,
             # the basis kept, if its reduced cost allows that bound; if not,
-            # the row is a numerical failure.
+            # the row is a numerical failure.  A row off by no more than
+            # _TOL takes that move only if it closes the row without
+            # overshooting it, and is otherwise left as it is.
             span = np.where(np.isfinite(ub - lb), ub - lb, 0.0)
             reach = np.where(direction * g > 0.0, np.abs(g) * span, 0.0)
-            if reach.sum() < viol[r] - _TOL:
+            j = int(reach.argmax())
+            if not viol[r] > _TOL:
+                if not (viol[r] - _PRIMAL_TOL <= reach[j] <= viol[r]
+                        + _PRIMAL_TOL and abs(d[j]) <= _TOL):
+                    break
+                stall += 1
+            elif reach.sum() < viol[r] - _TOL:
                 x[basis] = 0.0
                 fresh = T[:m, n - m:] @ (rhs - A @ x)
                 if not np.array_equal(fresh, xB):
                     xB = fresh
                     continue
+                if _drifted(A, rhs, x, basis, xB, updates):
+                    updates = _REFACTOR_EVERY
+                    continue
                 return INFEASIBLE, None, INF, iters, None
-            j = int(reach.argmax())
-            if abs(d[j]) > _TOL:
+            elif abs(d[j]) > _TOL:
                 return NUMERICAL_FAILURE, None, INF, iters, None
             bound = ub[j] if direction[j] > 0 else lb[j]
             xB -= (bound - x[j]) * T[:m, j]
@@ -415,6 +439,17 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
 
         w = T[:, enter]
         step = (xB[r] - target) / w[r]
+        if abs(w[r]) < _FLIP_PIVOT and abs(d[enter]) <= _TOL \
+                and (ub[enter] - lb[enter] - abs(step)) * abs(w[r]) <= _TOL:
+            # A pivot this small would carry its column across its whole
+            # range, and leave B^-1 with entries of 1 / w[r].  The column
+            # moves to its other bound instead, which its zero reduced cost
+            # allows, and the row closes to within _TOL, the basis kept.
+            stall += 1
+            bound = ub[enter] if direction[enter] > 0 else lb[enter]
+            xB -= (bound - x[enter]) * w[:m]
+            x[enter], direction[enter] = bound, -direction[enter]
+            continue
         stall = 0 if r_min * viol[r] > _TOL else stall + 1
         xB -= step * w[:m]
         xB[r] = x[enter] + step
@@ -436,6 +471,15 @@ def _simplex(A, rhs, c, lb, ub, max_iters, warm=None, stats=None):
     x[basis] = xB
     return OPTIMAL, x, float(c @ x), iters, _Basis(A, c, basis, T, updates,
                                                    x, direction, free)
+
+
+def _drifted(A, rhs, x, basis, xB, updates) -> bool:
+    """Whether basic values xB, with the nonbasic ones in x, miss a row of
+    A x = rhs by more than _PRIMAL_TOL after updates since the tableau was
+    formed afresh (a fresh tableau's values are as good as it gets).  Sets
+    x[basis] = xB."""
+    x[basis] = xB
+    return updates > 0 and np.abs(A @ x - rhs).max() > _PRIMAL_TOL
 
 
 def _most_fractional(values: np.ndarray, binaries: np.ndarray, tol: float) -> int:

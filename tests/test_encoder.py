@@ -76,28 +76,64 @@ def test_clip_rows_take_each_branch_s_tight_big_m(eps_u):
        at=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2))
 @example(width=(1.0, 1.0), share=(0.0, 1e-09), at=(0.0, 0.0))
 @example(width=(0.5, 0.5), share=(1e-08, 0.0), at=(0.0, 0.5))
+@example(width=(1.1454417987454426, 1.0), share=(1e-09, 0.0), at=(1.0, 0.0))
+@example(width=(1.5, 1.0), share=(0.0625, 0.0), at=(1e-09, 0.0))
+@example(width=(1.4775133688529496, 0.13045462300809435),
+         share=(4.821322776924e-08, 2.4486723330943135e-08),
+         at=(0.7429309261481368, 0.0))
+@example(width=(1.359416536093702, 1.9560506440124805),
+         share=(2.513517126059407e-09, 4.704862214734662e-10),
+         at=(0.9999999992238088, 0.0))
 def test_fixed_control_gets_the_clipped_interval(width, share, at):
     # eps_u from 0 past width/2 to beyond the width of U: with u_cmd fixed,
     # the MILP's actuated interval is U's clip of [u - eps_u, u + eps_u].
     # A clip binary that the LP leaves near 0 or 1 but more than 1e-12
-    # off it is branched on, so the ends are the clip's.  The pinned
-    # examples once read as infeasible: in the first a row's only pivot
-    # element is the clip's big-M eps_u = 1e-9, the simplex's tolerance; in
-    # the second, pivots on a big-M of 5e-9 leave a child's basic values
-    # 5e-9 off those its tableau gives.
+    # off it is branched on, so the ends are the clip's.  Each pinned
+    # example fails a solver that lacks one of its safeguards:
+    # - in the first a row's only pivot element is the clip's big-M
+    #   eps_u = 1e-9, the simplex's tolerance;
+    # - in the second and third, pivots on a big-M of 5e-9 (1.1e-9) leave
+    #   the basic values 5e-9 (6e-8) off those the basis gives, and a child
+    #   (the root's children) read as infeasible;
+    # - in the fourth the child that fixes a clip binary leaves it basic
+    #   1e-9 off its value, within a primal tolerance of 1e-9, and the
+    #   incumbent's rounding moves the clip end 1.4e-9;
+    # - in the fifth a pivot on a big-M of 3.2e-9 carries its binary
+    #   across its range and leaves a basis whose proof of infeasibility
+    #   is roundoff, unless the binary flips to its other bound instead;
+    # - in the sixth a row 9.2e-10 off, which only a binary with a big-M
+    #   of 9.2e-10 moves, is left open unless the binary flips.
     _check_clipped_interval(width, share, at)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 4: a tiny eps_u share leaves a clip "
-                          "end 1.2e-9 off")
-def test_a_tiny_eps_u_share_misses_its_clip_end():
-    # A draw of the test above that fails it: after 3 branch-and-bound
-    # nodes the first control's lower end sits 1.22e-9 above U's clip of
-    # u - eps_u, past the 1e-9 bound.  This pins the defect, which the
-    # random draws find only now and then.
+def test_a_tiny_eps_u_share_meets_its_clip_end():
+    # After 3 branch-and-bound nodes the first control's lower end sat
+    # 1.22e-9 above U's clip of u - eps_u: pivots on a big-M of 1.6e-7 had
+    # left the basic values that far off those the basis gives.
     _check_clipped_interval((1.3125, 1.0), (1.192092896e-07, 0.0),
                             (1.192092896e-07, 0.0))
+
+
+def test_seeded_draws_of_fixed_controls_get_the_clipped_interval():
+    # 400 seeded draws weighted to tiny eps_u shares (big-Ms near the
+    # simplex's tolerance) and to u_cmd near an end of U, where the random
+    # draws above find failures only now and then: the solver of an
+    # earlier version failed 20 of them.
+    rng = np.random.default_rng(0)
+
+    def share():
+        return (rng.choice([0.0, 0.3, 0.5, 0.8, 1.0, 1.7]),
+                rng.uniform(0.0, 2.0), 10 ** rng.uniform(-10, -5),
+                10 ** rng.uniform(-10, -5))[rng.integers(4)]
+
+    def at():
+        tiny = 10 ** rng.uniform(-10, -5)
+        return (rng.choice([0.0, 1.0]), rng.uniform(0.0, 1.0), tiny,
+                1.0 - tiny)[rng.integers(4)]
+
+    for _ in range(400):
+        width = tuple(rng.uniform(0.01, 2.0, 2))
+        _check_clipped_interval(width, (share(), share()), (at(), at()))
 
 
 def _check_clipped_interval(width, share, at):
